@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet doc-check build test race bench-smoke fuzz-smoke bench-compare drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke bench bench-kernels bench-serve bench-drift bench-cluster bench-registry
+.PHONY: ci fmt-check vet doc-check build test race bench-smoke fuzz-smoke bench-compare bench-snapshot drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke bench bench-kernels bench-serve bench-drift bench-cluster bench-registry
 
 ci: fmt-check vet doc-check build race bench-smoke fuzz-smoke bench-compare drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke
 
@@ -44,7 +44,7 @@ bench-smoke:
 # The fuzz targets' seed corpora, run deterministically (plain `go test`
 # executes every f.Add seed; no fuzzing engine involved).
 fuzz-smoke:
-	$(GO) test -run 'FuzzFeedbackWindow' .
+	$(GO) test -run 'FuzzFeedbackWindow|FuzzModelLoad' .
 	$(GO) test -run 'FuzzBitpackRoundTrip' ./internal/bitpack
 	$(GO) test -run 'FuzzWireFrame' ./serve/wire
 
@@ -58,7 +58,9 @@ fuzz-smoke:
 # dropped asm tier is ≥3×, a lost fused path ≥2× — not phase drift.
 # Finer trends are tracked across PRs by the committed BENCH_*.json
 # snapshots. Refresh bench/baseline.txt on a quiet machine when a
-# deliberate perf change lands.
+# deliberate perf change lands. The comparison is written to the
+# git-ignored bench/current.json; `make bench-snapshot PR=N` runs the same
+# gate and records it as the committed BENCH_PRN.json on purpose.
 bench-compare:
 	@$(GO) test ./internal/bitpack -run xxx -bench 'BenchmarkScoreBatch|BenchmarkPackSigns' \
 		-benchtime 50ms -count 5 > bench/current.txt
@@ -69,7 +71,11 @@ bench-compare:
 	@$(GO) test ./serve/registry -run xxx -bench 'BenchmarkRegistryPredictBatch|BenchmarkRegistryDispatch' \
 		-benchtime 50ms -count 5 >> bench/current.txt
 	$(GO) run ./cmd/benchcompare -baseline bench/baseline.txt -threshold 1.50 \
-		-json BENCH_PR9.json bench/current.txt
+		-json bench/current.json bench/current.txt
+
+bench-snapshot: bench-compare
+	@test -n "$(PR)" || { echo "usage: make bench-snapshot PR=N"; exit 2; }
+	cp bench/current.json BENCH_PR$(PR).json
 
 # One CI-sized pass of the streaming drift benchmark, so the closed-loop
 # learner harness cannot rot.

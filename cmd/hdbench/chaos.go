@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,10 +236,7 @@ func chaosSelfContained(o chaosOptions, test disthd.DataSplit, w io.Writer) erro
 // outside script (scripts/chaos_smoke.sh) injects the faults. It waits for
 // the target's /healthz first, so the script needs no readiness dance.
 func chaosExternal(o chaosOptions, test disthd.DataSplit, w io.Writer) error {
-	base := o.httpTarget
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
+	base := baseURL(o.httpTarget)
 	client := &http.Client{Timeout: 5 * time.Second}
 	if err := waitReady(client, base); err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	disthd "repro"
@@ -27,14 +26,10 @@ type driftHTTP struct {
 	hc   *http.Client
 }
 
-// newDriftHTTP normalizes the target ("host:port" or a full URL) into a
-// base URL.
+// newDriftHTTP targets a live server ("host:port" or a full URL).
 func newDriftHTTP(target, wireFmt string) *driftHTTP {
-	if !strings.Contains(target, "://") {
-		target = "http://" + target
-	}
 	return &driftHTTP{
-		base: strings.TrimRight(target, "/"),
+		base: baseURL(target),
 		wire: wireFmt,
 		hc:   &http.Client{Timeout: 60 * time.Second},
 	}

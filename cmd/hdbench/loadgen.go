@@ -149,11 +149,7 @@ func runLoadgenHTTP(o loadgenOptions, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	base := o.httpTarget
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
+	base := baseURL(o.httpTarget)
 	hc := &http.Client{Timeout: 30 * time.Second}
 	if err := waitReady(hc, base); err != nil {
 		return err
@@ -221,31 +217,8 @@ func closedLoopN(conc int, d time.Duration, n int, do func(int) error) float64 {
 	return float64(total.Load()) / time.Since(start).Seconds()
 }
 
-// closedLoop runs conc clients for about d and returns requests/second.
+// closedLoop runs conc clients for about d, each predicting rotating
+// rows, and returns requests/second.
 func closedLoop(conc int, d time.Duration, rows [][]float64, predict func([]float64) error) float64 {
-	var (
-		wg    sync.WaitGroup
-		total atomic.Int64
-		stop  atomic.Bool
-	)
-	start := time.Now()
-	for c := 0; c < conc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			n := 0
-			for !stop.Load() {
-				if err := predict(rows[(c+n)%len(rows)]); err != nil {
-					break
-				}
-				n++
-			}
-			total.Add(int64(n))
-		}(c)
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	return float64(total.Load()) / elapsed.Seconds()
+	return closedLoopN(conc, d, len(rows), func(i int) error { return predict(rows[i]) })
 }

@@ -207,11 +207,7 @@ func runLoadgenTenants(o loadgenOptions, w io.Writer) error {
 // /t/{id}/predict_batch traffic in the selected wire format, and scrapes
 // the aggregate /stats for the churn gauges.
 func runLoadgenTenantsHTTP(o loadgenOptions, w io.Writer) error {
-	base := o.httpTarget
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
+	base := baseURL(o.httpTarget)
 	hc := &http.Client{Timeout: 60 * time.Second}
 
 	// Install the tenants. The server trains from the same demo datasets,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/serve/wire"
@@ -111,6 +112,15 @@ func decodeBatch(contentType string, body []byte) ([]int, error) {
 		return nil, err
 	}
 	return out.Classes, nil
+}
+
+// baseURL normalizes a -http target ("host:port" or a full URL) into a
+// base URL without a trailing slash.
+func baseURL(target string) string {
+	if !strings.Contains(target, "://") {
+		target = "http://" + target
+	}
+	return strings.TrimRight(target, "/")
 }
 
 // postBatch runs one /predict_batch round trip against base in wireFmt

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/bitpack"
 	"repro/internal/core"
@@ -93,21 +94,38 @@ func writeFloats(w io.Writer, xs []float64) error {
 	return nil
 }
 
-// readFloats fills the slice from little-endian float64 bits.
-func readFloats(r io.Reader, xs []float64) error {
-	buf := make([]byte, 8)
-	for i := range xs {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
+// loadChunk is how many 8-byte words Load decodes per read.
+const loadChunk = 8 << 10
+
+// readWords reads n little-endian 8-byte words, decoding each with conv.
+// A snapshot's shape header is untrusted, so the result is never sized
+// from it: it starts at one chunk and grows fourfold only once full, so a
+// header claiming more payload than the stream holds fails at EOF having
+// allocated a small multiple of what arrived.
+func readWords[T any](r io.Reader, n int, conv func(uint64) T) ([]T, error) {
+	buf := make([]byte, 8*min(n, loadChunk))
+	xs := make([]T, 0, min(n, loadChunk))
+	for len(xs) < n {
+		if len(xs) == cap(xs) {
+			xs = slices.Grow(xs, min(3*len(xs), n-len(xs)))
 		}
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		c := min(n-len(xs), loadChunk)
+		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < c; i++ {
+			xs = append(xs, conv(binary.LittleEndian.Uint64(buf[8*i:])))
+		}
 	}
-	return nil
+	return xs, nil
 }
 
 // Load reads a model previously written by Save. The returned model is
 // ready for inference and further deployment; its training statistics are
-// not preserved.
+// not preserved. Load allocates in proportion to the bytes it reads
+// (whatever the header claims), so it is safe on untrusted input: an f32
+// snapshot costs a small multiple of its size, a 1-bit one up to about 64
+// times its class payload for the ±1 float view of its classes.
 func Load(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]uint32
@@ -123,31 +141,37 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("disthd: unsupported model version %d", hdr[1])
 	}
 	features, dim, classes := int(hdr[2]), int(hdr[3]), int(hdr[4])
-	if features <= 0 || dim <= 0 || classes < 2 {
+	// Each payload's byte count must fit an int: every factor is below
+	// 2^32, so the products are exact in uint64.
+	const maxFloats = math.MaxInt / 8
+	if features <= 0 || dim <= 0 || classes < 2 ||
+		uint64(dim)*uint64(features) > maxFloats || uint64(dim)*uint64(classes) > maxFloats {
 		return nil, fmt.Errorf("disthd: corrupt model shape %dx%dx%d", features, dim, classes)
 	}
 	var sigma float64
 	if err := binary.Read(br, binary.LittleEndian, &sigma); err != nil {
 		return nil, fmt.Errorf("disthd: load sigma: %w", err)
 	}
-
-	base := mat.New(dim, features)
-	phase := make([]float64, dim)
-	for _, block := range [][]float64{base.Data, phase} {
-		if err := readFloats(br, block); err != nil {
-			return nil, fmt.Errorf("disthd: load payload: %w", err)
-		}
+	if !(sigma > 0) || math.IsInf(sigma, 1) {
+		return nil, fmt.Errorf("disthd: corrupt model bandwidth %v", sigma)
 	}
 
-	enc, err := encoding.NewRBFFromParams(base, phase, sigma, 1)
+	base, err := readWords(br, dim*features, math.Float64frombits)
+	if err != nil {
+		return nil, fmt.Errorf("disthd: load payload: %w", err)
+	}
+	phase, err := readWords(br, dim, math.Float64frombits)
+	if err != nil {
+		return nil, fmt.Errorf("disthd: load payload: %w", err)
+	}
+	enc, err := encoding.NewRBFFromParams(mat.View(dim, features, base), phase, sigma, 1)
 	if err != nil {
 		return nil, err
 	}
-	mdl := model.New(classes, dim)
 	cfg := core.DefaultConfig()
 	cfg.Dim = dim
 	out := &Model{
-		clf:  &core.Classifier{Enc: enc, Model: mdl, Cfg: cfg},
+		clf:  &core.Classifier{Enc: enc, Cfg: cfg},
 		kind: EncoderRBF,
 	}
 
@@ -157,15 +181,16 @@ func Load(r io.Reader) (*Model, error) {
 		// (ClassHypervector, DimensionSaliency) stay meaningful; serving
 		// runs on the packed bits.
 		words := (dim + 63) / 64
+		bits, err := readWords(br, classes*words, func(w uint64) uint64 { return w })
+		if err != nil {
+			return nil, fmt.Errorf("disthd: load packed classes: %w", err)
+		}
 		packed := bitpack.NewMatrix(classes, dim)
-		buf := make([]byte, 8)
+		mdl := model.New(classes, dim)
 		for c := 0; c < classes; c++ {
 			row := packed.Row(c)
 			for j := 0; j < words; j++ {
-				if _, err := io.ReadFull(br, buf); err != nil {
-					return nil, fmt.Errorf("disthd: load packed classes: %w", err)
-				}
-				row[j] = binary.LittleEndian.Uint64(buf)
+				row[j] = bits[c*words+j]
 			}
 			if rem := dim % 64; rem != 0 {
 				if tail := row[words-1] >> uint(rem); tail != 0 {
@@ -182,15 +207,18 @@ func Load(r io.Reader) (*Model, error) {
 			}
 		}
 		mdl.RefreshNorms()
+		out.clf.Model = mdl
 		out.packed = packed
 		return out, nil
 	}
 
-	weights := make([]float64, classes*dim)
-	if err := readFloats(br, weights); err != nil {
+	weights, err := readWords(br, classes*dim, math.Float64frombits)
+	if err != nil {
 		return nil, fmt.Errorf("disthd: load payload: %w", err)
 	}
+	mdl := model.New(classes, dim)
 	copy(mdl.Weights.Data, weights)
 	mdl.RefreshNorms()
+	out.clf.Model = mdl
 	return out, nil
 }

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"sync/atomic"
-	"time"
+
+	"repro/serve/internal/edge"
 )
 
 // Server exposes a Coordinator over the same HTTP/JSON wire format as a
@@ -20,11 +17,9 @@ import (
 //	GET  /stats                                 -> cluster.Snapshot JSON
 //	POST /merge                                 -> MergeReport JSON (one merge round now)
 //
-// Like a worker, /predict and /predict_batch also negotiate the binary
-// frame protocol: a request with Content-Type application/x-disthd-frame
-// (see repro/serve/wire) is answered in kind, and /stats carries
-// per-format request counters. JSON stays the default; errors are JSON in
-// both modes.
+// /predict and /predict_batch are the prediction edge a worker mounts,
+// here over the Coordinator: JSON or binary frames (see repro/serve/wire)
+// answered in kind, errors as JSON, per-format counters in /stats.
 //
 // /healthz reports "ok" while the available workers meet the quorum and
 // "degraded" while serving from the fallback model; SetStrictHealth makes
@@ -36,31 +31,30 @@ type Server struct {
 	mux          *http.ServeMux
 	hs           *http.Server
 	strictHealth bool
-
-	// Per-format request counters over the negotiated endpoints, surfaced
-	// in /stats so a fleet migration is observable at the coordinator too.
-	wireJSON   atomic.Uint64
-	wireBinary atomic.Uint64
+	edge         edge.Edge
 }
-
-// serverBodyLimit bounds /predict and /predict_batch request bodies.
-const serverBodyLimit = 8 << 20
 
 // NewServer wraps c. The caller keeps ownership of the Coordinator's
 // lifecycle only if it never calls Server.Close (which closes both).
 func NewServer(c *Coordinator) *Server {
-	s := &Server{c: c, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /predict", s.handlePredict)
-	s.mux.HandleFunc("POST /predict_batch", s.handlePredictBatch)
+	// A BatchPreparer encodes rows synchronously inside PredictBatch; a
+	// plain Transport's abandoned hedge can read them after it returns.
+	_, prepares := c.tr.(BatchPreparer)
+	s := &Server{c: c, mux: http.NewServeMux(), edge: edge.Edge{
+		Name:         "cluster",
+		Predict:      c.Predict,
+		PredictBatch: c.PredictBatch,
+		StatusFor:    statusFor,
+		OwnRows:      !prepares,
+	}}
+	s.mux.HandleFunc("POST /predict", s.edge.ServePredict)
+	s.mux.HandleFunc("POST /predict_batch", s.edge.ServePredictBatch)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
+	s.mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
+		edge.WriteJSON(w, http.StatusOK, s.Stats())
+	})
 	s.mux.HandleFunc("POST /merge", s.handleMerge)
-	s.hs = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
+	s.hs = edge.NewHTTPServer(s.mux)
 	return s
 }
 
@@ -86,37 +80,9 @@ func (s *Server) ListenAndServe(addr string) error {
 // Close shuts the HTTP listener down, waits for in-flight requests, and
 // then closes the Coordinator (stopping its probe and merge loops).
 func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err := s.hs.Shutdown(ctx)
-	cancel()
+	err := edge.Shutdown(s.hs)
 	s.c.Close()
 	return err
-}
-
-// writeJSON emits v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError emits a {"error": ...} body.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// readJSON decodes a body bounded by serverBodyLimit, mapping overflow
-// to 413 and malformed JSON to 400; a zero status means success.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, serverBodyLimit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("decode body: %w", err)
-	}
-	return 0, nil
 }
 
 // statusFor maps a coordinator error to its HTTP status: client-caused
@@ -132,67 +98,17 @@ func statusFor(err error) int {
 	return http.StatusServiceUnavailable
 }
 
-// handlePredict serves one prediction through the cluster.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if isWire(r) {
-		s.wireBinary.Add(1)
-		s.handlePredictWire(w, r)
-		return
-	}
-	s.wireJSON.Add(1)
-	var req struct {
-		X []float64 `json:"x"`
-	}
-	if status, err := readJSON(w, r, &req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	class, err := s.c.Predict(r.Context(), req.X)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"class": class})
-}
-
-// handlePredictBatch serves a caller-provided batch through the cluster.
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if isWire(r) {
-		s.wireBinary.Add(1)
-		s.handlePredictBatchWire(w, r)
-		return
-	}
-	s.wireJSON.Add(1)
-	var req struct {
-		X [][]float64 `json:"x"`
-	}
-	if status, err := readJSON(w, r, &req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	classes, err := s.c.PredictBatch(r.Context(), req.X)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if classes == nil {
-		classes = []int{}
-	}
-	writeJSON(w, http.StatusOK, map[string][]int{"classes": classes})
-}
-
 // handleHealthz reports cluster liveness: "ok" at or above quorum,
 // "degraded" below it (503 in strict mode), with per-worker breaker
 // states so an operator sees which shard is out.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.c.Stats()
-	status := "ok"
+	status, code := "ok", http.StatusOK
 	if !snap.QuorumOK {
 		status = "degraded"
-	}
-	code := http.StatusOK
-	if status != "ok" && s.strictHealth {
-		code = http.StatusServiceUnavailable
+		if s.strictHealth {
+			code = http.StatusServiceUnavailable
+		}
 	}
 	workers := make([]map[string]any, 0, len(snap.Workers))
 	for _, ws := range snap.Workers {
@@ -201,7 +117,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"available": ws.Available, "degraded": ws.Degraded,
 		})
 	}
-	writeJSON(w, code, map[string]any{
+	edge.WriteJSON(w, code, map[string]any{
 		"status":    status,
 		"available": snap.Available,
 		"quorum":    snap.Quorum,
@@ -215,15 +131,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // returns exactly this.
 func (s *Server) Stats() Snapshot {
 	snap := s.c.Stats()
-	snap.WireJSONRequests = s.wireJSON.Load()
-	snap.WireBinaryRequests = s.wireBinary.Load()
+	snap.WireJSONRequests = s.edge.JSON.Load()
+	snap.WireBinaryRequests = s.edge.Binary.Load()
 	return snap
-}
-
-// handleStats reports the coordinator counters plus the server's
-// per-format request counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // handleMerge triggers one federated merge round and reports it — the
@@ -232,8 +142,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.c.MergeNow(r.Context())
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		edge.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	edge.WriteJSON(w, http.StatusOK, rep)
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/serve/internal/edge"
 )
 
 // newTestServer wires a Server over sim workers behind an httptest
@@ -109,9 +111,9 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 
 	// A body past the limit is a 413. The payload is valid JSON shape but
-	// padded beyond serverBodyLimit with whitespace, so only the limit can
+	// padded beyond edge.MaxJSONBody with whitespace, so only the limit can
 	// reject it.
-	huge := append(bytes.Repeat([]byte{' '}, serverBodyLimit+1), []byte(`{"x":[]}`)...)
+	huge := append(bytes.Repeat([]byte{' '}, edge.MaxJSONBody+1), []byte(`{"x":[]}`)...)
 	resp, err = http.Post(ts.URL+"/predict_batch", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ type Snapshot struct {
 	// WireJSONRequests and WireBinaryRequests count requests to the
 	// cluster Server's format-negotiated endpoints (/predict,
 	// /predict_batch) by wire format. The Coordinator itself does not
-	// track formats; Server.handleStats fills these.
+	// track formats; Server.Stats fills these.
 	WireJSONRequests   uint64 `json:"wire_json_requests"`
 	WireBinaryRequests uint64 `json:"wire_binary_requests"`
 }

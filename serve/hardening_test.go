@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	disthd "repro"
+	"repro/serve/internal/edge"
 )
 
 // TestModelExportRoundTrip pins the GET /model contract: the exported
@@ -84,14 +87,14 @@ func TestModelExportRoundTrip(t *testing.T) {
 }
 
 // TestRequestBodyLimits pins the hardening bound: a JSON body over
-// maxJSONBody answers 413, not a hung or misparsed request. The payload is
-// shaped so only the limit can reject it (leading whitespace is valid
-// JSON framing).
+// edge.MaxJSONBody answers 413, not a hung or misparsed request. The
+// payload is shaped so only the limit can reject it (leading whitespace
+// is valid JSON framing).
 func TestRequestBodyLimits(t *testing.T) {
 	s := fixtures(t)
 	_, ts := newTestServer(t, s.a)
 
-	huge := append(bytes.Repeat([]byte{' '}, maxJSONBody+1), []byte(`{"x":[]}`)...)
+	huge := append(bytes.Repeat([]byte{' '}, edge.MaxJSONBody+1), []byte(`{"x":[]}`)...)
 	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -113,16 +116,42 @@ func TestRequestBodyLimits(t *testing.T) {
 	}
 }
 
+// TestSwapRejectsShapeBomb pins the snapshot decoder's allocation bound
+// at the HTTP edge: a 28-byte /swap body whose header claims a
+// 65535×65535 model answers 400 (its payload is missing) instead of
+// allocating the claimed 32 GiB before reading a byte of it, and the
+// server keeps serving.
+func TestSwapRejectsShapeBomb(t *testing.T) {
+	s := fixtures(t)
+	_, ts := newTestServer(t, s.a)
+	bomb := binary.LittleEndian.AppendUint32(nil, 0x44485644) // "DVHD"
+	for _, v := range []uint32{1, 0xffff, 0xffff, 0xffff} {   // version, shape
+		bomb = binary.LittleEndian.AppendUint32(bomb, v)
+	}
+	bomb = binary.LittleEndian.AppendUint64(bomb, math.Float64bits(1)) // sigma
+	resp, err := http.Post(ts.URL+"/swap", "application/octet-stream", bytes.NewReader(bomb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shape bomb /swap: status %d, want 400", resp.StatusCode)
+	}
+	if code := postJSON(t, ts.URL+"/predict", predictRequest{X: s.test.X[0]}, nil); code != http.StatusOK {
+		t.Fatalf("/predict after the bomb: status %d", code)
+	}
+}
+
 // TestServerTimeoutsConfigured pins that the hardening timeouts are
 // actually installed on the underlying http.Server.
 func TestServerTimeoutsConfigured(t *testing.T) {
 	s := fixtures(t)
 	srv, _ := newTestServer(t, s.a)
 	hs := srv.hs
-	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+	if hs.ReadHeaderTimeout != edge.ReadHeaderTimeout || hs.ReadTimeout != edge.ReadTimeout || hs.IdleTimeout != edge.IdleTimeout {
 		t.Fatalf("timeouts %v/%v/%v, want %v/%v/%v",
 			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout,
-			readHeaderTimeout, readTimeout, idleTimeout)
+			edge.ReadHeaderTimeout, edge.ReadTimeout, edge.IdleTimeout)
 	}
 }
 

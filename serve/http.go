@@ -3,29 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	disthd "repro"
-)
-
-// Server hardening bounds: a slow or oversized client must never pin a
-// handler. The timeouts go on the http.Server; the body limits wrap every
-// POST body in an http.MaxBytesReader (413 on overflow). Model snapshots
-// (/swap) are orders of magnitude larger than JSON requests, so they get
-// their own bound.
-const (
-	readHeaderTimeout = 5 * time.Second
-	readTimeout       = 60 * time.Second
-	idleTimeout       = 120 * time.Second
-	maxJSONBody       = 8 << 20
-	maxModelBody      = 256 << 20
+	"repro/serve/internal/edge"
+	"repro/serve/wire"
 )
 
 // Server exposes a Batcher over HTTP/JSON:
@@ -40,14 +27,11 @@ const (
 //	POST /retrain[?force=1]                     -> {"started":true,...}
 //	POST /quantize[?force=1&margin=-0.02]       -> {"published":true,...}
 //
-// /predict, /predict_batch, and /learn negotiate a second wire format:
-// a request with Content-Type application/x-disthd-frame carries a binary
-// frame (see repro/serve/wire) and is answered in kind — request rows are
-// decoded straight into a pooled replica's leased batch scratch, skipping
-// JSON float parsing and the intermediate [][]float64 entirely. JSON stays
-// the default and is byte-for-byte unchanged; errors are JSON in both
-// modes. /stats reports per-format request counters so a fleet migration
-// is observable.
+// /predict, /predict_batch, and /learn also speak the binary frame
+// protocol (Content-Type application/x-disthd-frame, see repro/serve/wire)
+// and answer in kind; batch frames decode straight into a pooled
+// replica's leased scratch. Errors are JSON in both modes, and /stats
+// counts requests per format so a fleet migration is observable.
 //
 // /learn and /retrain are live only after AttachLearner; without a learner
 // they return 404. A /retrain challenger answers to the champion/challenger
@@ -68,6 +52,11 @@ const (
 // when the attached learner is impaired, so a cluster coordinator's
 // health probes can act on it. Create one with NewServer, mount Handler
 // on any mux or call ListenAndServe, and Close to drain.
+//
+// Each route's handler is its exported Serve* method, so an outer router
+// can mount single endpoints without rewriting the request path (a clone
+// per call): serve/registry dispatches /t/{model}/... this way. Method
+// filtering is then the outer router's job.
 type Server struct {
 	b            *Batcher
 	learner      *Learner
@@ -75,47 +64,40 @@ type Server struct {
 	hs           *http.Server
 	strictHealth bool
 
+	// edge serves /predict and /predict_batch over the Batcher and counts
+	// requests per wire format (/learn adds to its counters).
+	edge edge.Edge
+
 	// Quantization gauges (/stats "quantization" block). They live here
 	// rather than on Stats because /quantize is a rare operator action —
 	// no hot-path counters needed.
 	quantPublishes atomic.Uint64
 	quantRejects   atomic.Uint64
 	quantLastGate  atomic.Pointer[GateResult]
-	quantMu        sync.Mutex // serializes handleQuantize's read-gate-swap
-
-	// Per-format request counters over the format-negotiated endpoints
-	// (/predict, /predict_batch, /learn), so operators can watch a fleet
-	// migrate from JSON to the binary frame protocol via /stats.
-	wireJSON   atomic.Uint64
-	wireBinary atomic.Uint64
+	quantMu        sync.Mutex // serializes ServeQuantize's read-gate-swap
 }
 
 // NewServer wraps an existing Batcher. The caller keeps ownership of the
 // Batcher's lifecycle only if it never calls Server.Close (which closes
 // both).
 func NewServer(b *Batcher) *Server {
-	s := &Server{b: b, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /predict", s.handlePredict)
-	s.mux.HandleFunc("POST /predict_batch", s.handlePredictBatch)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /model", s.handleModel)
-	s.mux.HandleFunc("POST /swap", s.handleSwap)
-	s.mux.HandleFunc("POST /learn", s.handleLearn)
-	s.mux.HandleFunc("POST /retrain", s.handleRetrain)
-	s.mux.HandleFunc("POST /quantize", s.handleQuantize)
-	// The http.Server is created here, not in ListenAndServe, so Close
-	// never races the assignment: Shutdown on a never-started server is a
-	// no-op and a subsequent ListenAndServe returns ErrServerClosed. The
-	// timeouts keep a slow client from pinning a handler: headers must
-	// arrive promptly, a whole request must finish reading within
-	// readTimeout, and idle keep-alive connections are reaped.
-	s.hs = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
+	s := &Server{b: b, mux: http.NewServeMux(), edge: edge.Edge{
+		Name:         "serve",
+		Predict:      func(_ context.Context, x []float64) (int, error) { return b.Predict(x) },
+		PredictBatch: func(_ context.Context, rows [][]float64) ([]int, error) { return b.PredictBatch(rows) },
+		Stream:       b.streamFrame,
+		StatusFor:    statusFor,
+	}}
+	s.mux.HandleFunc("POST /predict", s.ServePredict)
+	s.mux.HandleFunc("POST /predict_batch", s.ServePredictBatch)
+	s.mux.HandleFunc("GET /healthz", s.ServeHealthz)
+	s.mux.HandleFunc("GET /stats", s.ServeStats)
+	s.mux.HandleFunc("GET /model", s.ServeModel)
+	s.mux.HandleFunc("POST /swap", s.ServeSwap)
+	s.mux.HandleFunc("POST /learn", s.ServeLearn)
+	s.mux.HandleFunc("POST /retrain", s.ServeRetrain)
+	s.mux.HandleFunc("POST /quantize", s.ServeQuantize)
+	s.hs = edge.NewHTTPServer(s.mux)
 	return s
 }
 
@@ -168,141 +150,49 @@ func (s *Server) ListenAndServe(addr string) error {
 // are answered with 503 rather than dropped.
 func (s *Server) Close() error {
 	s.b.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err := s.hs.Shutdown(ctx)
-	cancel()
-	return err
+	return edge.Shutdown(s.hs)
 }
 
-// writeJSON emits v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// ServePredict handles POST /predict: one row, coalesced into whatever
+// micro-batch is forming (JSON or a 1-row binary frame).
+func (s *Server) ServePredict(w http.ResponseWriter, r *http.Request) { s.edge.ServePredict(w, r) }
+
+// ServePredictBatch handles POST /predict_batch: a caller's batch served
+// directly, a binary one decoded straight into a replica's leased scratch.
+func (s *Server) ServePredictBatch(w http.ResponseWriter, r *http.Request) {
+	s.edge.ServePredictBatch(w, r)
 }
 
-// writeError emits a {"error": ...} body.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// streamFrame is the edge's binary /predict_batch path: rows stream from
+// the frame into a pooled replica's leased input scratch, chunk by chunk,
+// with no intermediate [][]float64.
+func (b *Batcher) streamFrame(d *wire.Decoder, rows, cols int, out []int) error {
+	if rows > 0 && cols != b.features {
+		return fmt.Errorf("serve: input rows have %d features, model expects %d", cols, b.features)
+	}
+	return b.PredictStream(rows, out, d.Floats)
 }
 
-// readJSON decodes a POST body bounded by limit, mapping an oversized
-// body to 413 and malformed JSON to 400; a zero status means success.
-// The body is buffered through a pooled scratch buffer and unmarshaled in
-// place, so decoding into a pooled request struct reuses its slice
-// backing arrays (encoding/json appends into existing capacity) — the
-// steady-state JSON request path allocates no per-request scratch.
-func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	bp := jsonBufPool.Get().(*bytes.Buffer)
-	defer jsonBufPool.Put(bp)
-	bp.Reset()
-	if _, err := bp.ReadFrom(body); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("decode body: %w", err)
-	}
-	if err := json.Unmarshal(bp.Bytes(), v); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("decode body: %w", err)
-	}
-	return 0, nil
-}
-
-// jsonBufPool recycles the body-read scratch behind readJSON.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// predictRequest is the /predict body.
-type predictRequest struct {
-	X []float64 `json:"x"`
-}
-
-// predictReqPool recycles /predict request structs; json.Unmarshal reuses
-// the X backing array across requests.
-var predictReqPool = sync.Pool{New: func() any { return new(predictRequest) }}
-
-// handlePredict serves one coalesced prediction.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if isWire(r) {
-		s.wireBinary.Add(1)
-		s.handlePredictWire(w, r)
-		return
-	}
-	s.wireJSON.Add(1)
-	req := predictReqPool.Get().(*predictRequest)
-	defer predictReqPool.Put(req)
-	// Reset so a body without "x" cannot inherit the previous request's
-	// row; truncating keeps the backing array for reuse.
-	req.X = req.X[:0]
-	if status, err := readJSON(w, r, maxJSONBody, req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	class, err := s.b.Predict(req.X)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"class": class})
-}
-
-// predictBatchRequest is the /predict_batch body.
-type predictBatchRequest struct {
-	X [][]float64 `json:"x"`
-}
-
-// predictBatchReqPool recycles /predict_batch request structs; the outer
-// and inner row backing arrays are both reused by json.Unmarshal.
-var predictBatchReqPool = sync.Pool{New: func() any { return new(predictBatchRequest) }}
-
-// handlePredictBatch serves a caller-provided batch directly.
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if isWire(r) {
-		s.wireBinary.Add(1)
-		s.handlePredictBatchWire(w, r)
-		return
-	}
-	s.wireJSON.Add(1)
-	req := predictBatchReqPool.Get().(*predictBatchRequest)
-	defer predictBatchReqPool.Put(req)
-	req.X = req.X[:0]
-	if status, err := readJSON(w, r, maxJSONBody, req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	classes, err := s.b.PredictBatch(req.X)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if classes == nil {
-		classes = []int{}
-	}
-	writeJSON(w, http.StatusOK, map[string][]int{"classes": classes})
-}
-
-// handleHealthz reports liveness plus the served model's shape — and
-// tells the truth: when the attached learner is impaired (post-rejection
-// backoff, or a retrain wedged past its stall deadline) the status is
-// "degraded" with the reasons listed, so a cluster coordinator's probes
-// can deprioritize this worker. Plain mode still answers 200 (the worker
-// does serve predictions); SetStrictHealth turns degraded into a 503.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// ServeHealthz handles GET /healthz: liveness plus the served model's
+// shape — and it tells the truth: when the attached learner is impaired
+// (post-rejection backoff, or a retrain wedged past its stall deadline)
+// the status is "degraded" with the reasons listed, so a cluster
+// coordinator's probes can deprioritize this worker. Plain mode still
+// answers 200 (the worker does serve predictions); SetStrictHealth turns
+// degraded into a 503.
+func (s *Server) ServeHealthz(w http.ResponseWriter, r *http.Request) {
 	m := s.b.Model()
-	status := "ok"
+	status, code := "ok", http.StatusOK
 	var reasons []string
 	if s.learner != nil {
 		if h := s.learner.Health(); h.Degraded {
-			status = "degraded"
-			reasons = h.Reasons
+			status, reasons = "degraded", h.Reasons
+			if s.strictHealth {
+				code = http.StatusServiceUnavailable
+			}
 		}
 	}
-	code := http.StatusOK
-	if status != "ok" && s.strictHealth {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, map[string]any{
+	edge.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"reasons":  reasons,
 		"features": m.Features(),
@@ -312,10 +202,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleModel exports the serving model as a Model.Save snapshot — the
-// same versioned binary format /swap accepts, so a cluster coordinator
-// can pull shard models for the federated merge loop (and any exported
-// snapshot can be re-imported bitwise). ?format negotiates the wire
+// ServeModel handles GET /model: the serving model as a Model.Save
+// snapshot — the same versioned binary format /swap accepts, so a cluster
+// coordinator can pull shard models for the federated merge loop (and any
+// exported snapshot can be re-imported bitwise). ?format negotiates the wire
 // format: "1bit" exports the packed payload (sign-quantizing an f32
 // champion on the fly, ungated — an export is not a publication),
 // "f32" demands the float payload (409 when only packed bits exist:
@@ -324,7 +214,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // The snapshot is buffered first so the response carries a Content-Length
 // and a serialization error can still become a clean status (409 for a
 // model whose encoder family has no wire format).
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
+func (s *Server) ServeModel(w http.ResponseWriter, r *http.Request) {
 	m := s.b.Model()
 	switch r.URL.Query().Get("format") {
 	case "", "current":
@@ -332,25 +222,25 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		if !m.Quantized() {
 			q, err := m.Quantize1Bit()
 			if err != nil {
-				writeError(w, http.StatusConflict, err)
+				edge.WriteError(w, http.StatusConflict, err)
 				return
 			}
 			m = q
 		}
 	case "f32":
 		if m.Quantized() {
-			writeError(w, http.StatusConflict,
+			edge.WriteError(w, http.StatusConflict,
 				errors.New("serve: serving model is 1-bit quantized; the f32 weights are gone (quantization is one-way)"))
 			return
 		}
 	default:
-		writeError(w, http.StatusBadRequest,
+		edge.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("serve: unknown model format %q (want 1bit or f32)", r.URL.Query().Get("format")))
 		return
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
-		writeError(w, http.StatusConflict, err)
+		edge.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	format := "f32"
@@ -378,15 +268,22 @@ func (s *Server) Stats() Snapshot {
 		Rejects:   s.quantRejects.Load(),
 		LastGate:  s.quantLastGate.Load(),
 	}
-	snap.WireJSONRequests = s.wireJSON.Load()
-	snap.WireBinaryRequests = s.wireBinary.Load()
+	snap.WireJSONRequests = s.edge.JSON.Load()
+	snap.WireBinaryRequests = s.edge.Binary.Load()
 	return snap
 }
 
-// handleStats reports the serving counters, with the learner gauges folded
-// in when online learning is attached and the quantization gauges always.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+// ServeStats handles GET /stats: the serving counters, with the learner
+// gauges folded in when online learning is attached and the quantization
+// gauges always.
+func (s *Server) ServeStats(w http.ResponseWriter, r *http.Request) {
+	edge.WriteJSON(w, http.StatusOK, s.Stats())
+}
+
+// forced reports whether the request asks ?force=1 (or ?force=true).
+func forced(r *http.Request) bool {
+	f := r.URL.Query().Get("force")
+	return f == "1" || f == "true"
 }
 
 // defaultQuantizeMargin is the accuracy regression /quantize tolerates by
@@ -395,25 +292,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // batch throughput for it. ?margin= overrides per request.
 const defaultQuantizeMargin = -0.02
 
-// handleQuantize sign-quantizes the serving f32 champion to the packed
-// 1-bit tier and publishes it through the Swapper. With a learner attached
-// the quantized challenger must first clear the champion/challenger gate
-// on the learner's holdout slice, tolerating margin (default -0.02) of
-// regression; a losing verdict answers 409 with {"published":false} and
-// the full gate evaluation, and the f32 champion keeps serving. ?force=1
-// publishes regardless of the verdict (still measured and reported).
-// Quantizing an already-quantized champion answers 409.
-func (s *Server) handleQuantize(w http.ResponseWriter, r *http.Request) {
-	force := false
-	switch r.URL.Query().Get("force") {
-	case "1", "true":
-		force = true
-	}
+// ServeQuantize handles POST /quantize: it sign-quantizes the serving f32
+// champion to the packed 1-bit tier and publishes it through the Swapper.
+// With a learner attached the quantized challenger must first clear the
+// champion/challenger gate on the learner's holdout slice, tolerating
+// margin (default -0.02) of regression; a losing verdict answers 409 with
+// {"published":false} and the full gate evaluation, and the f32 champion
+// keeps serving. ?force=1 publishes regardless of the verdict (still
+// measured and reported). Quantizing an already-quantized champion
+// answers 409.
+func (s *Server) ServeQuantize(w http.ResponseWriter, r *http.Request) {
+	force := forced(r)
 	margin := defaultQuantizeMargin
 	if mq := r.URL.Query().Get("margin"); mq != "" {
 		v, err := strconv.ParseFloat(mq, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad margin %q: %w", mq, err))
+			edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad margin %q: %w", mq, err))
 			return
 		}
 		margin = v
@@ -424,31 +318,31 @@ func (s *Server) handleQuantize(w http.ResponseWriter, r *http.Request) {
 	defer s.quantMu.Unlock()
 	cur := s.b.Model()
 	if cur.Quantized() {
-		writeError(w, http.StatusConflict, errors.New("serve: serving model is already 1-bit quantized"))
+		edge.WriteError(w, http.StatusConflict, errors.New("serve: serving model is already 1-bit quantized"))
 		return
 	}
 	q, err := cur.Quantize1Bit()
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		edge.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	var gate *GateResult
 	if s.learner != nil {
 		gate, err = s.learner.GateQuantized(cur, q, margin)
 		if err != nil {
-			writeError(w, http.StatusConflict, err)
+			edge.WriteError(w, http.StatusConflict, err)
 			return
 		}
 		gate.Forced = force
 		if !gate.Passed && !force {
 			s.quantRejects.Add(1)
 			s.quantLastGate.Store(gate)
-			writeJSON(w, http.StatusConflict, map[string]any{"published": false, "gate": gate})
+			edge.WriteJSON(w, http.StatusConflict, map[string]any{"published": false, "gate": gate})
 			return
 		}
 	}
 	if err := s.b.Swap(q); err != nil {
-		writeError(w, http.StatusConflict, err)
+		edge.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	s.quantPublishes.Add(1)
@@ -456,7 +350,7 @@ func (s *Server) handleQuantize(w http.ResponseWriter, r *http.Request) {
 		gate.Published = true
 		s.quantLastGate.Store(gate)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	edge.WriteJSON(w, http.StatusOK, map[string]any{
 		"published": true,
 		"swaps":     s.b.Swapper().Swaps(),
 		"gate":      gate,
@@ -473,83 +367,114 @@ type learnRequest struct {
 // X backing array across requests.
 var learnReqPool = sync.Pool{New: func() any { return new(learnRequest) }}
 
-// handleLearn ingests labeled feedback into the attached learner. 404
-// without a learner, 400 for malformed feedback.
-func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
+// ServeLearn handles POST /learn: labeled feedback into the attached
+// learner (JSON or a binary learn frame). 404 without a learner, 400 for
+// malformed feedback.
+func (s *Server) ServeLearn(w http.ResponseWriter, r *http.Request) {
 	if s.learner == nil {
-		writeError(w, http.StatusNotFound, errNoLearner)
+		edge.WriteError(w, http.StatusNotFound, errNoLearner)
 		return
 	}
-	if isWire(r) {
-		s.wireBinary.Add(1)
-		s.handleLearnWire(w, r)
+	if edge.IsWire(r) {
+		s.edge.Binary.Add(1)
+		s.learnFrame(w, r)
 		return
 	}
-	s.wireJSON.Add(1)
+	s.edge.JSON.Add(1)
 	req := learnReqPool.Get().(*learnRequest)
 	defer learnReqPool.Put(req)
 	req.X, req.Label = req.X[:0], 0
-	if status, err := readJSON(w, r, maxJSONBody, req); status != 0 {
-		writeError(w, status, err)
+	if status, err := edge.ReadJSON(w, r, edge.MaxJSONBody, req); status != 0 {
+		edge.WriteError(w, status, err)
 		return
 	}
 	res, err := s.learner.Feed(req.X, req.Label)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	edge.WriteJSON(w, http.StatusOK, res)
 }
 
-// handleRetrain starts a background retrain on the attached learner: 202
-// when one starts, 409 when one is already in flight, the window is still
-// too small, or the serving champion is 1-bit quantized (frozen — swap
-// the f32 model back in first). The challenger still answers to the
-// champion/challenger gate; ?force=1 publishes it regardless of the
-// verdict. The response returns immediately; poll /stats for the gate
-// outcome and completion.
-func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
+// ServeRetrain handles POST /retrain: it starts a background retrain on
+// the attached learner: 202 when one starts, 409 when one is already in
+// flight, the window is still too small, or the serving champion is 1-bit
+// quantized (frozen — swap the f32 model back in first). The challenger
+// still answers to the champion/challenger gate; ?force=1 publishes it
+// regardless of the verdict. The response returns immediately; poll
+// /stats for the gate outcome and completion.
+func (s *Server) ServeRetrain(w http.ResponseWriter, r *http.Request) {
 	if s.learner == nil {
-		writeError(w, http.StatusNotFound, errNoLearner)
+		edge.WriteError(w, http.StatusNotFound, errNoLearner)
 		return
 	}
-	force := false
-	switch r.URL.Query().Get("force") {
-	case "1", "true":
-		force = true
-	}
+	force := forced(r)
 	started, err := s.learner.Retrain(force)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		edge.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	if !started {
-		writeError(w, http.StatusConflict, errors.New("serve: a retrain is already in flight"))
+		edge.WriteError(w, http.StatusConflict, errors.New("serve: a retrain is already in flight"))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]bool{"started": true, "forced": force})
+	edge.WriteJSON(w, http.StatusAccepted, map[string]bool{"started": true, "forced": force})
+}
+
+// learnFrame ingests one labeled feedback sample from a learn frame,
+// answering with a feed-ack frame.
+func (s *Server) learnFrame(w http.ResponseWriter, r *http.Request) {
+	f := edge.GetFrame(r.Body)
+	defer f.Put()
+	typ, err := f.D.Next()
+	if err != nil {
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: read frame: %w", err))
+		return
+	}
+	if typ != wire.TypeLearn {
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: want a learn frame, got %v", typ))
+		return
+	}
+	label, cols, err := f.D.LearnHeader()
+	var row []float64
+	if err == nil {
+		row, err = f.Floats(cols)
+	}
+	if err != nil {
+		edge.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	res, err := s.learner.Feed(row, label)
+	if err != nil {
+		edge.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	f.Buf = wire.AppendFeedAck(f.Buf[:0], wire.FeedAck{
+		Correct:        res.Correct,
+		Drift:          res.Drift,
+		RetrainStarted: res.RetrainStarted,
+		WindowAccuracy: res.WindowAccuracy,
+	})
+	edge.WriteFrame(w, f.Buf)
 }
 
 // errNoLearner answers the learning endpoints when no Learner is attached.
 var errNoLearner = errors.New("serve: online learning is not enabled on this server")
 
-// handleSwap hot-swaps the served model from a Model.Save payload: 409 for
-// a shape mismatch (retrain with matching shape), 413 for a payload over
-// the model body bound, 400 for a payload that does not decode at all.
-func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	if err := s.b.Swapper().SwapReader(http.MaxBytesReader(w, r.Body, maxModelBody)); err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.Is(err, ErrShapeMismatch):
+// ServeSwap handles POST /swap: it hot-swaps the served model from a
+// Model.Save payload: 409 for a shape mismatch (retrain with matching
+// shape), 413 for a payload over the model body bound, 400 for a payload
+// that does not decode at all.
+func (s *Server) ServeSwap(w http.ResponseWriter, r *http.Request) {
+	if err := s.b.Swapper().SwapReader(http.MaxBytesReader(w, r.Body, edge.MaxModelBody)); err != nil {
+		status := edge.BodyStatus(err)
+		if errors.Is(err, ErrShapeMismatch) {
 			status = http.StatusConflict
-		case errors.As(err, &mbe):
-			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, err)
+		edge.WriteError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"swaps": s.b.Swapper().Swaps()})
+	edge.WriteJSON(w, http.StatusOK, map[string]uint64{"swaps": s.b.Swapper().Swaps()})
 }
 
 // statusFor maps a prediction error to its HTTP status.
@@ -559,40 +484,3 @@ func statusFor(err error) int {
 	}
 	return http.StatusBadRequest
 }
-
-// The Serve* methods expose each endpoint handler for mounting under an
-// outer router — serve/registry dispatches /t/{model}/... requests to the
-// tenant's Server through them without rewriting the request path (which
-// would cost a request clone per call). Each behaves exactly like the
-// corresponding route on Handler; method filtering is the outer router's
-// job.
-
-// ServePredict handles a POST /predict request (JSON or binary frame).
-func (s *Server) ServePredict(w http.ResponseWriter, r *http.Request) { s.handlePredict(w, r) }
-
-// ServePredictBatch handles a POST /predict_batch request (JSON or binary
-// frame).
-func (s *Server) ServePredictBatch(w http.ResponseWriter, r *http.Request) {
-	s.handlePredictBatch(w, r)
-}
-
-// ServeHealthz handles a GET /healthz request.
-func (s *Server) ServeHealthz(w http.ResponseWriter, r *http.Request) { s.handleHealthz(w, r) }
-
-// ServeStats handles a GET /stats request.
-func (s *Server) ServeStats(w http.ResponseWriter, r *http.Request) { s.handleStats(w, r) }
-
-// ServeModel handles a GET /model request.
-func (s *Server) ServeModel(w http.ResponseWriter, r *http.Request) { s.handleModel(w, r) }
-
-// ServeSwap handles a POST /swap request.
-func (s *Server) ServeSwap(w http.ResponseWriter, r *http.Request) { s.handleSwap(w, r) }
-
-// ServeLearn handles a POST /learn request (JSON or binary frame).
-func (s *Server) ServeLearn(w http.ResponseWriter, r *http.Request) { s.handleLearn(w, r) }
-
-// ServeRetrain handles a POST /retrain request.
-func (s *Server) ServeRetrain(w http.ResponseWriter, r *http.Request) { s.handleRetrain(w, r) }
-
-// ServeQuantize handles a POST /quantize request.
-func (s *Server) ServeQuantize(w http.ResponseWriter, r *http.Request) { s.handleQuantize(w, r) }

@@ -26,6 +26,16 @@ func newTestServer(t *testing.T, m *disthd.Model) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// predictRequest is the /predict JSON body.
+type predictRequest struct {
+	X []float64 `json:"x"`
+}
+
+// predictBatchRequest is the /predict_batch JSON body.
+type predictBatchRequest struct {
+	X [][]float64 `json:"x"`
+}
+
 // postJSON posts v and decodes the response body into out.
 func postJSON(t *testing.T, url string, v any, out any) int {
 	t.Helper()

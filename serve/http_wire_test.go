@@ -330,7 +330,7 @@ func benchHandlerBatch(b *testing.B, dim, nrows int, binary bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body.Reset(payload)
-		srv.handlePredictBatch(w, req)
+		srv.ServePredictBatch(w, req)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(nrows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")

@@ -1,26 +1,21 @@
 package registry
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	disthd "repro"
 	"repro/serve"
+	"repro/serve/internal/edge"
 )
 
-// Body bounds for the admin plane, mirroring the single-model server's:
-// install specs are small JSON documents, model-snapshot installs are
-// bounded like /swap bodies.
-const (
-	maxSpecBody  = 1 << 20
-	maxModelBody = 256 << 20
-)
+// maxSpecBody bounds install-spec bodies, which are small JSON documents;
+// model-snapshot installs are bounded like /swap bodies.
+const maxSpecBody = 1 << 20
 
 // Server exposes a Registry over HTTP. Every per-model endpoint of the
 // single-model serve.Server appears under /t/{model}/..., dispatched to
@@ -90,15 +85,10 @@ func NewServer(reg *Registry) *Server {
 	s.mux.HandleFunc("PUT /t/{model}", s.handleInstall)
 	s.mux.HandleFunc("DELETE /t/{model}", s.handleRemove)
 	s.mux.HandleFunc("GET /models", s.handleModels)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	// Built here, not in ListenAndServe, for the same no-race reason as the
-	// single-model server; the timeout values match it.
-	s.hs = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
+	s.mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
+		edge.WriteJSON(w, http.StatusOK, s.reg.Stats())
+	})
+	s.hs = edge.NewHTTPServer(s.mux)
 	return s
 }
 
@@ -121,9 +111,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // completes promptly because no handler still waits on a batch.
 func (s *Server) Close() error {
 	s.reg.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return s.hs.Shutdown(ctx)
+	return edge.Shutdown(s.hs)
 }
 
 // forward builds the handler for one per-tenant endpoint: resolve the
@@ -135,7 +123,7 @@ func (s *Server) forward(f endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t, err := s.reg.Acquire(r.PathValue("model"))
 		if err != nil {
-			writeError(w, statusFor(err), err)
+			edge.WriteError(w, statusFor(err), err)
 			return
 		}
 		defer s.reg.Release(t)
@@ -149,15 +137,10 @@ func (s *Server) forward(f endpoint) http.HandlerFunc {
 func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 	ts, err := s.reg.TenantStats(r.PathValue("model"))
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		edge.WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ts)
-}
-
-// handleStats serves the aggregate registry snapshot.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.Stats())
+	edge.WriteJSON(w, http.StatusOK, ts)
 }
 
 // modelsResponse is the GET /models body.
@@ -171,7 +154,7 @@ type modelsResponse struct {
 // handleModels lists the registered tenants.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	st := s.reg.Stats()
-	writeJSON(w, http.StatusOK, modelsResponse{Default: st.DefaultTenant, Tenants: st.PerTenant})
+	edge.WriteJSON(w, http.StatusOK, modelsResponse{Default: st.DefaultTenant, Tenants: st.PerTenant})
 }
 
 // InstallSpec is the JSON body of PUT /t/{model}: train a model on one of
@@ -181,17 +164,18 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 type InstallSpec struct {
 	// Demo names the synthetic benchmark to train on (disthd.BenchmarkNames).
 	Demo string `json:"demo"`
-	// Dim is the hypervector dimensionality D (default 512).
+	// Dim is the hypervector dimensionality D (default 512, at most 10000).
 	Dim int `json:"dim"`
-	// Scale is the dataset scale (default 0.1).
+	// Scale is the dataset scale (default 0.1, at most 1).
 	Scale float64 `json:"scale"`
 	// Seed drives training and the learner (default 42).
 	Seed uint64 `json:"seed"`
-	// Iterations overrides the training iteration count when positive.
+	// Iterations overrides the training iteration count when positive
+	// (at most 200).
 	Iterations int `json:"iterations"`
-	// Replicas is the tenant's pool cost while resident (default 1).
+	// Replicas is the tenant's pool cost while resident (default 1, at most 64).
 	Replicas int `json:"replicas"`
-	// MaxBatch caps the tenant's micro-batch rows (default 64).
+	// MaxBatch caps the tenant's micro-batch rows (default 64, at most 1024).
 	MaxBatch int `json:"max_batch"`
 	// Learn attaches online learning (/t/{model}/learn, /retrain) with
 	// default learner options.
@@ -207,10 +191,58 @@ type InstallSpec struct {
 	Default bool `json:"default"`
 }
 
+// Install bounds. An install names sizes that drive allocation (a
+// resident replica leases max_batch×(features+dim+classes) float64s) and
+// training inside the handler, so each is checked before either starts;
+// a snapshot's own shape is held to the same dim and to width bounds no
+// benchmark comes near. Zero still selects the default.
+const (
+	maxInstallReplicas   = 64
+	maxInstallBatch      = 1024
+	maxInstallDim        = 10000
+	maxInstallIterations = 200
+	maxInstallScale      = 1.0
+	maxInstallFeatures   = 10000
+	maxInstallClasses    = 10000
+)
+
+// checkSize rejects a size outside [0, max], NaN included.
+func checkSize(name string, v, max float64) error {
+	if v >= 0 && v <= max {
+		return nil
+	}
+	return fmt.Errorf("registry: install %s %v out of range [0, %v]", name, v, max)
+}
+
+// checkServing rejects out-of-range serving options.
+func checkServing(replicas, maxBatch int) error {
+	return errors.Join(checkSize("replicas", float64(replicas), maxInstallReplicas),
+		checkSize("max_batch", float64(maxBatch), maxInstallBatch))
+}
+
+// checkShape rejects a snapshot whose shape is out of range.
+func checkShape(m *disthd.Model) error {
+	return errors.Join(checkSize("dim", float64(m.Dim()), maxInstallDim),
+		checkSize("features", float64(m.Features()), maxInstallFeatures),
+		checkSize("classes", float64(m.Classes()), maxInstallClasses))
+}
+
+// check rejects out-of-range sizes.
+func (is InstallSpec) check() error {
+	return errors.Join(checkServing(is.Replicas, is.MaxBatch),
+		checkSize("dim", float64(is.Dim), maxInstallDim),
+		checkSize("iterations", float64(is.Iterations), maxInstallIterations),
+		checkSize("scale", is.Scale, maxInstallScale))
+}
+
 // Build trains the spec's model (and quantized tier, when asked) and
 // resolves the tenant's serving Spec — the shared install path behind
 // PUT /t/{model} JSON bodies and disthd-serve's -registry boot flags.
+// Out-of-range sizes are rejected before anything is trained.
 func (is InstallSpec) Build() (*disthd.Model, Spec, error) {
+	if err := is.check(); err != nil {
+		return nil, Spec{}, err
+	}
 	sp := Spec{Options: serve.Options{Replicas: is.Replicas, MaxBatch: is.MaxBatch}}
 	if is.Learn {
 		sp.Learner = &serve.LearnerOptions{Seed: is.Seed}
@@ -292,30 +324,32 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		var is InstallSpec
 		body := http.MaxBytesReader(w, r.Body, maxSpecBody)
 		if err := json.NewDecoder(body).Decode(&is); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode install spec: %w", err))
+			edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode install spec: %w", err))
 			return
 		}
 		mm, sp, err := is.Build()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			edge.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		m, spec, def = mm, sp, is.Default
 	} else {
-		body := http.MaxBytesReader(w, r.Body, maxModelBody)
-		mm, err := disthd.Load(body)
-		if err != nil {
-			status := http.StatusBadRequest
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, fmt.Errorf("decode model snapshot: %w", err))
-			return
-		}
 		q := r.URL.Query()
 		spec.Options.Replicas, _ = strconv.Atoi(q.Get("replicas"))
 		spec.Options.MaxBatch, _ = strconv.Atoi(q.Get("max_batch"))
+		if err := checkServing(spec.Options.Replicas, spec.Options.MaxBatch); err != nil {
+			edge.WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+		mm, err := disthd.Load(http.MaxBytesReader(w, r.Body, edge.MaxModelBody))
+		if err != nil {
+			edge.WriteError(w, edge.BodyStatus(err), fmt.Errorf("decode model snapshot: %w", err))
+			return
+		}
+		if err := checkShape(mm); err != nil {
+			edge.WriteError(w, http.StatusBadRequest, err)
+			return
+		}
 		if q.Get("learn") == "1" {
 			seed, _ := strconv.ParseUint(q.Get("seed"), 10, 64)
 			spec.Learner = &serve.LearnerOptions{Seed: seed}
@@ -323,31 +357,31 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		m, def = mm, q.Get("default") == "1"
 	}
 	if err := s.reg.Install(id, m, spec); err != nil {
-		writeError(w, statusFor(err), err)
+		edge.WriteError(w, statusFor(err), err)
 		return
 	}
 	if def {
 		if err := s.reg.SetDefault(id); err != nil {
-			writeError(w, statusFor(err), err)
+			edge.WriteError(w, statusFor(err), err)
 			return
 		}
 	}
 	ts, err := s.reg.TenantStats(id)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		edge.WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ts)
+	edge.WriteJSON(w, http.StatusOK, ts)
 }
 
 // handleRemove drains and deletes a tenant.
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("model")
 	if err := s.reg.Remove(id); err != nil {
-		writeError(w, statusFor(err), err)
+		edge.WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": id})
+	edge.WriteJSON(w, http.StatusOK, map[string]string{"removed": id})
 }
 
 // statusFor maps registry errors onto status codes: unknown tenant 404,
@@ -364,30 +398,4 @@ func statusFor(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
-}
-
-// writeJSON emits v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// retryAfterSeconds is the Retry-After value on 429 responses. Admission
-// rejections clear when an in-flight request drains or an idle tenant
-// frees pool capacity; the wake itself is sub-millisecond, so the header
-// is dominated by the 1-second floor — HTTP Retry-After has whole-second
-// granularity, and anything under a second would invite the hammering the
-// header exists to prevent.
-const retryAfterSeconds = 1
-
-// writeError emits a {"error": ...} body, the same shape as the
-// single-model server's errors. Admission rejections (429) additionally
-// carry a Retry-After header so well-behaved clients back off instead of
-// retrying immediately against a pool that is still saturated.
-func writeError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/serve"
+	"repro/serve/wire"
 )
 
 // TestRegistryAliasByteIdentical is the compatibility contract: every
@@ -266,6 +268,42 @@ func TestRegistryHTTPAdmission429(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("wake after the pool drained: %d, want 200 (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestRegistryRejectsZeroWidthFrame pins the tenant route's row bound: a
+// 20-byte frame claiming 2³²−1 rows of 0 features answers 400 before
+// anything is sized by its row count, and the tenant keeps serving.
+func TestRegistryRejectsZeroWidthFrame(t *testing.T) {
+	fx := fixtures(t)[0]
+	reg, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if err := reg.Install(fx.name, fx.m, Spec{Options: quickOpts()}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(reg).Handler()
+	bomb := []byte{'D', 'H', 'D', 'F', wire.Version, byte(wire.TypeMatrixF64), 0, 0}
+	for _, v := range []uint32{8, 0xffffffff, 0} { // payload length, rows, cols
+		bomb = binary.LittleEndian.AppendUint32(bomb, v)
+	}
+	good, err := wire.AppendMatrixF64(nil, fx.rows[:2], len(fx.rows[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		frame []byte
+		want  int
+	}{{bomb, http.StatusBadRequest}, {good, http.StatusOK}} {
+		req := httptest.NewRequest("POST", "/t/"+fx.name+"/predict_batch", bytes.NewReader(c.frame))
+		req.Header.Set("Content-Type", wire.ContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Fatalf("%d-byte frame: status %d, want %d (%s)", len(c.frame), rec.Code, c.want, rec.Body)
+		}
 	}
 }
 

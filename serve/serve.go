@@ -364,13 +364,15 @@ func (b *Batcher) worker(rep *disthd.Replica) {
 	}
 }
 
-// flush runs one micro-batch and answers every waiter.
+// flush runs one micro-batch and answers every waiter, counting the batch
+// first so Stats read after a Predict returns includes it.
 func (b *Batcher) flush(rep *disthd.Replica, batch []request, rows [][]float64, out []int) {
 	for _, req := range batch {
 		rows = append(rows, req.x)
 	}
 	m := b.sw.Current()
 	_, err := rep.PredictBatch(m, rows, out[:len(batch)])
+	b.stats.observeBatch(len(batch))
 	for i, req := range batch {
 		if err != nil {
 			req.out <- response{err: err}
@@ -378,5 +380,4 @@ func (b *Batcher) flush(rep *disthd.Replica, batch []request, rows [][]float64, 
 			req.out <- response{class: out[i]}
 		}
 	}
-	b.stats.observeBatch(len(batch))
 }

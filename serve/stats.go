@@ -144,7 +144,7 @@ type GateResult struct {
 
 // QuantizationStats reports the 1-bit serving tier's state: whether the
 // model serving right now is quantized, and how the /quantize endpoint's
-// publications have gone. Server.handleStats fills it; the counters live
+// publications have gone. Server.Stats fills it; the counters live
 // on the Server because quantization is an operator action, not a hot-path
 // event.
 type QuantizationStats struct {
@@ -198,15 +198,15 @@ type Snapshot struct {
 	// format-negotiated HTTP endpoints (/predict, /predict_batch, /learn)
 	// by wire format, so operators can watch a fleet migrate from JSON to
 	// the binary frame protocol. Stats itself does not track formats;
-	// Server.handleStats fills these.
+	// Server.Stats fills these.
 	WireJSONRequests   uint64 `json:"wire_json_requests"`
 	WireBinaryRequests uint64 `json:"wire_binary_requests"`
 	// Learner holds the online-learning gauges when a Learner is attached
 	// to the server, nil otherwise. Stats itself does not track the
-	// learner; Server.handleStats fills this.
+	// learner; Server.Stats fills this.
 	Learner *LearnerSnapshot `json:"learner,omitempty"`
 	// Quantization holds the 1-bit tier gauges. Stats itself does not
-	// track quantization; Server.handleStats fills this.
+	// track quantization; Server.Stats fills this.
 	Quantization *QuantizationStats `json:"quantization,omitempty"`
 }
 

@@ -297,8 +297,10 @@ func (d *Decoder) take(n uint32) ([]byte, error) {
 }
 
 // MatrixDims reads the dimension prefix of a matrix frame and verifies
-// the declared payload length matches rows*cols elements exactly. Next
-// must have returned TypeMatrixF64 or TypeMatrixF32.
+// the declared payload length matches rows*cols elements exactly, so the
+// payload bound bounds the row count callers size scratch by; rows of no
+// columns, which carry no bytes, are refused. Next must have returned
+// TypeMatrixF64 or TypeMatrixF32.
 func (d *Decoder) MatrixDims() (rows, cols int, err error) {
 	es := d.elemSize()
 	if es == 0 {
@@ -310,6 +312,9 @@ func (d *Decoder) MatrixDims() (rows, cols int, err error) {
 	}
 	r := binary.LittleEndian.Uint32(b[0:4])
 	c := binary.LittleEndian.Uint32(b[4:8])
+	if r > 0 && c == 0 {
+		return 0, 0, fmt.Errorf("wire: matrix %dx0 has rows without columns", r)
+	}
 	if want := uint64(r) * uint64(c) * uint64(es); want != uint64(d.remaining) {
 		return 0, 0, fmt.Errorf("wire: matrix %dx%d wants %d payload bytes, frame declares %d",
 			r, c, want, d.remaining)

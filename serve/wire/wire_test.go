@@ -189,6 +189,28 @@ func TestDecoderRejectsDimPayloadMismatch(t *testing.T) {
 	}
 }
 
+// TestDecoderRejectsZeroWidthRows pins the one shape whose payload cannot
+// bound its row count: 2³²−1 rows of no columns need no payload bytes, and
+// a caller sizing scratch by the row count would ask for gigabytes. An
+// empty matrix (no rows) stays valid.
+func TestDecoderRejectsZeroWidthRows(t *testing.T) {
+	for _, c := range []struct {
+		rows uint32
+		ok   bool
+	}{{0xffffffff, false}, {1, false}, {0, true}} {
+		b := appendHeader(nil, TypeMatrixF64, 8)
+		b = binary.LittleEndian.AppendUint32(b, c.rows)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		d := NewDecoder(bytes.NewReader(b))
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.MatrixDims(); (err == nil) != c.ok {
+			t.Errorf("%dx0 matrix: err %v, want ok=%v", c.rows, err, c.ok)
+		}
+	}
+}
+
 func TestDecoderNeverCrossesFrameEnd(t *testing.T) {
 	buf, err := AppendMatrixF64(nil, [][]float64{{1, 2}}, 2)
 	if err != nil {
