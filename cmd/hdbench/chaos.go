@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,54 +32,108 @@ const chaosBatch = 8
 
 // chaosTally accumulates one load run's outcome across client goroutines.
 type chaosTally struct {
-	mu        sync.Mutex
-	latencies []time.Duration
-	requests  uint64
-	rows      uint64
-	dropped   uint64 // requests that errored — the invariant is 0
-}
-
-// add records one request's outcome.
-func (t *chaosTally) add(lat time.Duration, rows int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.requests++
-	t.rows += uint64(rows)
-	if err != nil {
-		t.dropped++
-		return
-	}
-	t.latencies = append(t.latencies, lat)
-}
-
-// percentile returns the p-th latency percentile (latencies must be
-// sorted).
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
+	lat      latencies
+	requests atomic.Uint64
+	dropped  atomic.Uint64 // requests that errored — the invariant is 0
 }
 
 // runChaos runs the chaos harness: self-contained (spin three real-HTTP
 // workers and a coordinator in-process, then kill one worker and stall
 // another mid-load) or, with httpTarget set, as a pure load driver against
-// an external coordinator while a script injects the faults. Either way it
-// reports dropped requests (which must be zero — a non-zero count is the
-// returned error) and the latency distribution the faults produced.
+// an external coordinator while a script injects the faults. Either way the
+// same load loop streams batches to the coordinator, and the run reports
+// dropped requests (which must be zero — a non-zero count is the returned
+// error) and the latency distribution the faults produced.
 func runChaos(o chaosOptions, w io.Writer) error {
 	if o.concurrency < 1 {
 		o.concurrency = 1
 	}
-	_, test, err := disthd.SyntheticBenchmark(o.dataset, o.scale, o.seed)
+	if o.httpTarget == "" && o.wire == wireF32 {
+		return fmt.Errorf("-wire %s needs -http: the self-contained run applies -wire to its coordinator->worker hop, which speaks %s or %s",
+			wireF32, wireJSON, wireBinary)
+	}
+	train, test, err := disthd.SyntheticBenchmark(o.dataset, o.scale, o.seed)
 	if err != nil {
 		return err
 	}
 	if o.httpTarget != "" {
-		return chaosExternal(o, test, w)
+		// A request the coordinator has not answered within 5 s counts as
+		// dropped: its call timeout and retries answer well inside that.
+		hc := newHTTPClient(o.httpTarget, o.wire, 5*time.Second)
+		if err := hc.waitReady(nil); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "chaos: %d clients x %v against %s over %s wire\n", o.concurrency, o.duration, hc.base, o.wire)
+		return chaosLoad(hc.predictBatch, o, test.X).report(w)
 	}
-	return chaosSelfContained(o, test, w)
+
+	cc, err := startChaosCluster(o, train, w)
+	if err != nil {
+		return err
+	}
+	defer cc.close()
+	fmt.Fprintf(w, "chaos: %d clients x %v against %d workers over %s wire (kill w0 at 1/3, stall w1 at 2/3)\n",
+		o.concurrency, o.duration, len(cc.hss), o.wire)
+	var faults sync.WaitGroup
+	faults.Add(1)
+	go func() {
+		defer faults.Done()
+		cc.inject(o.duration, w)
+	}()
+	tally := chaosLoad(func(rows [][]float64) ([]int, error) {
+		return cc.c.PredictBatch(context.Background(), rows)
+	}, o, test.X)
+	faults.Wait()
+	snap := cc.c.Stats()
+	if err := tally.report(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "coordinator: fallback_rows=%d quorum_misses=%d retries=%d dropped=%d\n",
+		snap.FallbackRows, snap.QuorumMisses, snap.Retries, snap.Dropped)
+	for _, ws := range snap.Workers {
+		fmt.Fprintf(w, "  worker %-24s breaker=%-9s requests=%-6d failures=%-5d probe_failures=%d\n",
+			ws.Addr, ws.Breaker, ws.Requests, ws.Failures, ws.ProbeFailures)
+	}
+	if snap.Dropped != 0 {
+		return fmt.Errorf("coordinator dropped %d rows; the invariant is 0", snap.Dropped)
+	}
+	return nil
+}
+
+// chaosLoad streams chaosBatch-row batches from o.concurrency closed-loop
+// clients through predict for o.duration and tallies every request's
+// outcome.
+func chaosLoad(predict func([][]float64) ([]int, error), o chaosOptions, rows [][]float64) *chaosTally {
+	t := &chaosTally{}
+	closedLoopN(o.concurrency, o.duration, len(rows), func(k int) error {
+		batch := make([][]float64, chaosBatch)
+		for j := range batch {
+			batch[j] = rows[(k+j)%len(rows)]
+		}
+		start := time.Now()
+		classes, err := predict(batch)
+		t.requests.Add(1)
+		if err != nil || len(classes) != len(batch) {
+			t.dropped.Add(1)
+		} else {
+			t.lat.add(time.Since(start))
+		}
+		return nil // a dropped request is tallied, and the client keeps going
+	})
+	return t
+}
+
+// report prints the tally and enforces the zero-dropped invariant.
+func (t *chaosTally) report(w io.Writer) error {
+	n := t.requests.Load()
+	fmt.Fprintf(w, "\nchaos result: requests=%d rows=%d dropped=%d\n", n, n*chaosBatch, t.dropped.Load())
+	fmt.Fprintf(w, "latency: p50=%v p95=%v p99=%v max=%v\n",
+		t.lat.quantile(0.50), t.lat.quantile(0.95), t.lat.quantile(0.99), t.lat.quantile(1))
+	if d := t.dropped.Load(); d != 0 {
+		return fmt.Errorf("%d requests dropped; the invariant is 0", d)
+	}
+	fmt.Fprintln(w, "invariant held: 0 dropped requests")
+	return nil
 }
 
 // stallGate wraps a worker handler so the harness can wedge the whole
@@ -104,15 +157,18 @@ func (g *stallGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.h.ServeHTTP(w, r)
 }
 
-// chaosSelfContained runs the whole cluster in-process over real HTTP:
-// three stock serve.Servers as workers, a coordinator fanning out to them,
-// concurrent clients streaming batches, one worker SIGKILL-equivalent
-// (listener closed) at 1/3 of the run and another stalled at 2/3.
-func chaosSelfContained(o chaosOptions, test disthd.DataSplit, w io.Writer) error {
-	train, _, err := disthd.SyntheticBenchmark(o.dataset, o.scale, o.seed)
-	if err != nil {
-		return err
-	}
+// chaosCluster is the self-contained run's cluster: three stock
+// serve.Servers as real-HTTP workers behind an in-process coordinator
+// that speaks o.wire to them and holds the model as its fallback.
+type chaosCluster struct {
+	servers []*serve.Server
+	gates   []*stallGate
+	hss     []*httptest.Server
+	c       *cluster.Coordinator
+}
+
+// startChaosCluster trains the shared model and starts the cluster.
+func startChaosCluster(o chaosOptions, train disthd.DataSplit, w io.Writer) (*chaosCluster, error) {
 	cfg := disthd.DefaultConfig()
 	cfg.Dim = o.dim
 	cfg.Seed = o.seed
@@ -120,40 +176,26 @@ func chaosSelfContained(o chaosOptions, test disthd.DataSplit, w io.Writer) erro
 	fmt.Fprintf(w, "chaos: training %s model (scale %.2f, D=%d)...\n", o.dataset, o.scale, o.dim)
 	m, err := disthd.TrainWithConfig(train.X, train.Y, train.Classes, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	const workers = 3
-	var (
-		servers []*serve.Server
-		gates   []*stallGate
-		hss     []*httptest.Server
-		addrs   []string
-	)
-	for i := 0; i < workers; i++ {
+	cc := &chaosCluster{}
+	var addrs []string
+	for i := 0; i < 3; i++ {
 		srv, err := serve.New(m, serve.Options{MaxBatch: 32, MaxDelay: time.Millisecond, Replicas: 1})
 		if err != nil {
-			return err
+			cc.close()
+			return nil, err
 		}
 		g := &stallGate{h: srv.Handler()}
 		hs := httptest.NewServer(g)
-		servers = append(servers, srv)
-		gates = append(gates, g)
-		hss = append(hss, hs)
+		cc.servers = append(cc.servers, srv)
+		cc.gates = append(cc.gates, g)
+		cc.hss = append(cc.hss, hs)
 		addrs = append(addrs, hs.URL)
 	}
-	defer func() {
-		for i, hs := range hss {
-			gates[i].stalled.Store(false)
-			hs.CloseClientConnections()
-			hs.Close()
-			servers[i].Close()
-		}
-	}()
-
 	tr := cluster.NewHTTPTransport()
 	tr.Wire = o.wire
-	c, err := cluster.New(cluster.Config{
+	cc.c, err = cluster.New(cluster.Config{
 		Workers:     addrs,
 		Quorum:      2,
 		Transport:   tr,
@@ -169,133 +211,33 @@ func chaosSelfContained(o chaosOptions, test disthd.DataSplit, w io.Writer) erro
 		Seed:          o.seed,
 	})
 	if err != nil {
-		return err
+		cc.close()
+		return nil, err
 	}
-	defer c.Close()
-
-	fmt.Fprintf(w, "chaos: %d clients x %v against %d workers over %s wire (kill w0 at 1/3, stall w1 at 2/3)\n",
-		o.concurrency, o.duration, workers, o.wire)
-
-	var tally chaosTally
-	deadline := time.Now().Add(o.duration)
-	killAt := time.Now().Add(o.duration / 3)
-	stallAt := time.Now().Add(2 * o.duration / 3)
-	var faultOnce [2]sync.Once
-	var wg sync.WaitGroup
-	for cl := 0; cl < o.concurrency; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				now := time.Now()
-				if now.After(killAt) {
-					faultOnce[0].Do(func() {
-						fmt.Fprintf(w, "chaos: KILLING worker 0 (%s)\n", addrs[0])
-						hss[0].CloseClientConnections()
-						hss[0].Close()
-					})
-				}
-				if now.After(stallAt) {
-					faultOnce[1].Do(func() {
-						fmt.Fprintf(w, "chaos: STALLING worker 1 (%s)\n", addrs[1])
-						gates[1].stalled.Store(true)
-					})
-				}
-				rows := make([][]float64, chaosBatch)
-				for j := range rows {
-					rows[j] = test.X[(cl+i*o.concurrency+j)%len(test.X)]
-				}
-				start := time.Now()
-				cls, err := c.PredictBatch(context.Background(), rows)
-				if err == nil && len(cls) != len(rows) {
-					err = fmt.Errorf("answered %d classes for %d rows", len(cls), len(rows))
-				}
-				tally.add(time.Since(start), len(rows), err)
-			}
-		}(cl)
-	}
-	wg.Wait()
-
-	snap := c.Stats()
-	if err := chaosReport(&tally, w); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "coordinator: fallback_rows=%d quorum_misses=%d retries=%d dropped=%d\n",
-		snap.FallbackRows, snap.QuorumMisses, snap.Retries, snap.Dropped)
-	for _, ws := range snap.Workers {
-		fmt.Fprintf(w, "  worker %-24s breaker=%-9s requests=%-6d failures=%-5d probe_failures=%d\n",
-			ws.Addr, ws.Breaker, ws.Requests, ws.Failures, ws.ProbeFailures)
-	}
-	if snap.Dropped != 0 {
-		return fmt.Errorf("coordinator dropped %d rows; the invariant is 0", snap.Dropped)
-	}
-	return nil
+	return cc, nil
 }
 
-// chaosExternal drives a live coordinator over /predict_batch while an
-// outside script (scripts/chaos_smoke.sh) injects the faults. It waits for
-// the target's /healthz first, so the script needs no readiness dance.
-func chaosExternal(o chaosOptions, test disthd.DataSplit, w io.Writer) error {
-	base := baseURL(o.httpTarget)
-	client := &http.Client{Timeout: 5 * time.Second}
-	if err := waitReady(client, base); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "chaos: %d clients x %v against %s over %s wire\n", o.concurrency, o.duration, base, o.wire)
-
-	var tally chaosTally
-	deadline := time.Now().Add(o.duration)
-	var wg sync.WaitGroup
-	for cl := 0; cl < o.concurrency; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				rows := make([][]float64, chaosBatch)
-				for j := range rows {
-					rows[j] = test.X[(cl+i*o.concurrency+j)%len(test.X)]
-				}
-				start := time.Now()
-				classes, err := postBatch(client, base, o.wire, rows)
-				if err == nil && len(classes) != len(rows) {
-					err = fmt.Errorf("answered %d classes for %d rows", len(classes), len(rows))
-				}
-				tally.add(time.Since(start), len(rows), err)
-			}
-		}(cl)
-	}
-	wg.Wait()
-	return chaosReport(&tally, w)
+// inject kills worker 0 (listener closed, the SIGKILL equivalent) at a
+// third of a run of length d and stalls worker 1 at two thirds.
+func (cc *chaosCluster) inject(d time.Duration, w io.Writer) {
+	time.Sleep(d / 3)
+	fmt.Fprintf(w, "chaos: KILLING worker 0 (%s)\n", cc.hss[0].URL)
+	cc.hss[0].CloseClientConnections()
+	cc.hss[0].Close()
+	time.Sleep(d / 3)
+	fmt.Fprintf(w, "chaos: STALLING worker 1 (%s)\n", cc.hss[1].URL)
+	cc.gates[1].stalled.Store(true)
 }
 
-// waitReady polls /healthz until the target answers at all (any status:
-// a degraded coordinator still serves through its fallback).
-func waitReady(client *http.Client, base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(base + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
+// close stops the coordinator, then every worker.
+func (cc *chaosCluster) close() {
+	if cc.c != nil {
+		cc.c.Close()
 	}
-	return fmt.Errorf("chaos: %s never answered /healthz", base)
-}
-
-// chaosReport prints the tally and enforces the zero-dropped invariant.
-func chaosReport(t *chaosTally, w io.Writer) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sort.Slice(t.latencies, func(i, j int) bool { return t.latencies[i] < t.latencies[j] })
-	fmt.Fprintf(w, "\nchaos result: requests=%d rows=%d dropped=%d\n", t.requests, t.rows, t.dropped)
-	fmt.Fprintf(w, "latency: p50=%v p95=%v p99=%v max=%v\n",
-		percentile(t.latencies, 0.50), percentile(t.latencies, 0.95),
-		percentile(t.latencies, 0.99), percentile(t.latencies, 1.0))
-	if t.dropped != 0 {
-		return fmt.Errorf("%d requests dropped; the invariant is 0", t.dropped)
+	for i, hs := range cc.hss {
+		cc.gates[i].stalled.Store(false)
+		hs.CloseClientConnections()
+		hs.Close()
+		cc.servers[i].Close()
 	}
-	fmt.Fprintln(w, "invariant held: 0 dropped requests")
-	return nil
 }

@@ -1,162 +1,15 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"time"
 
 	disthd "repro"
 	"repro/internal/dataset"
 	"repro/serve"
 )
-
-// driftHTTP drives a live disthd-serve process over its HTTP surface — the
-// transport behind `hdbench -driftgen -http addr`. The client only speaks
-// the public wire formats (/healthz, /swap, /predict_batch, /learn,
-// /stats) — JSON or, with -wire binary, the frame protocol on the predict
-// and learn hops — so what it measures is the whole deployed stack: wire
-// codec, micro-batch coalescing, the learner behind /learn, and the
-// champion/challenger gate.
-type driftHTTP struct {
-	base string
-	wire string
-	hc   *http.Client
-}
-
-// newDriftHTTP targets a live server ("host:port" or a full URL).
-func newDriftHTTP(target, wireFmt string) *driftHTTP {
-	return &driftHTTP{
-		base: baseURL(target),
-		wire: wireFmt,
-		hc:   &http.Client{Timeout: 60 * time.Second},
-	}
-}
-
-// getJSON decodes GET path into out.
-func (c *driftHTTP) getJSON(path string, out any) error {
-	resp, err := c.hc.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, body)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// postJSON posts v to path and decodes the answer into out when non-nil.
-func (c *driftHTTP) postJSON(path string, v, out any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST %s: %d: %s", path, resp.StatusCode, msg)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
-}
-
-// waitHealthy polls /healthz until the server answers (it may still be
-// training its -demo model when the benchmark starts) and verifies the
-// served shape matches the locally trained base model, so /swap can
-// install identical weights on both sides of the comparison.
-func (c *driftHTTP) waitHealthy(m *disthd.Model, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var health struct {
-		Features int `json:"features"`
-		Dim      int `json:"dim"`
-		Classes  int `json:"classes"`
-	}
-	for {
-		err := c.getJSON("/healthz", &health)
-		if err == nil {
-			if health.Features != m.Features() || health.Dim != m.Dim() || health.Classes != m.Classes() {
-				return fmt.Errorf("live server serves %d features/D=%d/%d classes, benchmark model is %d/%d/%d — start disthd-serve with the matching -demo dataset and -dim",
-					health.Features, health.Dim, health.Classes, m.Features(), m.Dim(), m.Classes())
-			}
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("live server at %s never became healthy: %w", c.base, err)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-// swap installs m as the live server's serving model via POST /swap.
-func (c *driftHTTP) swap(m *disthd.Model) error {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return err
-	}
-	resp, err := c.hc.Post(c.base+"/swap", "application/octet-stream", &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST /swap: %d: %s", resp.StatusCode, msg)
-	}
-	return nil
-}
-
-// predictBatch classifies rows over the wire (in the format selected with
-// -wire) and returns the round-trip latency alongside the classes.
-func (c *driftHTTP) predictBatch(rows [][]float64) ([]int, time.Duration, error) {
-	start := time.Now()
-	classes, err := postBatch(c.hc, c.base, c.wire, rows)
-	return classes, time.Since(start), err
-}
-
-// learn feeds one labeled sample through POST /learn in the selected wire
-// format.
-func (c *driftHTTP) learn(x []float64, label int) error {
-	return postLearn(c.hc, c.base, c.wire, x, label)
-}
-
-// stats scrapes GET /stats.
-func (c *driftHTTP) stats() (serve.Snapshot, error) {
-	var snap serve.Snapshot
-	err := c.getJSON("/stats", &snap)
-	return snap, err
-}
-
-// waitIdle polls /stats until no retrain is in flight — the window-boundary
-// barrier that keeps the live table stable run-to-run.
-func (c *driftHTTP) waitIdle(timeout time.Duration) (serve.Snapshot, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		snap, err := c.stats()
-		if err != nil {
-			return snap, err
-		}
-		if snap.Learner == nil {
-			return snap, fmt.Errorf("live server has no learner attached — start disthd-serve with -learn")
-		}
-		if !snap.Learner.Retraining {
-			return snap, nil
-		}
-		if time.Now().After(deadline) {
-			return snap, fmt.Errorf("retrain still in flight after %v", timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
 
 // httpChunk is how many drifted samples ride one /predict_batch call — big
 // enough to engage the batched kernels, small enough that per-window
@@ -173,9 +26,16 @@ const httpChunk = 16
 // are deltas from that kind's start; the sliding feedback window itself
 // carries across kinds on a long-lived server, as it would in production.
 func runDriftgenHTTP(o driftgenOptions, base *disthd.Model, test *dataset.Dataset, w io.Writer) error {
-	c := newDriftHTTP(o.httpTarget, o.wire)
-	if err := c.waitHealthy(base, 30*time.Second); err != nil {
+	c := newHTTPClient(o.httpTarget, o.wire, time.Minute)
+	// The served shape must match the locally trained base model, so /swap
+	// can install identical weights on both sides of the comparison.
+	var health struct{ Features, Dim, Classes int }
+	if err := c.waitReady(&health); err != nil {
 		return err
+	}
+	if health.Features != base.Features() || health.Dim != base.Dim() || health.Classes != base.Classes() {
+		return fmt.Errorf("live server serves %d features/D=%d/%d classes, benchmark model is %d/%d/%d — start disthd-serve with the matching -demo dataset and -dim",
+			health.Features, health.Dim, health.Classes, base.Features(), base.Dim(), base.Classes())
 	}
 	fmt.Fprintf(w, "live target: %s (wire=%s)\n", c.base, c.wire)
 	for _, kind := range o.kinds {
@@ -188,16 +48,16 @@ func runDriftgenHTTP(o driftgenOptions, base *disthd.Model, test *dataset.Datase
 
 // driftgenKindHTTP runs one drift kind against the live server and prints
 // the windowed table.
-func driftgenKindHTTP(o driftgenOptions, c *driftHTTP, kind dataset.DriftKind, base *disthd.Model, test *dataset.Dataset, w io.Writer) error {
+func driftgenKindHTTP(o driftgenOptions, c *httpClient, kind dataset.DriftKind, base *disthd.Model, test *dataset.Dataset, w io.Writer) error {
 	if err := c.swap(base); err != nil {
 		return err
 	}
-	start, err := c.stats()
-	if err != nil {
+	var start serve.Snapshot
+	if err := c.stats(&start); err != nil {
 		return err
 	}
 	if start.Learner == nil {
-		return fmt.Errorf("live server has no learner attached — start disthd-serve with -learn")
+		return errNoLearner
 	}
 	retr0, acc0, rej0 := start.Learner.Retrains, start.Learner.GateAccepts, start.Learner.GateRejects
 
@@ -227,14 +87,12 @@ func driftgenKindHTTP(o driftgenOptions, c *driftHTTP, kind dataset.DriftKind, b
 			for j, s := range chunk {
 				rows[j] = s.x
 			}
-			classes, lat, err := c.predictBatch(rows)
+			sent := time.Now()
+			classes, err := c.predictBatch(rows)
 			if err != nil {
 				return err
 			}
-			if len(classes) != len(chunk) {
-				return fmt.Errorf("/predict_batch answered %d classes for %d rows", len(classes), len(chunk))
-			}
-			batchNS += lat
+			batchNS += time.Since(sent)
 			batches++
 			for j, s := range chunk {
 				n++
@@ -249,7 +107,7 @@ func driftgenKindHTTP(o driftgenOptions, c *driftHTTP, kind dataset.DriftKind, b
 				}
 			}
 		}
-		snap, err := c.waitIdle(2 * time.Minute)
+		snap, err := waitIdle(c, 2*time.Minute)
 		if err != nil {
 			return err
 		}
@@ -273,3 +131,28 @@ func driftgenKindHTTP(o driftgenOptions, c *driftHTTP, kind dataset.DriftKind, b
 	}
 	return nil
 }
+
+// waitIdle polls /stats until no retrain is in flight — the window-boundary
+// barrier that keeps the live table stable run-to-run.
+func waitIdle(c *httpClient, timeout time.Duration) (serve.Snapshot, error) {
+	deadline := time.Now().Add(timeout)
+	for {
+		var snap serve.Snapshot
+		if err := c.stats(&snap); err != nil {
+			return snap, err
+		}
+		if snap.Learner == nil {
+			return snap, errNoLearner
+		}
+		if !snap.Learner.Retraining {
+			return snap, nil
+		}
+		if time.Now().After(deadline) {
+			return snap, fmt.Errorf("retrain still in flight after %v", timeout)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// errNoLearner is the live driftgen's answer to a server without -learn.
+var errNoLearner = errors.New("live server has no learner attached — start disthd-serve with -learn")

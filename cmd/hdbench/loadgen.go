@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,7 +25,7 @@ type loadgenOptions struct {
 	maxDelay    time.Duration
 	quantize    bool
 	httpTarget  string // non-empty: drive a live disthd-serve instead
-	wire        string // wire format for the live target: json, binary, or binary+f32
+	wire        string // wire format for the live target: json, binary or f32
 	tenants     int    // -tenants: multi-tenant mixed-workload mode
 	pool        int    // -tenants in-process: registry pool capacity (0 = tenants)
 }
@@ -87,13 +86,13 @@ func runLoadgen(o loadgenOptions, w io.Writer) error {
 		if err != nil {
 			return 0, 0, err
 		}
-		rate := closedLoop(conc, o.duration, test.X, func(x []float64) error {
+		rate, err := closedLoop(conc, o.duration, test.X, func(x []float64) error {
 			_, err := bat.Predict(x)
 			return err
 		})
 		snap := bat.Stats()
 		bat.Close()
-		return rate, snap.MeanBatchRows, nil
+		return rate, snap.MeanBatchRows, err
 	}
 
 	fmt.Fprintf(w, "closed-loop, %v per cell, %d query rows\n\n", o.duration, test.Len())
@@ -105,10 +104,13 @@ func runLoadgen(o loadgenOptions, w io.Writer) error {
 			"concurrency", "direct req/s", "batched req/s", "speedup", "rows/batch")
 	}
 	for _, conc := range o.concurrency {
-		direct := closedLoop(conc, o.duration, test.X, func(x []float64) error {
+		direct, err := closedLoop(conc, o.duration, test.X, func(x []float64) error {
 			_, err := m.Predict(x)
 			return err
 		})
+		if err != nil {
+			return err
+		}
 
 		minFill := conc / 2
 		if minFill < 1 {
@@ -133,68 +135,61 @@ func runLoadgen(o loadgenOptions, w io.Writer) error {
 	return nil
 }
 
-// lgHTTPBatch is how many rows ride one /predict_batch request in
-// live-HTTP loadgen mode — big enough that the wire codec dominates the
+// requestRows is how many rows ride one request in the live -loadgen and
+// the -tenants drivers — big enough that the wire codec dominates the
 // per-request cost, matching the PERF.md wire tables.
-const lgHTTPBatch = 16
+const requestRows = 16
 
 // runLoadgenHTTP drives a LIVE disthd-serve (or disthd-cluster — same
 // wire surface) closed-loop over /predict_batch in the selected wire
-// format. Run it once with -wire json and once with -wire binary to
-// measure the frame protocol's end-to-end win on a real deployment; this
-// is also the binary-wire smoke `make ci` runs via
-// scripts/wire_smoke.sh.
+// format. Run it once per -wire format to measure the frame protocol's
+// end-to-end win on a real deployment; this is also the wire smoke
+// `make ci` runs via scripts/wire_smoke.sh.
 func runLoadgenHTTP(o loadgenOptions, w io.Writer) error {
 	_, test, err := disthd.SyntheticBenchmark(o.dataset, o.scale, o.seed)
 	if err != nil {
 		return err
 	}
-	base := baseURL(o.httpTarget)
-	hc := &http.Client{Timeout: 30 * time.Second}
-	if err := waitReady(hc, base); err != nil {
+	hc := newHTTPClient(o.httpTarget, o.wire, 30*time.Second)
+	if err := hc.waitReady(nil); err != nil {
 		return err
 	}
 
 	// Pre-slice the query stream into fixed-size request batches.
 	var chunks [][][]float64
-	for pos := 0; pos+lgHTTPBatch <= len(test.X); pos += lgHTTPBatch {
-		chunks = append(chunks, test.X[pos:pos+lgHTTPBatch])
+	for pos := 0; pos+requestRows <= len(test.X); pos += requestRows {
+		chunks = append(chunks, test.X[pos:pos+requestRows])
 	}
 	if len(chunks) == 0 {
-		return fmt.Errorf("dataset %s at scale %g has fewer than %d query rows", o.dataset, o.scale, lgHTTPBatch)
+		return fmt.Errorf("dataset %s at scale %g has fewer than %d query rows", o.dataset, o.scale, requestRows)
 	}
 
 	fmt.Fprintf(w, "loadgen: live target %s, wire=%s, %d rows/request, %v per cell\n\n",
-		base, o.wire, lgHTTPBatch, o.duration)
+		hc.base, o.wire, requestRows, o.duration)
 	fmt.Fprintf(w, "%12s %12s %14s\n", "concurrency", "req/s", "rows/s")
 	for _, conc := range o.concurrency {
-		var failed atomic.Bool
-		var firstErr atomic.Value
-		rate := closedLoopN(conc, o.duration, len(chunks), func(i int) error {
-			classes, err := postBatch(hc, base, o.wire, chunks[i])
-			if err == nil && len(classes) != lgHTTPBatch {
-				err = fmt.Errorf("answered %d classes for %d rows", len(classes), lgHTTPBatch)
-			}
-			if err != nil && !failed.Swap(true) {
-				firstErr.Store(err)
-			}
+		rate, err := closedLoopN(conc, o.duration, len(chunks), func(i int) error {
+			_, err := hc.predictBatch(chunks[i])
 			return err
 		})
-		if failed.Load() {
-			return firstErr.Load().(error)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "%12d %12.0f %14.0f\n", conc, rate, rate*lgHTTPBatch)
+		fmt.Fprintf(w, "%12d %12.0f %14.0f\n", conc, rate, rate*requestRows)
 	}
 	return nil
 }
 
 // closedLoopN runs conc clients for about d, each calling do with a
-// rotating index below n, and returns calls/second.
-func closedLoopN(conc int, d time.Duration, n int, do func(int) error) float64 {
+// rotating index below n, and returns calls/second. A client stops at its
+// first error; the first error any client met is returned.
+func closedLoopN(conc int, d time.Duration, n int, do func(int) error) (float64, error) {
 	var (
-		wg    sync.WaitGroup
-		total atomic.Int64
-		stop  atomic.Bool
+		wg       sync.WaitGroup
+		total    atomic.Int64
+		stop     atomic.Bool
+		errOnce  sync.Once
+		firstErr error
 	)
 	start := time.Now()
 	for c := 0; c < conc; c++ {
@@ -204,6 +199,7 @@ func closedLoopN(conc int, d time.Duration, n int, do func(int) error) float64 {
 			calls := 0
 			for !stop.Load() {
 				if err := do((c + calls) % n); err != nil {
+					errOnce.Do(func() { firstErr = err })
 					break
 				}
 				calls++
@@ -214,11 +210,11 @@ func closedLoopN(conc int, d time.Duration, n int, do func(int) error) float64 {
 	time.Sleep(d)
 	stop.Store(true)
 	wg.Wait()
-	return float64(total.Load()) / time.Since(start).Seconds()
+	return float64(total.Load()) / time.Since(start).Seconds(), firstErr
 }
 
 // closedLoop runs conc clients for about d, each predicting rotating
 // rows, and returns requests/second.
-func closedLoop(conc int, d time.Duration, rows [][]float64, predict func([]float64) error) float64 {
+func closedLoop(conc int, d time.Duration, rows [][]float64, predict func([]float64) error) (float64, error) {
 	return closedLoopN(conc, d, len(rows), func(i int) error { return predict(rows[i]) })
 }

@@ -10,21 +10,33 @@
 //	hdbench -exp fig8 -quick          # CI-sized smoke run
 //	hdbench -loadgen -concurrency 1,8,32,64 -duration 2s
 //	hdbench -loadgen -http 127.0.0.1:8080 -wire binary
+//	hdbench -loadgen -tenants 3 -pool 2 -dim 128
 //	hdbench -driftgen -drift-kinds shift,scale -drift-windows 8
 //	hdbench -chaos -duration 6s -concurrency 4
 //	hdbench -chaos -http 127.0.0.1:8090 -duration 5s
+//
+// With -http every live call (/predict_batch, /learn, /healthz, /stats,
+// /swap, PUT /t/{id}) goes through one HTTP client, which speaks the -wire
+// format: json, binary (the repro/serve/wire frame protocol), or f32
+// (binary frames carrying float32 request matrices). -chaos and -loadgen
+// -tenants are each written once and run unchanged in-process or live:
+// -chaos sends its batches to a coordinator's PredictBatch or the client's
+// /predict_batch, and -tenants drives one client interface,
+// predictBatch(rows) plus learn(x, label), over a registry tenant between
+// Acquire and Release or over the HTTP client. A throttled answer — a live
+// 429 or an in-process exhausted registry pool — is backpressure -tenants
+// retries, never a drop.
 //
 // -loadgen runs the closed-loop serving benchmark: it measures per-request
 // Predict against the micro-batching serve.Batcher at each concurrency
 // level and reports throughput plus the batching speedup (the PERF.md
 // serving table). With -http it instead drives a LIVE disthd-serve or
-// disthd-cluster over /predict_batch in the format picked by -wire (json,
-// or binary for the repro/serve/wire frame protocol) — run it once per
-// format to measure the binary wire's end-to-end win on a deployment.
-//
-// -wire selects the wire format every live-HTTP driver uses for predict
-// and learn calls; the self-contained -chaos run applies it to the
-// coordinator->worker hop instead.
+// disthd-cluster over /predict_batch — run it once per -wire format to
+// measure the binary wire's end-to-end win on a deployment. With -tenants
+// it runs the multi-tenant mixed workload: N heterogeneous tenants on one
+// registry (in-process, -pool capping its replica budget, or a live
+// `disthd-serve -registry`), 16-row predictions plus a learn share,
+// per-tenant p50/p99 and the eviction churn.
 //
 // -driftgen runs the closed-loop streaming drift benchmark: a labeled
 // stream whose distribution drifts (dataset.DriftStream) is served by a
@@ -43,8 +55,9 @@
 // stream batches, one worker is killed at a third of the run and another
 // stalled at two thirds, and the run FAILS (nonzero exit) unless zero
 // requests were dropped; the latency distribution the faults produced
-// (p50/p95/p99) is reported. With -http it instead drives a live
-// disthd-cluster as a pure load generator while a script — see
+// (p50/p95/p99) is reported. The self-contained run applies -wire to the
+// coordinator->worker hop (json or binary). With -http it instead drives a
+// live disthd-cluster as a pure load generator while a script — see
 // scripts/chaos_smoke.sh — injects the process-level faults.
 //
 // Experiment output is plain text, one table per experiment, in the same
@@ -75,7 +88,7 @@ func main() {
 		lgConc  = flag.String("concurrency", "1,8,32,64", "loadgen: comma-separated concurrency sweep")
 		lgDur   = flag.Duration("duration", 2*time.Second, "loadgen: measurement window per cell")
 		lgBatch = flag.Int("max-batch", 64, "loadgen: batcher MaxBatch")
-		lgDelay = flag.Duration("max-delay", 2*time.Millisecond, "loadgen: batcher MaxDelay")
+		lgDelay = flag.Duration("max-delay", 2*time.Millisecond, "loadgen: batcher MaxDelay of the in-process single-row cells (-tenants sends 16-row batches, which do not coalesce)")
 		lgScale = flag.Float64("loadgen-scale", 0.2, "loadgen: dataset scale")
 		quant   = flag.Bool("quantize", false, "loadgen: add a batched 1-bit packed-tier column with its speedup over batched f32; driftgen (in-process): add a frozen-1bit accuracy column")
 
@@ -98,8 +111,7 @@ func main() {
 		dgHoldout = flag.Float64("drift-holdout", 0, "driftgen: holdout fraction for the gated run (0 = default 0.20)")
 		dgMargin  = flag.Float64("drift-gate-margin", -0.07, "driftgen: holdout-accuracy lead a challenger needs to publish; the default tolerates one standard error of the ~51-sample holdout estimate (sqrt(0.25/51)), so sampling noise never vetoes a challenger while garbage — which loses by far more — still rejects")
 		dgHTTP    = flag.String("http", "", "loadgen/driftgen/chaos: drive a LIVE server at this address (host:port or URL) instead of the in-process stack — a disthd-serve for -loadgen/-driftgen, a disthd-cluster coordinator for -chaos")
-		wireFmt   = flag.String("wire", "json", "loadgen/driftgen/chaos: wire format for live-HTTP predict/learn calls (json or binary); self-contained -chaos uses it coordinator->worker")
-		f32       = flag.Bool("f32", false, "loadgen: with -wire binary, send request matrices as TypeMatrixF32 frames — half the bytes, exact for the 1-bit tier (queries are sign-quantized anyway)")
+		wireFmt   = flag.String("wire", "json", "loadgen/driftgen/chaos: wire format for live-HTTP predict/learn calls: json, binary, or f32 (binary frames carrying float32 request matrices — half the bytes, exact for the 1-bit tier); self-contained -chaos uses it coordinator->worker, json or binary only")
 		lgTenants = flag.Int("tenants", 0, "loadgen: multi-tenant mixed workload over a serve/registry — N tenants with heterogeneous D, per-tenant p50/p99 and eviction churn (with -http, installs t0..tN-1 on a live -registry server)")
 		lgPool    = flag.Int("pool", 0, "loadgen -tenants (in-process): registry replica-pool capacity; set below -tenants to force LRU eviction churn (0 = no eviction)")
 	)
@@ -173,14 +185,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hdbench: %v\n", err)
 			os.Exit(2)
 		}
-		lgWire := *wireFmt
-		if *f32 {
-			if lgWire != wireBinary {
-				fmt.Fprintln(os.Stderr, "hdbench: -f32 needs -wire binary (f32 frames ride the binary wire)")
-				os.Exit(2)
-			}
-			lgWire = wireBinaryF32
-		}
 		o := loadgenOptions{
 			dataset:     *lgData,
 			dim:         *lgDim,
@@ -192,7 +196,7 @@ func main() {
 			maxDelay:    *lgDelay,
 			quantize:    *quant,
 			httpTarget:  *dgHTTP,
-			wire:        lgWire,
+			wire:        *wireFmt,
 			tenants:     *lgTenants,
 			pool:        *lgPool,
 		}

@@ -6,59 +6,31 @@
 # the load run still exits 0 — hdbench exits nonzero unless every request
 # was answered, so a kill the coordinator's retries, breaker, and local
 # fallback fail to absorb fails this script too. Finally SIGTERM the
-# coordinator and assert a
-# clean drain (the "bye:" stats line only prints after in-flight requests
-# are answered and the probe/merge loops have stopped).
+# coordinator and assert a clean drain (the "bye:" stats line only prints
+# after in-flight requests are answered and the probe/merge loops have
+# stopped).
 #
 # Everything trains the same deterministic demo model (-demo PAMAP2
 # -dim 128 -scale 0.05 -seed 42), so the coordinator's local fallback
 # answers exactly like the shards it stands in for.
-set -eu
+SMOKE=chaos-smoke
+. scripts/smoke_lib.sh
 
-GO=${GO:-go}
 W1=${CHAOS_SMOKE_W1:-127.0.0.1:18091}
 W2=${CHAOS_SMOKE_W2:-127.0.0.1:18092}
 ADDR=${CHAOS_SMOKE_ADDR:-127.0.0.1:18090}
-TMP=$(mktemp -d)
-W1_PID=""
-W2_PID=""
-CLUSTER_PID=""
-
-cleanup() {
-    for pid in "$W1_PID" "$W2_PID" "$CLUSTER_PID"; do
-        if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
-            kill -9 "$pid" 2>/dev/null || true
-        fi
-    done
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
-
-# A compile error must name itself, not surface later as a confusing
-# "coordinator never came up" — so each build is guarded individually
-# rather than left to set -e.
-echo "chaos-smoke: building binaries..."
-for pkg in disthd-serve disthd-cluster hdbench; do
-    if ! $GO build -o "$TMP/$pkg" "./cmd/$pkg"; then
-        echo "chaos-smoke: FAILED to build ./cmd/$pkg — fix the compile error above" >&2
-        exit 1
-    fi
-done
-
 DEMO="-demo PAMAP2 -dim 128 -scale 0.05 -seed 42"
 
-echo "chaos-smoke: starting workers on $W1 and $W2..."
-"$TMP/disthd-serve" -addr "$W1" $DEMO >"$TMP/w1.log" 2>&1 &
-W1_PID=$!
-"$TMP/disthd-serve" -addr "$W2" $DEMO >"$TMP/w2.log" 2>&1 &
-W2_PID=$!
+smoke_build disthd-serve disthd-cluster hdbench
 
-echo "chaos-smoke: starting coordinator on $ADDR..."
-"$TMP/disthd-cluster" -addr "$ADDR" -workers "$W1,$W2" $DEMO \
+echo "$SMOKE: starting workers on $W1 and $W2..."
+smoke_start w1 disthd-serve -addr "$W1" $DEMO
+smoke_start w2 disthd-serve -addr "$W2" $DEMO
+
+echo "$SMOKE: starting coordinator on $ADDR..."
+smoke_start cluster disthd-cluster -addr "$ADDR" -workers "$W1,$W2" $DEMO \
     -call-timeout 250ms -max-attempts 3 \
-    -breaker-threshold 3 -breaker-open-for 500ms -probe-interval 100ms \
-    >"$TMP/cluster.log" 2>&1 &
-CLUSTER_PID=$!
+    -breaker-threshold 3 -breaker-open-for 500ms -probe-interval 100ms
 
 # Wait for the coordinator to finish training its fallback and listen
 # (single-core hosts train the three demo models back to back; hdbench's
@@ -66,43 +38,21 @@ CLUSTER_PID=$!
 i=0
 while ! grep -q "coordinating" "$TMP/cluster.log" 2>/dev/null; do
     i=$((i + 1))
-    if [ "$i" -gt 600 ] || ! kill -0 "$CLUSTER_PID" 2>/dev/null; then
-        echo "chaos-smoke: coordinator never came up; log:"
-        cat "$TMP/cluster.log"
-        exit 1
+    if [ "$i" -gt 600 ] || ! kill -0 "$(smoke_pid cluster)" 2>/dev/null; then
+        smoke_fail "coordinator never came up; log:" cluster
     fi
     sleep 0.1
 done
 
-echo "chaos-smoke: driving load, then SIGKILLing worker 1 mid-run..."
-"$TMP/hdbench" -chaos -http "$ADDR" -dataset PAMAP2 -loadgen-scale 0.05 \
-    -duration 4s -concurrency 2 >"$TMP/chaos.log" 2>&1 &
-BENCH_PID=$!
+echo "$SMOKE: driving load, then SIGKILLing worker 1 mid-run..."
+smoke_start chaos hdbench -chaos -http "$ADDR" -dataset PAMAP2 -loadgen-scale 0.05 \
+    -duration 4s -concurrency 2
 sleep 2
-kill -9 "$W1_PID" 2>/dev/null || true
-W1_PID=""
+smoke_kill w1
 STATUS=0
-wait "$BENCH_PID" || STATUS=$?
+wait "$(smoke_pid chaos)" || STATUS=$?
 cat "$TMP/chaos.log"
-if [ "$STATUS" -ne 0 ]; then
-    echo "chaos-smoke: load run FAILED (dropped requests?); coordinator log:"
-    cat "$TMP/cluster.log"
-    exit 1
-fi
+[ "$STATUS" -eq 0 ] || smoke_fail "load run FAILED (dropped requests?); coordinator log:" cluster
 
-echo "chaos-smoke: draining coordinator with SIGTERM..."
-kill -TERM "$CLUSTER_PID"
-STATUS=0
-wait "$CLUSTER_PID" || STATUS=$?
-CLUSTER_PID=""
-if [ "$STATUS" -ne 0 ]; then
-    echo "chaos-smoke: coordinator exited with status $STATUS; log:"
-    cat "$TMP/cluster.log"
-    exit 1
-fi
-if ! grep -q "bye:" "$TMP/cluster.log"; then
-    echo "chaos-smoke: coordinator never reported a completed drain; log:"
-    cat "$TMP/cluster.log"
-    exit 1
-fi
-echo "chaos-smoke: OK (worker killed mid-load, 0 dropped, clean drain)"
+smoke_drain cluster
+echo "$SMOKE: OK (worker killed mid-load, 0 dropped, clean drain)"

@@ -8,59 +8,21 @@
 #
 # The server's -demo/-dim must match driftgen's -quick shape (PAMAP2,
 # D=128) so the benchmark can install its own base model via /swap.
-set -eu
+SMOKE=drift-http-smoke
+. scripts/smoke_lib.sh
 
-GO=${GO:-go}
 ADDR=${DRIFT_SMOKE_ADDR:-127.0.0.1:18086}
-TMP=$(mktemp -d)
-SERVE_PID=""
 
-cleanup() {
-    if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-        kill -9 "$SERVE_PID" 2>/dev/null || true
-    fi
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
+smoke_build disthd-serve hdbench
 
-# A compile error must name itself, not surface later as a confusing
-# readiness timeout — so each build is guarded individually rather than
-# left to set -e.
-echo "drift-http-smoke: building binaries..."
-for pkg in disthd-serve hdbench; do
-    if ! $GO build -o "$TMP/$pkg" "./cmd/$pkg"; then
-        echo "drift-http-smoke: FAILED to build ./cmd/$pkg — fix the compile error above" >&2
-        exit 1
-    fi
-done
-
-echo "drift-http-smoke: starting disthd-serve on $ADDR..."
-"$TMP/disthd-serve" -addr "$ADDR" -demo PAMAP2 -dim 128 -scale 0.05 \
+echo "$SMOKE: starting disthd-serve on $ADDR..."
+smoke_start serve disthd-serve -addr "$ADDR" -demo PAMAP2 -dim 128 -scale 0.05 \
     -learn -auto-retrain -learn-window 128 -learn-recent 32 \
-    -drift-threshold 0.10 -retrain-iters 3 -retrain-cooldown 1ms \
-    >"$TMP/serve.log" 2>&1 &
-SERVE_PID=$!
+    -drift-threshold 0.10 -retrain-iters 3 -retrain-cooldown 1ms
 
-echo "drift-http-smoke: running hdbench -driftgen -quick -http $ADDR..."
-if ! "$TMP/hdbench" -driftgen -quick -http "$ADDR" -drift-kinds shift; then
-    echo "drift-http-smoke: driftgen FAILED; server log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
+echo "$SMOKE: running hdbench -driftgen -quick -http $ADDR..."
+"$TMP/hdbench" -driftgen -quick -http "$ADDR" -drift-kinds shift ||
+    smoke_fail "driftgen FAILED; server log:" serve
 
-echo "drift-http-smoke: draining server with SIGTERM..."
-kill -TERM "$SERVE_PID"
-STATUS=0
-wait "$SERVE_PID" || STATUS=$?
-SERVE_PID=""
-if [ "$STATUS" -ne 0 ]; then
-    echo "drift-http-smoke: server exited with status $STATUS; log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
-if ! grep -q "bye:" "$TMP/serve.log"; then
-    echo "drift-http-smoke: server never reported a completed drain; log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
-echo "drift-http-smoke: OK (clean SIGTERM drain)"
+smoke_drain serve
+echo "$SMOKE: OK (clean SIGTERM drain)"

@@ -12,24 +12,10 @@
 # a per-tenant /t/{model}/stats, removes a tenant over DELETE, and
 # SIGTERMs the server expecting a clean drain (the "bye:" line only
 # prints after every tenant drained).
-set -eu
+SMOKE=registry-smoke
+. scripts/smoke_lib.sh
 
-GO=${GO:-go}
 ADDR=${REGISTRY_SMOKE_ADDR:-127.0.0.1:18096}
-TMP=$(mktemp -d)
-SERVE_PID=""
-
-cleanup() {
-    if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-        kill -9 "$SERVE_PID" 2>/dev/null || true
-    fi
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
-
-fetch() {
-    curl -fsS "$1" 2>/dev/null || wget -qO- "$1"
-}
 
 put_json() {
     if command -v curl >/dev/null 2>&1; then
@@ -47,39 +33,26 @@ post_json() {
     fi
 }
 
-echo "registry-smoke: building binaries..."
-for pkg in disthd-serve hdbench; do
-    if ! $GO build -o "$TMP/$pkg" "./cmd/$pkg"; then
-        echo "registry-smoke: FAILED to build ./cmd/$pkg — fix the compile error above" >&2
-        exit 1
-    fi
-done
+smoke_build disthd-serve hdbench
 
-echo "registry-smoke: starting disthd-serve -registry on $ADDR (pool 2, 3 boot tenants)..."
-"$TMP/disthd-serve" -registry -addr "$ADDR" -pool 2 \
+echo "$SMOKE: starting disthd-serve -registry on $ADDR (pool 2, 3 boot tenants)..."
+smoke_start serve disthd-serve -registry -addr "$ADDR" -pool 2 \
     -tenant 'alpha=UCIHAR,dim=64,scale=0.05,iterations=2' \
     -tenant 'beta=ISOLET,dim=96,scale=0.05,iterations=2' \
-    -tenant 'gamma=DIABETES,dim=48,scale=0.05,iterations=2' \
-    >"$TMP/serve.log" 2>&1 &
-SERVE_PID=$!
+    -tenant 'gamma=DIABETES,dim=48,scale=0.05,iterations=2'
 
 # Wait for the registry to finish boot training and start listening.
 i=0
 until MODELS=$(fetch "http://$ADDR/models" 2>/dev/null); do
     i=$((i + 1))
-    if [ "$i" -ge 100 ]; then
-        echo "registry-smoke: server never became ready; log:" >&2
-        cat "$TMP/serve.log" >&2
-        exit 1
-    fi
+    [ "$i" -lt 100 ] || smoke_fail "server never became ready; log:" serve
     sleep 0.1
 done
 for id in alpha beta gamma; do
     case "$MODELS" in
     *"\"$id\""*) ;;
     *)
-        echo "registry-smoke: GET /models is missing boot tenant $id: $MODELS" >&2
-        exit 1 ;;
+        smoke_fail "GET /models is missing boot tenant $id: $MODELS" ;;
     esac
 done
 
@@ -87,25 +60,20 @@ done
 # over PUT /t/{id} (now 6 tenants through the 2-slot pool) and sprays
 # /t/{id}/predict_batch, retrying 429 backpressure — zero drops allowed.
 for wire in json binary; do
-    echo "registry-smoke: hdbench -loadgen -tenants 3 -http $ADDR -wire $wire..."
-    if ! "$TMP/hdbench" -loadgen -tenants 3 -http "$ADDR" -wire "$wire" \
-        -dim 64 -loadgen-scale 0.05 -concurrency 4 -duration 1s; then
-        echo "registry-smoke: tenants loadgen -wire $wire FAILED; server log:"
-        cat "$TMP/serve.log"
-        exit 1
-    fi
+    echo "$SMOKE: hdbench -loadgen -tenants 3 -http $ADDR -wire $wire..."
+    "$TMP/hdbench" -loadgen -tenants 3 -http "$ADDR" -wire "$wire" \
+        -dim 64 -loadgen-scale 0.05 -concurrency 4 -duration 1s ||
+        smoke_fail "tenants loadgen -wire $wire FAILED; server log:" serve
 done
 
 # Six tenants through two replica slots must have churned the pool.
 STATS=$(fetch "http://$ADDR/stats")
 case "$STATS" in
 *'"evictions":0,'*|*'"evictions":0}'*)
-    echo "registry-smoke: /stats reports zero evictions despite pool 2 < 6 tenants: $STATS" >&2
-    exit 1 ;;
+    smoke_fail "/stats reports zero evictions despite pool 2 < 6 tenants: $STATS" ;;
 *'"evictions":'*) ;;
 *)
-    echo "registry-smoke: /stats is missing the evictions gauge: $STATS" >&2
-    exit 1 ;;
+    smoke_fail "/stats is missing the evictions gauge: $STATS" ;;
 esac
 
 # Per-tenant stats answer without waking a parked tenant.
@@ -113,15 +81,14 @@ TSTATS=$(fetch "http://$ADDR/t/alpha/stats")
 case "$TSTATS" in
 *'"id":"alpha"'*) ;;
 *)
-    echo "registry-smoke: GET /t/alpha/stats did not answer for alpha: $TSTATS" >&2
-    exit 1 ;;
+    smoke_fail "GET /t/alpha/stats did not answer for alpha: $TSTATS" ;;
 esac
 
 # Learner state survives eviction: install a learning tenant, feed it
 # labeled samples, park it by waking other tenants through the 2-slot
 # pool, and the per-tenant /stats feedback counter must (a) stay visible
 # while parked and (b) continue — never reset to zero — after the wake.
-echo "registry-smoke: learner park/wake continuity..."
+echo "$SMOKE: learner park/wake continuity..."
 put_json "http://$ADDR/t/lrn" \
     '{"demo":"DIABETES","dim":48,"scale":0.05,"iterations":2,"learn":true,"seed":7}' >/dev/null
 TSTATS=$(fetch "http://$ADDR/t/lrn/stats")
@@ -144,14 +111,12 @@ TSTATS=$(fetch "http://$ADDR/t/lrn/stats")
 case "$TSTATS" in
 *'"resident":false'*) ;;
 *)
-    echo "registry-smoke: lrn still resident after two wakes through pool 2: $TSTATS" >&2
-    exit 1 ;;
+    smoke_fail "lrn still resident after two wakes through pool 2: $TSTATS" ;;
 esac
 case "$TSTATS" in
 *'"feedback":5'*) ;;
 *)
-    echo "registry-smoke: parked /t/lrn/stats lost the learner gauges: $TSTATS" >&2
-    exit 1 ;;
+    smoke_fail "parked /t/lrn/stats lost the learner gauges: $TSTATS" ;;
 esac
 # One more feedback sample wakes lrn; the counter continues at 6.
 post_json "http://$ADDR/t/lrn/learn" "{\"x\":[$ROW],\"label\":0}" >/dev/null
@@ -159,12 +124,11 @@ TSTATS=$(fetch "http://$ADDR/t/lrn/stats")
 case "$TSTATS" in
 *'"feedback":6'*) ;;
 *)
-    echo "registry-smoke: learner feedback counter reset across park/wake: $TSTATS" >&2
-    exit 1 ;;
+    smoke_fail "learner feedback counter reset across park/wake: $TSTATS" ;;
 esac
 
 # DELETE drains and removes: gamma must disappear from /models.
-echo "registry-smoke: DELETE /t/gamma..."
+echo "$SMOKE: DELETE /t/gamma..."
 if command -v curl >/dev/null 2>&1; then
     curl -fsS -X DELETE "http://$ADDR/t/gamma" >/dev/null
 else
@@ -173,23 +137,8 @@ fi
 MODELS=$(fetch "http://$ADDR/models")
 case "$MODELS" in
 *'"gamma"'*)
-    echo "registry-smoke: gamma still listed after DELETE: $MODELS" >&2
-    exit 1 ;;
+    smoke_fail "gamma still listed after DELETE: $MODELS" ;;
 esac
 
-echo "registry-smoke: draining server with SIGTERM..."
-kill -TERM "$SERVE_PID"
-STATUS=0
-wait "$SERVE_PID" || STATUS=$?
-SERVE_PID=""
-if [ "$STATUS" -ne 0 ]; then
-    echo "registry-smoke: server exited with status $STATUS; log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
-if ! grep -q "bye:" "$TMP/serve.log"; then
-    echo "registry-smoke: server never reported a completed drain; log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
-echo "registry-smoke: OK (3 boot + 4 PUT tenants, JSON+binary learn+predict traffic, evictions observed, learner survives park/wake, per-tenant stats, DELETE drain, clean SIGTERM)"
+smoke_drain serve
+echo "$SMOKE: OK (3 boot + 4 PUT tenants, JSON+binary learn+predict traffic, evictions observed, learner survives park/wake, per-tenant stats, DELETE drain, clean SIGTERM)"

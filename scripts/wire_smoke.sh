@@ -1,81 +1,44 @@
 #!/bin/sh
-# wire_smoke.sh — the binary frame protocol CI smoke at the process
-# level: build the real binaries, start a disthd-serve, drive it with
+# wire_smoke.sh — the wire-format CI smoke at the process level: build the
+# real binaries, start a disthd-serve, drive it with
 # `hdbench -loadgen -http ... -wire binary` (hdbench exits nonzero if any
-# request fails or answers the wrong number of classes) plus a short
-# `-wire json` pass over the same process, check that /stats counted
-# requests under both formats, then SIGTERM the server and assert a clean
-# drain (the "bye:" line only prints after every accepted micro-batch is
-# answered).
+# request fails or answers the wrong number of classes), then `-wire f32`
+# (float32 request frames) and `-wire json` passes over the same process,
+# check that /stats counted requests under both formats, then SIGTERM the
+# server and assert a clean drain (the "bye:" line only prints after every
+# accepted micro-batch is answered).
 #
 # The server and the load generator train the same deterministic demo
 # model (-demo PAMAP2 -dim 128 -scale 0.05 -seed 42), so the feature
 # widths agree on both ends.
-set -eu
+SMOKE=wire-smoke
+. scripts/smoke_lib.sh
 
-GO=${GO:-go}
 ADDR=${WIRE_SMOKE_ADDR:-127.0.0.1:18095}
-TMP=$(mktemp -d)
-SERVE_PID=""
 
-cleanup() {
-    if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-        kill -9 "$SERVE_PID" 2>/dev/null || true
-    fi
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
+smoke_build disthd-serve hdbench
 
-echo "wire-smoke: building binaries..."
-for pkg in disthd-serve hdbench; do
-    if ! $GO build -o "$TMP/$pkg" "./cmd/$pkg"; then
-        echo "wire-smoke: FAILED to build ./cmd/$pkg — fix the compile error above" >&2
-        exit 1
-    fi
-done
+echo "$SMOKE: starting disthd-serve on $ADDR..."
+smoke_start serve disthd-serve -addr "$ADDR" -demo PAMAP2 -dim 128 -scale 0.05
 
-echo "wire-smoke: starting disthd-serve on $ADDR..."
-"$TMP/disthd-serve" -addr "$ADDR" -demo PAMAP2 -dim 128 -scale 0.05 \
-    >"$TMP/serve.log" 2>&1 &
-SERVE_PID=$!
-
-for wire in binary json; do
-    echo "wire-smoke: running hdbench -loadgen -http $ADDR -wire $wire..."
-    if ! "$TMP/hdbench" -loadgen -http "$ADDR" -wire "$wire" \
-        -dataset PAMAP2 -loadgen-scale 0.05 -concurrency 2 -duration 1s; then
-        echo "wire-smoke: loadgen -wire $wire FAILED; server log:"
-        cat "$TMP/serve.log"
-        exit 1
-    fi
+for wire in binary f32 json; do
+    echo "$SMOKE: running hdbench -loadgen -http $ADDR -wire $wire..."
+    "$TMP/hdbench" -loadgen -http "$ADDR" -wire "$wire" \
+        -dataset PAMAP2 -loadgen-scale 0.05 -concurrency 2 -duration 1s ||
+        smoke_fail "loadgen -wire $wire FAILED; server log:" serve
 done
 
 # Both formats must have been counted by the live server.
-STATS=$(curl -fsS "http://$ADDR/stats" 2>/dev/null || wget -qO- "http://$ADDR/stats")
+STATS=$(fetch "http://$ADDR/stats")
 for key in wire_binary_requests wire_json_requests; do
     case "$STATS" in
     *"\"$key\":0"*|*"\"$key\":0,"*)
-        echo "wire-smoke: /stats reports $key = 0 after the $key load pass; stats: $STATS" >&2
-        exit 1 ;;
+        smoke_fail "/stats reports $key = 0 after the $key load pass; stats: $STATS" ;;
     *"\"$key\":"*) ;;
     *)
-        echo "wire-smoke: /stats is missing $key; stats: $STATS" >&2
-        exit 1 ;;
+        smoke_fail "/stats is missing $key; stats: $STATS" ;;
     esac
 done
 
-echo "wire-smoke: draining server with SIGTERM..."
-kill -TERM "$SERVE_PID"
-STATUS=0
-wait "$SERVE_PID" || STATUS=$?
-SERVE_PID=""
-if [ "$STATUS" -ne 0 ]; then
-    echo "wire-smoke: server exited with status $STATUS; log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
-if ! grep -q "bye:" "$TMP/serve.log"; then
-    echo "wire-smoke: server never reported a completed drain; log:"
-    cat "$TMP/serve.log"
-    exit 1
-fi
-echo "wire-smoke: OK (binary + json served, counters live, clean SIGTERM drain)"
+smoke_drain serve
+echo "$SMOKE: OK (binary + f32 + json served, counters live, clean SIGTERM drain)"

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"testing"
+	"time"
 
 	"repro/serve/wire"
 )
@@ -90,5 +91,29 @@ func TestPredictStreamAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("PredictStream: %v allocs per call, want 0", got)
+	}
+}
+
+// TestBatcherPredictAllocs pins the coalesced path — submit, worker
+// linger and drain, flush through the replica's scratch, answer — at zero
+// allocations per steady-state Predict, with MinFill 1 (flush at once)
+// and MinFill > 1 (the linger timer fires for a lone caller).
+func TestBatcherPredictAllocs(t *testing.T) {
+	s := fixtures(t)
+	x := s.test.X[0]
+	for _, minFill := range []int{1, 4} {
+		b, err := NewBatcher(s.a, Options{MaxBatch: 8, MinFill: minFill, MaxDelay: 50 * time.Microsecond, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := b.Predict(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		b.Close()
+		if got != 0 {
+			t.Errorf("Predict with MinFill %d: %v allocs per call, want 0", minFill, got)
+		}
 	}
 }

@@ -51,7 +51,8 @@ type HealthStatus struct {
 }
 
 // PermanentError wraps a failure that retrying on another worker cannot
-// fix — a 4xx from the worker, i.e. the caller's own input was bad. The
+// fix — a 4xx other than 429 from the worker, i.e. the caller's own input
+// was bad. The
 // coordinator returns it immediately instead of burning retries, and it
 // never counts against a worker's circuit breaker.
 type PermanentError struct {
@@ -165,7 +166,10 @@ func (t *HTTPTransport) endpoints(worker string) *workerURLs {
 
 // do runs one request and maps worker-side status codes: 2xx passes
 // through, 4xx becomes a PermanentError, and anything else is a retryable
-// failure. The returned body is non-nil only on success.
+// failure. A 429 is the exception among the 4xx: it is a worker's
+// admission control shedding load (a `disthd-serve -registry` with its
+// pool exhausted), not bad input, so it retries and falls back like a 5xx.
+// The returned body is non-nil only on success.
 func (t *HTTPTransport) do(req *http.Request) (*http.Response, error) {
 	resp, err := t.Client.Do(req)
 	if err != nil {
@@ -177,7 +181,7 @@ func (t *HTTPTransport) do(req *http.Request) (*http.Response, error) {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 	resp.Body.Close()
 	err = fmt.Errorf("cluster: worker %s: %s: %s", req.URL.Host, resp.Status, bytes.TrimSpace(body))
-	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+	if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
 		return nil, &PermanentError{Err: err}
 	}
 	return nil, err
