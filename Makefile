@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run 'FuzzFeedbackWindow|FuzzModelLoad' .
 	$(GO) test -run 'FuzzBitpackRoundTrip' ./internal/bitpack
 	$(GO) test -run 'FuzzWireFrame' ./serve/wire
+	$(GO) test -run 'FuzzInstallSpec' ./serve/registry
 
 # The perf-regression gate: re-measure the SIMD-critical kernel benchmarks
 # (bitpack score/pack, mat GEMM/dot) and fail if any regressed past the

@@ -22,8 +22,8 @@ type Deployed struct {
 	// work is the unpacked model used for classification; refreshed after
 	// every injection.
 	work *model.Model
-	// packed caches the 1-bit XOR+popcount engine (lazy, see Packed).
-	packed *bitpack.Model
+	// packed caches the 1-bit class sign matrix (lazy, see Packed).
+	packed *bitpack.Matrix
 }
 
 // Deploy packs the model's class hypervectors at the given precision.
@@ -53,32 +53,34 @@ func (d *Deployed) refresh() {
 	d.packed = nil // invalidate the packed fast path
 }
 
-// Packed returns the XOR+popcount inference engine for a 1-bit deployment
-// — the arithmetic an edge accelerator executes, typically an order of
+// Packed returns a 1-bit deployment's class hypervectors as a packed sign
+// matrix (≥ 0 is +1) — the image the XOR+popcount scoring kernels read,
+// the arithmetic an edge accelerator executes, typically an order of
 // magnitude faster than float dot products at equal dimensionality. It
 // reflects the image's current (possibly injured) state; it is rebuilt
 // lazily after Inject/Restore. Only valid when Bits() == 1.
-func (d *Deployed) Packed() (*bitpack.Model, error) {
+func (d *Deployed) Packed() (*bitpack.Matrix, error) {
 	if d.bits != 1 {
 		return nil, fmt.Errorf("disthd: packed inference requires a 1-bit deployment, have %d bits", d.bits)
 	}
 	if d.packed == nil {
 		rows := make([][]float64, d.work.Classes())
-		for c := 0; c < d.work.Classes(); c++ {
+		for c := range rows {
 			rows[c] = d.work.Weights.Row(c)
 		}
-		d.packed = bitpack.NewModel(rows)
+		d.packed = bitpack.PackRows(rows)
 	}
 	return d.packed, nil
 }
 
-// PredictPacked classifies x through the packed 1-bit engine: the encoded
-// query is sign-quantized and compared with word-level XOR+popcount. It
-// can differ from Predict on borderline samples — Predict keeps the float
+// PredictPacked classifies x on the packed 1-bit path: the encoded query
+// is sign-packed like the classes and scored with the XOR+popcount
+// kernels (bitpack.PredictBatchInto; the first class wins a tie). It can
+// differ from Predict on borderline samples — Predict keeps the float
 // query magnitudes while edge hardware quantizes the query too — but the
 // two agree on the vast majority of inputs.
 func (d *Deployed) PredictPacked(x []float64) (int, error) {
-	pm, err := d.Packed()
+	classes, err := d.Packed()
 	if err != nil {
 		return 0, err
 	}
@@ -87,7 +89,11 @@ func (d *Deployed) PredictPacked(x []float64) (int, error) {
 	}
 	h := make([]float64, d.parent.clf.Enc.Dim())
 	d.parent.clf.Enc.Encode(x, h)
-	return pm.Predict(bitpack.FromFloats(h)), nil
+	q := bitpack.NewMatrix(1, len(h))
+	q.PackRow(0, h)
+	out := make([]int, 1)
+	bitpack.PredictBatchInto(classes, q, make([]int32, classes.Rows), out)
+	return out[0], nil
 }
 
 // Bits returns the deployment precision.

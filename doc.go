@@ -32,17 +32,24 @@
 //   - OnlineLearner closes the loop at deployment time: a bounded window
 //     of labeled feedback, windowed accuracy with drift detection and
 //     per-class attribution (DriftReport names the classes whose accuracy
-//     sags), and Model.Retrain — a warm rerun of the train → score →
-//     regenerate pipeline on the window, its budget scaled by the measured
-//     drift severity — producing a successor model while the original
-//     keeps serving.
+//     sags), and retrain rounds built on Model.Retrain — a warm rerun of
+//     the train → score → regenerate pipeline on the window, its budget
+//     scaled by the measured drift severity — producing a successor model
+//     while the original keeps serving.
+//   - A RetrainRound is the one definition of a retrain:
+//     OnlineLearner.BeginRetrain counts the attempt and snapshots the
+//     champion, the window split, and the attempt's seed and budget;
+//     Challenge trains and judges the challenger, Refit trains on the full
+//     window, and OnlineLearner.Record counts the publish or the
+//     rejection. Retrain and RetrainGated run a round inline; serve.Learner
+//     runs the same round in the background.
 //   - Gate is the champion/challenger publication gate: a retrained
 //     successor is scored against the serving incumbent on a stratified
 //     held-out slice of the feedback window (SplitWindow) and replaces it
 //     only on a passing margin — a retrain on a noisy or unlucky window
 //     can produce a successor worse than the incumbent, and the gate keeps
 //     such a challenger from ever serving. OnlineLearner.RetrainGated runs
-//     the whole train → judge → refit-on-accept sequence.
+//     the whole train → judge → refit-on-accept round.
 //
 // Online serving lives in the serve subpackage: a micro-batching Batcher
 // that gives concurrent single-request callers batched-GEMM throughput, an

@@ -14,7 +14,9 @@ import (
 
 // Vector is a packed bipolar hypervector: bit i set means dimension i is
 // +1, clear means −1. Dim is the logical dimensionality; trailing bits of
-// the last word are kept zero.
+// the last word are kept zero. Scoring runs on Matrix (batch.go); Vector
+// with HammingDistance and Agreement is the plain one-vector reference
+// the Matrix kernels are checked against.
 type Vector struct {
 	Dim   int
 	Words []uint64
@@ -67,13 +69,6 @@ func (v *Vector) SetBit(i int, set bool) {
 	}
 }
 
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	w := make([]uint64, len(v.Words))
-	copy(w, v.Words)
-	return &Vector{Dim: v.Dim, Words: w}
-}
-
 // HammingDistance counts dimensions where a and b disagree.
 func HammingDistance(a, b *Vector) int {
 	if a.Dim != b.Dim {
@@ -90,72 +85,4 @@ func HammingDistance(a, b *Vector) int {
 // two bipolar vectors — the quantity HDC classification maximizes.
 func Agreement(a, b *Vector) int {
 	return a.Dim - 2*HammingDistance(a, b)
-}
-
-// Bind XORs a and b element-wise — the packed form of bipolar
-// multiplication (+1·+1 = +1 maps to XNOR of bits; we store the XNOR by
-// XOR-ing and complementing within the valid mask).
-func Bind(a, b *Vector) *Vector {
-	if a.Dim != b.Dim {
-		panic(fmt.Sprintf("bitpack: dimension mismatch %d vs %d", a.Dim, b.Dim))
-	}
-	out := NewVector(a.Dim)
-	for i := range a.Words {
-		out.Words[i] = ^(a.Words[i] ^ b.Words[i])
-	}
-	out.maskTail()
-	return out
-}
-
-// maskTail clears the unused bits of the last word so popcounts stay
-// correct after complement operations.
-func (v *Vector) maskTail() {
-	rem := v.Dim % 64
-	if rem != 0 {
-		v.Words[len(v.Words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// Model is a packed bipolar classifier: one packed class vector per class.
-type Model struct {
-	Classes []*Vector
-}
-
-// NewModel packs the sign view of float class hypervectors (rows).
-func NewModel(rows [][]float64) *Model {
-	m := &Model{}
-	for _, r := range rows {
-		m.Classes = append(m.Classes, FromFloats(r))
-	}
-	return m
-}
-
-// Predict returns the class whose packed vector agrees with q the most.
-func (m *Model) Predict(q *Vector) int {
-	best, bestScore := 0, Agreement(m.Classes[0], q)
-	for c := 1; c < len(m.Classes); c++ {
-		if s := Agreement(m.Classes[c], q); s > bestScore {
-			best, bestScore = c, s
-		}
-	}
-	return best
-}
-
-// Scores returns per-class agreement counts.
-func (m *Model) Scores(q *Vector, dst []int) []int {
-	if len(dst) != len(m.Classes) {
-		panic("bitpack: Scores dst length mismatch")
-	}
-	for c := range m.Classes {
-		dst[c] = Agreement(m.Classes[c], q)
-	}
-	return dst
-}
-
-// MemoryBits returns the size of the packed model.
-func (m *Model) MemoryBits() int {
-	if len(m.Classes) == 0 {
-		return 0
-	}
-	return len(m.Classes) * m.Classes[0].Dim
 }

@@ -61,34 +61,6 @@ func TestHammingMismatchPanics(t *testing.T) {
 	HammingDistance(NewVector(4), NewVector(5))
 }
 
-func TestBindMatchesFloatBind(t *testing.T) {
-	r := rng.New(1)
-	fa := hv.RandomBipolar(200, r)
-	fb := hv.RandomBipolar(200, r)
-	packed := Bind(FromFloats(fa), FromFloats(fb))
-	want := hv.Bind(fa, fb)
-	got := packed.ToFloats()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("packed Bind[%d] = %v, float Bind = %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBindTailMasked(t *testing.T) {
-	// After the complement in Bind, tail bits must stay clear or
-	// popcounts would be wrong.
-	a := NewVector(70)
-	b := NewVector(70)
-	out := Bind(a, b) // all dims agree (-1 * -1 = +1 everywhere)
-	if d := HammingDistance(out, out); d != 0 {
-		t.Fatal("self-distance nonzero, tail bits leaked")
-	}
-	if ag := Agreement(out, out); ag != 70 {
-		t.Fatalf("self agreement = %d, want 70", ag)
-	}
-}
-
 // Packed agreement must equal the float dot product of the sign vectors,
 // for arbitrary vectors and dimensions (including non-multiples of 64).
 func TestAgreementMatchesFloatDot(t *testing.T) {
@@ -104,38 +76,6 @@ func TestAgreementMatchesFloatDot(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestModelPredict(t *testing.T) {
-	r := rng.New(2)
-	const dim, k = 1024, 5
-	rows := make([][]float64, k)
-	for c := range rows {
-		rows[c] = hv.RandomBipolar(dim, r)
-	}
-	m := NewModel(rows)
-	if m.MemoryBits() != dim*k {
-		t.Fatalf("MemoryBits = %d", m.MemoryBits())
-	}
-	// A noisy copy of class 3 must classify as 3.
-	noisy := make([]float64, dim)
-	copy(noisy, rows[3])
-	for i := 0; i < dim/10; i++ {
-		noisy[r.Intn(dim)] *= -1
-	}
-	if got := m.Predict(FromFloats(noisy)); got != 3 {
-		t.Fatalf("Predict = %d, want 3", got)
-	}
-	scores := m.Scores(FromFloats(noisy), make([]int, k))
-	best := 0
-	for c, s := range scores {
-		if s > scores[best] {
-			best = c
-		}
-	}
-	if best != 3 {
-		t.Fatal("Scores argmax disagrees with Predict")
 	}
 }
 

@@ -126,7 +126,14 @@ func readWords[T any](r io.Reader, n int, conv func(uint64) T) ([]T, error) {
 // (whatever the header claims), so it is safe on untrusted input: an f32
 // snapshot costs a small multiple of its size, a 1-bit one up to about 64
 // times its class payload for the ±1 float view of its classes.
-func Load(r io.Reader) (*Model, error) {
+//
+// Each check, when given, judges the header's shape before any payload is
+// read — how a caller that already knows which shapes it accepts (a
+// serving model's, an install bound) refuses a snapshot before paying for
+// it. A refused snapshot's payload is still read through, into nothing,
+// so a truncated one reports as corrupt whatever its header claims; the
+// check's error is returned wrapped.
+func Load(r io.Reader, check ...func(features, dim, classes int) error) (*Model, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]uint32
 	for i := range hdr {
@@ -154,6 +161,20 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	if !(sigma > 0) || math.IsInf(sigma, 1) {
 		return nil, fmt.Errorf("disthd: corrupt model bandwidth %v", sigma)
+	}
+	for _, c := range check {
+		if err := c(features, dim, classes); err != nil {
+			classWords := classes * dim
+			if hdr[1] == modelVersion1Bit {
+				classWords = classes * ((dim + 63) / 64)
+			}
+			for _, n := range []int{dim * features, dim, classWords} {
+				if _, err := io.CopyN(io.Discard, br, 8*int64(n)); err != nil {
+					return nil, fmt.Errorf("disthd: load payload: %w", err)
+				}
+			}
+			return nil, fmt.Errorf("disthd: load: %w", err)
+		}
 	}
 
 	base, err := readWords(br, dim*features, math.Float64frombits)

@@ -18,8 +18,6 @@ type RetrainConfig struct {
 	// a window is small and the model starts warm, so a fraction of the
 	// cold-start budget suffices).
 	Iterations int
-	// LearningRate overrides the model's training-time η when positive.
-	LearningRate float64
 	// Seed drives the retrain's shuffle and regeneration streams; retrains
 	// with different seeds explore different regeneration draws.
 	Seed uint64
@@ -45,8 +43,8 @@ func (c RetrainConfig) withDefaults() RetrainConfig {
 // WithAttempt returns a copy of c whose Seed is re-derived for the n-th
 // retrain attempt (0-based): deterministic in (Seed, n), distinct across
 // attempts, so every retrain in a sequence explores fresh shuffle and
-// regeneration draws. OnlineLearner and serve.Learner both derive their
-// per-retrain seeds through this single definition.
+// regeneration draws. OnlineLearner.BeginRetrain derives every round's
+// seed through it.
 func (c RetrainConfig) WithAttempt(n uint64) RetrainConfig {
 	c.Seed += (n + 1) * 0x9e3779b97f4a7c15
 	return c
@@ -111,9 +109,6 @@ func (m *Model) Retrain(X [][]float64, y []int, cfg RetrainConfig) (*Model, erro
 
 	cc := m.clf.Cfg
 	cc.Iterations = cfg.Iterations
-	if cfg.LearningRate > 0 {
-		cc.LearningRate = cfg.LearningRate
-	}
 	cc.Seed = cfg.Seed
 	if cfg.RegenBoost > 1 {
 		cc.RegenRate = math.Min(0.5, cc.RegenRate*cfg.RegenBoost)
@@ -168,10 +163,6 @@ type OnlineConfig struct {
 	// cannot be expressed; pass a small positive value (e.g. 0.001) for a
 	// hair-trigger detector.
 	DriftThreshold float64
-	// MinObservations is how many observations must accumulate after a
-	// (re)bind before drift detection may fire (default 2·RecentWindow: one
-	// RecentWindow to freeze the baseline, one to fill the recent ring).
-	MinObservations int
 	// HoldoutFraction is the fraction of the feedback window carved into a
 	// stratified held-out slice — excluded from retrain data, used by the
 	// champion/challenger Gate to score an incumbent against a freshly
@@ -197,9 +188,6 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	if c.DriftThreshold == 0 {
 		c.DriftThreshold = 0.15
 	}
-	if c.MinObservations == 0 {
-		c.MinObservations = 2 * c.RecentWindow
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -210,7 +198,7 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 		c.HoldoutFraction = 0
 	}
 	c.Retrain = c.Retrain.withDefaults()
-	if c.Window < 1 || c.RecentWindow < 1 || c.DriftThreshold < 0 || c.MinObservations < 1 || c.HoldoutFraction >= 1 {
+	if c.Window < 1 || c.RecentWindow < 1 || c.DriftThreshold < 0 || c.HoldoutFraction >= 1 {
 		return c, fmt.Errorf("disthd: invalid online config %+v", c)
 	}
 	return c, nil
@@ -225,12 +213,15 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 //
 // Observing feedback never mutates the bound model: the model may be
 // serving traffic concurrently, and in-place weight updates would race with
-// readers. Adaptation happens exclusively through Retrain, which trains a
-// deep copy and rebinds it — the pattern serve.Learner uses to publish
-// successors through a Swapper with zero serving interruption.
+// readers. Adaptation happens exclusively through retrain rounds
+// (RetrainRound), which train deep copies and rebind the learner to the
+// published one — Retrain and RetrainGated run a round inline, and
+// serve.Learner runs the same round in the background and publishes
+// through a Swapper with zero serving interruption.
 //
 // An OnlineLearner is not safe for concurrent use; callers serialize access
-// (serve.Learner wraps it with a mutex).
+// (serve.Learner wraps it with a mutex; a round's training steps need no
+// lock).
 type OnlineLearner struct {
 	m   *Model
 	cfg OnlineConfig
@@ -299,12 +290,6 @@ func NewOnlineLearner(m *Model, cfg OnlineConfig) (*OnlineLearner, error) {
 
 // Model returns the currently bound model.
 func (l *OnlineLearner) Model() *Model { return l.m }
-
-// Config returns the learner's configuration with all defaults applied —
-// callers composing their own retrain schedules (serve.Learner) read the
-// effective DriftThreshold and HoldoutFraction from here rather than
-// re-deriving the defaults.
-func (l *OnlineLearner) Config() OnlineConfig { return l.cfg }
 
 // Observe ingests one labeled feedback sample: the bound model classifies
 // x, the outcome feeds the windowed-accuracy and drift estimates, and the
@@ -379,7 +364,7 @@ func (l *OnlineLearner) Observe(x []float64, label int) (correct bool, err error
 // Observations returns how many feedback samples the learner has ever seen.
 func (l *OnlineLearner) Observations() uint64 { return l.observations }
 
-// Retrains returns how many retrains completed through this learner.
+// Retrains returns how many retrain rounds published a successor.
 func (l *OnlineLearner) Retrains() uint64 { return l.retrains }
 
 // WindowLen returns how many samples the retrain window currently holds.
@@ -403,14 +388,18 @@ func (l *OnlineLearner) BaselineAccuracy() float64 {
 	return float64(l.baseOK) / float64(l.baseN)
 }
 
+// mature reports whether both accuracy estimates have matured since the
+// model was bound: one RecentWindow of observations freezes the baseline,
+// a second fills the recent ring.
+func (l *OnlineLearner) mature() bool {
+	return l.obsSinceBind >= uint64(2*l.cfg.RecentWindow) && l.baseN >= l.cfg.RecentWindow
+}
+
 // DriftDetected reports whether the windowed accuracy has fallen more than
 // DriftThreshold below the baseline, with both estimates mature
-// (MinObservations since the model was bound).
+// (2·RecentWindow observations since the model was bound).
 func (l *OnlineLearner) DriftDetected() bool {
-	if l.obsSinceBind < uint64(l.cfg.MinObservations) || l.baseN < l.cfg.RecentWindow {
-		return false
-	}
-	return l.WindowAccuracy() < l.BaselineAccuracy()-l.cfg.DriftThreshold
+	return l.mature() && l.WindowAccuracy() < l.BaselineAccuracy()-l.cfg.DriftThreshold
 }
 
 // ClassDrift attributes drift to one class: how the model's accuracy on
@@ -442,7 +431,7 @@ type DriftReport struct {
 	Drift bool
 	// Severity is the overall accuracy drop below baseline, clamped to
 	// >= 0. It stays 0 until both estimates are mature (the same
-	// MinObservations guard DriftDetected applies): an immature drop is
+	// 2·RecentWindow guard DriftDetected applies): an immature drop is
 	// sampling noise, and letting it through would hand a 3× severity-
 	// scaled budget to a retrain that saw no real drift.
 	Severity float64
@@ -482,10 +471,8 @@ func (l *OnlineLearner) DriftReport() DriftReport {
 		WindowAccuracy:   l.WindowAccuracy(),
 		Classes:          make([]ClassDrift, l.m.Classes()),
 	}
-	if l.obsSinceBind >= uint64(l.cfg.MinObservations) && l.baseN >= l.cfg.RecentWindow {
-		if d := rep.BaselineAccuracy - rep.WindowAccuracy; d > 0 {
-			rep.Severity = d
-		}
+	if d := rep.BaselineAccuracy - rep.WindowAccuracy; l.mature() && d > 0 {
+		rep.Severity = d
 	}
 	for c := range rep.Classes {
 		cd := ClassDrift{
@@ -591,8 +578,8 @@ func (l *OnlineLearner) SplitWindow() (trainX [][]float64, trainY []int, holdX [
 	return trainX, trainY, holdX, holdY
 }
 
-// Rejections returns how many gated retrains ended with the challenger
-// rejected (RetrainGated only; plain Retrain never rejects).
+// Rejections returns how many retrain rounds ended with the challenger
+// rejected by the gate (plain Retrain never rejects).
 func (l *OnlineLearner) Rejections() uint64 { return l.rejections }
 
 // LearnerState is a deep, self-contained snapshot of an OnlineLearner's
@@ -656,11 +643,11 @@ type LearnerState struct {
 	// Observations, Attempts, Retrains, and Rejections are the lifetime
 	// counters (Observations, Retrains, Rejections accessors).
 	Observations uint64
-	// Attempts counts retrain attempts (per-attempt seed derivation).
+	// Attempts counts retrain rounds taken (per-attempt seed derivation).
 	Attempts uint64
-	// Retrains counts completed retrains.
+	// Retrains counts rounds that published a successor.
 	Retrains uint64
-	// Rejections counts gate-rejected retrains.
+	// Rejections counts rounds whose challenger the gate rejected.
 	Rejections uint64
 }
 
@@ -768,8 +755,8 @@ func (l *OnlineLearner) bindable(m *Model) error {
 // an upgrade that is statistically equivalent to the bound model, such as
 // the full-window refit behind an accepted challenger (same window, same
 // seed, 25% more data). Re-freezing the baseline for such a model would
-// only buy MinObservations of drift-detection dead time. For successors
-// that genuinely change behavior, use SetModel.
+// only buy 2·RecentWindow observations of drift-detection dead time. For
+// successors that genuinely change behavior, use SetModel.
 func (l *OnlineLearner) UpgradeModel(m *Model) error {
 	if err := l.bindable(m); err != nil {
 		return err
@@ -798,95 +785,155 @@ func (l *OnlineLearner) SetModel(m *Model) error {
 	return nil
 }
 
-// Retrain warm-retrains a successor on the current window (Model.Retrain),
-// rebinds the learner to it, and returns it. The previous model is left
-// untouched, so a caller serving it can publish the successor atomically
-// afterwards. Each attempt uses a distinct deterministic seed
-// (RetrainConfig.WithAttempt) and a budget scaled by the measured drift
-// severity (RetrainConfig.ScaleForSeverity), so repeated retrains explore
-// fresh regeneration draws and severe drifts earn deeper reruns. Retrain
-// publishes unconditionally; RetrainGated puts a champion/challenger gate
-// in front of the rebind.
-func (l *OnlineLearner) Retrain() (*Model, error) {
+// RetrainRound is one retrain attempt, taken from an OnlineLearner by
+// BeginRetrain: the champion it must beat, the window's training and
+// held-out slices (SplitWindow), and the attempt's seed and drift-scaled
+// budget. Its training steps read only that snapshot, so they run without
+// holding the learner — serve.Learner trains in the background while
+// feedback keeps arriving — and the learner records the outcome through
+// Record. Retrain and RetrainGated run the same steps inline.
+type RetrainRound struct {
+	champion      *Model
+	trainX, holdX [][]float64
+	trainY, holdY []int
+	cfg           RetrainConfig
+}
+
+// BeginRetrain takes the next retrain round: it counts the attempt and
+// snapshots the bound model as the champion, the window split, and the
+// attempt's seed (RetrainConfig.WithAttempt over the attempts before it)
+// and budget (RetrainConfig.ScaleForSeverity), so repeated rounds explore
+// fresh regeneration draws and a severe drift earns a deeper rerun.
+func (l *OnlineLearner) BeginRetrain() (*RetrainRound, error) { return l.beginRetrain(true) }
+
+// beginRetrain takes a round; without split its training slice is the whole
+// window and its holdout is empty — all an ungated Retrain refits on, so
+// the window is copied once.
+func (l *OnlineLearner) beginRetrain(split bool) (*RetrainRound, error) {
 	if l.winLen == 0 {
 		return nil, fmt.Errorf("disthd: retrain with an empty feedback window")
 	}
-	X, y := l.Window()
-	next, err := l.retrainOn(X, y)
+	r := &RetrainRound{
+		champion: l.m,
+		cfg: l.cfg.Retrain.WithAttempt(l.attempts).
+			ScaleForSeverity(l.DriftReport().Severity, l.cfg.DriftThreshold),
+	}
+	l.attempts++
+	if !split {
+		r.trainX, r.trainY = l.Window()
+		return r, nil
+	}
+	// SplitWindow never starves training: with HoldoutFraction < 1
+	// (enforced by withDefaults) every class keeps at least one sample, so
+	// a non-empty window always yields a non-empty training slice.
+	r.trainX, r.trainY, r.holdX, r.holdY = l.SplitWindow()
+	return r, nil
+}
+
+// Challenge trains the round's challenger on the training slice and judges
+// it against the champion on the holdout through g. A nil g judges
+// nothing: the verdict publishes without evidence, as an empty holdout
+// would. force publishes whatever the verdict, which still reports the
+// measured margins with Forced set; the challenger may go live when
+// Publish or Forced holds.
+func (r *RetrainRound) Challenge(g *Gate, force bool) (*Model, GateVerdict, error) {
+	next, err := r.champion.Retrain(r.trainX, r.trainY, r.cfg)
+	if err != nil {
+		return nil, GateVerdict{}, err
+	}
+	v := GateVerdict{Publish: true}
+	if g != nil {
+		if v, err = g.Evaluate(r.champion, next, r.holdX, r.holdY); err != nil {
+			return nil, GateVerdict{}, err
+		}
+	}
+	v.Forced = force
+	return next, v, nil
+}
+
+// Holdout returns how many samples the round held out of the challenger's
+// training slice — when nonzero, an accepted challenger is followed by a
+// Refit, so the deployed model does not forfeit that share of its data.
+func (r *RetrainRound) Holdout() int { return len(r.holdX) }
+
+// Refit warm-retrains the champion on (X, y), a fresh copy of the full
+// window (OnlineLearner.Window), with the round's seed and budget. It is
+// what an ungated Retrain publishes, so the gate changes WHICH rounds
+// publish, never what a published retrain looks like.
+func (r *RetrainRound) Refit(X [][]float64, y []int) (*Model, error) {
+	return r.champion.Retrain(X, y, r.cfg)
+}
+
+// Record settles a round. A nil published counts a rejection: the
+// champion stays bound. Otherwise published — the challenger or its
+// refit — is bound with a fresh drift baseline (SetModel) and counted as a
+// retrain; a refit that follows an already recorded challenger rebinds
+// through UpgradeModel instead.
+func (l *OnlineLearner) Record(published *Model) error {
+	if published == nil {
+		l.rejections++
+		return nil
+	}
+	if err := l.SetModel(published); err != nil {
+		return err
+	}
+	l.retrains++
+	return nil
+}
+
+// Retrain runs one ungated round: it refits the champion on the whole
+// window, rebinds the learner to the successor, and returns it. The
+// previous model is left untouched, so a caller serving it can publish the
+// successor atomically afterwards. RetrainGated puts a champion/challenger
+// gate in front of the rebind.
+func (l *OnlineLearner) Retrain() (*Model, error) {
+	r, err := l.beginRetrain(false)
 	if err != nil {
 		return nil, err
 	}
-	l.retrains++
-	if err := l.SetModel(next); err != nil {
+	next, err := r.Refit(r.trainX, r.trainY)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.Record(next); err != nil {
 		return nil, err
 	}
 	return next, nil
 }
 
-// retrainOn trains one challenger on (X, y) with the per-attempt seed and
-// severity-scaled budget — the step Retrain and RetrainGated share.
-func (l *OnlineLearner) retrainOn(X [][]float64, y []int) (*Model, error) {
-	rc := l.nextRetrainConfig()
-	return l.m.Retrain(X, y, rc)
-}
-
-// nextRetrainConfig derives the next attempt's retrain config: per-attempt
-// seed (WithAttempt) and severity-scaled budget (ScaleForSeverity).
-func (l *OnlineLearner) nextRetrainConfig() RetrainConfig {
-	rc := l.cfg.Retrain.WithAttempt(l.attempts).
-		ScaleForSeverity(l.DriftReport().Severity, l.cfg.DriftThreshold)
-	l.attempts++
-	return rc
-}
-
-// RetrainGated warm-retrains a challenger on the training slice of the
-// window (SplitWindow) and publishes only if it passes the gate on the
-// held-out slice. On a passing (or forced) verdict the incumbent is REFIT
-// on the full window — holdout included, identical budget and seed, in
-// window order — then the learner rebinds to the refit and returns it: the
-// judged challenger's role was to prove the window trustworthy, and a
-// deployed model should not forfeit the held-out share of its training
-// data (the classic train/validate-then-refit pattern, at one extra warm
-// retrain per publish). Because the refit is trained exactly as an
-// ungated Retrain would be, the gate changes WHICH retrains publish, never
-// what a published retrain looks like. On rejection the incumbent stays
+// RetrainGated runs one gated round: a challenger trains on the training
+// slice of the window (SplitWindow) and publishes only if it passes the
+// gate on the held-out slice. On a passing (or forced) verdict the
+// champion is REFIT on the full window — holdout included, identical
+// budget and seed, in window order — and the learner rebinds to the refit
+// and returns it: the judged challenger's role was to prove the window
+// trustworthy, and a deployed model should not forfeit the held-out share
+// of its training data (the classic train/validate-then-refit pattern, at
+// one extra warm retrain per publish). On rejection the incumbent stays
 // bound, Rejections increments, and the returned model is nil. force
 // publishes regardless of the verdict (which still reports the measured
-// margins, with Forced set). The budget is severity-scaled exactly as in
-// Retrain.
+// margins, with Forced set).
 func (l *OnlineLearner) RetrainGated(g *Gate, force bool) (*Model, GateVerdict, error) {
 	if g == nil {
 		return nil, GateVerdict{}, fmt.Errorf("disthd: RetrainGated needs a gate")
 	}
-	if l.winLen == 0 {
-		return nil, GateVerdict{}, fmt.Errorf("disthd: retrain with an empty feedback window")
-	}
-	// SplitWindow never starves training: with HoldoutFraction < 1
-	// (enforced by withDefaults) every class keeps at least one sample, so
-	// a non-empty window always yields a non-empty training slice.
-	trainX, trainY, holdX, holdY := l.SplitWindow()
-	rc := l.nextRetrainConfig()
-	next, err := l.m.Retrain(trainX, trainY, rc)
+	r, err := l.BeginRetrain()
 	if err != nil {
 		return nil, GateVerdict{}, err
 	}
-	v, err := g.Evaluate(l.m, next, holdX, holdY)
+	next, v, err := r.Challenge(g, force)
 	if err != nil {
 		return nil, GateVerdict{}, err
 	}
-	v.Forced = force
-	if !v.Publish && !force {
-		l.rejections++
-		return nil, v, nil
+	if !v.Publish && !v.Forced {
+		return nil, v, l.Record(nil)
 	}
-	if len(holdX) > 0 {
-		X, y := l.Window()
-		if next, err = l.m.Retrain(X, y, rc); err != nil {
+	if r.Holdout() > 0 {
+		if next, err = r.Refit(l.Window()); err != nil {
 			return nil, v, err
 		}
 	}
-	l.retrains++
-	if err := l.SetModel(next); err != nil {
+	if err := l.Record(next); err != nil {
 		return nil, v, err
 	}
 	return next, v, nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +140,41 @@ func TestSwapRejectsShapeBomb(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/predict", predictRequest{X: s.test.X[0]}, nil); code != http.StatusOK {
 		t.Fatalf("/predict after the bomb: status %d", code)
+	}
+}
+
+// oneBitSnapshot is a well-formed 1-bit model snapshot of the given
+// shape: unit bandwidth, zero encoder, all-(−1) classes.
+func oneBitSnapshot(features, dim, classes int) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 0x44485644) // "DVHD"
+	for _, v := range []int{2, features, dim, classes} {   // 1-bit version, shape
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	return append(b, make([]byte, 8*(dim*features+dim+classes*((dim+63)/64)))...)
+}
+
+// TestSwapRefusesShapeBeforeDecoding pins that /swap judges a snapshot's
+// shape on its header: a 640 KiB 1-bit body shaped unlike the serving
+// model answers 409 without first expanding its classes into their ±1
+// float view, 64 times the class payload (32 MiB here).
+func TestSwapRefusesShapeBeforeDecoding(t *testing.T) {
+	s := fixtures(t)
+	_, ts := newTestServer(t, s.a)
+	body := oneBitSnapshot(1, 8192, 512)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/swap", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("mismatched 1-bit /swap: status %d, want 409", resp.StatusCode)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("refusing a %d-byte snapshot allocated %d MiB", len(body), grew>>20)
 	}
 }
 

@@ -33,8 +33,6 @@ type LearnerOptions struct {
 	MinRetrain int
 	// Iterations is the warm-retrain budget in pipeline rounds (default 5).
 	Iterations int
-	// LearningRate overrides the model's training-time η when positive.
-	LearningRate float64
 	// HoldoutFraction is the fraction of the feedback window held out from
 	// retrain data for the champion/challenger gate (default 0.20 via
 	// disthd.OnlineConfig; negative disables the holdout — the gate then
@@ -61,7 +59,8 @@ type LearnerOptions struct {
 	// single retrain slot forever, so the learner can no longer adapt —
 	// exactly what a cluster coordinator's health probes need to see.
 	StallDeadline time.Duration
-	// Seed drives the retrain and reservoir streams.
+	// Seed drives the retrain and reservoir streams (0 selects
+	// disthd.OnlineConfig's default of 1).
 	Seed uint64
 }
 
@@ -112,10 +111,15 @@ type FeedResult struct {
 // /retrain?force=1 bypasses the verdict (the evaluation still runs and is
 // reported).
 //
+// The round itself — window split, per-attempt seed, drift-scaled budget,
+// challenger, verdict, refit, and the attempt/retrain/rejection counters —
+// is disthd.OnlineLearner's (disthd.RetrainRound); the Learner schedules
+// it, publishes its models, and keeps the serving-side gauges.
+//
 // Concurrency: Feed and Retrain may be called from any number of
 // goroutines; the learner state is guarded by one mutex, while the retrain
-// itself (the expensive part) runs outside it on a window snapshot. At most
-// one retrain is in flight at a time.
+// itself (the expensive part) runs outside it on the round's window
+// snapshot. At most one retrain is in flight at a time.
 type Learner struct {
 	sw   *Swapper
 	opts LearnerOptions
@@ -125,14 +129,10 @@ type Learner struct {
 	ol *disthd.OnlineLearner
 
 	retraining   atomic.Bool
-	retrainStart atomic.Int64 // wall-clock ns the in-flight retrain began, 0 when none
-	feedback     atomic.Uint64
+	retrainStart atomic.Int64  // wall-clock ns the in-flight retrain began, 0 when none
+	feedback     atomic.Uint64 // mirrors ol.Observations(), so Health reads it without mu
 	drifts       atomic.Uint64
-	attempts     atomic.Uint64
-	retrains     atomic.Uint64
 	retrainErrs  atomic.Uint64
-	gateAccepts  atomic.Uint64
-	gateRejects  atomic.Uint64
 	rejectAt     atomic.Uint64              // 1 + feedback count at the last rejection
 	lastGate     atomic.Pointer[GateResult] // last gate evaluation, any outcome
 	lastReject   atomic.Pointer[GateResult] // last rejected challenger
@@ -158,12 +158,8 @@ func (o LearnerOptions) onlineConfig() disthd.OnlineConfig {
 		RecentWindow:    o.RecentWindow,
 		DriftThreshold:  o.DriftThreshold,
 		HoldoutFraction: holdout,
-		Retrain: disthd.RetrainConfig{
-			Iterations:   o.Iterations,
-			LearningRate: o.LearningRate,
-			Seed:         o.Seed,
-		},
-		Seed: o.Seed,
+		Retrain:         disthd.RetrainConfig{Iterations: o.Iterations, Seed: o.Seed},
+		Seed:            o.Seed,
 	}
 }
 
@@ -178,49 +174,37 @@ func NewLearner(sw *Swapper, opts LearnerOptions) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLearner(sw, o, ol), nil
+}
+
+// newLearner wraps ol, resolved options already applied.
+func newLearner(sw *Swapper, o LearnerOptions, ol *disthd.OnlineLearner) *Learner {
 	l := &Learner{sw: sw, opts: o, ol: ol}
 	if !o.GateDisabled {
 		l.gate = disthd.NewGate(disthd.GateConfig{MinMargin: o.GateMargin})
 	}
-	return l, nil
+	return l
 }
 
 // LearnerState is a portable snapshot of a Learner: the wrapped
 // OnlineLearner's deep state (feedback window, drift baseline, accuracy
-// rings, counters) plus the serving-side gauges — retrain/gate
-// counters, backoff position, and the last gate verdicts. Export takes
-// one and RestoreLearner rebuilds a Learner from it over a fresh
-// Swapper, which is how serve/registry makes tenant eviction lossless
-// for learning tenants. Gauges is the frozen /stats view at export
-// time, so a parked tenant's stats endpoint can keep reporting the
-// learner without holding a live serving unit.
+// rings, retrain counters) plus the serving-side gauges. Export takes one
+// and RestoreLearner rebuilds a Learner from it over a fresh Swapper,
+// which is how serve/registry makes tenant eviction lossless for learning
+// tenants. Gauges is the frozen /stats view at export time, so a parked
+// tenant's stats endpoint can keep reporting the learner without holding
+// a live serving unit; it also restores the serving-side counters and
+// gate verdicts. The four fields after it hold what Gauges does not carry
+// exactly: the backoff anchor and the retrain clocks at full resolution.
 type LearnerState struct {
 	// Online is the wrapped OnlineLearner's deep snapshot.
 	Online *disthd.LearnerState
 	// Gauges is the LearnerSnapshot frozen at export time — what /stats
 	// reported the instant the learner was parked.
 	Gauges LearnerSnapshot
-	// Feedback through GateRejects restore the serving-side counters.
-	Feedback uint64
-	// Drifts counts drift-flagged ingestions.
-	Drifts uint64
-	// Attempts counts retrain attempts (seed derivation).
-	Attempts uint64
-	// Retrains counts published retrains.
-	Retrains uint64
-	// RetrainErrors counts failed retrains.
-	RetrainErrors uint64
-	// GateAccepts counts published challengers.
-	GateAccepts uint64
-	// GateRejects counts dropped challengers.
-	GateRejects uint64
 	// RejectAt is 1 + the feedback count at the last rejection (the
 	// rejection-backoff anchor; 0 when no challenger was ever rejected).
 	RejectAt uint64
-	// LastGate and LastRejection are the most recent gate verdicts.
-	LastGate *GateResult
-	// LastRejection is the most recent rejected challenger's verdict.
-	LastRejection *GateResult
 	// LastRetrainNS, LastDurationNS, and LastAutoNS restore the retrain
 	// wall-clock gauges (UnixNano / duration ns).
 	LastRetrainNS int64
@@ -243,24 +227,14 @@ func (l *Learner) Export() *LearnerState {
 	l.mu.Lock()
 	online := l.ol.Export()
 	l.mu.Unlock()
-	st := &LearnerState{
+	return &LearnerState{
 		Online:         online,
-		Feedback:       l.feedback.Load(),
-		Drifts:         l.drifts.Load(),
-		Attempts:       l.attempts.Load(),
-		Retrains:       l.retrains.Load(),
-		RetrainErrors:  l.retrainErrs.Load(),
-		GateAccepts:    l.gateAccepts.Load(),
-		GateRejects:    l.gateRejects.Load(),
+		Gauges:         l.Snapshot(),
 		RejectAt:       l.rejectAt.Load(),
-		LastGate:       l.lastGate.Load(),
-		LastRejection:  l.lastReject.Load(),
 		LastRetrainNS:  l.lastRetrain.Load(),
 		LastDurationNS: l.lastDuration.Load(),
 		LastAutoNS:     l.lastAuto.Load(),
 	}
-	st.Gauges = l.Snapshot()
-	return st
 }
 
 // RestoreLearner rebuilds a Learner from an Export snapshot over sw,
@@ -282,20 +256,13 @@ func RestoreLearner(sw *Swapper, opts LearnerOptions, st *LearnerState) (*Learne
 	if err != nil {
 		return nil, err
 	}
-	l := &Learner{sw: sw, opts: o, ol: ol}
-	if !o.GateDisabled {
-		l.gate = disthd.NewGate(disthd.GateConfig{MinMargin: o.GateMargin})
-	}
-	l.feedback.Store(st.Feedback)
-	l.drifts.Store(st.Drifts)
-	l.attempts.Store(st.Attempts)
-	l.retrains.Store(st.Retrains)
-	l.retrainErrs.Store(st.RetrainErrors)
-	l.gateAccepts.Store(st.GateAccepts)
-	l.gateRejects.Store(st.GateRejects)
+	l := newLearner(sw, o, ol)
+	l.feedback.Store(ol.Observations())
+	l.drifts.Store(st.Gauges.DriftEvents)
+	l.retrainErrs.Store(st.Gauges.RetrainErrors)
+	l.lastGate.Store(st.Gauges.LastGate)
+	l.lastReject.Store(st.Gauges.LastRejection)
 	l.rejectAt.Store(st.RejectAt)
-	l.lastGate.Store(st.LastGate)
-	l.lastReject.Store(st.LastRejection)
 	l.lastRetrain.Store(st.LastRetrainNS)
 	l.lastDuration.Store(st.LastDurationNS)
 	l.lastAuto.Store(st.LastAutoNS)
@@ -308,13 +275,9 @@ func RestoreLearner(sw *Swapper, opts LearnerOptions, st *LearnerState) (*Learne
 // (at most one in flight, rate-limited by Cooldown).
 func (l *Learner) Feed(x []float64, label int) (FeedResult, error) {
 	l.mu.Lock()
-	// An external /swap may have published a model the learner has not seen;
-	// rebind so feedback is judged against what is actually serving.
-	if cur := l.sw.Current(); cur != l.ol.Model() {
-		if err := l.ol.SetModel(cur); err != nil {
-			l.mu.Unlock()
-			return FeedResult{}, err
-		}
+	if err := l.bindServing(); err != nil {
+		l.mu.Unlock()
+		return FeedResult{}, err
 	}
 	correct, err := l.ol.Observe(x, label)
 	if err != nil {
@@ -338,6 +301,18 @@ func (l *Learner) Feed(x []float64, label int) (FeedResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// bindServing rebinds the learner to the model actually serving, which an
+// external /swap may have published since the learner last looked: feedback
+// is judged against it and a retrain round takes it as the champion, so a
+// round never retrains a displaced model and overwrites the operator's swap
+// with its successor. The caller holds mu.
+func (l *Learner) bindServing() error {
+	if cur := l.sw.Current(); cur != l.ol.Model() {
+		return l.ol.SetModel(cur)
+	}
+	return nil
 }
 
 // startAutoRetrain is startRetrain behind the drift cooldown. The cooldown
@@ -406,13 +381,19 @@ func (l *Learner) GateQuantized(champion, challenger *disthd.Model, margin float
 	if err != nil {
 		return nil, err
 	}
+	return gateResult(v), nil
+}
+
+// gateResult reports a verdict in the /stats shape (Published unset).
+func gateResult(v disthd.GateVerdict) *GateResult {
 	return &GateResult{
 		Passed:             v.Publish,
+		Forced:             v.Forced,
 		ChampionAccuracy:   v.ChampionAccuracy,
 		ChallengerAccuracy: v.ChallengerAccuracy,
 		Margin:             v.Margin,
 		HoldoutSize:        v.HoldoutSize,
-	}, nil
+	}
 }
 
 // startRetrain claims the single retrain slot and launches the worker.
@@ -476,115 +457,85 @@ func (l *Learner) Health() LearnerHealth {
 	return h
 }
 
-// runRetrain executes one retrain: snapshot the window split and the
-// serving model under the lock, train the challenger outside it on the
-// training slice (severity-scaled budget), judge it against the incumbent
-// on the holdout, and only on a passing (or forced) verdict publish through
-// the Swapper and rebind the learner. Requests keep flowing the whole time;
-// a rejected challenger is dropped without ever touching the Swapper.
+// runRetrain runs one disthd.RetrainRound in the background: take the
+// round under the lock, with the serving model as its champion, train and
+// judge the challenger outside it, and only on a passing (or forced)
+// verdict publish through the Swapper and record the retrain. Requests
+// keep flowing the whole time; a rejected challenger is recorded and
+// dropped without ever touching the Swapper.
 func (l *Learner) runRetrain(force bool) {
 	l.mu.Lock()
-	trainX, trainY, holdX, holdY := l.ol.SplitWindow()
-	severity := l.ol.DriftReport().Severity
-	threshold := l.ol.Config().DriftThreshold
-	cur := l.sw.Current()
-	attempt := l.attempts.Add(1) - 1
+	err := l.bindServing()
+	var round *disthd.RetrainRound
+	if err == nil {
+		round, err = l.ol.BeginRetrain()
+	}
 	l.mu.Unlock()
-	if len(trainX) == 0 {
+	if err != nil {
 		l.retrainErrs.Add(1)
 		return
 	}
 
 	start := time.Now()
-	// Per-attempt seed derivation and severity scaling are shared with
-	// OnlineLearner.Retrain (RetrainConfig.WithAttempt / ScaleForSeverity):
-	// repeated retrains explore fresh regeneration draws deterministically,
-	// and a deeper accuracy collapse earns a deeper rerun.
-	rc := disthd.RetrainConfig{
-		Iterations:   l.opts.Iterations,
-		LearningRate: l.opts.LearningRate,
-		Seed:         l.opts.Seed,
-	}.WithAttempt(attempt).ScaleForSeverity(severity, threshold)
-	next, err := cur.Retrain(trainX, trainY, rc)
+	next, v, err := round.Challenge(l.gate, force)
 	if err != nil {
 		l.retrainErrs.Add(1)
 		return
 	}
 	var res *GateResult
 	if l.gate != nil {
-		v, err := l.gate.Evaluate(cur, next, holdX, holdY)
-		if err != nil {
-			l.retrainErrs.Add(1)
-			return
-		}
-		res = &GateResult{
-			Passed:             v.Publish,
-			Forced:             force,
-			ChampionAccuracy:   v.ChampionAccuracy,
-			ChallengerAccuracy: v.ChallengerAccuracy,
-			Margin:             v.Margin,
-			HoldoutSize:        v.HoldoutSize,
-		}
-		if !v.Publish && !force {
+		res = gateResult(v)
+		if !v.Publish && !v.Forced {
 			l.lastGate.Store(res)
-			l.gateRejects.Add(1)
 			l.lastReject.Store(res)
+			l.mu.Lock()
+			_ = l.ol.Record(nil) // recording a rejection cannot fail
+			l.mu.Unlock()
 			l.rejectAt.Store(l.feedback.Load() + 1)
 			return
 		}
 	}
-	if !l.publish(next) {
-		// The challenger never served: record the evaluation with
-		// Published false so gate_accepts keeps matching challengers that
-		// actually went live.
-		if res != nil {
-			l.lastGate.Store(res)
-		}
-		return
-	}
+	published := l.publish(next)
 	if res != nil {
-		res.Published = true
+		// A challenger that never served keeps Published false, so the
+		// gate accepts (the recorded retrains) match models that went live.
+		res.Published = published
 		l.lastGate.Store(res)
-		l.gateAccepts.Add(1)
+	}
+	if !published {
+		return
 	}
 	// The retrain gauges are recorded at the stage-one publish: the
 	// successor is serving from this moment, whatever becomes of the refit
 	// upgrade below (a failed refit adds a retrain error but cannot
 	// un-publish the challenger or corrupt the completion record).
-	l.retrains.Add(1)
 	l.lastDuration.Store(int64(time.Since(start)))
 	l.lastRetrain.Store(time.Now().UnixNano())
-	if l.gate != nil && len(holdX) > 0 {
-		// The accepted challenger is already serving; now refit the
-		// incumbent on the FULL window — holdout included, identical budget
-		// and seed, window order — and publish the upgrade behind it. The
-		// judged challenger proved the window trustworthy, and the deployed
-		// model should not forfeit the held-out share of its training data
-		// (the classic train/validate-then-refit pattern; see
-		// disthd.OnlineLearner.RetrainGated). Training the refit exactly as
-		// an ungated retrain would also means the gate changes WHICH
-		// retrains publish, never what a published retrain looks like.
-		// Publishing the challenger first keeps the gate from costing
-		// adaptation latency: traffic runs on adapted weights while the
-		// refit trains. The full window is snapshotted only now — rejected
-		// retrains never pay for the copy — so the refit trains on the
-		// freshest window (identical to the split snapshot whenever no
-		// feedback arrived in between, as in the deterministic benchmark).
-		l.mu.Lock()
-		fullX, fullY := l.ol.Window()
-		l.mu.Unlock()
-		full, err := cur.Retrain(fullX, fullY, rc)
-		if err != nil {
-			l.retrainErrs.Add(1)
-			return
-		}
-		if !l.publishUpgrade(next, full) {
-			return
-		}
-		// Refresh the gauges so they cover the upgrade too.
-		l.lastDuration.Store(int64(time.Since(start)))
-		l.lastRetrain.Store(time.Now().UnixNano())
+	if round.Holdout() == 0 {
+		return
 	}
+	// The accepted challenger is already serving; now refit the champion on
+	// the FULL window and publish the upgrade behind it (see
+	// disthd.RetrainRound.Refit). Publishing the challenger first keeps the
+	// gate from costing adaptation latency: traffic runs on adapted weights
+	// while the refit trains. The full window is snapshotted only now —
+	// rejected retrains never pay for the copy — so the refit trains on the
+	// freshest window (identical to the round's snapshot whenever no
+	// feedback arrived in between, as in the deterministic benchmark).
+	l.mu.Lock()
+	fullX, fullY := l.ol.Window()
+	l.mu.Unlock()
+	full, err := round.Refit(fullX, fullY)
+	if err != nil {
+		l.retrainErrs.Add(1)
+		return
+	}
+	if !l.publishUpgrade(next, full) {
+		return
+	}
+	// Refresh the gauges so they cover the upgrade too.
+	l.lastDuration.Store(int64(time.Since(start)))
+	l.lastRetrain.Store(time.Now().UnixNano())
 }
 
 // publishUpgrade swaps the full-window refit in behind the stage-one
@@ -613,13 +564,14 @@ func (l *Learner) publishUpgrade(expected, full *disthd.Model) bool {
 	return true
 }
 
-// publish swaps next into serving and rebinds the learner to it (resetting
-// the accuracy baseline — the successor behaves differently from what the
-// estimates measured), atomically with respect to Feed (whose
-// external-swap rebind check would otherwise race the two steps). A false
-// return means the swapper was closed around us or the successor is
-// somehow misshaped — both counted as retrain errors (shape mismatches
-// cannot happen on this path: Retrain preserves shape).
+// publish swaps next into serving and records it with the learner as the
+// round's retrain (rebinding with a fresh accuracy baseline — the
+// successor behaves differently from what the estimates measured),
+// atomically with respect to Feed (whose external-swap rebind check would
+// otherwise race the two steps). A false return means the swapper was
+// closed around us or the successor is somehow misshaped — both counted
+// as retrain errors (shape mismatches cannot happen on this path: Retrain
+// preserves shape).
 func (l *Learner) publish(next *disthd.Model) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -627,7 +579,7 @@ func (l *Learner) publish(next *disthd.Model) bool {
 		l.retrainErrs.Add(1)
 		return false
 	}
-	if err := l.ol.SetModel(next); err != nil {
+	if err := l.ol.Record(next); err != nil {
 		l.retrainErrs.Add(1)
 		return false
 	}
@@ -683,7 +635,7 @@ type LearnerSnapshot struct {
 	// gate.
 	GateEnabled bool `json:"gate_enabled"`
 	// GateAccepts counts challengers the gate published (forced publishes
-	// included).
+	// included): Retrains when the gate is enabled, else 0.
 	GateAccepts uint64 `json:"gate_accepts"`
 	// GateRejects counts challengers the gate dropped; the incumbent kept
 	// serving through each.
@@ -714,7 +666,12 @@ func (l *Learner) Snapshot() LearnerSnapshot {
 	l.mu.Lock()
 	winLen := l.ol.WindowLen()
 	rep := l.ol.DriftReport()
+	retrains, rejects := l.ol.Retrains(), l.ol.Rejections()
 	l.mu.Unlock()
+	var accepts uint64
+	if l.gate != nil {
+		accepts = retrains
+	}
 	classes := make([]ClassAccuracy, len(rep.Classes))
 	for i, c := range rep.Classes {
 		classes[i] = ClassAccuracy{
@@ -743,11 +700,11 @@ func (l *Learner) Snapshot() LearnerSnapshot {
 		Degraded:         health.Degraded,
 		RejectionBackoff: health.RejectionBackoff,
 		RetrainWedged:    health.RetrainWedged,
-		Retrains:         l.retrains.Load(),
+		Retrains:         retrains,
 		RetrainErrors:    l.retrainErrs.Load(),
 		GateEnabled:      l.gate != nil,
-		GateAccepts:      l.gateAccepts.Load(),
-		GateRejects:      l.gateRejects.Load(),
+		GateAccepts:      accepts,
+		GateRejects:      rejects,
 		LastGate:         l.lastGate.Load(),
 		LastRejection:    l.lastReject.Load(),
 		LastRetrainMs:    float64(l.lastDuration.Load()) / 1e6,

@@ -25,9 +25,9 @@ func TestLearnerExportRestoreContinuity(t *testing.T) {
 	if snap.Gauges.Retraining {
 		t.Fatal("Export returned with a retrain still in flight")
 	}
-	if snap.Retrains != 1 || snap.GateAccepts != 1 {
+	if snap.Gauges.Retrains != 1 || snap.Gauges.GateAccepts != 1 {
 		t.Fatalf("exported gauges retrains=%d gateAccepts=%d, want 1/1 after a forced retrain",
-			snap.Retrains, snap.GateAccepts)
+			snap.Gauges.Retrains, snap.Gauges.GateAccepts)
 	}
 	if b.Model() == st.a {
 		t.Fatal("forced retrain never published; the export has nothing to preserve")
@@ -50,8 +50,8 @@ func TestLearnerExportRestoreContinuity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := restored.Snapshot().Feedback; got != snap.Feedback+8 {
-		t.Fatalf("feedback after restore+8 = %d, want %d", got, snap.Feedback+8)
+	if got := restored.Snapshot().Feedback; got != snap.Gauges.Feedback+8 {
+		t.Fatalf("feedback after restore+8 = %d, want %d", got, snap.Gauges.Feedback+8)
 	}
 }
 

@@ -224,6 +224,9 @@ func TestLearnerConcurrentFeedAndRetrain(t *testing.T) {
 				if i%25 == 0 {
 					l.Retrain(false) //nolint:errcheck // gating errors are expected here
 				}
+				if i%10 == 0 {
+					l.Snapshot() // reads the round counters a background retrain records
+				}
 				if _, err := b.Predict(st.test.X[i%len(st.test.X)]); err != nil {
 					t.Error(err)
 					return

@@ -220,11 +220,12 @@ func checkServing(replicas, maxBatch int) error {
 		checkSize("max_batch", float64(maxBatch), maxInstallBatch))
 }
 
-// checkShape rejects a snapshot whose shape is out of range.
-func checkShape(m *disthd.Model) error {
-	return errors.Join(checkSize("dim", float64(m.Dim()), maxInstallDim),
-		checkSize("features", float64(m.Features()), maxInstallFeatures),
-		checkSize("classes", float64(m.Classes()), maxInstallClasses))
+// checkShape rejects a snapshot shape out of range — the disthd.Load
+// check, so a refused snapshot's payload is never decoded.
+func checkShape(features, dim, classes int) error {
+	return errors.Join(checkSize("dim", float64(dim), maxInstallDim),
+		checkSize("features", float64(features), maxInstallFeatures),
+		checkSize("classes", float64(classes), maxInstallClasses))
 }
 
 // check rejects out-of-range sizes.
@@ -243,6 +244,9 @@ func (is InstallSpec) Build() (*disthd.Model, Spec, error) {
 	if err := is.check(); err != nil {
 		return nil, Spec{}, err
 	}
+	if is.Seed == 0 {
+		is.Seed = 42
+	}
 	sp := Spec{Options: serve.Options{Replicas: is.Replicas, MaxBatch: is.MaxBatch}}
 	if is.Learn {
 		sp.Learner = &serve.LearnerOptions{Seed: is.Seed}
@@ -254,7 +258,8 @@ func (is InstallSpec) Build() (*disthd.Model, Spec, error) {
 	return m, sp, nil
 }
 
-// train builds the spec's model (and quantized tier, when asked).
+// train builds the spec's model (and quantized tier, when asked); Build
+// has resolved the seed.
 func (is InstallSpec) train() (*disthd.Model, error) {
 	if is.Demo == "" {
 		return nil, fmt.Errorf("install spec needs \"demo\" (one of %v)", disthd.BenchmarkNames())
@@ -263,11 +268,7 @@ func (is InstallSpec) train() (*disthd.Model, error) {
 	if scale == 0 {
 		scale = 0.1
 	}
-	seed := is.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	train, test, err := disthd.SyntheticBenchmark(is.Demo, scale, seed)
+	train, test, err := disthd.SyntheticBenchmark(is.Demo, scale, is.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +279,7 @@ func (is InstallSpec) train() (*disthd.Model, error) {
 	if is.Iterations > 0 {
 		cfg.Iterations = is.Iterations
 	}
-	cfg.Seed = seed
+	cfg.Seed = is.Seed
 	m, err := disthd.TrainWithConfig(train.X, train.Y, train.Classes, cfg)
 	if err != nil {
 		return nil, err
@@ -341,13 +342,9 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 			edge.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		mm, err := disthd.Load(http.MaxBytesReader(w, r.Body, edge.MaxModelBody))
+		mm, err := disthd.Load(http.MaxBytesReader(w, r.Body, edge.MaxModelBody), checkShape)
 		if err != nil {
 			edge.WriteError(w, edge.BodyStatus(err), fmt.Errorf("decode model snapshot: %w", err))
-			return
-		}
-		if err := checkShape(mm); err != nil {
-			edge.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if q.Get("learn") == "1" {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,10 +46,10 @@ func TestRegistryInstallBounds(t *testing.T) {
 		{"snapshot max_batch", "?max_batch=100000000", "application/octet-stream", snapshot.String()},
 		{"snapshot replicas", "?replicas=100000", "application/octet-stream", snapshot.String()},
 		// A 28-byte header claiming a 65535×65535×65535 f32 model.
-		{"snapshot shape bomb", "", "application/octet-stream", rawSnapshot(0xffff, 0xffff, 0xffff, false)},
-		{"snapshot dim", "", "application/octet-stream", rawSnapshot(1, maxInstallDim+1, 2, true)},
-		{"snapshot features", "", "application/octet-stream", rawSnapshot(maxInstallFeatures+1, 1, 2, true)},
-		{"snapshot classes", "", "application/octet-stream", rawSnapshot(1, 1, maxInstallClasses+1, true)},
+		{"snapshot shape bomb", "", "application/octet-stream", rawSnapshot(1, 0xffff, 0xffff, 0xffff, false)},
+		{"snapshot dim", "", "application/octet-stream", rawSnapshot(1, 1, maxInstallDim+1, 2, true)},
+		{"snapshot features", "", "application/octet-stream", rawSnapshot(1, maxInstallFeatures+1, 1, 2, true)},
+		{"snapshot classes", "", "application/octet-stream", rawSnapshot(1, 1, 1, maxInstallClasses+1, true)},
 	} {
 		req, err := http.NewRequest("PUT", ts.URL+"/t/bounded"+c.query, strings.NewReader(c.body))
 		if err != nil {
@@ -70,9 +71,9 @@ func TestRegistryInstallBounds(t *testing.T) {
 
 	// Snapshots at the shape bounds install.
 	for i, body := range []string{
-		rawSnapshot(1, maxInstallDim, 2, true),
-		rawSnapshot(maxInstallFeatures, 1, 2, true),
-		rawSnapshot(1, 1, maxInstallClasses, true),
+		rawSnapshot(1, 1, maxInstallDim, 2, true),
+		rawSnapshot(1, maxInstallFeatures, 1, 2, true),
+		rawSnapshot(1, 1, 1, maxInstallClasses, true),
 	} {
 		req, err := http.NewRequest("PUT", fmt.Sprintf("%s/t/edge%d", ts.URL, i), strings.NewReader(body))
 		if err != nil {
@@ -104,16 +105,69 @@ func TestRegistryInstallBounds(t *testing.T) {
 	}
 }
 
-// rawSnapshot is an f32 model snapshot claiming features×dim×classes with
-// a unit bandwidth, followed by its zero payload when full is set.
-func rawSnapshot(features, dim, classes uint32, full bool) string {
-	b := binary.LittleEndian.AppendUint32(nil, 0x44485644)  // "DVHD"
-	for _, v := range []uint32{1, features, dim, classes} { // version, shape
+// TestInstallSpecLearnerSeedDefault pins InstallSpec.Seed's documented
+// default: a spec without "seed" trains and attaches its learner with 42.
+func TestInstallSpecLearnerSeedDefault(t *testing.T) {
+	_, sp, err := InstallSpec{Demo: "DIABETES", Dim: 32, Scale: 0.05, Iterations: 1, Learn: true}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Learner == nil || sp.Learner.Seed != 42 {
+		t.Fatalf("learner options %+v, want seed 42", sp.Learner)
+	}
+}
+
+// TestRegistryInstallRefusesShapeBeforeDecoding pins that a snapshot
+// install judges the shape on the header: an 800 KiB 1-bit body whose
+// dim is past the install bound answers 400 without first expanding its
+// classes into their ±1 float view, 64 times the class payload (39 MiB
+// here).
+func TestRegistryInstallRefusesShapeBeforeDecoding(t *testing.T) {
+	reg, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer ts.Close()
+	body := rawSnapshot(2, 1, maxInstallDim+48, 512, true)
+	req, err := http.NewRequest("PUT", ts.URL+"/t/big", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized 1-bit install: status %d, want 400", resp.StatusCode)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("refusing a %d-byte snapshot allocated %d MiB", len(body), grew>>20)
+	}
+}
+
+// rawSnapshot is a model snapshot of the given format version (1 f32, 2
+// 1-bit) claiming features×dim×classes with a unit bandwidth, followed by
+// its zero payload when full is set: the encoder's features+1 rows of dim
+// words, then per class dim float64s (f32) or ⌈dim/64⌉ sign words (1-bit).
+func rawSnapshot(version, features, dim, classes uint32, full bool) string {
+	b := binary.LittleEndian.AppendUint32(nil, 0x44485644)        // "DVHD"
+	for _, v := range []uint32{version, features, dim, classes} { // shape
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
 	if full {
-		b = append(b, make([]byte, 8*int(dim)*int(features+1+classes))...)
+		class := int(dim)
+		if version == 2 {
+			class = (class + 63) / 64
+		}
+		b = append(b, make([]byte, 8*(int(dim)*int(features+1)+int(classes)*class))...)
 	}
 	return string(b)
 }

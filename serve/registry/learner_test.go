@@ -200,12 +200,12 @@ func TestRegistryLearnerChurnContinuity(t *testing.T) {
 				t.Fatalf("round %d tenant %q: observations %d, want %d (window reset across wake?)",
 					round, f.name, st.Online.Observations, want)
 			}
-			if st.Drifts < prevDrifts[f.name] {
+			if st.Gauges.DriftEvents < prevDrifts[f.name] {
 				t.Fatalf("round %d tenant %q: drift counter went backwards (%d -> %d)",
-					round, f.name, prevDrifts[f.name], st.Drifts)
+					round, f.name, prevDrifts[f.name], st.Gauges.DriftEvents)
 			}
 			prevObs[f.name] = st.Online.Observations
-			prevDrifts[f.name] = st.Drifts
+			prevDrifts[f.name] = st.Gauges.DriftEvents
 		}
 	}
 	st := reg.Stats()

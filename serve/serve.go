@@ -60,11 +60,10 @@ type Options struct {
 	// to trade tail latency for guaranteed occupancy. Clamped to MaxBatch.
 	MinFill int
 	// Replicas is the number of worker goroutines, each with its own
-	// scratch lease. Default GOMAXPROCS.
+	// scratch lease. Default GOMAXPROCS. The request queue holds
+	// 2·Replicas·MaxBatch requests; submitters block (applying
+	// backpressure) when it is full.
 	Replicas int
-	// QueueDepth bounds the request queue; submitters block (applying
-	// backpressure) when it is full. Default 2·Replicas·MaxBatch.
-	QueueDepth int
 }
 
 // withDefaults fills unset fields and validates the rest.
@@ -78,16 +77,13 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Replicas == 0 {
 		o.Replicas = runtime.GOMAXPROCS(0)
 	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 2 * o.Replicas * o.MaxBatch
-	}
 	if o.MinFill == 0 {
 		o.MinFill = 1
 	}
 	if o.MinFill > o.MaxBatch {
 		o.MinFill = o.MaxBatch
 	}
-	if o.MaxBatch < 1 || o.MaxDelay < 0 || o.Replicas < 1 || o.QueueDepth < 1 || o.MinFill < 1 {
+	if o.MaxBatch < 1 || o.MaxDelay < 0 || o.Replicas < 1 || o.MinFill < 1 {
 		return o, fmt.Errorf("serve: invalid options %+v", o)
 	}
 	return o, nil
@@ -143,7 +139,7 @@ func NewBatcher(m *disthd.Model, opts Options) (*Batcher, error) {
 		sw:       sw,
 		stats:    newStats(),
 		features: m.Features(),
-		queue:    make(chan request, o.QueueDepth),
+		queue:    make(chan request, 2*o.Replicas*o.MaxBatch),
 	}
 	b.repPool.New = func() any {
 		// Built from the model serving at Get time, not the construction

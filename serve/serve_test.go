@@ -94,7 +94,7 @@ func TestBatcherFlushOnSize(t *testing.T) {
 func TestBatcherFlushOnSizeExact(t *testing.T) {
 	s := fixtures(t)
 	const batch = 4
-	b, err := NewBatcher(s.a, Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1, QueueDepth: batch})
+	b, err := NewBatcher(s.a, Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,8 @@ func (s *Swapper) Swap(next *disthd.Model) error {
 	if next == nil {
 		return fmt.Errorf("serve: cannot swap in a nil model")
 	}
-	cur := s.cur.Load()
-	if next.Features() != cur.Features() || next.Dim() != cur.Dim() || next.Classes() != cur.Classes() {
-		return fmt.Errorf("%w: serving %d features/%d dims/%d classes, got %d/%d/%d",
-			ErrShapeMismatch,
-			cur.Features(), cur.Dim(), cur.Classes(), next.Features(), next.Dim(), next.Classes())
+	if err := s.fits(next.Features(), next.Dim(), next.Classes()); err != nil {
+		return err
 	}
 	s.cur.Store(next)
 	s.swaps.Add(1)
@@ -75,11 +72,8 @@ func (s *Swapper) SwapIfCurrent(old, next *disthd.Model) (bool, error) {
 	if next == nil {
 		return false, fmt.Errorf("serve: cannot swap in a nil model")
 	}
-	cur := s.cur.Load()
-	if next.Features() != cur.Features() || next.Dim() != cur.Dim() || next.Classes() != cur.Classes() {
-		return false, fmt.Errorf("%w: serving %d features/%d dims/%d classes, got %d/%d/%d",
-			ErrShapeMismatch,
-			cur.Features(), cur.Dim(), cur.Classes(), next.Features(), next.Dim(), next.Classes())
+	if err := s.fits(next.Features(), next.Dim(), next.Classes()); err != nil {
+		return false, err
 	}
 	if !s.cur.CompareAndSwap(old, next) {
 		return false, nil
@@ -88,10 +82,23 @@ func (s *Swapper) SwapIfCurrent(old, next *disthd.Model) (bool, error) {
 	return true, nil
 }
 
+// fits rejects a shape other than the serving model's with
+// ErrShapeMismatch. Every swap preserves the shape, so it never changes.
+func (s *Swapper) fits(features, dim, classes int) error {
+	cur := s.cur.Load()
+	if features != cur.Features() || dim != cur.Dim() || classes != cur.Classes() {
+		return fmt.Errorf("%w: serving %d features/%d dims/%d classes, got %d/%d/%d",
+			ErrShapeMismatch, cur.Features(), cur.Dim(), cur.Classes(), features, dim, classes)
+	}
+	return nil
+}
+
 // SwapReader reads a disthd.Model snapshot (the Model.Save format) from r
 // and swaps it in. This is the transport behind the HTTP /swap endpoint.
+// A snapshot shaped unlike the serving model is refused on its header,
+// before its payload is decoded.
 func (s *Swapper) SwapReader(r io.Reader) error {
-	m, err := disthd.Load(r)
+	m, err := disthd.Load(r, s.fits)
 	if err != nil {
 		return fmt.Errorf("serve: swap payload: %w", err)
 	}
