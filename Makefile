@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet doc-check build test race bench-smoke fuzz-smoke bench-compare bench-snapshot drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke bench bench-kernels bench-serve bench-drift bench-cluster bench-registry
+.PHONY: ci fmt-check vet doc-check build test race bench-smoke fuzz-smoke bench-compare bench-snapshot drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke perfbench-check bench bench-kernels bench-serve bench-drift bench-cluster bench-registry
 
-ci: fmt-check vet doc-check build race bench-smoke fuzz-smoke bench-compare drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke
+ci: fmt-check vet doc-check build race bench-smoke fuzz-smoke bench-compare drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke perfbench-check
 
 # gofmt must be a no-op across the tree.
 fmt-check:
@@ -110,6 +110,14 @@ wire-smoke:
 # clean SIGTERM drain asserted.
 registry-smoke:
 	sh scripts/registry_smoke.sh
+
+# perfbench/ is its own module (it replaces repro with ../), so the root
+# build, vet and race targets never compile it. Vet and test it here, so
+# a change to the serving surface it drives (serve.New, the registry,
+# Batcher.PredictStream, Replica.PredictBatch) cannot pass ci and break
+# the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The kernel and end-to-end benchmarks behind PERF.md, with allocation
 # reporting and enough repetitions for benchstat.

@@ -73,7 +73,7 @@ func (m *Model) NewReplica(maxBatch int) (*Replica, error) {
 	r.qview = *r.qm
 	// Bind the packed encoder up front for a quantized model so the first
 	// request doesn't pay the one-time wrapper + f32 base cache build;
-	// predictChunk rebinds lazily after a hot swap changes the encoder.
+	// PredictScratch rebinds lazily after a hot swap changes the encoder.
 	if m.Quantized() {
 		p, err := encoding.NewPackedRBF(m.clf.Enc)
 		if err != nil {
@@ -99,16 +99,10 @@ func (r *Replica) Compatible(m *Model) bool {
 // running the zero-allocation EncodeBatchInto → PredictBatchInto kernel
 // path over the replica's leased scratch — or, for a quantized model, the
 // packed encode → XOR+popcount path over the packed scratch. Inputs longer
-// than MaxBatch are processed in MaxBatch-sized chunks. It returns the
-// number of rows written, which is len(rows) on success.
+// than MaxBatch are copied into InputScratch and classified by
+// PredictScratch in MaxBatch-sized chunks. It returns the number of rows
+// written, which is len(rows) on success.
 func (r *Replica) PredictBatch(m *Model, rows [][]float64, out []int) (int, error) {
-	if !r.Compatible(m) {
-		return 0, fmt.Errorf("disthd: replica shaped %d/%d/%d cannot serve model shaped %d/%d/%d",
-			r.features, r.dim, r.classes, m.Features(), m.Dim(), m.Classes())
-	}
-	if len(out) < len(rows) {
-		return 0, fmt.Errorf("disthd: out has %d slots for %d rows", len(out), len(rows))
-	}
 	for i, row := range rows {
 		if len(row) != r.features {
 			return 0, fmt.Errorf("disthd: row %d has %d features, model expects %d", i, len(row), r.features)
@@ -116,38 +110,16 @@ func (r *Replica) PredictBatch(m *Model, rows [][]float64, out []int) (int, erro
 	}
 	done := 0
 	for done < len(rows) {
-		n := len(rows) - done
-		if n > r.maxBatch {
-			n = r.maxBatch
+		n := min(len(rows)-done, r.maxBatch)
+		for i, row := range rows[done : done+n] {
+			copy(r.xbuf[i*r.features:], row)
 		}
-		r.predictChunk(m, rows[done:done+n], out[done:done+n])
+		if err := r.PredictScratch(m, n, out[done:]); err != nil {
+			return done, err
+		}
 		done += n
 	}
 	return done, nil
-}
-
-// predictChunk runs one ≤ maxBatch kernel pass. Rows are pre-validated.
-func (r *Replica) predictChunk(m *Model, rows [][]float64, out []int) {
-	n := len(rows)
-	if m.Quantized() {
-		r.bindPacked(m)
-		// The packed projection runs in float32: lower the rows straight
-		// into the padded f32 scratch (writing only the logical columns
-		// keeps the zero padding the kernels run over).
-		r.x32.Rows = n
-		for i, row := range rows {
-			x32 := r.x32.Row(i)
-			for j, v := range row {
-				x32[j] = float32(v)
-			}
-		}
-		r.predictPacked(m, n, out)
-		return
-	}
-	for i, row := range rows {
-		copy(r.xbuf[i*r.features:(i+1)*r.features], row)
-	}
-	r.predictDense(m, n, out)
 }
 
 // bindPacked (re)binds the packed encoder wrapper to m's encoder; a no-op
@@ -164,26 +136,6 @@ func (r *Replica) bindPacked(m *Model) {
 		panic(fmt.Sprintf("disthd: quantized model without RBF encoder: %v", err))
 	}
 	r.penc, r.pencSrc = p, m.clf.Enc
-}
-
-// predictPacked runs the packed encode → XOR+popcount tail over the n rows
-// already lowered into the x32 scratch.
-func (r *Replica) predictPacked(m *Model, n int, out []int) {
-	r.x32.Rows, r.z32.Rows = n, n
-	r.qview.Rows = n
-	r.penc.EncodeBatchPackedInto(&r.x32, &r.z32, &r.qview)
-	r.x32.Rows, r.z32.Rows = r.maxBatch, r.maxBatch
-	bitpack.PredictBatchInto(m.packed, &r.qview, r.iscores[:n*r.classes], out)
-}
-
-// predictDense runs the f32 EncodeBatchInto → PredictBatchInto tail over
-// the n rows already resident in the leased input scratch.
-func (r *Replica) predictDense(m *Model, n int, out []int) {
-	r.x = mat.Dense{Rows: n, Cols: r.features, Data: r.xbuf[:n*r.features]}
-	r.h = mat.Dense{Rows: n, Cols: r.dim, Data: r.hbuf[:n*r.dim]}
-	r.s = mat.Dense{Rows: n, Cols: r.classes, Data: r.sbuf[:n*r.classes]}
-	m.clf.Enc.EncodeBatchInto(&r.x, &r.h)
-	m.clf.Model.PredictBatchInto(&r.h, &r.s, out)
 }
 
 // InputScratch exposes the replica's leased input buffer sized for n rows
@@ -215,19 +167,28 @@ func (r *Replica) PredictScratch(m *Model, n int, out []int) error {
 	if len(out) < n {
 		return fmt.Errorf("disthd: out has %d slots for %d rows", len(out), n)
 	}
-	if m.Quantized() {
-		r.bindPacked(m)
-		r.x32.Rows = n
-		for i := 0; i < n; i++ {
-			src := r.xbuf[i*r.features : (i+1)*r.features]
-			x32 := r.x32.Row(i)
-			for j, v := range src {
-				x32[j] = float32(v)
-			}
-		}
-		r.predictPacked(m, n, out)
+	out = out[:n]
+	if !m.Quantized() {
+		r.x = mat.Dense{Rows: n, Cols: r.features, Data: r.xbuf[:n*r.features]}
+		r.h = mat.Dense{Rows: n, Cols: r.dim, Data: r.hbuf[:n*r.dim]}
+		r.s = mat.Dense{Rows: n, Cols: r.classes, Data: r.sbuf[:n*r.classes]}
+		m.clf.Enc.EncodeBatchInto(&r.x, &r.h)
+		m.clf.Model.PredictBatchInto(&r.h, &r.s, out)
 		return nil
 	}
-	r.predictDense(m, n, out)
+	// The packed projection runs in float32: lower the rows into the
+	// padded f32 scratch (writing only the logical columns keeps the zero
+	// padding the kernels run over).
+	r.bindPacked(m)
+	r.x32.Rows, r.z32.Rows, r.qview.Rows = n, n, n
+	for i := 0; i < n; i++ {
+		x32 := r.x32.Row(i)
+		for j, v := range r.xbuf[i*r.features : (i+1)*r.features] {
+			x32[j] = float32(v)
+		}
+	}
+	r.penc.EncodeBatchPackedInto(&r.x32, &r.z32, &r.qview)
+	r.x32.Rows, r.z32.Rows = r.maxBatch, r.maxBatch
+	bitpack.PredictBatchInto(m.packed, &r.qview, r.iscores[:n*r.classes], out)
 	return nil
 }

@@ -1,7 +1,11 @@
 // Package cluster is the fault-tolerant multi-node serving layer: a
 // Coordinator fans /predict_batch out to N worker shards (each a stock
 // disthd-serve process) through a pluggable Transport and keeps answering
-// when shards misbehave.
+// when shards misbehave. The Transport prepares each chunk's payload once
+// (PrepareBatch, which copies the rows) and every attempt at the chunk
+// sends that payload (PredictPrepared), so the caller's rows are free for
+// reuse as soon as the batch is answered, even while an abandoned hedge
+// is still in flight.
 //
 // Robustness is layered. Each worker sits behind a three-state circuit
 // breaker (closed → open → half-open) fed by both passive request
@@ -352,22 +356,13 @@ func (c *Coordinator) chunkFallback(rows [][]float64, cause error) ([]int, error
 
 // callChunk runs one chunk against the cluster: the assigned primary
 // first, then up to MaxAttempts-1 retries on rotating available workers
-// with jittered exponential backoff, respecting ctx the whole way. When
-// the transport implements BatchPreparer, the chunk payload is encoded
-// exactly once here and every retry and hedge reuses it.
+// with jittered exponential backoff, respecting ctx the whole way. The
+// chunk payload is prepared exactly once here, and every retry and hedge
+// reuses it.
 func (c *Coordinator) callChunk(ctx context.Context, w *worker, rows [][]float64) ([]int, error) {
-	send := func(cctx context.Context, addr string) ([]int, error) {
-		return c.tr.PredictBatch(cctx, addr, rows)
-	}
-	if bp, ok := c.tr.(BatchPreparer); ok {
-		p, err := bp.PrepareBatch(rows)
-		if err != nil {
-			return nil, err
-		}
-		defer p.Close()
-		send = func(cctx context.Context, addr string) ([]int, error) {
-			return bp.PredictPrepared(cctx, addr, p)
-		}
+	p, err := c.tr.PrepareBatch(rows)
+	if err != nil {
+		return nil, err
 	}
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.Retry.MaxAttempts; attempt++ {
@@ -381,7 +376,7 @@ func (c *Coordinator) callChunk(ctx context.Context, w *worker, rows [][]float64
 				return nil, ctx.Err()
 			}
 		}
-		cls, err := c.callOnce(ctx, w, send)
+		cls, err := c.callOnce(ctx, w, p)
 		if err == nil {
 			return cls, nil
 		}
@@ -447,16 +442,15 @@ type callResult struct {
 }
 
 // callOnce performs one (possibly hedged) call attempt against w under
-// CallTimeout, sending through send (the per-chunk closure callChunk
-// built, which carries the prepared payload when the transport supports
-// one). With hedging configured, an unanswered primary is duplicated on a
-// second worker after HedgeAfter; the first answer wins and cancels the
-// loser, whose breaker claim is released without a verdict. Breaker
-// accounting: a worker that answers settles Success (a PermanentError
-// still means the worker itself behaved), a worker that fails while the
-// parent context is live settles Failure, and a worker abandoned
-// mid-cancel settles Cancel.
-func (c *Coordinator) callOnce(ctx context.Context, w *worker, send func(context.Context, string) ([]int, error)) ([]int, error) {
+// CallTimeout, sending the chunk's prepared payload p. With hedging
+// configured, an unanswered primary is duplicated on a second worker
+// after HedgeAfter; the first answer wins and cancels the loser, whose
+// breaker claim is released without a verdict. Breaker accounting: a
+// worker that answers settles Success (a PermanentError still means the
+// worker itself behaved), a worker that fails while the parent context
+// is live settles Failure, and a worker abandoned mid-cancel settles
+// Cancel.
+func (c *Coordinator) callOnce(ctx context.Context, w *worker, p PreparedBatch) ([]int, error) {
 	if !w.br.Allow() {
 		return nil, errBreakerOpen
 	}
@@ -466,7 +460,7 @@ func (c *Coordinator) callOnce(ctx context.Context, w *worker, send func(context
 	launch := func(w *worker) {
 		w.requests.Add(1)
 		go func() {
-			cls, err := send(cctx, w.addr)
+			cls, err := c.tr.PredictPrepared(cctx, w.addr, p)
 			ch <- callResult{classes: cls, err: err, w: w}
 		}()
 	}

@@ -15,11 +15,11 @@ import (
 	"repro/serve/wire"
 )
 
-// lateReadTransport is a plain Transport (not a BatchPreparer) whose
-// stalled worker holds every call until the coordinator abandons it and
-// the client's next request has been answered, and only then reads the
-// rows it was handed, the way a slow worker's in-flight request encoder
-// would. Any other worker answers at once.
+// lateReadTransport is the fault transport with a stalled worker that
+// holds every call until the coordinator abandons it and the client's
+// next request has been answered, and only then reads the payload it was
+// handed, the way a slow worker's in-flight request body would be read.
+// Any other worker answers at once.
 type lateReadTransport struct {
 	*faultTransport
 	stalled string
@@ -29,11 +29,12 @@ type lateReadTransport struct {
 	changed  chan bool       // one send per abandoned call: did its rows change?
 }
 
-// PredictBatch implements Transport.
-func (t *lateReadTransport) PredictBatch(ctx context.Context, addr string, rows [][]float64) ([]int, error) {
+// PredictPrepared implements Transport.
+func (t *lateReadTransport) PredictPrepared(ctx context.Context, addr string, p PreparedBatch) ([]int, error) {
 	if addr != t.stalled {
-		return t.faultTransport.PredictBatch(ctx, addr, rows)
+		return t.faultTransport.PredictPrepared(ctx, addr, p)
 	}
+	rows := p.(simBatch)
 	next := t.answered[t.served.Load()+1]
 	sent := make([][]float64, len(rows))
 	for i, r := range rows {
@@ -50,11 +51,12 @@ func (t *lateReadTransport) PredictBatch(ctx context.Context, addr string, rows 
 }
 
 // TestServerRowsOutliveAbandonedHedges drives JSON and binary
-// /predict_batch through a Server whose transport is not a BatchPreparer,
-// with hedging on and a stalled primary. Every answer comes from the
-// hedge, and each abandoned primary reads its rows only after the next
-// request of the same format, carrying other rows, has been answered: rows
-// decoded into recycled request scratch would have changed under it.
+// /predict_batch through a Server with hedging on and a stalled primary.
+// Every answer comes from the hedge, and each abandoned primary reads its
+// prepared payload only after the next request of the same format,
+// carrying other rows, has been answered into the same pooled request
+// scratch. A PrepareBatch that kept the caller's rows instead of copying
+// them would see them change under it.
 func TestServerRowsOutliveAbandonedHedges(t *testing.T) {
 	f := fixtures(t)
 	m := f.shards[0]

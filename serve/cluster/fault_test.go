@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -71,8 +72,23 @@ func (t *faultTransport) drop() bool {
 	return float64(t.rng.next()%1_000_000)/1_000_000 < t.dropProb
 }
 
-// PredictBatch implements Transport against the worker's fault schedule.
-func (t *faultTransport) PredictBatch(ctx context.Context, addr string, rows [][]float64) ([]int, error) {
+// simBatch is faultTransport's PreparedBatch: a copy of the chunk's rows,
+// owning its memory the way HTTPTransport's encoded payload does.
+type simBatch [][]float64
+
+// PrepareBatch implements Transport. It copies rows, as the Transport
+// contract requires: the caller recycles them once it is answered.
+func (t *faultTransport) PrepareBatch(rows [][]float64) (PreparedBatch, error) {
+	p := make(simBatch, len(rows))
+	for i, r := range rows {
+		p[i] = slices.Clone(r)
+	}
+	return p, nil
+}
+
+// PredictPrepared implements Transport against the worker's fault
+// schedule.
+func (t *faultTransport) PredictPrepared(ctx context.Context, addr string, p PreparedBatch) ([]int, error) {
 	w, err := t.worker(addr)
 	if err != nil {
 		return nil, err
@@ -111,7 +127,7 @@ func (t *faultTransport) PredictBatch(ctx context.Context, addr string, rows [][
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return m.PredictBatch(rows)
+	return m.PredictBatch(p.(simBatch))
 }
 
 // Health implements Transport: dead and stalled workers don't answer.

@@ -37,15 +37,11 @@ type Server struct {
 // NewServer wraps c. The caller keeps ownership of the Coordinator's
 // lifecycle only if it never calls Server.Close (which closes both).
 func NewServer(c *Coordinator) *Server {
-	// A BatchPreparer encodes rows synchronously inside PredictBatch; a
-	// plain Transport's abandoned hedge can read them after it returns.
-	_, prepares := c.tr.(BatchPreparer)
 	s := &Server{c: c, mux: http.NewServeMux(), edge: edge.Edge{
 		Name:         "cluster",
 		Predict:      c.Predict,
 		PredictBatch: c.PredictBatch,
 		StatusFor:    statusFor,
-		OwnRows:      !prepares,
 	}}
 	s.mux.HandleFunc("POST /predict", s.edge.ServePredict)
 	s.mux.HandleFunc("POST /predict_batch", s.edge.ServePredictBatch)

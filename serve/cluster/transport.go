@@ -17,14 +17,20 @@ import (
 
 // Transport is how the Coordinator talks to one worker shard. The worker
 // argument is the address the Coordinator was configured with; every call
-// must honor ctx cancellation, because the retry, hedge, and deadline
-// machinery all cancel through it. HTTPTransport is the production
-// implementation (each worker a stock disthd-serve); the tests substitute
-// a deterministic in-memory fault-injecting transport.
+// that takes a ctx must honor its cancellation, because the retry, hedge,
+// and deadline machinery all cancel through it. HTTPTransport is the
+// production implementation (each worker a stock disthd-serve); the tests
+// substitute a deterministic in-memory fault-injecting transport.
 type Transport interface {
-	// PredictBatch classifies rows on the worker and returns one class
+	// PrepareBatch encodes one chunk's rows into a payload that every
+	// retry and hedge of the chunk reuses. It must not keep rows: they
+	// live in request scratch that is recycled once the caller is
+	// answered, while an abandoned hedge may still be sending the payload.
+	PrepareBatch(rows [][]float64) (PreparedBatch, error)
+	// PredictPrepared runs one prediction attempt against worker with a
+	// payload from this transport's PrepareBatch and returns one class
 	// per row.
-	PredictBatch(ctx context.Context, worker string, rows [][]float64) ([]int, error)
+	PredictPrepared(ctx context.Context, worker string, p PreparedBatch) ([]int, error)
 	// Health probes the worker's /healthz and returns its self-reported
 	// status ("ok" or "degraded"); a non-nil error means the worker did
 	// not answer healthily at all.
@@ -66,26 +72,10 @@ func (e *PermanentError) Error() string { return e.Err.Error() }
 // Unwrap exposes the wrapped failure to errors.Is / errors.As.
 func (e *PermanentError) Unwrap() error { return e.Err }
 
-// PreparedBatch is one chunk's request payload encoded once, reusable
-// across every retry and hedge of that chunk. Close releases it; after
-// Close it must not be passed to PredictPrepared again.
-type PreparedBatch interface {
-	// Close releases the prepared payload.
-	Close()
-}
-
-// BatchPreparer is the optional Transport extension the Coordinator uses
-// to stop re-encoding a chunk on every retry/hedge: when the transport
-// implements it, the Coordinator prepares each chunk once and calls
-// PredictPrepared per attempt. Transports without it (like the tests'
-// fault injector) keep the plain PredictBatch path.
-type BatchPreparer interface {
-	// PrepareBatch encodes rows into a reusable request payload.
-	PrepareBatch(rows [][]float64) (PreparedBatch, error)
-	// PredictPrepared runs one prediction attempt against worker with a
-	// payload from this transport's PrepareBatch.
-	PredictPrepared(ctx context.Context, worker string, p PreparedBatch) ([]int, error)
-}
+// PreparedBatch is one chunk's request payload, encoded once by
+// Transport.PrepareBatch and read concurrently by every attempt at the
+// chunk; only the transport that prepared it knows its concrete type.
+type PreparedBatch any
 
 // WireBinary and WireJSON name the worker wire formats HTTPTransport can
 // speak on predict calls.
@@ -99,10 +89,9 @@ const (
 // HTTPTransport talks to workers over the serve.Server HTTP wire formats:
 // POST /predict_batch (JSON by default, the binary frame protocol with
 // Wire set to WireBinary), GET /healthz, GET /model, POST /swap. A worker
-// address may be "host:port" or a full http:// URL. It implements
-// BatchPreparer, so the Coordinator encodes each chunk exactly once and
-// reuses the payload (and the cached endpoint URL) across every retry and
-// hedge of that chunk.
+// address may be "host:port" or a full http:// URL. The Coordinator
+// encodes each chunk exactly once and reuses the payload (and the cached
+// endpoint URL) across every retry and hedge of that chunk.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; NewHTTPTransport installs one
 	// tuned for many small requests to few hosts. Per-call deadlines come
@@ -190,7 +179,9 @@ func (t *HTTPTransport) do(req *http.Request) (*http.Response, error) {
 // preparedBatch is HTTPTransport's PreparedBatch: the encoded request
 // payload plus what a response must answer. The payload is immutable once
 // built, so concurrent hedged attempts can stream it simultaneously (each
-// attempt wraps it in its own bytes.Reader).
+// attempt wraps it in its own bytes.Reader). It is not pooled: abandoned
+// hedges may still be streaming it after the chunk is answered, so it is
+// garbage-collected once the last attempt's body reader drops it.
 type preparedBatch struct {
 	payload     []byte
 	contentType string
@@ -198,14 +189,9 @@ type preparedBatch struct {
 	binary      bool
 }
 
-// Close implements PreparedBatch. The payload is garbage-collected once
-// the last in-flight attempt's body reader drops it; abandoned hedges may
-// still be streaming it after Close, which is why it is not pooled.
-func (p *preparedBatch) Close() {}
-
-// PrepareBatch implements BatchPreparer: the chunk is marshaled exactly
-// once — as a JSON {"x": rows} body or a binary matrix frame per Wire —
-// and every retry/hedge reuses the bytes.
+// PrepareBatch implements Transport: the chunk is marshaled exactly once
+// — as a JSON {"x": rows} body or a binary matrix frame per Wire — into a
+// payload of its own, and every retry/hedge reuses the bytes.
 func (t *HTTPTransport) PrepareBatch(rows [][]float64) (PreparedBatch, error) {
 	switch t.Wire {
 	case "", WireJSON:
@@ -228,7 +214,7 @@ func (t *HTTPTransport) PrepareBatch(rows [][]float64) (PreparedBatch, error) {
 	return nil, &PermanentError{Err: fmt.Errorf("cluster: unknown wire format %q", t.Wire)}
 }
 
-// PredictPrepared implements BatchPreparer over POST /predict_batch.
+// PredictPrepared implements Transport over POST /predict_batch.
 func (t *HTTPTransport) PredictPrepared(ctx context.Context, worker string, pb PreparedBatch) ([]int, error) {
 	p, ok := pb.(*preparedBatch)
 	if !ok {
@@ -283,15 +269,14 @@ func decodeClasses(body io.Reader, worker string, rows int) ([]int, error) {
 	return classes, nil
 }
 
-// PredictBatch implements Transport over POST /predict_batch — one
-// prepare, one attempt. The Coordinator prefers the BatchPreparer path,
-// which amortizes the encode across retries and hedges.
+// PredictBatch classifies rows on worker over POST /predict_batch in one
+// attempt: one prepare, one call, no retry. The Coordinator instead
+// prepares each chunk once and reuses it across retries and hedges.
 func (t *HTTPTransport) PredictBatch(ctx context.Context, worker string, rows [][]float64) ([]int, error) {
 	p, err := t.PrepareBatch(rows)
 	if err != nil {
 		return nil, err
 	}
-	defer p.Close()
 	return t.PredictPrepared(ctx, worker, p)
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -226,12 +227,19 @@ func TestTransportBinaryMatchesJSON(t *testing.T) {
 	}
 
 	// A prepared payload must survive reuse: run the same PreparedBatch
-	// twice, as a retry would.
-	p, err := bt.PrepareBatch(rows)
+	// twice, as a retry would. It must not keep the rows it was built
+	// from either, so they are cleared before the first attempt.
+	scratch := make([][]float64, len(rows))
+	for i, r := range rows {
+		scratch[i] = slices.Clone(r)
+	}
+	p, err := bt.PrepareBatch(scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	for _, r := range scratch {
+		clear(r)
+	}
 	for attempt := 0; attempt < 2; attempt++ {
 		again, err := bt.PredictPrepared(ctx, addr, p)
 		if err != nil {

@@ -165,9 +165,12 @@ func (s *Server) ServePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 // streamFrame is the edge's binary /predict_batch path: rows stream from
 // the frame into a pooled replica's leased input scratch, chunk by chunk,
-// with no intermediate [][]float64.
+// with no intermediate [][]float64. A frame of the wrong width is refused
+// before a replica is leased, and counted as an error like the same rows
+// sent as JSON.
 func (b *Batcher) streamFrame(d *wire.Decoder, rows, cols int, out []int) error {
 	if rows > 0 && cols != b.features {
+		b.stats.errors.Add(1)
 		return fmt.Errorf("serve: input rows have %d features, model expects %d", cols, b.features)
 	}
 	return b.PredictStream(rows, out, d.Floats)

@@ -230,8 +230,10 @@ func TestWireStatsCounters(t *testing.T) {
 	}
 }
 
-// TestPredictStreamMatchesPredictBatch pins the decode-into-lease path to
-// the reference batch path on both serving tiers.
+// TestPredictStreamMatchesPredictBatch pins both Batcher batch entry
+// points, the decode-into-lease PredictStream and PredictBatch on top of
+// it, to Model.PredictBatch, which runs its own kernel path and never
+// touches a Replica, on both serving tiers.
 func TestPredictStreamMatchesPredictBatch(t *testing.T) {
 	s := fixtures(t)
 	q, err := s.a.Quantize1Bit()
@@ -250,13 +252,17 @@ func TestPredictStreamMatchesPredictBatch(t *testing.T) {
 			}
 			defer b.Close()
 			rows := s.test.X[:11]
-			want, err := b.PredictBatch(rows)
+			want, err := tier.m.PredictBatch(rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]int, len(rows))
+			batch, err := b.PredictBatch(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := make([]int, len(rows))
 			next := 0
-			err = b.PredictStream(len(rows), got, func(dst []float64) error {
+			err = b.PredictStream(len(rows), stream, func(dst []float64) error {
 				cols := len(rows[0])
 				for i := 0; i < len(dst)/cols; i++ {
 					copy(dst[i*cols:(i+1)*cols], rows[next])
@@ -268,11 +274,37 @@ func TestPredictStreamMatchesPredictBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("row %d: stream %d, batch %d", i, got[i], want[i])
+				if stream[i] != want[i] || batch[i] != want[i] {
+					t.Fatalf("row %d: stream %d, batch %d, model %d", i, stream[i], batch[i], want[i])
 				}
 			}
 		})
+	}
+}
+
+// TestWrongWidthBatchCountsOneError sends one 2-row batch, each row a
+// feature too wide, as JSON and as a binary frame: both answer 400, each
+// adds exactly one to /stats errors, and neither counts as answered rows.
+func TestWrongWidthBatchCountsOneError(t *testing.T) {
+	s := fixtures(t)
+	srv, ts := newTestServer(t, s.a)
+	cols := len(s.test.X[0]) + 1
+	rows := [][]float64{make([]float64, cols), make([]float64, cols)}
+	frame, err := wire.AppendMatrixF64(nil, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts.URL+"/predict_batch", predictBatchRequest{X: rows}, nil); code != http.StatusBadRequest {
+		t.Fatalf("JSON status %d, want 400", code)
+	}
+	if snap := srv.Stats(); snap.Errors != 1 {
+		t.Fatalf("errors=%d after the JSON batch, want 1", snap.Errors)
+	}
+	if code, body, _ := postFrame(t, ts.URL+"/predict_batch", frame); code != http.StatusBadRequest {
+		t.Fatalf("binary status %d, want 400: %s", code, body)
+	}
+	if snap := srv.Stats(); snap.Errors != 2 || snap.BatchRequests != 0 {
+		t.Fatalf("errors=%d batch_requests=%d after the binary batch, want 2/0", snap.Errors, snap.BatchRequests)
 	}
 }
 

@@ -201,7 +201,9 @@ func (f *Frame) reply(w http.ResponseWriter, classes []int) {
 //	POST /predict_batch  {"x":[[...],[...]]}    -> {"classes":[3,1]}
 //
 // or the same as matrix frames in and classes frames out. Set the
-// function fields before serving; the counters are live.
+// function fields before serving; the counters are live. The backend must
+// not read the rows it is handed after it answers: the request scratch
+// they were decoded into goes back to its pool when the handler returns.
 type Edge struct {
 	// Name prefixes the edge's own error messages ("serve", "cluster").
 	Name string
@@ -216,12 +218,6 @@ type Edge struct {
 	Stream func(d *wire.Decoder, rows, cols int, out []int) error
 	// StatusFor maps a backend error to its HTTP status.
 	StatusFor func(error) int
-	// OwnRows keeps the request scratch that rows are decoded into out of
-	// the pools, so every row handed to Predict and PredictBatch owns its
-	// memory. Set it when the backend may still read rows after
-	// answering: a Coordinator whose transport is not a BatchPreparer,
-	// where an abandoned hedge can outlive the request.
-	OwnRows bool
 
 	// JSON and Binary count requests per wire format for /stats.
 	JSON, Binary atomic.Uint64
@@ -244,15 +240,6 @@ var (
 	predictBatchReqPool = sync.Pool{New: func() any { return new(predictBatchRequest) }}
 )
 
-// release returns request scratch to its pool, unless the backend may
-// still read the rows decoded into it: then the scratch is dropped and
-// stays the request's own.
-func (e *Edge) release(p *sync.Pool, scratch any) {
-	if !e.OwnRows {
-		p.Put(scratch)
-	}
-}
-
 // ServePredict handles POST /predict.
 func (e *Edge) ServePredict(w http.ResponseWriter, r *http.Request) {
 	if IsWire(r) {
@@ -262,7 +249,7 @@ func (e *Edge) ServePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	e.JSON.Add(1)
 	req := predictReqPool.Get().(*predictRequest)
-	defer e.release(&predictReqPool, req)
+	defer predictReqPool.Put(req)
 	// Truncate so a body without "x" cannot inherit the previous
 	// request's row; the backing array stays for reuse.
 	req.X = req.X[:0]
@@ -287,7 +274,7 @@ func (e *Edge) ServePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	e.JSON.Add(1)
 	req := predictBatchReqPool.Get().(*predictBatchRequest)
-	defer e.release(&predictBatchReqPool, req)
+	defer predictBatchReqPool.Put(req)
 	req.X = req.X[:0]
 	if status, err := ReadJSON(w, r, MaxJSONBody, req); status != 0 {
 		WriteError(w, status, err)
@@ -321,7 +308,7 @@ func (e *Edge) readMatrix(d *wire.Decoder) (rows, cols int, err error) {
 // with a 1-class classes frame.
 func (e *Edge) predictFrame(w http.ResponseWriter, r *http.Request) {
 	f := GetFrame(r.Body)
-	defer e.release(&framePool, f)
+	defer f.Put()
 	rows, cols, err := e.readMatrix(f.D)
 	if err == nil && rows != 1 {
 		err = fmt.Errorf("%s: /predict wants exactly one row, got %d", e.Name, rows)
@@ -347,7 +334,7 @@ func (e *Edge) predictFrame(w http.ResponseWriter, r *http.Request) {
 // otherwise as row views over one flat buffer handed to PredictBatch.
 func (e *Edge) predictBatchFrame(w http.ResponseWriter, r *http.Request) {
 	f := GetFrame(r.Body)
-	defer e.release(&framePool, f)
+	defer f.Put()
 	rows, cols, err := e.readMatrix(f.D)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)

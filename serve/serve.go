@@ -10,6 +10,11 @@
 // EncodeBatchInto → PredictBatchInto kernel path on a per-replica scratch
 // lease (disthd.Replica over mat.NewLease). N replica workers pull from one
 // queue; nothing on the flush path takes a lock or touches a shared pool.
+// A caller that already holds a batch skips the queue through
+// PredictStream, the one place a batch leases a pooled replica: the
+// caller fills the replica's input scratch chunk by chunk (the binary
+// wire protocol decodes straight into it), and PredictBatch is
+// PredictStream with a fill that copies the caller's rows.
 //
 // Around the Batcher sit the Swapper, which hot-swaps the served model
 // behind an atomic pointer so online retraining can publish new weights
@@ -38,7 +43,8 @@ import (
 	disthd "repro"
 )
 
-// ErrClosed is returned by Predict and PredictBatch after Close.
+// ErrClosed is returned by Predict, PredictBatch and PredictStream after
+// Close.
 var ErrClosed = errors.New("serve: batcher is closed")
 
 // Options configures a Batcher. The zero value picks the defaults
@@ -210,36 +216,35 @@ func (b *Batcher) Predict(x []float64) (int, error) {
 
 // PredictBatch classifies many rows at once through a pooled replica,
 // bypassing coalescing — the caller already has a batch, so there is
-// nothing to coalesce. Rows beyond MaxBatch are chunked transparently.
+// nothing to coalesce. It is PredictStream with a fill that width-checks
+// the rows and copies them into the replica's scratch; rows beyond
+// MaxBatch are chunked transparently.
 func (b *Batcher) PredictBatch(rows [][]float64) ([]int, error) {
-	b.mu.RLock()
-	closed := b.closed
-	b.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
 	out := make([]int, len(rows))
-	rep := b.repPool.Get().(*disthd.Replica)
-	_, err := rep.PredictBatch(b.sw.Current(), rows, out)
-	b.repPool.Put(rep)
-	if err != nil {
-		b.stats.errors.Add(1)
+	next := 0
+	err := b.PredictStream(len(rows), out, func(dst []float64) error {
+		for ; len(dst) > 0; next++ {
+			row := rows[next]
+			if len(row) != b.features {
+				return fmt.Errorf("serve: row %d has %d features, model expects %d", next, len(row), b.features)
+			}
+			dst = dst[copy(dst, row):]
+		}
+		return nil
+	})
+	if err != nil || len(rows) == 0 {
 		return nil, err
 	}
-	b.stats.batchReqs.Add(uint64(len(rows)))
 	return out, nil
 }
 
 // PredictStream classifies n rows that the caller writes directly into a
 // pooled replica's leased input scratch, skipping the intermediate
-// [][]float64 PredictBatch needs — the decode-into-lease fast path the
-// binary wire protocol rides. fill is called once per chunk of up to
-// MaxBatch rows with the scratch slice to populate (row-major,
-// chunkRows×features); out must hold at least n slots. Steady-state the
-// whole call allocates nothing beyond what fill does.
+// [][]float64 — the decode-into-lease fast path the binary wire protocol
+// rides, and the one place a batch leases a replica. fill is called once
+// per chunk of up to MaxBatch rows with the scratch slice to populate
+// (row-major, chunkRows×features); out must hold at least n slots.
+// Steady-state the whole call allocates nothing beyond what fill does.
 func (b *Batcher) PredictStream(n int, out []int, fill func(dst []float64) error) error {
 	b.mu.RLock()
 	closed := b.closed
@@ -250,18 +255,15 @@ func (b *Batcher) PredictStream(n int, out []int, fill func(dst []float64) error
 	if n == 0 {
 		return nil
 	}
-	if len(out) < n {
+	if n < 0 || len(out) < n {
 		b.stats.errors.Add(1)
-		return fmt.Errorf("serve: out has %d slots for %d rows", len(out), n)
+		return fmt.Errorf("serve: cannot predict %d rows into %d out slots", n, len(out))
 	}
 	rep := b.repPool.Get().(*disthd.Replica)
 	defer b.repPool.Put(rep)
 	maxBatch := rep.MaxBatch()
 	for done := 0; done < n; {
-		c := n - done
-		if c > maxBatch {
-			c = maxBatch
-		}
+		c := min(n-done, maxBatch)
 		dst, err := rep.InputScratch(c)
 		if err == nil {
 			err = fill(dst)

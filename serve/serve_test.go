@@ -272,6 +272,14 @@ func TestBatcherValidation(t *testing.T) {
 	if _, err := b.PredictBatch([][]float64{{1}}); err == nil {
 		t.Fatal("wrong-width batch accepted")
 	}
+	// A negative row count is a counted error, not an empty success that
+	// wraps batch_requests.
+	if err := b.PredictStream(-5, make([]int, 8), func([]float64) error { return nil }); err == nil {
+		t.Fatal("negative row count accepted")
+	}
+	if snap := b.Stats(); snap.Errors != 3 || snap.BatchRequests != 0 {
+		t.Fatalf("errors=%d batch_requests=%d after three rejected inputs, want 3/0", snap.Errors, snap.BatchRequests)
+	}
 	// Oversized direct batches must be chunked, not rejected.
 	rows := make([][]float64, 11)
 	for i := range rows {

@@ -169,8 +169,8 @@ type Snapshot struct {
 	// Requests counts single predictions answered through the coalescing
 	// path, including failed ones.
 	Requests uint64 `json:"requests"`
-	// BatchRequests counts rows answered through the direct
-	// PredictBatch path (no coalescing).
+	// BatchRequests counts rows answered through the direct batch path,
+	// PredictStream and the PredictBatch built on it (no coalescing).
 	BatchRequests uint64 `json:"batch_requests"`
 	// Errors counts predictions that returned an error on any path,
 	// including inputs rejected before reaching a batch.
