@@ -50,10 +50,10 @@ fuzz-smoke:
 	$(GO) test -run 'FuzzInstallSpec' ./serve/registry
 
 # The perf-regression gate: re-measure the SIMD-critical kernel benchmarks
-# (bitpack score/pack, mat GEMM/dot) and fail if any regressed past the
-# committed baseline with non-overlapping sample ranges (see
-# cmd/benchcompare for the noise rules). The threshold is calibrated to
-# this host: the shared-VM scheduler shifts whole benchmark runs by ±35%
+# (bitpack score/pack, mat GEMM/dot, the fused RBF batch encode) and fail
+# if any regressed past the committed baseline with non-overlapping
+# sample ranges (see cmd/benchcompare for the noise rules). The threshold
+# is calibrated to this host: the shared-VM scheduler shifts whole benchmark runs by ±35%
 # between quiet and loaded phases (measured on identical code), so the
 # gate flags only distribution shifts a kernel bug would cause — a
 # dropped asm tier is ≥3×, a lost fused path ≥2× — not phase drift.
@@ -66,6 +66,8 @@ bench-compare:
 	@$(GO) test ./internal/bitpack -run xxx -bench 'BenchmarkScoreBatch|BenchmarkPackSigns' \
 		-benchtime 50ms -count 5 > bench/current.txt
 	@$(GO) test ./internal/mat -run xxx -bench 'BenchmarkMulTInto|BenchmarkDotBatch' \
+		-benchtime 50ms -count 5 >> bench/current.txt
+	@$(GO) test ./internal/encoding -run xxx -bench BenchmarkEncodeBatchInto \
 		-benchtime 50ms -count 5 >> bench/current.txt
 	@$(GO) test ./serve/cluster -run xxx -bench 'BenchmarkDirectWorker|BenchmarkCoordinator' \
 		-benchtime 50ms -count 5 >> bench/current.txt

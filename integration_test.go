@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -200,29 +201,47 @@ func TestUpdateValidation(t *testing.T) {
 
 // Determinism across the whole public pipeline: identical seeds must give
 // identical models, predictions, and serialized bytes.
-func TestEndToEndDeterminism(t *testing.T) {
-	runOnce := func() []byte {
-		train, _, err := disthd.SyntheticBenchmark("UCIHAR", 0.04, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := disthd.DefaultConfig()
-		cfg.Dim = 64
-		cfg.Iterations = 5
-		cfg.Seed = 17
-		m, err := disthd.TrainWithConfig(train.X, train.Y, train.Classes, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+// trainSnapshot trains a small DistHD model (Algorithm 2 with
+// regeneration) on synthetic UCIHAR data and returns its Save bytes.
+func trainSnapshot(t *testing.T) []byte {
+	t.Helper()
+	train, _, err := disthd.SyntheticBenchmark("UCIHAR", 0.04, 17)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := runOnce(), runOnce()
+	cfg := disthd.DefaultConfig()
+	cfg.Dim = 64
+	cfg.Iterations = 5
+	cfg.Seed = 17
+	m, err := disthd.TrainWithConfig(train.X, train.Y, train.Classes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestEndToEndDeterminism(t *testing.T) {
+	a, b := trainSnapshot(t), trainSnapshot(t)
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical seeds produced different serialized models")
+	}
+}
+
+// TestTrainingBitwiseAcrossGOMAXPROCS trains the same model at
+// GOMAXPROCS 1 and 4 and requires byte-identical snapshots: how the
+// worker pool shards the encode and scoring GEMMs must never change a bit
+// of the encoder, the class hypervectors or the regenerated dimensions.
+func TestTrainingBitwiseAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial := trainSnapshot(t)
+	runtime.GOMAXPROCS(4)
+	if !bytes.Equal(serial, trainSnapshot(t)) {
+		t.Fatal("GOMAXPROCS 1 and 4 trained different serialized models")
 	}
 }
 

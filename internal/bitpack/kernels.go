@@ -15,10 +15,12 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+
+	"repro/internal/isa"
 )
 
-// ISA dispatch tiers, lowest to highest. detectISA (per-arch) reports the
-// best level the host supports; kernelISA holds the active level and is
+// ISA dispatch tiers, lowest to highest. tierOf maps the host's features
+// to the best level it supports; kernelISA holds the active level and is
 // lowered only by tests exercising fallback parity.
 const (
 	isaGeneric int32 = iota
@@ -26,8 +28,23 @@ const (
 	isaAVX512        // AVX-512 VPOPCNTQ popcount + VRNDSCALEPD sign pack
 )
 
+// tierOf returns the best tier a host with features f can run. The
+// AVX-512 kernels use AVX512F and VPOPCNTQ on ZMM registers, and VEX
+// (AVX2) encodings for their 256- and 128-bit reduction steps, so they
+// need neither AVX512DQ nor AVX512VL: a host without those (Knights Mill)
+// still runs them.
+func tierOf(f isa.Features) int32 {
+	switch {
+	case f.AVX2 && f.AVX512F && f.AVX512VPOPCNTDQ:
+		return isaAVX512
+	case f.AVX2:
+		return isaAVX2
+	}
+	return isaGeneric
+}
+
 // bestISA is the highest tier the host CPU + OS support.
-var bestISA = detectISA()
+var bestISA = tierOf(isa.Host)
 
 // kernelISA is the active dispatch tier. Atomic so tests can force
 // fallback tiers while -race parity checks run concurrently.

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/isa"
 )
 
 // parityDims covers the interesting word-boundary shapes: sub-word,
@@ -35,6 +37,31 @@ func isaName(l int32) string {
 		return "avx2"
 	default:
 		return "generic"
+	}
+}
+
+// TestTierOf pins the tier each kind of host gets. The AVX-512 kernels
+// need AVX512F and VPOPCNTDQ but neither AVX512DQ nor AVX512VL: their
+// 256- and 128-bit reduction steps (HSUMQ) use VEX encodings, so a host
+// without DQ and VL (Knights Mill) runs them, while internal/mat gives it
+// its AVX2 tier.
+func TestTierOf(t *testing.T) {
+	for _, tc := range []struct {
+		host string
+		f    isa.Features
+		want int32
+	}{
+		{"no SIMD", isa.Features{}, isaGeneric},
+		{"AVX2", isa.Features{AVX2: true}, isaAVX2},
+		{"Haswell", isa.Features{AVX2: true, FMA: true}, isaAVX2},
+		{"VPOPCNTDQ without AVX512F", isa.Features{AVX2: true, FMA: true, AVX512VPOPCNTDQ: true}, isaAVX2},
+		{"Skylake-SP", isa.Features{AVX2: true, FMA: true, AVX512F: true, AVX512DQ: true, AVX512VL: true}, isaAVX2},
+		{"Knights Mill", isa.Features{AVX2: true, FMA: true, AVX512F: true, AVX512VPOPCNTDQ: true}, isaAVX512},
+		{"Ice Lake", isa.Features{AVX2: true, FMA: true, AVX512F: true, AVX512DQ: true, AVX512VL: true, AVX512VPOPCNTDQ: true}, isaAVX512},
+	} {
+		if got := tierOf(tc.f); got != tc.want {
+			t.Errorf("%s: tier %s, want %s", tc.host, isaName(got), isaName(tc.want))
+		}
 	}
 }
 

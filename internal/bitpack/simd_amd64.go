@@ -37,41 +37,3 @@ func xorPopcnt4AVX2(q, c0, c1, c2, c3 *uint64, n int, lut *[32]byte, out *[4]int
 //
 //go:noescape
 func packSignsAVX512(z, fc *float64, groups int, consts *[4]float64, out *uint64)
-
-// cpuid executes CPUID with the given leaf/subleaf.
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register 0 (OS-enabled SIMD state).
-func xgetbv() (eax, edx uint32)
-
-// detectISA probes CPUID leaves 1 and 7 plus XCR0 and returns the best
-// kernel tier: AVX-512 needs AVX512F + AVX512VPOPCNTDQ and OS-saved
-// ZMM/opmask state; AVX2 needs AVX2 and OS-saved YMM state.
-func detectISA() int32 {
-	const (
-		osxsaveBit   = 1 << 27 // leaf 1 ECX
-		avxBit       = 1 << 28 // leaf 1 ECX
-		avx2Bit      = 1 << 5  // leaf 7 EBX
-		avx512fBit   = 1 << 16 // leaf 7 EBX
-		vpopcntdqBit = 1 << 14 // leaf 7 ECX
-		ymmState     = 0x6     // XCR0: XMM+YMM
-		zmmState     = 0xe6    // XCR0: XMM+YMM+opmask+ZMM hi/lo
-	)
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return isaGeneric
-	}
-	_, _, c1, _ := cpuid(1, 0)
-	if c1&(osxsaveBit|avxBit) != osxsaveBit|avxBit {
-		return isaGeneric
-	}
-	xcr0, _ := xgetbv()
-	_, b7, c7, _ := cpuid(7, 0)
-	if xcr0&zmmState == zmmState && b7&avx512fBit != 0 && c7&vpopcntdqBit != 0 {
-		return isaAVX512
-	}
-	if xcr0&ymmState == ymmState && b7&avx2Bit != 0 {
-		return isaAVX2
-	}
-	return isaGeneric
-}

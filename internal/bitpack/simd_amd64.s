@@ -9,11 +9,13 @@
 
 #include "textflag.h"
 
-// hsumq reduces the 8-qword accumulator zmm into out+off(DI).
+// hsumq reduces the 8-qword accumulator zmm into out+off(DI). Below 512
+// bits it uses VEX (AVX2) encodings, so the AVX-512 tier needs neither
+// AVX512DQ nor AVX512VL (VEXTRACTI64X2 would need both).
 #define HSUMQ(accz, accy, accx, off) \
 	VEXTRACTI64X4 $1, accz, Y1       \
 	VPADDQ        Y1, accy, accy     \
-	VEXTRACTI64X2 $1, accy, X1       \
+	VEXTRACTI128  $1, accy, X1       \
 	VPADDQ        X1, accx, accx     \
 	VPSHUFD       $0xee, accx, X1    \
 	VPADDQ        X1, accx, accx     \
@@ -233,23 +235,4 @@ pschunk:
 	JNZ  psword
 
 	VZEROUPPER
-	RET
-
-// func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxIn+0(FP), AX
-	MOVL ecxIn+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
 	RET

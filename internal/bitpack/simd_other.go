@@ -4,9 +4,7 @@ package bitpack
 
 // Non-amd64 builds run the pure-Go kernels exclusively; the assembly
 // entry points below exist only to satisfy the dispatch code and are
-// unreachable because detectISA pins the tier to isaGeneric.
-
-func detectISA() int32 { return isaGeneric }
+// unreachable because isa.Host reports no features there.
 
 func xorPopcntAVX512(q, c *uint64, n int, out *int64) {
 	panic("bitpack: AVX-512 kernel on non-amd64 build")

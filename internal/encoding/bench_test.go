@@ -48,18 +48,24 @@ func BenchmarkEncodeSingle(b *testing.B) {
 }
 
 // BenchmarkEncodeBatchInto measures the fused batch encoder with a
-// caller-owned destination — the steady-state re-encode path (0 allocs/op).
+// caller-owned destination — the steady-state re-encode path (0 allocs/op)
+// — at 128 rows × 512 features → D=2048, and at the served shape of
+// perfbench's predict-batch workload: 64-row frames of 561 features
+// (UCIHAR) → D=1024.
 func BenchmarkEncodeBatchInto(b *testing.B) {
-	const n, q, d = 128, 512, 2048
-	e := NewRBF(q, d, 7)
-	X := benchBatch(n, q, 11)
-	dst := mat.New(n, d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EncodeBatchInto(X, dst)
+	for _, sh := range []struct{ n, q, d int }{{128, 512, 2048}, {64, 561, 1024}} {
+		b.Run(fmt.Sprintf("%dx%d/D=%d", sh.n, sh.q, sh.d), func(b *testing.B) {
+			e := NewRBF(sh.q, sh.d, 7)
+			X := benchBatch(sh.n, sh.q, 11)
+			dst := mat.New(sh.n, sh.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.EncodeBatchInto(X, dst)
+			}
+			b.ReportMetric(float64(sh.n), "samples/op")
+		})
 	}
-	b.ReportMetric(float64(n), "samples/op")
 }
 
 // BenchmarkEncodeDimsBatch measures the cheap-retrain column patch at the

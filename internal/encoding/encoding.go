@@ -12,9 +12,10 @@
 //     literature, included for completeness and the examples.
 //
 // Batch encoding is one blocked GEMM (X·Bᵀ via mat.MulTIntoFused) with the
-// encoder nonlinearity fused onto each output row while it is cache-hot,
-// rather than N independent matrix-vector loops; the single-sample paths
-// run through the same kernels, so batch and single encodes agree bitwise.
+// encoder nonlinearity fused onto each merged range of output rows while
+// it is still cache-resident, rather than N independent matrix-vector
+// loops; the single-sample paths run through the same kernels, so batch
+// and single encodes agree bitwise.
 //
 // RBF and Linear implement Regenerable: DistHD and NeuralHD call
 // Regenerate(dims) to replace the base hypervector (and phase) of selected
@@ -251,16 +252,24 @@ func (e *RBF) Features() int { return e.base.Cols }
 // encode path (nonlinearRow, EncodeDims, EncodeDimsBatch) must go through
 // this single definition: the bitwise equivalence between batch encoding
 // and the regeneration patch path depends on the formula never diverging.
+// The one vectorized copy of it, mat.ActivateRBF, is pinned to it bit for
+// bit by TestNonlinearRowMatchesActivate.
 func (e *RBF) activate(d int, z float64) float64 {
 	sz, cz := math.Sincos(z)
 	return (cz*e.cosPhase[d] - sz*e.sinPhase[d]) * sz
 }
 
 // nonlinearRow maps the full-width projection row z to
-// cos(z_d + c_d)·sin(z_d) in place.
+// cos(z_d + c_d)·sin(z_d) in place. On the AVX-512 tier mat.ActivateRBF
+// computes whole 8-lane groups; activate computes everything else: the
+// whole row on other tiers, the tail, and each group holding a projection
+// the kernel hands back (|z| ≥ 2^29, NaN or ±Inf).
 func (e *RBF) nonlinearRow(row []float64) {
-	for d, z := range row {
-		row[d] = e.activate(d, z)
+	for d := 0; d < len(row); {
+		d += mat.ActivateRBF(row[d:], e.cosPhase[d:], e.sinPhase[d:])
+		for end := min(d+mat.ActivationLanes, len(row)); d < end; d++ {
+			row[d] = e.activate(d, row[d])
+		}
 	}
 }
 

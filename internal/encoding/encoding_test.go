@@ -480,3 +480,48 @@ func TestEncodeDimsBatchEmptyDims(t *testing.T) {
 		}
 	}
 }
+
+// TestNonlinearRowMatchesActivate pins the batch epilogue, which runs the
+// vector kernel mat.ActivateRBF on the AVX-512 tier, to activate and to
+// math.Sincos bit for bit: random projections of both signs at magnitudes
+// 1e-300 … 1e9, then ±0, subnormals, ±(2^29 − ulp), ±2^29, NaN and ±Inf,
+// over widths whose last 8-lane group is partial.
+func TestNonlinearRowMatchesActivate(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1040,
+		math.Nextafter(1<<29, 0), -math.Nextafter(1<<29, 0), 1 << 29, -(1 << 29),
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, d := range []int{5, 67, 1027} {
+		e := NewRBF(3, d, uint64(d))
+		r := rng.New(uint64(d) + 1)
+		for trial := 0; trial < 20; trial++ {
+			z := make([]float64, d)
+			for i := range z {
+				lo := -300.0
+				if i%2 == 1 {
+					lo = -3
+				}
+				z[i] = math.Copysign(math.Pow(10, r.Uniform(lo, 9)), r.Uniform(-1, 1))
+			}
+			// Later trials plant the edge cases, one per group.
+			for k := 0; k < trial && k < len(edges); k++ {
+				if i := 8*k + trial%8; i < d {
+					z[i] = edges[k]
+				}
+			}
+			row := append([]float64(nil), z...)
+			e.nonlinearRow(row)
+			for i, v := range z {
+				sz, cz := math.Sincos(v)
+				sc, cc := math.Sincos(e.phase[i])
+				for _, want := range []float64{e.activate(i, v), (cz*cc - sz*sc) * sz} {
+					if math.Float64bits(row[i]) != math.Float64bits(want) {
+						t.Fatalf("D=%d trial %d z[%d]=%v: batch epilogue %v (%#x), want %v (%#x)",
+							d, trial, i, v, row[i], math.Float64bits(row[i]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}

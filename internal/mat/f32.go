@@ -192,11 +192,11 @@ func dotBatch4F32Go(a, b0, b1, b2, b3 []float32, out *[4]float32) {
 // dotBatch4F32 dispatches the 1×4 micro-kernel.
 func dotBatch4F32(a, b0, b1, b2, b3 []float32, out *[4]float32) {
 	n := len(a)
-	switch f32ISA.Load() {
-	case f32AVX512:
+	switch tier.Load() {
+	case tierAVX512:
 		dotBatch4F32AVX512(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, out)
 		return
-	case f32AVX2:
+	case tierAVX2:
 		dotBatch4F32AVX2(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, &f32TailMasks, out)
 		return
 	}
@@ -208,11 +208,11 @@ func dotBatch4F32(a, b0, b1, b2, b3 []float32, out *[4]float32) {
 // bit-identical because the eight outputs are independent lane dots.
 func dot2x4F32(a0, a1, b0, b1, b2, b3 []float32, out *[8]float32) {
 	n := len(a0)
-	switch f32ISA.Load() {
-	case f32AVX512:
+	switch tier.Load() {
+	case tierAVX512:
 		dot2x4F32AVX512(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, out)
 		return
-	case f32AVX2:
+	case tierAVX2:
 		var lo, hi [4]float32
 		dotBatch4F32AVX2(&a0[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, &f32TailMasks, &lo)
 		dotBatch4F32AVX2(&a1[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, &f32TailMasks, &hi)
@@ -253,12 +253,12 @@ func PanelDot32(a, b []float32) float32 {
 }
 
 // MulTInto32Fused computes C = A · Bᵀ in float32 into dst (A n×q, B d×q,
-// dst n×d) with an optional per-row epilogue, mirroring MulTIntoFused's
-// blocking: kernelKC-column panels over the shared dimension, 2×4
-// register tiles within a panel, row blocks sharded across the worker
-// pool. post(i, dst.Row(i)) runs while the row is cache-hot and must be
-// safe to call concurrently for different rows. dst must not alias A or
-// B. It returns dst.
+// dst n×d) with an optional per-row epilogue, blocked like MulTIntoFused:
+// kernelKC-column panels over the shared dimension, 2×4 register tiles
+// within a panel, row blocks sharded across the worker pool. post(i,
+// dst.Row(i)) runs once the shard's rows are complete and must be safe to
+// call concurrently for different rows. dst must not alias A or B. It
+// returns dst.
 func MulTInto32Fused(dst, a, b *Dense32, post func(i int, row []float32)) *Dense32 {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTInto32 inner dimension mismatch %d vs %d", a.Cols, b.Cols))

@@ -107,12 +107,12 @@ func TestFMA32MatchesCorrectRounding(t *testing.T) {
 // TestF32KernelsMatchGoLanes pins the dispatching f32 micro-kernels to
 // the pure-Go lane kernels bitwise across every ISA tier the host
 // supports, over aligned and ragged lengths — the f32 mirror of
-// TestSIMDKernelsMatchGoLanes, with the tiers forced through setF32ISA.
+// TestSIMDKernelsMatchGoLanes, with the tiers forced through setTier.
 func TestF32KernelsMatchGoLanes(t *testing.T) {
-	if f32Best == f32Generic {
+	if bestTier == tierGeneric {
 		t.Log("no f32 SIMD tier: dispatcher always uses the Go lanes")
 	}
-	tiers := []int32{f32Generic, f32AVX2, f32AVX512}
+	tiers := []int32{tierGeneric, tierAVX2, tierAVX512}
 	for _, n := range []int{1, 3, 8, 15, 16, 17, 31, 32, 63, 64, 65, 127, 561, 1024, 2000} {
 		a0 := make([]float32, n)
 		a1 := make([]float32, n)
@@ -128,28 +128,28 @@ func TestF32KernelsMatchGoLanes(t *testing.T) {
 			laneDot32(a1, b0), laneDot32(a1, b1), laneDot32(a1, b2), laneDot32(a1, b3),
 		}
 
-		for _, tier := range tiers {
-			if tier > f32Best {
+		for _, lvl := range tiers {
+			if lvl > bestTier {
 				continue
 			}
-			prev := setF32ISA(tier)
+			prev := setTier(lvl)
 			var t4 [4]float32
 			dotBatch4F32(a0, b0, b1, b2, b3, &t4)
 			for i, got := range t4 {
 				if got != want[i] {
-					setF32ISA(prev)
-					t.Fatalf("n=%d tier=%d dotBatch4F32 lane %d: %g != laneDot32 %g", n, tier, i, got, want[i])
+					setTier(prev)
+					t.Fatalf("n=%d tier=%d dotBatch4F32 lane %d: %g != laneDot32 %g", n, lvl, i, got, want[i])
 				}
 			}
 			var t8 [8]float32
 			dot2x4F32(a0, a1, b0, b1, b2, b3, &t8)
 			for i, got := range t8 {
 				if got != want[i] {
-					setF32ISA(prev)
-					t.Fatalf("n=%d tier=%d dot2x4F32 element %d: %g != laneDot32 %g", n, tier, i, got, want[i])
+					setTier(prev)
+					t.Fatalf("n=%d tier=%d dot2x4F32 element %d: %g != laneDot32 %g", n, lvl, i, got, want[i])
 				}
 			}
-			setF32ISA(prev)
+			setTier(prev)
 		}
 
 		s0, s1 := laneDot232(a0, a1, b0)
@@ -176,14 +176,14 @@ func TestMulTInto32TiersBitIdentical(t *testing.T) {
 		fillDense32(b, -0.5)
 
 		var ref *Dense32
-		for _, tier := range []int32{f32Generic, f32AVX2, f32AVX512} {
-			if tier > f32Best {
+		for _, lvl := range []int32{tierGeneric, tierAVX2, tierAVX512} {
+			if lvl > bestTier {
 				continue
 			}
-			prev := setF32ISA(tier)
+			prev := setTier(lvl)
 			dst := NewDense32(sh.n, sh.d)
 			MulTInto32Fused(dst, a, b, nil)
-			setF32ISA(prev)
+			setTier(prev)
 			if ref == nil {
 				ref = dst
 				for i := 0; i < sh.n; i++ {
@@ -199,7 +199,7 @@ func TestMulTInto32TiersBitIdentical(t *testing.T) {
 			for i := range dst.Data {
 				if dst.Data[i] != ref.Data[i] {
 					t.Fatalf("%dx%dx%d tier=%d element %d: %g != generic %g",
-						sh.n, sh.q, sh.d, tier, i, dst.Data[i], ref.Data[i])
+						sh.n, sh.q, sh.d, lvl, i, dst.Data[i], ref.Data[i])
 				}
 			}
 		}

@@ -13,13 +13,17 @@ import (
 //
 //   - kernelKC columns per shared-dimension panel: a 4-row B tile of one
 //     panel is 4·kernelKC·8 B = 32 KiB, which stays L1-resident while the
-//     micro-kernel sweeps the A rows of the current block over it.
-//   - kernelMR rows of A per block: the panel of A rows cycles through L1
-//     but remains L2-resident across all B tiles of the block, so B is
-//     streamed from memory only once per kernelMR rows of output.
+//     micro-kernels sweep the A rows of the current range over it.
+//   - kernelMR rows of A per block, the unit the worker pool shards.
+//   - A shard runs its blocks as merged row ranges of up to rangeRows
+//     rows, about kernelRangeBytes of A per panel: the range's A rows stay
+//     L2-resident across all B tiles, so B is streamed from memory once
+//     per merged range, not once per kernelMR rows. At serving shapes B is
+//     megabytes (D×q) and dominates the memory traffic.
 //
-// Within a block the micro-kernels compute a 2×4 (or 1×4, DotBatch) tile
-// of C per pass, amortizing each A load over four B rows.
+// Within a range the micro-kernels compute a 4×4 tile of C per pass, then
+// a 2×4 and a 1×4 tile (DotBatch) for the remaining rows, amortizing each
+// A load over four B rows and each B load over up to four A rows.
 //
 // # Lane semantics
 //
@@ -27,18 +31,30 @@ import (
 // multiply-add lanes: panel element i feeds lane i%4 via math.FMA, and the
 // lanes reduce as (l0+l2) + (l1+l3) at the end of each panel. This is
 // exactly the dataflow of a 4-wide AVX2 VFMADD loop followed by the
-// standard extract/add horizontal sum, so on amd64 machines with AVX2+FMA
-// the inner loops dispatch to the assembly kernels in simd_amd64.s — same
-// bits, several times the throughput, which is what makes the batched
-// serving path (GEMM over cache-resident panels) far outrun per-request
-// matrix-vector encoding (bandwidth-bound, SIMD cannot help it much).
-// PanelDot reproduces any single output element of the blocked product
-// bitwise by replaying the same lanes in pure Go.
+// standard extract/add horizontal sum, and of the AVX-512 4×4 tile, where
+// one ZMM register holds the four lanes of two outputs (two A rows joined
+// in its halves, each B row broadcast to both). On amd64 the inner loops
+// dispatch to the assembly kernels in simd_amd64.s by tier (tier.go) —
+// same bits, several times the throughput, which is what makes the
+// batched serving path (GEMM over cache-resident panels) far outrun
+// per-request matrix-vector encoding (bandwidth-bound, SIMD cannot help
+// it much). PanelDot reproduces any single output element of the blocked
+// product bitwise by replaying the same lanes in pure Go.
 const (
-	kernelKC = 1024
-	kernelMR = 8
-	kernelNR = 4
+	kernelKC         = 1024
+	kernelMR         = 8
+	kernelNR         = 4
+	kernelRangeBytes = 1 << 20
 )
+
+// rangeRows is the row cap of one merged range for A rows q wide: the
+// most kernelMR-row blocks whose panel slices (min(q, kernelKC) columns)
+// fit kernelRangeBytes, at least 128 rows. Without the cap a training
+// batch of thousands of rows would cycle its A panel through L3 once per
+// B tile.
+func rangeRows(q int) int {
+	return kernelRangeBytes / (8 * min(q, kernelKC)) / kernelMR * kernelMR
+}
 
 // laneFMA folds panel elements [i, n) of a·b into the four accumulator
 // lanes at lanes[o:o+4], continuing the stride-4 lane pattern from panel
@@ -108,7 +124,7 @@ func DotBatch(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	if len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
 		panic("mat: DotBatch length mismatch")
 	}
-	if useFMAKernels && n >= 4 {
+	if n >= 4 && tier.Load() >= tierAVX2 {
 		var out [4]float64
 		dotBatch4AVX(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n/4, n%4, &laneMasks, &out)
 		return out[0], out[1], out[2], out[3]
@@ -140,7 +156,7 @@ func DotBatch(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 // slice to the current panel). Each result equals laneDot of its pair.
 func dot2x4(a0, a1, b0, b1, b2, b3 []float64) (r00, r01, r02, r03, r10, r11, r12, r13 float64) {
 	n := len(a0)
-	if useFMAKernels && n >= 4 {
+	if n >= 4 && tier.Load() >= tierAVX2 {
 		var out [8]float64
 		dot2x4AVX(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], n/4, n%4, &laneMasks, &out)
 		return out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7]
@@ -180,6 +196,20 @@ func dot2x4(a0, a1, b0, b1, b2, b3 []float64) (r00, r01, r02, r03, r10, r11, r12
 		laneSum(lanes[28], lanes[29], lanes[30], lanes[31])
 }
 
+// dot4x4 is the 4×4 register tile: four A rows against four B rows,
+// out[4r+c] = laneDot(a_r, b_c). The AVX-512 tier runs it as one kernel;
+// the other tiers compose it from two 2×4 tiles, which is bit-identical
+// because the sixteen outputs are independent lane dots.
+func dot4x4(a0, a1, a2, a3, b0, b1, b2, b3 []float64, out *[16]float64) {
+	n := len(a0)
+	if n >= 4 && tier.Load() == tierAVX512 {
+		dot4x4AVX512(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], &b2[0], &b3[0], n/4, n%4, out)
+		return
+	}
+	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = dot2x4(a0, a1, b0, b1, b2, b3)
+	out[8], out[9], out[10], out[11], out[12], out[13], out[14], out[15] = dot2x4(a2, a3, b0, b1, b2, b3)
+}
+
 // PanelDot returns the inner product of a and b accumulated in the same
 // panel-wise lane order as the MulTInto micro-kernels: kernelKC-column
 // panels summed left to right, 4 strided FMA lanes within each panel. Use
@@ -211,21 +241,24 @@ func PanelDot(a, b []float64) float64 {
 // are base hypervectors) and batched similarity (rows of B are class
 // hypervectors). dst must not alias A or B. It returns dst.
 //
-// Row blocks are distributed across the worker pool; within a block the
-// kernel is cache-blocked over the shared dimension and register-tiled 2×4,
-// so results are bitwise deterministic regardless of scheduling (each output
-// element is accumulated in a fixed panel order by exactly one goroutine,
-// reproducible element-wise by PanelDot).
+// Row blocks are distributed across the worker pool; each shard runs its
+// blocks as merged row ranges, cache-blocked over the shared dimension and
+// register-tiled 4×4, 2×4 and 1×4, so results are bitwise deterministic
+// regardless of scheduling or tier (each output element is accumulated in
+// a fixed panel order by exactly one goroutine, reproducible element-wise
+// by PanelDot).
 func MulTInto(dst, a, b *Dense) *Dense {
 	return MulTIntoFused(dst, a, b, nil)
 }
 
-// MulTIntoFused is MulTInto with an optional elementwise epilogue: after a
-// row of the product is complete, post(i, dst.Row(i)) runs while the row is
-// still cache-hot. This is how batch encoding fuses its nonlinearity onto
-// the GEMM instead of making a second pass over the (much larger than L2)
-// output. post must be safe to call concurrently for different rows; a nil
-// post is a plain product.
+// MulTIntoFused is MulTInto with an optional elementwise epilogue: as soon
+// as a merged row range of the product is complete, post(i, dst.Row(i))
+// runs on each of its rows, which are then still in cache (a range's
+// output is at most a few MiB; at serving shapes a shard's is 256 KiB).
+// This is how batch encoding fuses its nonlinearity onto the GEMM instead
+// of making a second pass over the whole (much larger than L2) output.
+// post must be safe to call concurrently for different rows; a nil post
+// is a plain product.
 func MulTIntoFused(dst, a, b *Dense, post func(i int, row []float64)) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTInto inner dimension mismatch %d vs %d", a.Cols, b.Cols))
@@ -254,15 +287,15 @@ func MulTIntoFused(dst, a, b *Dense, post func(i int, row []float64)) *Dense {
 	return dst
 }
 
-// mulTBlocks processes row blocks [lo, hi) of the blocked product,
-// applying the optional epilogue to each completed row.
+// mulTBlocks processes row blocks [lo, hi) of the blocked product as
+// merged row ranges of up to rangeRows rows, applying the optional
+// epilogue to each row once its range is complete. Each range streams
+// every four-row B tile once, as mulT32Blocks does for the f32 product.
 func mulTBlocks(dst, a, b *Dense, post func(i int, row []float64), lo, hi int) {
-	for blk := lo; blk < hi; blk++ {
-		i0 := blk * kernelMR
-		i1 := i0 + kernelMR
-		if i1 > a.Rows {
-			i1 = a.Rows
-		}
+	end := min(hi*kernelMR, a.Rows)
+	step := rangeRows(a.Cols)
+	for i0 := lo * kernelMR; i0 < end; i0 += step {
+		i1 := min(i0+step, end)
 		mulTBlock(dst, a, b, i0, i1)
 		if post != nil {
 			for i := i0; i < i1; i++ {
@@ -272,16 +305,28 @@ func mulTBlocks(dst, a, b *Dense, post func(i int, row []float64), lo, hi int) {
 	}
 }
 
+// putTile stores the four results s of one tile row into c[j:j+4] for the
+// first panel, and adds them to it for later panels.
+func putTile(c []float64, j int, s []float64, first bool) {
+	c, s = c[j:j+4], s[:4]
+	if first {
+		c[0], c[1], c[2], c[3] = s[0], s[1], s[2], s[3]
+		return
+	}
+	c[0] += s[0]
+	c[1] += s[1]
+	c[2] += s[2]
+	c[3] += s[3]
+}
+
 // mulTBlock computes output rows [i0, i1) of dst = A·Bᵀ with panel blocking
-// over the shared dimension and 2×4 register tiling.
+// over the shared dimension and 4×4, 2×4 and 1×4 register tiles.
 func mulTBlock(dst, a, b *Dense, i0, i1 int) {
 	q := a.Cols
 	d := b.Rows
+	var t [16]float64
 	for k0 := 0; k0 < q; k0 += kernelKC {
-		k1 := k0 + kernelKC
-		if k1 > q {
-			k1 = q
-		}
+		k1 := min(k0+kernelKC, q)
 		first := k0 == 0
 		j := 0
 		for ; j+kernelNR <= d; j += kernelNR {
@@ -290,36 +335,24 @@ func mulTBlock(dst, a, b *Dense, i0, i1 int) {
 			b2 := b.Row(j + 2)[k0:k1]
 			b3 := b.Row(j + 3)[k0:k1]
 			i := i0
-			for ; i+2 <= i1; i += 2 {
-				s00, s01, s02, s03, s10, s11, s12, s13 := dot2x4(
+			for ; i+4 <= i1; i += 4 {
+				dot4x4(a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1], a.Row(i + 2)[k0:k1], a.Row(i + 3)[k0:k1],
+					b0, b1, b2, b3, &t)
+				putTile(dst.Row(i), j, t[0:4], first)
+				putTile(dst.Row(i+1), j, t[4:8], first)
+				putTile(dst.Row(i+2), j, t[8:12], first)
+				putTile(dst.Row(i+3), j, t[12:16], first)
+			}
+			if i+2 <= i1 {
+				t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = dot2x4(
 					a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1], b0, b1, b2, b3)
-				c0 := dst.Row(i)
-				c1 := dst.Row(i + 1)
-				if first {
-					c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-					c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-				} else {
-					c0[j] += s00
-					c0[j+1] += s01
-					c0[j+2] += s02
-					c0[j+3] += s03
-					c1[j] += s10
-					c1[j+1] += s11
-					c1[j+2] += s12
-					c1[j+3] += s13
-				}
+				putTile(dst.Row(i), j, t[0:4], first)
+				putTile(dst.Row(i+1), j, t[4:8], first)
+				i += 2
 			}
 			if i < i1 {
-				s0, s1, s2, s3 := DotBatch(a.Row(i)[k0:k1], b0, b1, b2, b3)
-				ci := dst.Row(i)
-				if first {
-					ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-				} else {
-					ci[j] += s0
-					ci[j+1] += s1
-					ci[j+2] += s2
-					ci[j+3] += s3
-				}
+				t[0], t[1], t[2], t[3] = DotBatch(a.Row(i)[k0:k1], b0, b1, b2, b3)
+				putTile(dst.Row(i), j, t[0:4], first)
 			}
 		}
 		// Remainder columns (d % 4) use the same 4-lane FMA kernels so

@@ -10,8 +10,10 @@
 //   - MulTInto(dst, A, B) computes A·Bᵀ — the shape of both HDC hot paths
 //     (batch encoding and batched similarity) — cache-blocked over the
 //     shared dimension (kernelKC-column panels sized to L1) and
-//     register-tiled 2×4 via the DotBatch/dot2x4 micro-kernels, which
-//     compute four output columns per pass over a row.
+//     register-tiled 4×4, 2×4 and 1×4 (dot4x4, dot2x4, DotBatch), each
+//     computing four output columns per pass over its rows.
+//   - ActivateRBF is the RBF encoder's cos·sin epilogue, eight lanes at a
+//     time on AVX-512, bit-identical to math.Sincos.
 //   - MulInto(dst, A, B) is the ordinary product in ikj order.
 //   - ParallelFor shards loops over a persistent goroutine worker pool
 //     (see pool.go); GetScratch provides pooled temporaries.

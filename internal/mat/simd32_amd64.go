@@ -1,38 +1,10 @@
 package mat
 
-// This file gates the float32 FMA assembly tiers (simd32_amd64.s) behind
-// the packed encode path. The assembly computes exactly the 16-lane
-// float32 FMA accumulation the pure-Go kernels in f32.go define (fma32
-// is an exact emulation of the hardware single-precision FMA), so
+// This file declares the float32 FMA assembly kernels (simd32_amd64.s)
+// behind the packed encode path. The assembly computes exactly the
+// 16-lane float32 FMA accumulation the pure-Go kernels in f32.go define
+// (fma32 is an exact emulation of the hardware single-precision FMA), so
 // enabling a tier changes speed, never bits.
-
-import "sync/atomic"
-
-// f32 ISA dispatch tiers, lowest to highest. f32ISA holds the active
-// level and is lowered only by tests exercising fallback parity.
-const (
-	f32Generic int32 = iota
-	f32AVX2          // 8-wide VFMADD231PS, two YMM accumulators per output
-	f32AVX512        // 16-wide VFMADD231PS, masked tails via opmask registers
-)
-
-// f32Best is the highest tier the host CPU + OS support.
-var f32Best = detectF32ISA()
-
-// f32ISA is the active dispatch tier. Atomic so tests can force fallback
-// tiers while -race parity checks run concurrently.
-var f32ISA atomic.Int32
-
-func init() { f32ISA.Store(f32Best) }
-
-// setF32ISA forces the dispatch tier (tests only), clamped to f32Best.
-// Returns the previous tier so callers can restore it.
-func setF32ISA(level int32) int32 {
-	if level > f32Best {
-		level = f32Best
-	}
-	return f32ISA.Swap(level)
-}
 
 // f32TailMasks holds the VMASKMOVPS masks for the AVX2 tier's tails of
 // 1..15 elements: row t-1 opens the first t of 16 int32 lanes.
@@ -65,35 +37,3 @@ func dot2x4F32AVX512(a0, a1, b0, b1, b2, b3 *float32, groups, tail int, out *[8]
 //
 //go:noescape
 func dotBatch4F32AVX2(a, b0, b1, b2, b3 *float32, groups, tail int, masks *[240]int32, out *[4]float32)
-
-// detectF32ISA probes CPUID leaves 1 and 7 plus XCR0 and returns the
-// best f32 kernel tier: AVX-512 needs AVX512F and OS-saved ZMM/opmask
-// state; AVX2 needs AVX2 + FMA and OS-saved YMM state.
-func detectF32ISA() int32 {
-	const (
-		fmaBit     = 1 << 12 // leaf 1 ECX
-		osxsaveBit = 1 << 27 // leaf 1 ECX
-		avxBit     = 1 << 28 // leaf 1 ECX
-		avx2Bit    = 1 << 5  // leaf 7 EBX
-		avx512fBit = 1 << 16 // leaf 7 EBX
-		ymmState   = 0x6     // XCR0: XMM+YMM
-		zmmState   = 0xe6    // XCR0: XMM+YMM+opmask+ZMM hi/lo
-	)
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return f32Generic
-	}
-	_, _, c1, _ := cpuid(1, 0)
-	if c1&(osxsaveBit|avxBit) != osxsaveBit|avxBit {
-		return f32Generic
-	}
-	xcr0, _ := xgetbv()
-	_, b7, _, _ := cpuid(7, 0)
-	if xcr0&zmmState == zmmState && b7&avx512fBit != 0 {
-		return f32AVX512
-	}
-	if xcr0&ymmState == ymmState && b7&avx2Bit != 0 && c1&fmaBit != 0 {
-		return f32AVX2
-	}
-	return f32Generic
-}

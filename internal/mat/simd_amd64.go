@@ -1,10 +1,10 @@
 package mat
 
-// This file gates the AVX2+FMA assembly micro-kernels (simd_amd64.s). The
-// assembly computes exactly the 4-lane FMA accumulation the pure-Go lane
-// kernels in kernels.go define, so enabling it changes speed, never bits;
-// machines without AVX2 (or other architectures) run the Go kernels and
-// produce identical results.
+// This file declares the float64 assembly kernels (simd_amd64.s) behind
+// the AVX2 and AVX-512 tiers (see tier.go). The GEMM tiles compute exactly
+// the 4-lane FMA accumulation the pure-Go lane kernels in kernels.go
+// define, and the epilogue computes exactly what math.Sincos and the RBF
+// activation compute in Go, so a tier changes speed, never bits.
 
 // laneMasks holds the VMASKMOVPD masks for tails of 1, 2 and 3 elements
 // (rows of 4 lanes; all-ones opens a lane).
@@ -27,36 +27,17 @@ func dotBatch4AVX(a, b0, b1, b2, b3 *float64, groups, tail int, masks *[12]int64
 //go:noescape
 func dot2x4AVX(a0, a1, b0, b1, b2, b3 *float64, groups, tail int, masks *[12]int64, out *[8]float64)
 
-// cpuid executes CPUID with the given leaf/subleaf.
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
+// dot4x4AVX512 is the complete 4×4 register tile (four A rows, four B
+// rows, sixteen finished dots in out, row-major): each ZMM accumulator
+// holds the four lanes of two outputs, and the tail is an opmask-merged
+// FMA step.
+//
+//go:noescape
+func dot4x4AVX512(a0, a1, a2, a3, b0, b1, b2, b3 *float64, groups, tail int, out *[16]float64)
 
-// xgetbv reads extended control register 0 (OS-enabled SIMD state).
-func xgetbv() (eax, edx uint32)
-
-// useFMAKernels reports whether the assembly kernels are usable: the CPU
-// must have AVX2 and FMA, and the OS must save the YMM state.
-var useFMAKernels = detectFMAKernels()
-
-// detectFMAKernels probes CPUID leaves 1 and 7 plus XCR0.
-func detectFMAKernels() bool {
-	const (
-		fmaBit     = 1 << 12 // leaf 1 ECX
-		osxsaveBit = 1 << 27 // leaf 1 ECX
-		avxBit     = 1 << 28 // leaf 1 ECX
-		avx2Bit    = 1 << 5  // leaf 7 EBX
-		ymmState   = 0x6     // XCR0 bits 1 (XMM) and 2 (YMM)
-	)
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, c, _ := cpuid(1, 0)
-	if c&(fmaBit|osxsaveBit|avxBit) != fmaBit|osxsaveBit|avxBit {
-		return false
-	}
-	if eax, _ := xgetbv(); eax&ymmState != ymmState {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&avx2Bit != 0
-}
+// cosSinAVX512 runs the RBF activation over up to groups 8-lane groups
+// of z in place and returns how many it completed: it stops before the
+// first group holding a lane that is not below 2^29 in magnitude.
+//
+//go:noescape
+func cosSinAVX512(z, cosC, sinC *float64, groups int, consts *[19]float64) int

@@ -1,12 +1,14 @@
-// AVX2+FMA micro-kernels for the blocked A·Bᵀ product. Each kernel
-// accumulates 4 strided FMA lanes per output element, handles the
-// sub-group tail with a masked partial step, and finishes with the
+// Float64 micro-kernels for the blocked A·Bᵀ product (AVX2+FMA 1×4 and
+// 2×4 tiles, the AVX-512 4×4 tile) and the AVX-512 RBF epilogue. Each
+// GEMM kernel accumulates 4 strided FMA lanes per output element, handles
+// the sub-group tail with a masked partial step, and finishes with the
 // horizontal reduction — one call returns finished dot products, so the
 // per-call overhead is a handful of instructions. The pure-Go lane
 // kernels in kernels.go reproduce every output bitwise (see laneDot);
 // the only tolerated divergence is the sign of a zero accumulator lane,
-// which the masked tail's FMA-with-zeros can flip from -0 to +0 (Go
-// float64 equality treats them as equal).
+// which the AVX2 tiles' masked tail (an FMA with zeros) can flip from -0
+// to +0 (Go float64 equality treats them as equal). The AVX-512 tile's
+// tail is an opmask-merged FMA and leaves closed lanes untouched.
 
 #include "textflag.h"
 
@@ -161,21 +163,233 @@ d24done:
 	VZEROUPPER
 	RET
 
-// func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL  eaxIn+0(FP), AX
-	MOVL  ecxIn+4(FP), CX
-	CPUID
-	MOVL  AX, eax+8(FP)
-	MOVL  BX, ebx+12(FP)
-	MOVL  CX, ecx+16(FP)
-	MOVL  DX, edx+20(FP)
+// HSUM2 reduces a ZMM accumulator holding the lanes of two outputs (the
+// low four lanes one output, the high four the other) into out+lo and
+// out+hi, each in laneSum order.
+#define HSUM2(accz, accy, accx, lo, hi) \
+	VEXTRACTF64X4 $1, accz, Y12     \
+	HSUM(accy, accx, X13, lo)       \
+	HSUM(Y12, X12, X13, hi)
+
+// func dot4x4AVX512(a0, a1, a2, a3, b0, b1, b2, b3 *float64, groups, tail int, out *[16]float64)
+// The complete 4×4 register tile: four A rows against four B rows,
+// sixteen outputs. A ZMM holds the four lanes of two outputs: the A rows
+// are joined in pairs (a0|a1, a2|a3) by VINSERTF64X4 and each B row is
+// broadcast to both halves by VBROADCASTF64X4, so one FMA advances the
+// lanes of a_r·b_c and a_r+1·b_c. The tail (tail in 0..3) loads through
+// masked YMM loads and is an opmask-merged FMA, which leaves the closed
+// lanes untouched exactly as the Go lanes do. out[4r+c] receives the
+// finished lane dot of A row r with B row c.
+TEXT ·dot4x4AVX512(SB), NOSPLIT, $0-88
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), DX
+	MOVQ a2+16(FP), R12
+	MOVQ a3+24(FP), R13
+	MOVQ b0+32(FP), R8
+	MOVQ b1+40(FP), R9
+	MOVQ b2+48(FP), R10
+	MOVQ b3+56(FP), R11
+	MOVQ groups+64(FP), CX
+	MOVQ tail+72(FP), BX
+	MOVQ out+80(FP), DI
+	XORQ AX, AX // byte offset into every row
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	TESTQ CX, CX
+	JZ    d44tail
+
+d44loop:
+	VMOVUPD         (SI)(AX*1), Y8
+	VINSERTF64X4    $1, (DX)(AX*1), Z8, Z8
+	VMOVUPD         (R12)(AX*1), Y9
+	VINSERTF64X4    $1, (R13)(AX*1), Z9, Z9
+	VBROADCASTF64X4 (R8)(AX*1), Z10
+	VFMADD231PD     Z10, Z8, Z0
+	VFMADD231PD     Z10, Z9, Z4
+	VBROADCASTF64X4 (R9)(AX*1), Z11
+	VFMADD231PD     Z11, Z8, Z1
+	VFMADD231PD     Z11, Z9, Z5
+	VBROADCASTF64X4 (R10)(AX*1), Z10
+	VFMADD231PD     Z10, Z8, Z2
+	VFMADD231PD     Z10, Z9, Z6
+	VBROADCASTF64X4 (R11)(AX*1), Z11
+	VFMADD231PD     Z11, Z8, Z3
+	VFMADD231PD     Z11, Z9, Z7
+	ADDQ            $32, AX
+	DECQ            CX
+	JNZ             d44loop
+
+d44tail:
+	TESTQ BX, BX
+	JZ    d44done
+	MOVQ  BX, CX
+	MOVL  $1, BX
+	SHLL  CX, BX
+	DECL  BX
+	KMOVW BX, K1 // the first tail lanes of a YMM load
+	MOVL  BX, CX
+	SHLL  $4, CX
+	ORL   CX, BX
+	KMOVW BX, K2 // the same lanes in both halves of a ZMM
+	VMOVUPD.Z    (SI)(AX*1), K1, Y8
+	VMOVUPD.Z    (DX)(AX*1), K1, Y12
+	VINSERTF64X4 $1, Y12, Z8, Z8
+	VMOVUPD.Z    (R12)(AX*1), K1, Y9
+	VMOVUPD.Z    (R13)(AX*1), K1, Y12
+	VINSERTF64X4 $1, Y12, Z9, Z9
+	VMOVUPD.Z    (R8)(AX*1), K1, Y10
+	VINSERTF64X4 $1, Y10, Z10, Z10
+	VFMADD231PD  Z10, Z8, K2, Z0
+	VFMADD231PD  Z10, Z9, K2, Z4
+	VMOVUPD.Z    (R9)(AX*1), K1, Y10
+	VINSERTF64X4 $1, Y10, Z10, Z10
+	VFMADD231PD  Z10, Z8, K2, Z1
+	VFMADD231PD  Z10, Z9, K2, Z5
+	VMOVUPD.Z    (R10)(AX*1), K1, Y10
+	VINSERTF64X4 $1, Y10, Z10, Z10
+	VFMADD231PD  Z10, Z8, K2, Z2
+	VFMADD231PD  Z10, Z9, K2, Z6
+	VMOVUPD.Z    (R11)(AX*1), K1, Y10
+	VINSERTF64X4 $1, Y10, Z10, Z10
+	VFMADD231PD  Z10, Z8, K2, Z3
+	VFMADD231PD  Z10, Z9, K2, Z7
+
+d44done:
+	HSUM2(Z0, Y0, X0, 0, 32)
+	HSUM2(Z1, Y1, X1, 8, 40)
+	HSUM2(Z2, Y2, X2, 16, 48)
+	HSUM2(Z3, Y3, X3, 24, 56)
+	HSUM2(Z4, Y4, X4, 64, 96)
+	HSUM2(Z5, Y5, X5, 72, 104)
+	HSUM2(Z6, Y6, X6, 80, 112)
+	HSUM2(Z7, Y7, X7, 88, 120)
+	VZEROUPPER
 	RET
 
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	XORL   CX, CX
-	XGETBV
-	MOVL   AX, eax+0(FP)
-	MOVL   DX, edx+4(FP)
+// func cosSinAVX512(z, cosC, sinC *float64, groups int, consts *[19]float64) int
+// The RBF activation (cos z·cosC − sin z·sinC)·sin z on eight lanes at a
+// time, in place. sin z and cos z follow math.Sincos step for step: the
+// same Cody–Waite reduction by π/4 in three parts, the same Cephes
+// polynomials in the same Horner order, every product and sum rounded on
+// its own (no FMA), as the Go compiler emits them on amd64. A ±0 lane
+// needs no special case to give (sin, cos) = (z, 1), as math.Sincos
+// does: |z| = +0 yields the polynomials (+0, 1) in octant 0, and sin
+// takes the sign bit of z (where Go tests z < 0, which differs only at
+// -0). A group with any lane where !(|z| < 2^29) (NaN and ±Inf included)
+// needs the Payne–Hanek reduction the kernel does not have, so the kernel
+// stops before it and returns the number of groups it completed. consts
+// is cosSinConsts.
+TEXT ·cosSinAVX512(SB), NOSPLIT, $0-48
+	MOVQ z+0(FP), SI
+	MOVQ cosC+8(FP), R8
+	MOVQ sinC+16(FP), R9
+	MOVQ groups+24(FP), CX
+	MOVQ consts+32(FP), BX
+	XORQ DX, DX // groups completed
+	VBROADCASTSD 0(BX), Z16  // 4/π
+	VBROADCASTSD 8(BX), Z17  // PI4A
+	VBROADCASTSD 16(BX), Z18 // PI4B
+	VBROADCASTSD 24(BX), Z19 // PI4C
+	VBROADCASTSD 32(BX), Z20 // 2^29, the reduction threshold
+	VBROADCASTSD 40(BX), Z21 // 1.0
+	VBROADCASTSD 48(BX), Z22 // 0.5
+	MOVQ         $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z23     // |·| mask
+	MOVQ         $1, AX
+	VPBROADCASTQ AX, Z24     // integer 1
+	MOVQ         $2, AX
+	VPBROADCASTQ AX, Z25     // integer 2
+	MOVQ         $4, AX
+	VPBROADCASTQ AX, Z26     // integer 4
+	MOVQ         $1, AX
+	SHLQ         $63, AX
+	VPBROADCASTQ AX, Z27     // sign mask
+	TESTQ        CX, CX
+	JZ           csdone
+
+csloop:
+	VMOVUPD     (SI), Z0              // z
+	VPANDQ      Z23, Z0, Z1           // x = |z|
+	VCMPPD      $0x11, Z20, Z1, K1    // LT_OQ: x < 2^29, false for NaN
+	KMOVW       K1, AX
+	CMPL        AX, $0xff
+	JNE         csdone
+	VPXORQ      Z1, Z0, Z2            // sign bit of z
+	VMULPD      Z16, Z1, Z3           // x·(4/π)
+	VCVTTPD2UQQ Z3, Z3                // j = uint64(x·(4/π))
+	VPANDQ      Z24, Z3, Z4
+	VPADDQ      Z4, Z3, Z3            // odd j: j++ (y++ is exact)
+	VCVTUQQ2PD  Z3, Z4                // y = float64(j)
+	VMULPD      Z17, Z4, Z5
+	VSUBPD      Z5, Z1, Z5            // x − y·PI4A
+	VMULPD      Z18, Z4, Z6
+	VSUBPD      Z6, Z5, Z5            // − y·PI4B
+	VMULPD      Z19, Z4, Z6
+	VSUBPD      Z6, Z5, Z5            // − y·PI4C: the reduced argument r
+	VMULPD      Z5, Z5, Z6            // zz = r·r
+
+	// cos: 1 − 0.5·zz + zz·zz·(((((c0·zz + c1)·zz + c2)·zz + c3)·zz + c4)·zz + c5)
+	VMULPD.BCST 56(BX), Z6, Z7
+	VADDPD.BCST 64(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 72(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 80(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 88(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 96(BX), Z7, Z7
+	VMULPD      Z6, Z6, Z8
+	VMULPD      Z7, Z8, Z8            // zz·zz·P
+	VMULPD      Z22, Z6, Z9
+	VSUBPD      Z9, Z21, Z9           // 1 − 0.5·zz
+	VADDPD      Z8, Z9, Z9            // cos polynomial
+
+	// sin: r + r·zz·(((((s0·zz + s1)·zz + s2)·zz + s3)·zz + s4)·zz + s5)
+	VMULPD.BCST 104(BX), Z6, Z7
+	VADDPD.BCST 112(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 120(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 128(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 136(BX), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST 144(BX), Z7, Z7
+	VMULPD      Z6, Z5, Z8
+	VMULPD      Z7, Z8, Z8            // r·zz·S
+	VADDPD      Z8, Z5, Z10           // sin polynomial
+
+	// Octant j&7 ∈ {0, 2, 4, 6}: bit 1 swaps the polynomials and flips
+	// cos; bit 2 flips both; the sign bit of z flips sin.
+	VPTESTMQ  Z25, Z3, K3
+	VPTESTMQ  Z26, Z3, K4
+	VBLENDMPD Z9, Z10, K3, Z11        // sin
+	VBLENDMPD Z10, Z9, K3, Z12        // cos
+	KXORW     K3, K4, K5
+	VPXORQ    Z27, Z12, K5, Z12
+	VPXORQ    Z27, Z11, K4, Z11
+	VPXORQ    Z2, Z11, Z11
+
+	VMULPD  (R8), Z12, Z13            // cos·cosC
+	VMULPD  (R9), Z11, Z14            // sin·sinC
+	VSUBPD  Z14, Z13, Z13
+	VMULPD  Z11, Z13, Z13             // ·sin
+	VMOVUPD Z13, (SI)
+	ADDQ    $64, SI
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	INCQ    DX
+	DECQ    CX
+	JNZ     csloop
+
+csdone:
+	MOVQ DX, ret+40(FP)
+	VZEROUPPER
 	RET
