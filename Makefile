@@ -50,7 +50,8 @@ fuzz-smoke:
 	$(GO) test -run 'FuzzInstallSpec' ./serve/registry
 
 # The perf-regression gate: re-measure the SIMD-critical kernel benchmarks
-# (bitpack score/pack, mat GEMM/dot, the fused RBF batch encode) and fail
+# (bitpack score/pack, mat GEMM/dot, the two-caller GEMM row
+# BenchmarkMulTIntoConcurrent, the fused RBF batch encode) and fail
 # if any regressed past the committed baseline with non-overlapping
 # sample ranges (see cmd/benchcompare for the noise rules). The threshold
 # is calibrated to this host: the shared-VM scheduler shifts whole benchmark runs by ±35%
@@ -65,7 +66,7 @@ fuzz-smoke:
 bench-compare:
 	@$(GO) test ./internal/bitpack -run xxx -bench 'BenchmarkScoreBatch|BenchmarkPackSigns' \
 		-benchtime 50ms -count 5 > bench/current.txt
-	@$(GO) test ./internal/mat -run xxx -bench 'BenchmarkMulTInto|BenchmarkDotBatch' \
+	@$(GO) test ./internal/mat -run xxx -bench 'BenchmarkMulTInto|BenchmarkMulTIntoConcurrent|BenchmarkDotBatch' \
 		-benchtime 50ms -count 5 >> bench/current.txt
 	@$(GO) test ./internal/encoding -run xxx -bench BenchmarkEncodeBatchInto \
 		-benchtime 50ms -count 5 >> bench/current.txt

@@ -2,6 +2,8 @@ package mat
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -100,4 +102,36 @@ func BenchmarkDotBatch(b *testing.B) {
 		sink += s0 + s1 + s2 + s3
 	}
 	_ = sink
+}
+
+// BenchmarkMulTIntoConcurrent measures two callers sharing two cores:
+// two goroutines at GOMAXPROCS 2 each computing 64×561 → 1024 products
+// (the served encode GEMM of two concurrent /predict_batch frames),
+// reported as rows/s over both. It is the kernel row of ParallelFor's
+// shard rule: a caller that fans out onto a core the other caller is
+// using streams the base twice and waits behind the other's shards.
+func BenchmarkMulTIntoConcurrent(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const rows = 64
+	base := benchDense(1024, 561, 2)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < 2; c++ {
+		x := benchDense(rows, 561, uint64(10+c))
+		dst := New(rows, 1024)
+		n := b.N / 2
+		if c == 0 {
+			n = b.N - n
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				MulTInto(dst, x, base)
+			}
+		}()
+	}
+	wg.Wait()
+	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -288,24 +288,21 @@ func MulTInto32Fused(dst, a, b *Dense32, post func(i int, row []float32)) *Dense
 	return dst
 }
 
-// mulT32Blocks processes row blocks [lo, hi) of the blocked f32 product,
-// applying the optional epilogue to each completed row. The whole range
-// runs as one kernel call so each four-row B tile is streamed from cache
-// once per shard, not once per kernelMR rows — at serving shapes B is
-// megabytes and dominates the memory traffic, while the shard's A rows
-// stay resident in L2.
+// mulT32Blocks processes row blocks [lo, hi) of the blocked f32 product
+// as merged row ranges capped in bytes of the padded stride (forRanges),
+// applying the optional epilogue to each row once its range is complete.
+// Each range streams every four-row B tile from cache once, not once per
+// kernelMR rows — at serving shapes B is megabytes and dominates the
+// memory traffic — while the cap keeps the range's A rows resident in L2.
 func mulT32Blocks(dst, a, b *Dense32, post func(i int, row []float32), lo, hi int) {
-	i0 := lo * kernelMR
-	i1 := hi * kernelMR
-	if i1 > a.Rows {
-		i1 = a.Rows
-	}
-	mulT32Block(dst, a, b, i0, i1)
-	if post != nil {
-		for i := i0; i < i1; i++ {
-			post(i, dst.Row(i))
+	forRanges(lo, hi, a.Rows, 4*min(a.Stride, kernelKC), func(i0, i1 int) {
+		mulT32Block(dst, a, b, i0, i1)
+		if post != nil {
+			for i := i0; i < i1; i++ {
+				post(i, dst.Row(i))
+			}
 		}
-	}
+	})
 }
 
 // mulT32Block computes output rows [i0, i1) of dst = A·Bᵀ with panel

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -106,26 +107,50 @@ func TestFMA32MatchesCorrectRounding(t *testing.T) {
 
 // TestF32KernelsMatchGoLanes pins the dispatching f32 micro-kernels to
 // the pure-Go lane kernels bitwise across every ISA tier the host
-// supports, over aligned and ragged lengths — the f32 mirror of
+// supports, over aligned and ragged lengths, for sign-mixed inputs and
+// for inputs whose every product underflows to -0 — the f32 mirror of
 // TestSIMDKernelsMatchGoLanes, with the tiers forced through setTier.
 func TestF32KernelsMatchGoLanes(t *testing.T) {
 	if bestTier == tierGeneric {
 		t.Log("no f32 SIMD tier: dispatcher always uses the Go lanes")
 	}
 	tiers := []int32{tierGeneric, tierAVX2, tierAVX512}
-	for _, n := range []int{1, 3, 8, 15, 16, 17, 31, 32, 63, 64, 65, 127, 561, 1024, 2000} {
+	for _, c := range []struct {
+		n         int
+		underflow bool
+	}{
+		{1, false}, {3, false}, {8, false}, {15, false}, {16, false}, {17, false}, {31, false}, {32, false},
+		{63, false}, {64, false}, {65, false}, {127, false}, {561, false}, {1024, false}, {2000, false},
+		{16, true}, {17, true}, {24, true}, {31, true}, {561, true},
+	} {
+		n := c.n
 		a0 := make([]float32, n)
 		a1 := make([]float32, n)
 		rows := NewDense32(4, n)
 		fillPseudo32(a0, 0.1)
 		fillPseudo32(a1, -0.7)
 		fillDense32(rows, 0.3)
+		if c.underflow {
+			// -1e-30·1e-30 underflows to -0 in float32: from n = 16 on
+			// every lane and every lane dot is -0.
+			for i := range a0 {
+				a0[i], a1[i] = -1e-30, -1e-30
+			}
+			for r := 0; r < 4; r++ {
+				for j := range rows.Row(r) {
+					rows.Row(r)[j] = 1e-30
+				}
+			}
+		}
 		b0, b1, b2, b3 := rows.Row(0), rows.Row(1), rows.Row(2), rows.Row(3)
 
 		// laneDot32 is the canonical definition every element must equal.
 		want := [8]float32{
 			laneDot32(a0, b0), laneDot32(a0, b1), laneDot32(a0, b2), laneDot32(a0, b3),
 			laneDot32(a1, b0), laneDot32(a1, b1), laneDot32(a1, b2), laneDot32(a1, b3),
+		}
+		if c.underflow && math.Float32bits(want[0]) != 1<<31 {
+			t.Fatalf("n=%d: laneDot32 of underflowing products is %g, want -0", n, want[0])
 		}
 
 		for _, lvl := range tiers {
@@ -136,7 +161,7 @@ func TestF32KernelsMatchGoLanes(t *testing.T) {
 			var t4 [4]float32
 			dotBatch4F32(a0, b0, b1, b2, b3, &t4)
 			for i, got := range t4 {
-				if got != want[i] {
+				if math.Float32bits(got) != math.Float32bits(want[i]) {
 					setTier(prev)
 					t.Fatalf("n=%d tier=%d dotBatch4F32 lane %d: %g != laneDot32 %g", n, lvl, i, got, want[i])
 				}
@@ -144,7 +169,7 @@ func TestF32KernelsMatchGoLanes(t *testing.T) {
 			var t8 [8]float32
 			dot2x4F32(a0, a1, b0, b1, b2, b3, &t8)
 			for i, got := range t8 {
-				if got != want[i] {
+				if math.Float32bits(got) != math.Float32bits(want[i]) {
 					setTier(prev)
 					t.Fatalf("n=%d tier=%d dot2x4F32 element %d: %g != laneDot32 %g", n, lvl, i, got, want[i])
 				}
@@ -160,14 +185,21 @@ func TestF32KernelsMatchGoLanes(t *testing.T) {
 }
 
 // TestMulTInto32TiersBitIdentical computes full blocked f32 products on
-// every supported ISA tier and requires bit-identical outputs, with every
-// element also reproducible by PanelDot32 — ragged shapes exercise the
-// 2×4 tile, the 1×4 row remainder, the scalar column remainder, and the
-// multi-panel accumulation path.
+// every supported ISA tier at GOMAXPROCS 1, 2 and 4 and requires every
+// output bit to equal PanelDot32's — ragged shapes exercise the 2×4
+// tile, the 1×4 row remainder, the scalar column remainder, the
+// multi-panel accumulation path, and ranges past the rangeRows cap (224
+// rows at q = 561).
 func TestMulTInto32TiersBitIdentical(t *testing.T) {
+	defer setTier(setTier(bestTier))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct{ n, q, d int }{
 		{1, 1, 1}, {2, 16, 4}, {3, 17, 5}, {8, 64, 12}, {5, 561, 11},
 		{13, 700, 9}, {7, 1030, 6}, {64, 2048, 3}, {9, 3000, 8},
+		{460, 561, 5}, // ranges of 224, 224 and 12 rows at GOMAXPROCS 1
+	}
+	if 460 <= rangeRows(4*Stride32(561)) {
+		t.Fatal("the merged-range shape no longer outgrows the rangeRows cap")
 	}
 	for _, sh := range shapes {
 		a := NewDense32(sh.n, sh.q)
@@ -175,31 +207,22 @@ func TestMulTInto32TiersBitIdentical(t *testing.T) {
 		fillDense32(a, 0.25)
 		fillDense32(b, -0.5)
 
-		var ref *Dense32
-		for _, lvl := range []int32{tierGeneric, tierAVX2, tierAVX512} {
-			if lvl > bestTier {
-				continue
+		want := NewDense32(sh.n, sh.d)
+		for i := 0; i < sh.n; i++ {
+			for j := 0; j < sh.d; j++ {
+				want.Row(i)[j] = PanelDot32(a.paddedRow(i), b.paddedRow(j))
 			}
-			prev := setTier(lvl)
-			dst := NewDense32(sh.n, sh.d)
-			MulTInto32Fused(dst, a, b, nil)
-			setTier(prev)
-			if ref == nil {
-				ref = dst
-				for i := 0; i < sh.n; i++ {
-					for j := 0; j < sh.d; j++ {
-						if got, want := dst.Row(i)[j], PanelDot32(a.paddedRow(i), b.paddedRow(j)); got != want {
-							t.Fatalf("%dx%dx%d element (%d,%d): blocked %g != PanelDot32 %g",
-								sh.n, sh.q, sh.d, i, j, got, want)
-						}
+		}
+		for _, lvl := range hostTiers() {
+			for _, procs := range []int{1, 2, 4} {
+				setTier(lvl)
+				runtime.GOMAXPROCS(procs)
+				dst := MulTInto32Fused(NewDense32(sh.n, sh.d), a, b, nil)
+				for i := range want.Data {
+					if math.Float32bits(dst.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%dx%dx%d %s procs=%d element %d: blocked %g != PanelDot32 %g",
+							sh.n, sh.q, sh.d, tierName(lvl), procs, i, dst.Data[i], want.Data[i])
 					}
-				}
-				continue
-			}
-			for i := range dst.Data {
-				if dst.Data[i] != ref.Data[i] {
-					t.Fatalf("%dx%dx%d tier=%d element %d: %g != generic %g",
-						sh.n, sh.q, sh.d, lvl, i, dst.Data[i], ref.Data[i])
 				}
 			}
 		}

@@ -3,6 +3,8 @@ package mat
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"unsafe"
 )
 
 // This file holds the cache-blocked, register-tiled matrix kernels. The
@@ -19,11 +21,18 @@ import (
 //     rows, about kernelRangeBytes of A per panel: the range's A rows stay
 //     L2-resident across all B tiles, so B is streamed from memory once
 //     per merged range, not once per kernelMR rows. At serving shapes B is
-//     megabytes (D×q) and dominates the memory traffic.
+//     megabytes (D×q) and dominates the memory traffic. The cap is a
+//     quarter of L2, since a packed range (below) holds its rows twice,
+//     once as read and once packed: at 2600 × 561 → 1024 a 512-KiB cap
+//     runs 10–15 % faster than 1 MiB for f64 and about 20 % for f32.
 //
 // Within a range the micro-kernels compute a 4×4 tile of C per pass, then
 // a 2×4 and a 1×4 tile (DotBatch) for the remaining rows, amortizing each
-// A load over four B rows and each B load over up to four A rows.
+// A load over four B rows and each B load over up to four A rows. On the
+// AVX-512 tier a product with at least packMinRows B rows instead packs
+// the whole 8-row groups of each panel of the range once (packA) and runs
+// them through one 8×4 tile; the rows after the last whole group take the
+// smaller tiles.
 //
 // # Lane semantics
 //
@@ -31,29 +40,57 @@ import (
 // multiply-add lanes: panel element i feeds lane i%4 via math.FMA, and the
 // lanes reduce as (l0+l2) + (l1+l3) at the end of each panel. This is
 // exactly the dataflow of a 4-wide AVX2 VFMADD loop followed by the
-// standard extract/add horizontal sum, and of the AVX-512 4×4 tile, where
-// one ZMM register holds the four lanes of two outputs (two A rows joined
-// in its halves, each B row broadcast to both). On amd64 the inner loops
-// dispatch to the assembly kernels in simd_amd64.s by tier (tier.go) —
-// same bits, several times the throughput, which is what makes the
-// batched serving path (GEMM over cache-resident panels) far outrun
-// per-request matrix-vector encoding (bandwidth-bound, SIMD cannot help
-// it much). PanelDot reproduces any single output element of the blocked
-// product bitwise by replaying the same lanes in pure Go.
+// standard extract/add horizontal sum, and of the AVX-512 tiles, where
+// one ZMM register holds the four lanes of two outputs (two A rows in its
+// halves, each B row broadcast to both by VBROADCASTF64X4). On amd64 the
+// inner loops dispatch to the assembly kernels in simd_amd64.s by tier
+// (tier.go) — same bits, several times the throughput, which is what
+// makes the batched serving path (GEMM over cache-resident panels) far
+// outrun per-request matrix-vector encoding (bandwidth-bound, SIMD cannot
+// help it much). PanelDot reproduces any single output element of the
+// blocked product bitwise by replaying the same lanes in pure Go.
+//
+// # Packed A
+//
+// The 4×4 tile reads A rows in place and joins each pair into one ZMM
+// with VINSERTF64X4: two of every ten slots of its step go to that
+// shuffle, which runs on the port the second 512-bit FMA unit shares. The
+// packed layout stores each row pair already joined: a panel's rows are
+// cut into 8-row groups, and each 4-column step of a group holds the four
+// columns of its eight rows in row order, so a pair is one aligned 64-byte
+// ZMM load, zero-padded in the last step (q%4 columns). The 8×4 tile then
+// issues 4 A loads and 4 B broadcasts per 16 FMAs with no shuffle, and
+// sums its 32 outputs in laneSum order. The pack is one extra pass over
+// the A panel, repaid once per four-row B tile: a projection base's
+// hundreds of rows repay it many times, the dozen class rows of a scoring
+// GEMM do not (packMinRows). Rows short of a whole group (rows%8, and a
+// product under 8 rows such as a single-row encode) take the unpacked
+// tiles: a zero-padded group would compute up to eight rows for one.
 const (
 	kernelKC         = 1024
 	kernelMR         = 8
 	kernelNR         = 4
-	kernelRangeBytes = 1 << 20
+	kernelRangeBytes = 1 << 19
 )
 
-// rangeRows is the row cap of one merged range for A rows q wide: the
-// most kernelMR-row blocks whose panel slices (min(q, kernelKC) columns)
-// fit kernelRangeBytes, at least 128 rows. Without the cap a training
-// batch of thousands of rows would cycle its A panel through L3 once per
-// B tile.
-func rangeRows(q int) int {
-	return kernelRangeBytes / (8 * min(q, kernelKC)) / kernelMR * kernelMR
+// rangeRows is the row cap of one merged range whose A rows hold
+// panelBytes bytes of one panel: the most kernelMR-row blocks that fit
+// kernelRangeBytes (at least 64 rows for float64 panels, 128 for
+// float32). Without the cap a training batch of thousands of rows would
+// cycle its A panel through L3 once per B tile.
+func rangeRows(panelBytes int) int {
+	return max(kernelRangeBytes/panelBytes/kernelMR*kernelMR, kernelMR)
+}
+
+// forRanges runs f over row blocks [lo, hi) of an n-row product as
+// merged row ranges [i0, i1) of at most rangeRows(panelBytes) rows — the
+// one capped loop of both precisions' blocked products.
+func forRanges(lo, hi, n, panelBytes int, f func(i0, i1 int)) {
+	end := min(hi*kernelMR, n)
+	step := rangeRows(panelBytes)
+	for i0 := lo * kernelMR; i0 < end; i0 += step {
+		f(i0, min(i0+step, end))
+	}
 }
 
 // laneFMA folds panel elements [i, n) of a·b into the four accumulator
@@ -243,10 +280,10 @@ func PanelDot(a, b []float64) float64 {
 //
 // Row blocks are distributed across the worker pool; each shard runs its
 // blocks as merged row ranges, cache-blocked over the shared dimension and
-// register-tiled 4×4, 2×4 and 1×4, so results are bitwise deterministic
-// regardless of scheduling or tier (each output element is accumulated in
-// a fixed panel order by exactly one goroutine, reproducible element-wise
-// by PanelDot).
+// register-tiled (8×4 over packed A, or 4×4, 2×4 and 1×4), so results are
+// bitwise deterministic regardless of scheduling or tier (each output
+// element is accumulated in a fixed panel order by exactly one goroutine,
+// reproducible element-wise by PanelDot).
 func MulTInto(dst, a, b *Dense) *Dense {
 	return MulTIntoFused(dst, a, b, nil)
 }
@@ -259,6 +296,15 @@ func MulTInto(dst, a, b *Dense) *Dense {
 // of making a second pass over the whole (much larger than L2) output.
 // post must be safe to call concurrently for different rows; a nil post
 // is a plain product.
+//
+// The row blocks are sharded by ParallelFor's rule: GOMAXPROCS ÷ the
+// ParallelFor calls in flight, so a lone product spreads over every core
+// and concurrent products (two served frames) each stay on one, streaming
+// B once each. A packed product (AVX-512, at least packMinRows B rows)
+// leases one pack buffer per running shard from a pool, sized for one
+// range (at most about kernelRangeBytes; 282 KiB for a 64-row frame at
+// q = 561 run inline), and reuses it for every range and panel of the
+// shard.
 func MulTIntoFused(dst, a, b *Dense, post func(i int, row []float64)) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTInto inner dimension mismatch %d vs %d", a.Cols, b.Cols))
@@ -288,21 +334,104 @@ func MulTIntoFused(dst, a, b *Dense, post func(i int, row []float64)) *Dense {
 }
 
 // mulTBlocks processes row blocks [lo, hi) of the blocked product as
-// merged row ranges of up to rangeRows rows, applying the optional
-// epilogue to each row once its range is complete. Each range streams
-// every four-row B tile once, as mulT32Blocks does for the f32 product.
+// merged row ranges (forRanges), applying the optional epilogue to each
+// row once its range is complete. Each range streams every four-row B
+// tile once, as mulT32Blocks does for the f32 product. When packsA
+// chooses the 8×4 tile, the shard leases one pack buffer sized for one
+// range and reuses it for each of its ranges and panels.
 func mulTBlocks(dst, a, b *Dense, post func(i int, row []float64), lo, hi int) {
-	end := min(hi*kernelMR, a.Rows)
-	step := rangeRows(a.Cols)
-	for i0 := lo * kernelMR; i0 < end; i0 += step {
-		i1 := min(i0+step, end)
-		mulTBlock(dst, a, b, i0, i1)
+	panel := min(a.Cols, kernelKC)
+	var lease *Scratch
+	var pack []float64
+	if rows := min(hi*kernelMR, a.Rows) - lo*kernelMR; rows >= 8 && packsA(b.Rows) {
+		lease, pack = getPack(min(rangeRows(8*panel), rows&^7) * ((panel + 3) &^ 3))
+	}
+	forRanges(lo, hi, a.Rows, 8*panel, func(i0, i1 int) {
+		mulTBlock(dst, a, b, i0, i1, pack)
 		if post != nil {
 			for i := i0; i < i1; i++ {
 				post(i, dst.Row(i))
 			}
 		}
+	})
+	if lease != nil {
+		putPack(lease)
 	}
+}
+
+// packMinRows is the fewest B rows for which packsA packs A. Packing
+// costs one extra pass over the A panel, which the 8×4 tile repays once
+// per four-row B tile: at 12 class rows (the scoring GEMM) the pass costs
+// more than the tile saves, at a projection base's hundreds of rows it is
+// noise.
+const packMinRows = 64
+
+// packsA reports whether a product with bRows B rows runs the packed 8×4
+// tile: the AVX-512 tier, and enough B rows to repay the pack. Other
+// products run the unpacked 4×4, 2×4 and 1×4 tiles, same bits.
+func packsA(bRows int) bool {
+	return tier.Load() == tierAVX512 && bRows >= packMinRows
+}
+
+// packFree holds the idle pack buffers (each at most one range, about
+// kernelRangeBytes): one is leased per running shard of a packed product
+// and handed back when the shard ends. It is a buffered channel, not a
+// sync.Pool, so buffers survive garbage collections and the race
+// detector's random pool drops (the zero-allocation pins hold under
+// -race), and any core can reuse any buffer. It keeps at most twice the
+// start-up GOMAXPROCS idle buffers; surplus ones go to the collector.
+var packFree = make(chan *Scratch, 2*runtime.GOMAXPROCS(0))
+
+// getPack leases a pack buffer of n float64s starting on a 64-byte
+// boundary, so each pair step of packA is one aligned ZMM load. Hand the
+// lease back with putPack.
+func getPack(n int) (*Scratch, []float64) {
+	var s *Scratch
+	select {
+	case s = <-packFree:
+	default:
+		s = new(Scratch)
+	}
+	if cap(s.Buf) < n+7 {
+		s.Buf = make([]float64, n+7)
+	}
+	buf := s.Buf[:cap(s.Buf)]
+	off := int(-uintptr(unsafe.Pointer(&buf[0])) % 64 / 8)
+	return s, buf[off : off+n]
+}
+
+// putPack hands a getPack lease back for reuse.
+func putPack(s *Scratch) {
+	select {
+	case packFree <- s:
+	default:
+	}
+}
+
+// packA copies rows [i0, i1) of A's panel [k0, k1) into p in the layout
+// dot8x4AVX512 reads, and returns the float64 stride of one 8-row group;
+// i1-i0 must be a multiple of 8. Each 4-column step of a group holds the
+// four columns of its eight rows in row order, so a row pair (2p, 2p+1)
+// is one 64-byte ZMM. Columns past k1 (in the last step) are zero.
+func packA(p []float64, a *Dense, i0, i1, k0, k1 int) int {
+	w := k1 - k0
+	steps := (w + 3) / 4
+	stride := 32 * steps
+	for r := 0; r < i1-i0; r++ {
+		o := r/8*stride + r%8*4
+		row := a.Row(i0 + r)[k0:k1]
+		s := 0
+		for ; 4*s+4 <= w; s++ {
+			x := row[4*s : 4*s+4]
+			d := p[o+32*s : o+32*s+4]
+			d[0], d[1], d[2], d[3] = x[0], x[1], x[2], x[3]
+		}
+		if s < steps {
+			d := p[o+32*s : o+32*s+4]
+			clear(d[copy(d, row[4*s:]):])
+		}
+	}
+	return stride
 }
 
 // putTile stores the four results s of one tile row into c[j:j+4] for the
@@ -320,14 +449,23 @@ func putTile(c []float64, j int, s []float64, first bool) {
 }
 
 // mulTBlock computes output rows [i0, i1) of dst = A·Bᵀ with panel blocking
-// over the shared dimension and 4×4, 2×4 and 1×4 register tiles.
-func mulTBlock(dst, a, b *Dense, i0, i1 int) {
+// over the shared dimension: with a pack buffer, each panel's whole 8-row
+// groups are packed once and run the 8×4 tile; the rows after them (and
+// every row without a pack buffer) run the 4×4, 2×4 and 1×4 tiles.
+func mulTBlock(dst, a, b *Dense, i0, i1 int, pack []float64) {
 	q := a.Cols
 	d := b.Rows
 	var t [16]float64
+	var t32 [32]float64
 	for k0 := 0; k0 < q; k0 += kernelKC {
 		k1 := min(k0+kernelKC, q)
 		first := k0 == 0
+		w := k1 - k0
+		packed, stride := i0, 0 // rows [i0, packed) run the packed 8×4 tile
+		if pack != nil {
+			packed += (i1 - i0) &^ 7
+			stride = packA(pack, a, i0, packed, k0, k1)
+		}
 		j := 0
 		for ; j+kernelNR <= d; j += kernelNR {
 			b0 := b.Row(j)[k0:k1]
@@ -335,6 +473,12 @@ func mulTBlock(dst, a, b *Dense, i0, i1 int) {
 			b2 := b.Row(j + 2)[k0:k1]
 			b3 := b.Row(j + 3)[k0:k1]
 			i := i0
+			for g := 0; i < packed; g, i = g+stride, i+8 {
+				dot8x4AVX512(&pack[g], &b0[0], &b1[0], &b2[0], &b3[0], w/4, w%4, &t32)
+				for r := range 8 {
+					putTile(dst.Row(i+r), j, t32[4*r:], first)
+				}
+			}
 			for ; i+4 <= i1; i += 4 {
 				dot4x4(a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1], a.Row(i + 2)[k0:k1], a.Row(i + 3)[k0:k1],
 					b0, b1, b2, b3, &t)

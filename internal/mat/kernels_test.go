@@ -341,6 +341,91 @@ func TestParallelForConcurrentNested(t *testing.T) {
 	}
 }
 
+// TestPfShards pins ParallelFor's shard rule: max(1, GOMAXPROCS ÷ calls
+// in flight) shards, at most one per item.
+func TestPfShards(t *testing.T) {
+	for _, c := range []struct{ n, procs, inFlight, want int }{
+		{64, 1, 1, 1},  // one core: inline
+		{64, 2, 1, 2},  // a lone caller fans out
+		{64, 2, 2, 1},  // two callers on two cores: each inline
+		{64, 2, 3, 1},  // more callers than cores
+		{64, 4, 1, 4},  // a lone caller on four cores
+		{64, 4, 2, 2},  // two callers share four cores
+		{64, 4, 3, 1},  // 4 ÷ 3 rounds down
+		{64, 8, 3, 2},  // 8 ÷ 3 rounds down
+		{1, 4, 1, 1},   // never more shards than items
+		{3, 8, 1, 3},   // never more shards than items
+		{64, 4, 64, 1}, // nested and concurrent calls pile up: inline
+	} {
+		if got := pfShards(c.n, c.procs, c.inFlight); got != c.want {
+			t.Errorf("pfShards(n=%d, procs=%d, inFlight=%d) = %d, want %d", c.n, c.procs, c.inFlight, got, c.want)
+		}
+	}
+}
+
+// TestParallelForSaturatedPool occupies every pool worker with a task
+// that blocks until released, then runs concurrent callers of nested
+// ParallelFor loops: with no worker free, each must finish on its own
+// goroutine (running its shards inline or stealing them back from the
+// queue), cover its range exactly once, and leave the in-flight count
+// at zero. Run it under -race.
+func TestParallelForSaturatedPool(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	pfOnce.Do(startPool)
+	workers := cap(pfTasks) / 8
+	release := make(chan struct{})
+	started := make(chan struct{}, workers)
+	blocked := make(chan struct{}, workers)
+	for i := 0; i < workers; i++ {
+		pfTasks <- pfTask{body: func(int, int) {
+			started <- struct{}{}
+			<-release
+		}, done: blocked}
+	}
+	for i := 0; i < workers; i++ {
+		<-started
+	}
+
+	const callers = 6
+	finished := make(chan [256]int32, callers)
+	for c := 0; c < callers; c++ {
+		go func() {
+			var seen [256]int32
+			ParallelFor(16, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					base := i * 16
+					ParallelFor(16, func(l, h int) {
+						for j := l; j < h; j++ {
+							atomic.AddInt32(&seen[base+j], 1)
+						}
+					})
+				}
+			})
+			finished <- seen
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		select {
+		case seen := <-finished:
+			for i, v := range seen {
+				if v != 1 {
+					t.Errorf("caller %d: index %d visited %d times", c, i, v)
+				}
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("ParallelFor did not finish with every pool worker busy")
+		}
+	}
+	close(release)
+	for i := 0; i < workers; i++ {
+		<-blocked
+	}
+	if n := pfInFlight.Load(); n != 0 {
+		t.Fatalf("%d ParallelFor calls still counted in flight", n)
+	}
+}
+
 // TestScratchPool checks length/reuse semantics of the pooled buffers.
 func TestScratchPool(t *testing.T) {
 	s := GetScratch(100)

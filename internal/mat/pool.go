@@ -3,6 +3,7 @@ package mat
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file provides the two pooling mechanisms the hot paths are built on:
@@ -24,6 +25,12 @@ type pfTask struct {
 var (
 	pfOnce  sync.Once
 	pfTasks chan pfTask
+
+	// pfInFlight counts the ParallelFor calls running right now.
+	pfInFlight atomic.Int32
+
+	// pfDone holds the done channels of finished calls, each drained.
+	pfDone = sync.Pool{New: func() any { return make(chan struct{}, runtime.GOMAXPROCS(0)) }}
 )
 
 // startPool launches the persistent workers, one per available CPU at first
@@ -49,22 +56,36 @@ func startPool() {
 // machines.
 func Serial() bool { return runtime.GOMAXPROCS(0) <= 1 }
 
-// ParallelFor splits [0, n) into contiguous shards, one per available CPU,
-// and runs body on each shard concurrently on a persistent worker pool.
-// With GOMAXPROCS=1 it simply calls body(0, n) inline, so single-core
-// machines pay no overhead. The final shard always runs on the calling
-// goroutine, a full queue degrades to inline execution, and while waiting
-// for its own shards the caller steals and runs queued tasks — so nested
-// or concurrent ParallelFor calls make progress even with every worker
-// busy, instead of deadlocking.
+// pfShards is the shard rule of ParallelFor: n items split into
+// max(1, procs ÷ inFlight) shards, never more than n, where procs is
+// GOMAXPROCS and inFlight the ParallelFor calls running, this one
+// included. A lone caller fans out over every core; concurrent callers
+// each take their share, so two callers on two cores each run inline.
+func pfShards(n, procs, inFlight int) int {
+	return min(n, max(1, procs/inFlight))
+}
+
+// ParallelFor splits [0, n) into contiguous shards and runs body on each
+// shard concurrently on a persistent worker pool. It fans out only onto
+// free cores: the shard count is GOMAXPROCS divided by the ParallelFor
+// calls in flight, this one included (pfShards), so a lone caller
+// (training, or a request on an idle server) spreads over every core,
+// while concurrent callers each keep their work on their own core
+// instead of streaming shared operands twice and queueing behind each
+// other's shards. With one shard it simply calls body(0, n) inline, so
+// single-core machines pay no overhead. The final shard always runs on
+// the calling goroutine, a full queue degrades to inline execution, and
+// while waiting for its own shards the caller steals and runs queued
+// tasks — so nested or concurrent ParallelFor calls make progress even
+// with every worker busy, instead of deadlocking. Every caller in this
+// repository computes each item independently of the partition, so the
+// shard count changes timing, never results.
 func ParallelFor(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := pfShards(n, runtime.GOMAXPROCS(0), int(pfInFlight.Add(1)))
+	defer pfInFlight.Add(-1)
 	if workers <= 1 {
 		body(0, n)
 		return
@@ -72,7 +93,10 @@ func ParallelFor(n int, body func(lo, hi int)) {
 	pfOnce.Do(startPool)
 	chunk := (n + workers - 1) / workers
 	shards := (n + chunk - 1) / chunk
-	done := make(chan struct{}, shards)
+	done := pfDone.Get().(chan struct{})
+	if cap(done) < shards {
+		done = make(chan struct{}, shards)
+	}
 	submitted := 0
 	lo := 0
 	for ; lo+chunk < n; lo += chunk {
@@ -99,6 +123,7 @@ func ParallelFor(n int, body func(lo, hi int)) {
 			t.done <- struct{}{}
 		}
 	}
+	pfDone.Put(done)
 }
 
 // Scratch is a pooled float64 buffer. Obtain one with GetScratch, use Buf,

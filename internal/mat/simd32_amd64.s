@@ -4,10 +4,10 @@
 // handles the sub-group tail with a masked partial step, and finishes
 // with the laneSum32 horizontal reduction (512→256→128-bit folds, then
 // the float64 kernels' (x0+x2)+(x1+x3) order). The pure-Go lane kernels
-// in f32.go reproduce every output bitwise via fma32; as in the float64
-// kernels, the only tolerated divergence is the sign of a zero
-// accumulator lane, which the masked tail's FMA-with-zeros can flip
-// from -0 to +0.
+// in f32.go reproduce every output bitwise via fma32, signed zeros
+// included: as in the float64 kernels, a tail step leaves its closed
+// lanes untouched, by an opmask-merged FMA on the AVX-512 tier and a
+// blend on AVX2.
 
 #include "textflag.h"
 
@@ -24,6 +24,13 @@
 	VMOVSHDUP     accx, tmpx        \
 	VADDSS        tmpx, accx, accx  \
 	VMOVSS        accx, off(DI)
+
+// TAILFMA32 folds the masked tail step b·a into acc on the lanes mask
+// opens and leaves the closed lanes as they were (an FMA with the zeros
+// of the masked loads would turn a -0 lane into +0). b is clobbered.
+#define TAILFMA32(b, a, acc, mask) \
+	VFMADD213PS acc, a, b \
+	VBLENDVPS   mask, b, acc, acc
 
 // HSUM32Y reduces a lo/hi YMM accumulator pair the same way: the lo+hi
 // add IS the 512→256 fold, so both tiers reduce in the identical order.
@@ -82,13 +89,13 @@ zb4tail:
 	KMOVW AX, K1
 	VMOVUPS.Z   (SI), K1, Z8
 	VMOVUPS.Z   (R8), K1, Z9
-	VFMADD231PS Z9, Z8, Z0
+	VFMADD231PS Z9, Z8, K1, Z0
 	VMOVUPS.Z   (R9), K1, Z9
-	VFMADD231PS Z9, Z8, Z1
+	VFMADD231PS Z9, Z8, K1, Z1
 	VMOVUPS.Z   (R10), K1, Z9
-	VFMADD231PS Z9, Z8, Z2
+	VFMADD231PS Z9, Z8, K1, Z2
 	VMOVUPS.Z   (R11), K1, Z9
-	VFMADD231PS Z9, Z8, Z3
+	VFMADD231PS Z9, Z8, K1, Z3
 
 zb4done:
 	HSUM32Z(Z0, Y0, X0, Y14, X15, 0)
@@ -159,17 +166,17 @@ z24tail:
 	VMOVUPS.Z   (SI), K1, Z8
 	VMOVUPS.Z   (DX), K1, Z9
 	VMOVUPS.Z   (R8), K1, Z10
-	VFMADD231PS Z10, Z8, Z0
-	VFMADD231PS Z10, Z9, Z4
+	VFMADD231PS Z10, Z8, K1, Z0
+	VFMADD231PS Z10, Z9, K1, Z4
 	VMOVUPS.Z   (R9), K1, Z11
-	VFMADD231PS Z11, Z8, Z1
-	VFMADD231PS Z11, Z9, Z5
+	VFMADD231PS Z11, Z8, K1, Z1
+	VFMADD231PS Z11, Z9, K1, Z5
 	VMOVUPS.Z   (R10), K1, Z10
-	VFMADD231PS Z10, Z8, Z2
-	VFMADD231PS Z10, Z9, Z6
+	VFMADD231PS Z10, Z8, K1, Z2
+	VFMADD231PS Z10, Z9, K1, Z6
 	VMOVUPS.Z   (R11), K1, Z11
-	VFMADD231PS Z11, Z8, Z3
-	VFMADD231PS Z11, Z9, Z7
+	VFMADD231PS Z11, Z8, K1, Z3
+	VFMADD231PS Z11, Z9, K1, Z7
 
 z24done:
 	HSUM32Z(Z0, Y0, X0, Y14, X15, 0)
@@ -247,20 +254,20 @@ yb4tail:
 	VMASKMOVPS  32(SI), Y13, Y9
 	VMASKMOVPS  (R8), Y12, Y10
 	VMASKMOVPS  32(R8), Y13, Y11
-	VFMADD231PS Y10, Y8, Y0
-	VFMADD231PS Y11, Y9, Y1
+	TAILFMA32(Y10, Y8, Y0, Y12)
+	TAILFMA32(Y11, Y9, Y1, Y13)
 	VMASKMOVPS  (R9), Y12, Y10
 	VMASKMOVPS  32(R9), Y13, Y11
-	VFMADD231PS Y10, Y8, Y2
-	VFMADD231PS Y11, Y9, Y3
+	TAILFMA32(Y10, Y8, Y2, Y12)
+	TAILFMA32(Y11, Y9, Y3, Y13)
 	VMASKMOVPS  (R10), Y12, Y10
 	VMASKMOVPS  32(R10), Y13, Y11
-	VFMADD231PS Y10, Y8, Y4
-	VFMADD231PS Y11, Y9, Y5
+	TAILFMA32(Y10, Y8, Y4, Y12)
+	TAILFMA32(Y11, Y9, Y5, Y13)
 	VMASKMOVPS  (R11), Y12, Y10
 	VMASKMOVPS  32(R11), Y13, Y11
-	VFMADD231PS Y10, Y8, Y6
-	VFMADD231PS Y11, Y9, Y7
+	TAILFMA32(Y10, Y8, Y6, Y12)
+	TAILFMA32(Y11, Y9, Y7, Y13)
 
 yb4done:
 	HSUM32Y(Y0, Y1, X0, X15, 0)

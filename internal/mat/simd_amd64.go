@@ -35,6 +35,14 @@ func dot2x4AVX(a0, a1, b0, b1, b2, b3 *float64, groups, tail int, masks *[12]int
 //go:noescape
 func dot4x4AVX512(a0, a1, a2, a3, b0, b1, b2, b3 *float64, groups, tail int, out *[16]float64)
 
+// dot8x4AVX512 is the complete 8×4 register tile over one packed A group
+// (eight rows in packA's layout; groups full 4-column steps, then a tail
+// of 0..3 columns in a zero-padded step) against four B rows: 32
+// finished dots in out, out[4r+c] for group row r and B row c.
+//
+//go:noescape
+func dot8x4AVX512(a, b0, b1, b2, b3 *float64, groups, tail int, out *[32]float64)
+
 // cosSinAVX512 runs the RBF activation over up to groups 8-lane groups
 // of z in place and returns how many it completed: it stops before the
 // first group holding a lane that is not below 2^29 in magnitude.

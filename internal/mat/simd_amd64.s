@@ -1,14 +1,14 @@
 // Float64 micro-kernels for the blocked A·Bᵀ product (AVX2+FMA 1×4 and
-// 2×4 tiles, the AVX-512 4×4 tile) and the AVX-512 RBF epilogue. Each
-// GEMM kernel accumulates 4 strided FMA lanes per output element, handles
-// the sub-group tail with a masked partial step, and finishes with the
-// horizontal reduction — one call returns finished dot products, so the
-// per-call overhead is a handful of instructions. The pure-Go lane
-// kernels in kernels.go reproduce every output bitwise (see laneDot);
-// the only tolerated divergence is the sign of a zero accumulator lane,
-// which the AVX2 tiles' masked tail (an FMA with zeros) can flip from -0
-// to +0 (Go float64 equality treats them as equal). The AVX-512 tile's
-// tail is an opmask-merged FMA and leaves closed lanes untouched.
+// 2×4 tiles, the AVX-512 4×4 tile and the 8×4 tile over packed A) and the
+// AVX-512 RBF epilogue. Each GEMM kernel accumulates 4 strided FMA lanes
+// per output element, handles the sub-group tail with a masked partial
+// step, and finishes with the horizontal reduction — one call returns
+// finished dot products, so the per-call overhead is a handful of
+// instructions. The pure-Go lane kernels in kernels.go reproduce every
+// output bitwise (see laneDot), signed zeros included: a tail step leaves
+// its closed lanes untouched, by a blend on the AVX2 tiles and an
+// opmask-merged FMA on the AVX-512 ones (an FMA with zeros would turn a
+// -0 lane into +0).
 
 #include "textflag.h"
 
@@ -20,6 +20,14 @@
 	VSHUFPD      $1, accx, accx, tmp \
 	VADDSD       tmp, accx, accx  \
 	VMOVSD       accx, off(DI)
+
+// TAILFMA folds the masked tail step b·a into acc on the lanes mask
+// opens and leaves the closed lanes as they were: b becomes a·b+acc, and
+// a blend takes it only where mask is set. (An FMA with the zeros of the
+// masked loads would turn a -0 lane into +0.) b is clobbered.
+#define TAILFMA(b, a, acc, mask) \
+	VFMADD213PD acc, a, b \
+	VBLENDVPD   mask, b, acc, acc
 
 // func dotBatch4AVX(a, b0, b1, b2, b3 *float64, groups, tail int, masks *[12]int64, out *[4]float64)
 // The complete 1×4 micro-kernel: groups full 4-element FMA steps, a masked
@@ -64,13 +72,13 @@ db4tail:
 	VMOVUPD     (AX)(BX*1), Y14
 	VMASKMOVPD  (SI), Y14, Y4
 	VMASKMOVPD  (R8), Y14, Y5
-	VFMADD231PD Y5, Y4, Y0
+	TAILFMA(Y5, Y4, Y0, Y14)
 	VMASKMOVPD  (R9), Y14, Y5
-	VFMADD231PD Y5, Y4, Y1
+	TAILFMA(Y5, Y4, Y1, Y14)
 	VMASKMOVPD  (R10), Y14, Y5
-	VFMADD231PD Y5, Y4, Y2
+	TAILFMA(Y5, Y4, Y2, Y14)
 	VMASKMOVPD  (R11), Y14, Y5
-	VFMADD231PD Y5, Y4, Y3
+	TAILFMA(Y5, Y4, Y3, Y14)
 
 db4done:
 	HSUM(Y0, X0, X8, 0)
@@ -142,14 +150,18 @@ d24tail:
 	VMASKMOVPD  (R9), Y14, Y11
 	VMASKMOVPD  (R10), Y14, Y12
 	VMASKMOVPD  (R11), Y14, Y13
-	VFMADD231PD Y10, Y8, Y0
-	VFMADD231PD Y11, Y8, Y1
-	VFMADD231PD Y12, Y8, Y2
-	VFMADD231PD Y13, Y8, Y3
-	VFMADD231PD Y10, Y9, Y4
-	VFMADD231PD Y11, Y9, Y5
-	VFMADD231PD Y12, Y9, Y6
-	VFMADD231PD Y13, Y9, Y7
+	VMOVAPD     Y10, Y15
+	TAILFMA(Y15, Y8, Y0, Y14)
+	TAILFMA(Y10, Y9, Y4, Y14)
+	VMOVAPD     Y11, Y15
+	TAILFMA(Y15, Y8, Y1, Y14)
+	TAILFMA(Y11, Y9, Y5, Y14)
+	VMOVAPD     Y12, Y15
+	TAILFMA(Y15, Y8, Y2, Y14)
+	TAILFMA(Y12, Y9, Y6, Y14)
+	VMOVAPD     Y13, Y15
+	TAILFMA(Y15, Y8, Y3, Y14)
+	TAILFMA(Y13, Y9, Y7, Y14)
 
 d24done:
 	HSUM(Y0, X0, X8, 0)
@@ -269,6 +281,158 @@ d44done:
 	HSUM2(Z5, Y5, X5, 72, 104)
 	HSUM2(Z6, Y6, X6, 80, 112)
 	HSUM2(Z7, Y7, X7, 88, 120)
+	VZEROUPPER
+	RET
+
+// SUM8 reduces the four accumulators of one row pair (B rows 0..3, each
+// holding the even row's lanes low and the odd row's high) to the pair's
+// eight finished dots at out+off, in laneSum order: VSHUFF64X2 gathers
+// the (l0,l1) and (l2,l3) halves of two accumulators, one add gives
+// (l0+l2, l1+l3) per output, an unpack and an add finish (l0+l2)+(l1+l3),
+// and VPERMPD (index Z12) restores row-major order.
+#define SUM8(acc0, acc1, acc2, acc3, off) \
+	VSHUFF64X2 $0x88, acc1, acc0, Z8  \
+	VSHUFF64X2 $0xdd, acc1, acc0, Z9  \
+	VADDPD     Z9, Z8, Z8             \
+	VSHUFF64X2 $0x88, acc3, acc2, Z10 \
+	VSHUFF64X2 $0xdd, acc3, acc2, Z11 \
+	VADDPD     Z11, Z10, Z10          \
+	VUNPCKLPD  Z10, Z8, Z9            \
+	VUNPCKHPD  Z10, Z8, Z11           \
+	VADDPD     Z11, Z9, Z9            \
+	VPERMPD    Z9, Z12, Z9            \
+	VMOVUPD    Z9, off(DI)
+
+// sum8Perm is SUM8's VPERMPD index: the unpacked sums come out as
+// (r0c0, r0c2, r1c0, r1c2, r0c1, r0c3, r1c1, r1c3).
+DATA  sum8Perm<>+0(SB)/8, $0
+DATA  sum8Perm<>+8(SB)/8, $4
+DATA  sum8Perm<>+16(SB)/8, $1
+DATA  sum8Perm<>+24(SB)/8, $5
+DATA  sum8Perm<>+32(SB)/8, $2
+DATA  sum8Perm<>+40(SB)/8, $6
+DATA  sum8Perm<>+48(SB)/8, $3
+DATA  sum8Perm<>+56(SB)/8, $7
+GLOBL sum8Perm<>(SB), RODATA|NOPTR, $64
+
+// func dot8x4AVX512(a, b0, b1, b2, b3 *float64, groups, tail int, out *[32]float64)
+// The complete 8×4 register tile over one packed A group (see packA):
+// each 4-column step holds four row pairs, 64 bytes each, the even row's
+// four columns then the odd row's, so one aligned ZMM load yields the
+// lanes of two rows and each B row is broadcast to both halves by
+// VBROADCASTF64X4. Sixteen accumulators (pair p against B row c in
+// Z16+4p+c) take 16 FMAs per step against 4 A loads and 4 broadcasts, no
+// shuffle. The tail (tail in 0..3) reads the group's zero-padded last
+// step whole and the B rows through masked YMM loads, and is an
+// opmask-merged FMA, which leaves the closed lanes untouched exactly as
+// the Go lanes do. out[4r+c] receives the finished lane dot of group row
+// r with B row c.
+TEXT ·dot8x4AVX512(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), SI
+	MOVQ b0+8(FP), R8
+	MOVQ b1+16(FP), R9
+	MOVQ b2+24(FP), R10
+	MOVQ b3+32(FP), R11
+	MOVQ groups+40(FP), CX
+	MOVQ tail+48(FP), BX
+	MOVQ out+56(FP), DI
+	XORQ AX, AX // byte offset into every B row
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	TESTQ CX, CX
+	JZ    d84tail
+
+d84loop:
+	VMOVUPD         (SI), Z0
+	VMOVUPD         64(SI), Z1
+	VMOVUPD         128(SI), Z2
+	VMOVUPD         192(SI), Z3
+	VBROADCASTF64X4 (R8)(AX*1), Z4
+	VBROADCASTF64X4 (R9)(AX*1), Z5
+	VBROADCASTF64X4 (R10)(AX*1), Z6
+	VBROADCASTF64X4 (R11)(AX*1), Z7
+	VFMADD231PD     Z4, Z0, Z16
+	VFMADD231PD     Z5, Z0, Z17
+	VFMADD231PD     Z6, Z0, Z18
+	VFMADD231PD     Z7, Z0, Z19
+	VFMADD231PD     Z4, Z1, Z20
+	VFMADD231PD     Z5, Z1, Z21
+	VFMADD231PD     Z6, Z1, Z22
+	VFMADD231PD     Z7, Z1, Z23
+	VFMADD231PD     Z4, Z2, Z24
+	VFMADD231PD     Z5, Z2, Z25
+	VFMADD231PD     Z6, Z2, Z26
+	VFMADD231PD     Z7, Z2, Z27
+	VFMADD231PD     Z4, Z3, Z28
+	VFMADD231PD     Z5, Z3, Z29
+	VFMADD231PD     Z6, Z3, Z30
+	VFMADD231PD     Z7, Z3, Z31
+	ADDQ            $256, SI
+	ADDQ            $32, AX
+	DECQ            CX
+	JNZ             d84loop
+
+d84tail:
+	TESTQ BX, BX
+	JZ    d84done
+	MOVQ  BX, CX
+	MOVL  $1, BX
+	SHLL  CX, BX
+	DECL  BX
+	KMOVW BX, K1 // the first tail lanes of a YMM load
+	MOVL  BX, CX
+	SHLL  $4, CX
+	ORL   CX, BX
+	KMOVW BX, K2 // the same lanes in both halves of a ZMM
+	VMOVUPD      (SI), Z0
+	VMOVUPD      64(SI), Z1
+	VMOVUPD      128(SI), Z2
+	VMOVUPD      192(SI), Z3
+	VMOVUPD.Z    (R8)(AX*1), K1, Y4
+	VINSERTF64X4 $1, Y4, Z4, Z4
+	VMOVUPD.Z    (R9)(AX*1), K1, Y5
+	VINSERTF64X4 $1, Y5, Z5, Z5
+	VMOVUPD.Z    (R10)(AX*1), K1, Y6
+	VINSERTF64X4 $1, Y6, Z6, Z6
+	VMOVUPD.Z    (R11)(AX*1), K1, Y7
+	VINSERTF64X4 $1, Y7, Z7, Z7
+	VFMADD231PD  Z4, Z0, K2, Z16
+	VFMADD231PD  Z5, Z0, K2, Z17
+	VFMADD231PD  Z6, Z0, K2, Z18
+	VFMADD231PD  Z7, Z0, K2, Z19
+	VFMADD231PD  Z4, Z1, K2, Z20
+	VFMADD231PD  Z5, Z1, K2, Z21
+	VFMADD231PD  Z6, Z1, K2, Z22
+	VFMADD231PD  Z7, Z1, K2, Z23
+	VFMADD231PD  Z4, Z2, K2, Z24
+	VFMADD231PD  Z5, Z2, K2, Z25
+	VFMADD231PD  Z6, Z2, K2, Z26
+	VFMADD231PD  Z7, Z2, K2, Z27
+	VFMADD231PD  Z4, Z3, K2, Z28
+	VFMADD231PD  Z5, Z3, K2, Z29
+	VFMADD231PD  Z6, Z3, K2, Z30
+	VFMADD231PD  Z7, Z3, K2, Z31
+
+d84done:
+	VMOVDQU64 sum8Perm<>(SB), Z12
+	SUM8(Z16, Z17, Z18, Z19, 0)
+	SUM8(Z20, Z21, Z22, Z23, 64)
+	SUM8(Z24, Z25, Z26, Z27, 128)
+	SUM8(Z28, Z29, Z30, Z31, 192)
 	VZEROUPPER
 	RET
 

@@ -25,6 +25,10 @@ func dot4x4AVX512(a0, a1, a2, a3, b0, b1, b2, b3 *float64, groups, tail int, out
 	panic("mat: SIMD kernel called on non-amd64 build")
 }
 
+func dot8x4AVX512(a, b0, b1, b2, b3 *float64, groups, tail int, out *[32]float64) {
+	panic("mat: SIMD kernel called on non-amd64 build")
+}
+
 func cosSinAVX512(z, cosC, sinC *float64, groups int, consts *[19]float64) int {
 	panic("mat: SIMD kernel called on non-amd64 build")
 }

@@ -62,88 +62,133 @@ func TestTierOf(t *testing.T) {
 }
 
 // TestSIMDKernelsMatchGoLanes pins every micro-kernel, on every tier the
-// host supports, to laneDot bitwise across aligned and ragged lengths. On
-// a host without SIMD only the Go lanes run and the test is trivially
+// host supports, to laneDot bitwise across aligned and ragged lengths,
+// for sign-mixed inputs and for inputs whose every product is -0. On a
+// host without SIMD only the Go lanes run and the test is trivially
 // green; elsewhere it proves the assembly implements exactly the
-// documented lane semantics.
+// documented lane semantics. The 8×4 tile runs over packA's layout on
+// the AVX-512 tier.
 func TestSIMDKernelsMatchGoLanes(t *testing.T) {
 	if bestTier == tierGeneric {
 		t.Log("no SIMD tier: dispatcher always uses the Go lanes")
 	}
 	defer setTier(setTier(bestTier))
-	for _, n := range []int{1, 3, 4, 5, 6, 7, 8, 9, 15, 16, 31, 64, 127, 512, 1000, 1024} {
-		a := New(4, n)
-		rows := New(4, n)
-		fillPseudo(a.Data, 0.1)
-		fillPseudo(rows.Data, 0.3)
-		a0, a1, a2, a3 := a.Row(0), a.Row(1), a.Row(2), a.Row(3)
-		b0, b1, b2, b3 := rows.Row(0), rows.Row(1), rows.Row(2), rows.Row(3)
-
-		// laneDot is the canonical definition every element must equal.
-		var want [16]float64
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 4; c++ {
-				want[4*r+c] = laneDot(a.Row(r), rows.Row(c))
-			}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 31, 64, 127, 512, 1000, 1024} {
+		for _, underflow := range []bool{false, true} {
+			kernelsMatchLaneDot(t, n, underflow)
 		}
-		for _, lvl := range hostTiers() {
-			setTier(lvl)
-			s0, s1, s2, s3 := DotBatch(a0, b0, b1, b2, b3)
-			for i, got := range []float64{s0, s1, s2, s3} {
-				if math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("%s n=%d DotBatch lane %d: %g != laneDot %g", tierName(lvl), n, i, got, want[i])
-				}
-			}
-			var r [8]float64
-			r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot2x4(a0, a1, b0, b1, b2, b3)
-			for i, got := range r {
-				if math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("%s n=%d dot2x4 element %d: %g != laneDot %g", tierName(lvl), n, i, got, want[i])
-				}
-			}
-			var r16 [16]float64
-			dot4x4(a0, a1, a2, a3, b0, b1, b2, b3, &r16)
-			for i, got := range r16 {
-				if math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("%s n=%d dot4x4 element %d: %g != laneDot %g", tierName(lvl), n, i, got, want[i])
-				}
-			}
-		}
+	}
+}
 
-		ld0, ld1 := laneDot2(a0, a1, b0)
-		if ld0 != want[0] || ld1 != want[4] {
-			t.Fatalf("n=%d laneDot2 (%g, %g) != laneDot (%g, %g)", n, ld0, ld1, want[0], want[4])
+// kernelsMatchLaneDot runs TestSIMDKernelsMatchGoLanes for n columns.
+func kernelsMatchLaneDot(t *testing.T, n int, underflow bool) {
+	t.Helper()
+	a := New(8, n)
+	rows := New(4, n)
+	fillPseudo(a.Data, 0.1)
+	fillPseudo(rows.Data, 0.3)
+	if underflow {
+		// Every product -1e-200·1e-200 underflows to -0, so from n = 4 on
+		// every lane and every lane dot is -0, unless a kernel's tail step
+		// disturbs a closed lane (an FMA with zeros would make it +0).
+		a.Fill(-1e-200)
+		rows.Fill(1e-200)
+	}
+	a0, a1, a2, a3 := a.Row(0), a.Row(1), a.Row(2), a.Row(3)
+	b0, b1, b2, b3 := rows.Row(0), rows.Row(1), rows.Row(2), rows.Row(3)
+
+	// laneDot is the canonical definition every element must equal.
+	var want [32]float64
+	for r := 0; r < 8; r++ {
+		for c := 0; c < 4; c++ {
+			want[4*r+c] = laneDot(a.Row(r), rows.Row(c))
+		}
+	}
+	if underflow && n >= 4 && math.Float64bits(want[0]) != 1<<63 {
+		t.Fatalf("n=%d: laneDot of underflowing products is %g, want -0", n, want[0])
+	}
+	for _, lvl := range hostTiers() {
+		setTier(lvl)
+		name := fmt.Sprintf("%s n=%d underflow=%v", tierName(lvl), n, underflow)
+		s0, s1, s2, s3 := DotBatch(a0, b0, b1, b2, b3)
+		requireLanes(t, name+" DotBatch", []float64{s0, s1, s2, s3}, want[:4])
+		var r [8]float64
+		r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot2x4(a0, a1, b0, b1, b2, b3)
+		requireLanes(t, name+" dot2x4", r[:], want[:8])
+		var r16 [16]float64
+		dot4x4(a0, a1, a2, a3, b0, b1, b2, b3, &r16)
+		requireLanes(t, name+" dot4x4", r16[:], want[:16])
+		if lvl == tierAVX512 {
+			lease, pack := getPack(8 * (n + 3) &^ 3)
+			packA(pack, a, 0, 8, 0, n)
+			var r32 [32]float64
+			dot8x4AVX512(&pack[0], &b0[0], &b1[0], &b2[0], &b3[0], n/4, n%4, &r32)
+			putPack(lease)
+			requireLanes(t, name+" dot8x4", r32[:], want[:])
+		}
+	}
+
+	ld0, ld1 := laneDot2(a0, a1, b0)
+	requireLanes(t, fmt.Sprintf("n=%d laneDot2", n), []float64{ld0, ld1}, []float64{want[0], want[4]})
+}
+
+// requireLanes fails unless got and want hold the same float64 bits.
+func requireLanes(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s element %d: %g (%#x) != laneDot %g (%#x)", name, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
 // TestSIMDDispatchForcedOff computes full blocked products on every tier
 // the host supports at GOMAXPROCS 1, 2 and 4, plain and fused, and
-// requires every output bit to equal PanelDot's. The shapes mix 4×4, 2×4
-// and 1×4 row tiles, cover every q%4 tail with d%4 ≠ 0, straddle panels
-// (q > kernelKC), and run merged ranges longer than the rangeRows cap.
+// requires every output bit to equal PanelDot's. Unpacked (B rows below
+// packMinRows), the shapes mix 4×4, 2×4 and 1×4 row tiles, cover every
+// q%4 tail with d%4 ≠ 0, straddle panels (q > kernelKC), and run merged
+// ranges longer than the rangeRows cap. Packed (the 8×4 tile on the
+// AVX-512 tier), they cover every rows%8 after whole groups (those rows
+// take the smaller tiles), every q%4 and d%4, a panel narrower than one
+// step, a panel straddle, a range past the cap, and a product too short
+// to pack.
 func TestSIMDDispatchForcedOff(t *testing.T) {
 	defer setTier(setTier(bestTier))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct{ n, q, d int }{
-		{7, 700, 9},     // one 4×4, one 2×4 and one 1×4 row tile
-		{15, 561, 11},   // q%4 = 1
-		{14, 562, 10},   // q%4 = 2
-		{13, 563, 9},    // q%4 = 3
-		{12, 564, 13},   // q%4 = 0
-		{11, 2051, 6},   // three panels, the last 3 wide
-		{9, 1030, 7},    // a 6-wide second panel
-		{263, 1030, 5},  // ranges of 128, 128 and 7 rows at GOMAXPROCS 1
-		{300, 561, 6},   // 232-row cap at q = 561
-		{3, 3, 3},       // narrower than every tile
-		{64, 561, 1024}, // the served encode shape
+		{7, 700, 9},    // one 4×4, one 2×4 and one 1×4 row tile
+		{15, 561, 11},  // q%4 = 1
+		{14, 562, 10},  // q%4 = 2
+		{13, 563, 9},   // q%4 = 3
+		{12, 564, 13},  // q%4 = 0
+		{11, 2051, 6},  // three panels, the last 3 wide
+		{9, 1030, 7},   // a 6-wide second panel
+		{263, 1030, 5}, // four ranges of 64 rows and one of 7 at GOMAXPROCS 1
+		{300, 561, 6},  // 112-row cap at q = 561
+		{3, 3, 3},      // narrower than every tile
+		{64, 1024, 12}, // the scoring shape: 12 classes, unpacked
+		{20, 99, packMinRows - 1},
+		{16, 64, packMinRows}, // packed from here on: rows%8 = 0, q%4 = 0
+		{17, 61, 65},          // rows%8 = 1, q%4 = 1, d%4 = 1
+		{18, 62, 66},          // rows%8 = 2, q%4 = 2, d%4 = 2
+		{19, 63, 67},          // rows%8 = 3, q%4 = 3, d%4 = 3
+		{20, 65, 68},          // rows%8 = 4
+		{21, 66, 64},          // rows%8 = 5
+		{22, 67, 64},          // rows%8 = 6
+		{23, 561, 64},         // rows%8 = 7
+		{13, 2, 64},           // a panel of 2 columns: the 8×4 tail alone
+		{7, 561, 1024},        // under one group: no pack (a 7-row encode)
+		{19, 2051, 66},        // three panels, the last 3 wide
+		{300, 561, 64},        // 112-row cap at q = 561
+		{64, 561, 1024},       // the served encode shape
 	}
 	post := func(i int, row []float64) {
 		for j := range row {
 			row[j] = row[j]*0.5 - float64(i)
 		}
 	}
-	if 263 <= rangeRows(1030) || 300 <= rangeRows(561) {
+	if 263 <= rangeRows(8*1024) || 300 <= rangeRows(8*561) {
 		t.Fatal("the merged-range shapes no longer outgrow the rangeRows cap")
 	}
 	for _, sh := range shapes {

@@ -13,15 +13,15 @@ import (
 const (
 	tierGeneric int32 = iota // pure-Go lane kernels
 	tierAVX2                 // f64 1×4 and 2×4 YMM tiles; f32 tiles on YMM pairs
-	tierAVX512               // adds the f64 4×4 ZMM tile and the ZMM epilogue; f32 tiles on ZMM
+	tierAVX512               // adds the f64 4×4 and packed 8×4 ZMM tiles and the ZMM epilogue; f32 tiles on ZMM
 )
 
 // tierOf returns the best tier a host with features f can run. The AVX2
 // tier needs AVX2 and FMA. The AVX-512 tier also runs the AVX2 kernels
-// (for row remainders), and needs AVX512F for ZMM arithmetic, AVX512DQ
-// for the epilogue's VCVTTPD2UQQ and VCVTUQQ2PD, and AVX512VL for the
-// 4×4 tile's masked YMM tail loads. Every AVX-512 Xeon since Skylake-SP
-// has all three.
+// (for row remainders and DotBatch), and needs AVX512F for ZMM
+// arithmetic, AVX512DQ for the epilogue's VCVTTPD2UQQ and VCVTUQQ2PD,
+// and AVX512VL for the 4×4 and 8×4 tiles' masked YMM tail loads. Every
+// AVX-512 Xeon since Skylake-SP has all three.
 func tierOf(f isa.Features) int32 {
 	switch {
 	case !f.AVX2 || !f.FMA:

@@ -105,28 +105,17 @@ func (m *Model) PredictBatch(H *mat.Dense) []int {
 }
 
 // PredictBatchInto classifies every row of H into out (len H.Rows), using
-// scores (H.Rows × Classes) as the scoring buffer. Steady-state batched
-// inference through this entry point allocates nothing.
+// scores (H.Rows × Classes) as the scoring buffer. The argmax runs in the
+// scoring GEMM's epilogue, on each row as soon as it is scored.
+// Steady-state batched inference through this entry point allocates
+// nothing on one core (one epilogue closure and one shard closure on
+// more).
 func (m *Model) PredictBatchInto(H, scores *mat.Dense, out []int) []int {
 	if len(out) != H.Rows {
 		panic("model: PredictBatchInto out length mismatch")
 	}
-	m.ScoreBatchInto(H, scores)
-	if mat.Serial() {
-		argmaxRows(scores, out, 0, H.Rows)
-	} else {
-		mat.ParallelFor(H.Rows, func(lo, hi int) {
-			argmaxRows(scores, out, lo, hi)
-		})
-	}
+	m.scoreBatch(H, scores, out)
 	return out
-}
-
-// argmaxRows writes the argmax of each scores row into out.
-func argmaxRows(scores *mat.Dense, out []int, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = mat.ArgMax(scores.Row(i))
-	}
 }
 
 // ScoreBatch returns the full N×k similarity matrix for H.
@@ -135,10 +124,11 @@ func (m *Model) ScoreBatch(H *mat.Dense) *mat.Dense {
 }
 
 // ScoreBatchInto writes the N×k cosine-similarity matrix of H into dst and
-// returns it: one blocked GEMM H·Wᵀ (mat.MulTInto) followed by a norm
-// scaling pass, instead of N independent dot-product loops. Rows with zero
-// norm, and classes with zero norm, score 0. With caller-owned dst the
-// steady-state path allocates nothing.
+// returns it: one blocked GEMM H·Wᵀ whose epilogue (mat.MulTIntoFused)
+// scales each row by the norms as soon as the row is complete, instead
+// of N independent dot-product loops. Rows with zero norm, and classes
+// with zero norm, score 0. With caller-owned dst the steady-state path
+// allocates nothing on one core.
 //
 // Batch and single-sample scoring agree to floating-point rounding but not
 // bitwise: Scores uses the 4-way-unrolled mat.Dot (the AdaptiveStep hot
@@ -149,36 +139,39 @@ func (m *Model) ScoreBatch(H *mat.Dense) *mat.Dense {
 // paths are never mixed in one structure, so sub-ulp disagreement on exact
 // score ties is acceptable here.
 func (m *Model) ScoreBatchInto(H, dst *mat.Dense) *mat.Dense {
-	mat.MulTInto(dst, H, m.Weights)
-	if mat.Serial() {
-		m.scaleScoreRows(H, dst, 0, H.Rows)
-	} else {
-		mat.ParallelFor(H.Rows, func(lo, hi int) {
-			m.scaleScoreRows(H, dst, lo, hi)
-		})
-	}
-	return dst
+	return m.scoreBatch(H, dst, nil)
 }
 
-// scaleScoreRows converts raw dot products in dst rows [lo, hi) to cosine
-// similarities.
-func (m *Model) scaleScoreRows(H, dst *mat.Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		hn := mat.Norm2(H.Row(i))
-		if hn == 0 {
-			for c := range row {
-				row[c] = 0
-			}
-			continue
+// scoreBatch is the scoring GEMM H·Wᵀ into dst with its per-row epilogue
+// (finishRow). On one core the epilogue runs as a loop after the product,
+// since an epilogue closure handed to the GEMM would be a heap allocation
+// per call; the rows and their bits are the same either way.
+func (m *Model) scoreBatch(H, dst *mat.Dense, out []int) *mat.Dense {
+	if mat.Serial() {
+		mat.MulTInto(dst, H, m.Weights)
+		for i := 0; i < H.Rows; i++ {
+			m.finishRow(H, dst.Row(i), out, i)
 		}
-		for c := range row {
-			if m.norms[c] == 0 {
-				row[c] = 0
-			} else {
-				row[c] /= hn * m.norms[c]
-			}
+		return dst
+	}
+	return mat.MulTIntoFused(dst, H, m.Weights, func(i int, row []float64) {
+		m.finishRow(H, row, out, i)
+	})
+}
+
+// finishRow converts the raw dot products of row i into cosine
+// similarities and, with a non-nil out, stores the row's argmax in out[i].
+func (m *Model) finishRow(H *mat.Dense, row []float64, out []int, i int) {
+	hn := mat.Norm2(H.Row(i))
+	for c := range row {
+		if hn == 0 || m.norms[c] == 0 {
+			row[c] = 0
+		} else {
+			row[c] /= hn * m.norms[c]
 		}
+	}
+	if out != nil {
+		out[i] = mat.ArgMax(row)
 	}
 }
 

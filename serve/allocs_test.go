@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/url"
+	"runtime"
 	"testing"
 	"time"
 
@@ -116,4 +117,82 @@ func TestBatcherPredictAllocs(t *testing.T) {
 			t.Errorf("Predict with MinFill %d: %v allocs per call, want 0", minFill, got)
 		}
 	}
+}
+
+// TestBatchAllocsMultiCore pins the 64-row batch path at GOMAXPROCS 2,
+// where the GEMMs fan out over the worker pool. testing.AllocsPerRun
+// forces GOMAXPROCS 1 and never sees that path, so the count comes from
+// runtime.MemStats: one shard closure for the encode GEMM, and one shard
+// closure plus one epilogue closure (cosine scaling and argmax) for the
+// scoring GEMM; ParallelFor's done channels and the pack buffers are
+// reused. The binary handler adds its own 2.
+func TestBatchAllocsMultiCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := fixtures(t)
+	srv, err := New(s.a, Options{MaxBatch: 64, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = s.test.X[i%len(s.test.X)]
+	}
+	cols := len(rows[0])
+	out := make([]int, len(rows))
+	fill := func(dst []float64) error {
+		for i, row := range rows {
+			copy(dst[i*cols:(i+1)*cols], row)
+		}
+		return nil
+	}
+	frame, err := wire.AppendMatrixF64(nil, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := &replayBody{}
+	req := &http.Request{
+		Method: http.MethodPost,
+		URL:    &url.URL{Path: "/predict_batch"},
+		Header: http.Header{"Content-Type": []string{wire.ContentType}},
+		Body:   body,
+	}
+	w := &nullRW{h: make(http.Header)}
+	for _, c := range []struct {
+		name string
+		f    func()
+		want float64
+	}{
+		{"PredictStream", func() {
+			if err := srv.Batcher().PredictStream(len(rows), out, fill); err != nil {
+				t.Fatal(err)
+			}
+		}, 3},
+		{"binary /predict_batch", func() {
+			body.Reset(frame)
+			srv.ServePredictBatch(w, req)
+		}, 5},
+	} {
+		if got := mallocsPerCall(200, c.f); got > c.want {
+			t.Errorf("%s of 64 rows at GOMAXPROCS 2: %v allocs per call, want at most %v", c.name, got, c.want)
+		}
+	}
+}
+
+// mallocsPerCall returns the heap allocations per call of f, counted by
+// runtime.MemStats over runs calls after two warm-up calls and truncated
+// to a whole count as testing.AllocsPerRun truncates it: a sync.Pool keeps
+// one item per P out of reach of the other Ps, so a pooled done channel
+// is now and then made afresh when goroutines move between cores (a few
+// in 1000 calls).
+func mallocsPerCall(runs int, f func()) float64 {
+	f()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
