@@ -72,7 +72,7 @@ bench-compare:
 		-benchtime 50ms -count 5 >> bench/current.txt
 	@$(GO) test ./serve/cluster -run xxx -bench 'BenchmarkDirectWorker|BenchmarkCoordinator' \
 		-benchtime 50ms -count 5 >> bench/current.txt
-	@$(GO) test ./serve/registry -run xxx -bench 'BenchmarkRegistryPredictBatch|BenchmarkRegistryDispatch' \
+	@$(GO) test ./serve/registry -run xxx -bench 'BenchmarkRegistryPredictBatch|BenchmarkRegistryDispatch|BenchmarkRegistryWakePark' \
 		-benchtime 50ms -count 5 >> bench/current.txt
 	$(GO) run ./cmd/benchcompare -baseline bench/baseline.txt -threshold 1.50 \
 		-json bench/current.json bench/current.txt

@@ -133,26 +133,6 @@ func laneDot(a, b []float64) float64 {
 	return laneSum(l0, l1, l2, l3)
 }
 
-// laneDot2 computes two lane dots sharing b — the remainder-column kernel
-// for a pair of A rows.
-func laneDot2(a0, a1, b []float64) (s0, s1 float64) {
-	n := len(a0)
-	a1, b = a1[:n], b[:n]
-	var lanes [32]float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		for k := 0; k < 4; k++ {
-			bv := b[i+k]
-			lanes[k] = math.FMA(a0[i+k], bv, lanes[k])
-			lanes[4+k] = math.FMA(a1[i+k], bv, lanes[4+k])
-		}
-	}
-	laneFMA(a0, b, i, n, 0, &lanes)
-	laneFMA(a1, b, i, n, 4, &lanes)
-	return laneSum(lanes[0], lanes[1], lanes[2], lanes[3]),
-		laneSum(lanes[4], lanes[5], lanes[6], lanes[7])
-}
-
 // DotBatch computes the four inner products of a with b0..b3 in a single
 // pass over a — the 1×4 micro-kernel behind MulTInto. All five slices must
 // have equal length. Each result equals laneDot of its pair.
@@ -448,6 +428,18 @@ func putTile(c []float64, j int, s []float64, first bool) {
 	c[3] += s[3]
 }
 
+// putCols is putTile for the len(c) < 4 columns of a remainder tile; it
+// is kept apart so that putTile stays small enough to inline.
+func putCols(c, s []float64, first bool) {
+	for x := range c {
+		if first {
+			c[x] = s[x]
+		} else {
+			c[x] += s[x]
+		}
+	}
+}
+
 // mulTBlock computes output rows [i0, i1) of dst = A·Bᵀ with panel blocking
 // over the shared dimension: with a pack buffer, each panel's whole 8-row
 // groups are packed once and run the 8×4 tile; the rows after them (and
@@ -499,29 +491,34 @@ func mulTBlock(dst, a, b *Dense, i0, i1 int, pack []float64) {
 				putTile(dst.Row(i), j, t[0:4], first)
 			}
 		}
-		// Remainder columns (d % 4) use the same 4-lane FMA kernels so
-		// every output element, tiled or not, is reproducible by PanelDot.
-		for ; j < d; j++ {
-			bj := b.Row(j)[k0:k1]
-			i := i0
-			for ; i+2 <= i1; i += 2 {
-				s0, s1 := laneDot2(a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1], bj)
-				if first {
-					dst.Row(i)[j] = s0
-					dst.Row(i + 1)[j] = s1
-				} else {
-					dst.Row(i)[j] += s0
-					dst.Row(i + 1)[j] += s1
-				}
+		if j == d {
+			continue
+		}
+		// The d%4 remainder columns run the 4×4, 2×4 and 1×4 tiles with the
+		// last B row repeated, and putCols drops the extra outputs: each
+		// output is an independent lane dot, so every element, tiled or
+		// not, is reproducible by PanelDot.
+		b0 := b.Row(j)[k0:k1]
+		b1 := b.Row(min(j+1, d-1))[k0:k1]
+		b2 := b.Row(d - 1)[k0:k1]
+		i := i0
+		for ; i+4 <= i1; i += 4 {
+			dot4x4(a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1], a.Row(i + 2)[k0:k1], a.Row(i + 3)[k0:k1],
+				b0, b1, b2, b2, &t)
+			for r := range 4 {
+				putCols(dst.Row(i + r)[j:], t[4*r:], first)
 			}
-			if i < i1 {
-				s := laneDot(a.Row(i)[k0:k1], bj)
-				if first {
-					dst.Row(i)[j] = s
-				} else {
-					dst.Row(i)[j] += s
-				}
-			}
+		}
+		if i+2 <= i1 {
+			t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = dot2x4(
+				a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1], b0, b1, b2, b2)
+			putCols(dst.Row(i)[j:], t[0:4], first)
+			putCols(dst.Row(i + 1)[j:], t[4:8], first)
+			i += 2
+		}
+		if i < i1 {
+			t[0], t[1], t[2], t[3] = DotBatch(a.Row(i)[k0:k1], b0, b1, b2, b2)
+			putCols(dst.Row(i)[j:], t[0:4], first)
 		}
 	}
 }

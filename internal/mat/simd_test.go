@@ -127,9 +127,6 @@ func kernelsMatchLaneDot(t *testing.T, n int, underflow bool) {
 			requireLanes(t, name+" dot8x4", r32[:], want[:])
 		}
 	}
-
-	ld0, ld1 := laneDot2(a0, a1, b0)
-	requireLanes(t, fmt.Sprintf("n=%d laneDot2", n), []float64{ld0, ld1}, []float64{want[0], want[4]})
 }
 
 // requireLanes fails unless got and want hold the same float64 bits.

@@ -1,6 +1,7 @@
 package disthd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -296,6 +297,9 @@ func (l *OnlineLearner) Model() *Model { return l.m }
 // sample joins the retrain window. It returns whether the prediction was
 // correct. The bound model's weights are NOT updated (see the type comment).
 func (l *OnlineLearner) Observe(x []float64, label int) (correct bool, err error) {
+	if l.m == nil {
+		return false, errSpent
+	}
 	if len(x) != l.m.Features() {
 		return false, fmt.Errorf("disthd: feedback has %d features, model expects %d", len(x), l.m.Features())
 	}
@@ -469,7 +473,7 @@ func (l *OnlineLearner) DriftReport() DriftReport {
 		Drift:            l.DriftDetected(),
 		BaselineAccuracy: l.BaselineAccuracy(),
 		WindowAccuracy:   l.WindowAccuracy(),
-		Classes:          make([]ClassDrift, l.m.Classes()),
+		Classes:          make([]ClassDrift, len(l.clsRecentN)),
 	}
 	if d := rep.BaselineAccuracy - rep.WindowAccuracy; l.mature() && d > 0 {
 		rep.Severity = d
@@ -498,10 +502,10 @@ func (l *OnlineLearner) DriftReport() DriftReport {
 // Window returns a copy of the retrain window (oldest-first in sliding
 // mode; sample order is meaningless in reservoir mode).
 func (l *OnlineLearner) Window() (X [][]float64, y []int) {
-	q := l.m.Features()
 	X = make([][]float64, l.winLen)
 	y = make([]int, l.winLen)
 	for i := 0; i < l.winLen; i++ {
+		q := l.m.Features()
 		// In a full sliding ring, winPos is the oldest slot.
 		slot := i
 		if !l.cfg.Reservoir && l.winLen == l.cfg.Window {
@@ -582,16 +586,18 @@ func (l *OnlineLearner) SplitWindow() (trainX [][]float64, trainY []int, holdX [
 // rejected by the gate (plain Retrain never rejects).
 func (l *OnlineLearner) Rejections() uint64 { return l.rejections }
 
-// LearnerState is a deep, self-contained snapshot of an OnlineLearner's
-// mutable state: the feedback window ring, the recent-accuracy ring with
-// its per-class tallies, the frozen post-bind baseline, the reservoir
-// sampler position, and the lifetime counters. Export produces one and
+// LearnerState is an OnlineLearner's whole mutable state, moved out of
+// it: the feedback window ring, the recent-accuracy ring with its
+// per-class tallies, the frozen post-bind baseline, the reservoir sampler
+// position, and the lifetime counters. Export produces one and
 // NewOnlineLearnerFromState rebuilds a learner from it, bit-for-bit —
 // the park/wake substrate serve/registry uses so evicting a learning
-// tenant never costs it its window, drift state, or counters. Every
-// field is a plain value or a fresh slice, so a state survives the
-// learner it came from and can be serialized by any encoding that
-// round-trips the field types exactly.
+// tenant never costs it its window, drift state, or counters. The slices
+// are the learner's own buffers, handed over rather than copied: Export
+// leaves the learner spent, and NewOnlineLearnerFromState takes them over
+// and empties the state, so a park/wake cycle copies no window. Every
+// field is a plain value or a slice, so a state can be serialized by any
+// encoding that round-trips the field types exactly.
 type LearnerState struct {
 	// WinX is the feedback window's sample backing array, row-major at
 	// full Window capacity (Window × features); WinY holds the labels.
@@ -651,58 +657,66 @@ type LearnerState struct {
 	Rejections uint64
 }
 
-// Export returns a deep snapshot of the learner's mutable state. The
-// copy is taken eagerly — the whole window is duplicated — so callers
-// must keep it off latency-critical paths (serve/registry captures it
-// only when parking a tenant, never per request). Pair it with
-// NewOnlineLearnerFromState to rebuild an identical learner later.
+// Export moves the learner's mutable state into a LearnerState, copying
+// no buffer: the window, rings and tallies change owner, and the learner
+// is spent — Observe and rebinding fail on it, and its accessors report
+// an empty learner. Pair it with NewOnlineLearnerFromState to continue
+// the learner later.
 func (l *OnlineLearner) Export() *LearnerState {
 	st := &LearnerState{
-		WinX:         append([]float64(nil), l.winX...),
-		WinY:         append([]int(nil), l.winY...),
+		WinX:         l.winX,
+		WinY:         l.winY,
 		WinLen:       l.winLen,
 		WinPos:       l.winPos,
 		Seen:         l.seen,
-		Recent:       append([]bool(nil), l.recent...),
-		RecentLabel:  append([]int(nil), l.recentLabel...),
+		Recent:       l.recent,
+		RecentLabel:  l.recentLabel,
 		RecentLen:    l.recentLen,
 		RecentPos:    l.recentPos,
 		RecentOK:     l.recentOK,
-		ClsRecentN:   append([]int(nil), l.clsRecentN...),
-		ClsRecentOK:  append([]int(nil), l.clsRecentOK...),
+		ClsRecentN:   l.clsRecentN,
+		ClsRecentOK:  l.clsRecentOK,
 		ObsSinceBind: l.obsSinceBind,
 		BaseOK:       l.baseOK,
 		BaseN:        l.baseN,
-		ClsBaseN:     append([]int(nil), l.clsBaseN...),
-		ClsBaseOK:    append([]int(nil), l.clsBaseOK...),
+		ClsBaseN:     l.clsBaseN,
+		ClsBaseOK:    l.clsBaseOK,
 		Observations: l.observations,
 		Attempts:     l.attempts,
 		Retrains:     l.retrains,
 		Rejections:   l.rejections,
 	}
 	st.Sampler, st.SamplerGauss, st.SamplerHasGauss = l.sampler.State()
+	*l = OnlineLearner{}
 	return st
 }
 
-// NewOnlineLearnerFromState rebuilds a learner bound to m from a
-// snapshot taken by Export, continuing exactly where the exporting
-// learner stopped: window contents, drift baseline, accuracy rings,
-// counters, and the reservoir sampler's stream position are all
-// restored bit-for-bit. cfg must describe the same geometry the
-// snapshot was taken under (same Window, RecentWindow, and a model of
-// the same shape) — a mismatched snapshot is rejected rather than
-// silently truncated. m should be the model the exporting learner was
-// bound to (or a successor already published to its serving surface):
-// the restored baseline and drift state describe THAT model's behavior.
+// errSpent answers a learner whose state Export moved out.
+var errSpent = errors.New("disthd: learner state was exported; the learner is spent")
+
+// NewOnlineLearnerFromState rebuilds a learner bound to m from the state
+// Export moved out, continuing exactly where the exporting learner
+// stopped: window contents, drift baseline, accuracy rings, counters, and
+// the reservoir sampler's stream position all carry over bit-for-bit. The
+// learner takes over st's buffers without copying them and empties st, so
+// a state restores once. cfg must describe the same geometry the state
+// was taken under (same Window, RecentWindow, and a model of the same
+// shape) — a mismatched state is rejected, and left as it was, rather
+// than silently truncated. m should be the model the exporting learner
+// was bound to (or a successor already published to its serving
+// surface): the restored baseline and drift state describe THAT model's
+// behavior.
 func NewOnlineLearnerFromState(m *Model, cfg OnlineConfig, st *LearnerState) (*OnlineLearner, error) {
 	if st == nil {
 		return nil, fmt.Errorf("disthd: NewOnlineLearnerFromState needs a state")
 	}
-	l, err := NewOnlineLearner(m, cfg)
+	if m == nil {
+		return nil, fmt.Errorf("disthd: NewOnlineLearnerFromState needs a model")
+	}
+	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	c := l.cfg
 	if len(st.WinX) != c.Window*m.Features() || len(st.WinY) != c.Window {
 		return nil, fmt.Errorf("disthd: learner state window holds %d values / %d labels, config wants %d / %d",
 			len(st.WinX), len(st.WinY), c.Window*m.Features(), c.Window)
@@ -721,20 +735,34 @@ func NewOnlineLearnerFromState(m *Model, cfg OnlineConfig, st *LearnerState) (*O
 		return nil, fmt.Errorf("disthd: learner state cursors out of range (winLen=%d winPos=%d recentLen=%d recentPos=%d)",
 			st.WinLen, st.WinPos, st.RecentLen, st.RecentPos)
 	}
-	copy(l.winX, st.WinX)
-	copy(l.winY, st.WinY)
-	l.winLen, l.winPos, l.seen = st.WinLen, st.WinPos, st.Seen
+	l := &OnlineLearner{
+		m:            m,
+		cfg:          c,
+		winX:         st.WinX,
+		winY:         st.WinY,
+		winLen:       st.WinLen,
+		winPos:       st.WinPos,
+		seen:         st.Seen,
+		sampler:      new(rng.Rand),
+		recent:       st.Recent,
+		recentLabel:  st.RecentLabel,
+		recentLen:    st.RecentLen,
+		recentPos:    st.RecentPos,
+		recentOK:     st.RecentOK,
+		clsRecentN:   st.ClsRecentN,
+		clsRecentOK:  st.ClsRecentOK,
+		obsSinceBind: st.ObsSinceBind,
+		baseOK:       st.BaseOK,
+		baseN:        st.BaseN,
+		clsBaseN:     st.ClsBaseN,
+		clsBaseOK:    st.ClsBaseOK,
+		observations: st.Observations,
+		attempts:     st.Attempts,
+		retrains:     st.Retrains,
+		rejections:   st.Rejections,
+	}
 	l.sampler.SetState(st.Sampler, st.SamplerGauss, st.SamplerHasGauss)
-	copy(l.recent, st.Recent)
-	copy(l.recentLabel, st.RecentLabel)
-	l.recentLen, l.recentPos, l.recentOK = st.RecentLen, st.RecentPos, st.RecentOK
-	copy(l.clsRecentN, st.ClsRecentN)
-	copy(l.clsRecentOK, st.ClsRecentOK)
-	l.obsSinceBind, l.baseOK, l.baseN = st.ObsSinceBind, st.BaseOK, st.BaseN
-	copy(l.clsBaseN, st.ClsBaseN)
-	copy(l.clsBaseOK, st.ClsBaseOK)
-	l.observations, l.attempts, l.retrains, l.rejections =
-		st.Observations, st.Attempts, st.Retrains, st.Rejections
+	*st = LearnerState{}
 	return l, nil
 }
 
@@ -742,6 +770,9 @@ func NewOnlineLearnerFromState(m *Model, cfg OnlineConfig, st *LearnerState) (*O
 func (l *OnlineLearner) bindable(m *Model) error {
 	if m == nil {
 		return fmt.Errorf("disthd: rebind needs a model")
+	}
+	if l.m == nil {
+		return errSpent
 	}
 	if m.Features() != l.m.Features() || m.Dim() != l.m.Dim() || m.Classes() != l.m.Classes() {
 		return fmt.Errorf("disthd: successor model shaped %d/%d/%d, learner bound to %d/%d/%d",

@@ -2,6 +2,7 @@ package disthd
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitpack"
 	"repro/internal/encoding"
@@ -27,6 +28,12 @@ import (
 // state).
 //
 // A Replica must not be shared across goroutines; give each worker its own.
+//
+// Release hands a replica that is no longer needed to a process-wide idle
+// set of at most maxIdleReplicas replicas and maxIdleBytes of scratch, and
+// NewReplica takes one of the same shape from there before it builds a
+// new one, so a serving unit that is closed and rebuilt (a parked tenant
+// waking) reuses its scratch instead of zeroing a fresh arena.
 type Replica struct {
 	features, dim, classes int
 	maxBatch               int
@@ -47,15 +54,107 @@ type Replica struct {
 	iscores  []int32
 	penc     *encoding.PackedRBF
 	pencSrc  encoding.Encoder
+	bytes    int  // scratch size
+	idle     bool // in the idle set; guarded by idleSet.mu
 }
 
-// NewReplica builds an inference context sized for batches of up to
-// maxBatch rows, shaped after m. maxBatch must be positive.
+// The idle set's bounds: constants, so the memory released replicas keep
+// does not grow with the number of tenants or shapes. A replica larger
+// than maxIdleBytes on its own is left to the collector.
+const (
+	maxIdleReplicas = 8
+	maxIdleBytes    = 32 << 20
+)
+
+// idleSet holds released replicas, oldest first, and their scratch bytes.
+// A release into a full set drops the oldest until the new one fits, so
+// the set keeps the shapes released last.
+var idleSet struct {
+	mu    sync.Mutex
+	reps  []*Replica
+	bytes int
+}
+
+// Release hands r's scratch to the idle set NewReplica draws from. The
+// packed encoder binding is dropped first, so an idle replica pins no
+// model. r must not be used after Release; releasing it twice panics.
+func (r *Replica) Release() {
+	r.penc, r.pencSrc = nil, nil
+	idleSet.mu.Lock()
+	defer idleSet.mu.Unlock()
+	if r.idle {
+		panic("disthd: Replica released twice")
+	}
+	if r.bytes > maxIdleBytes {
+		return
+	}
+	for len(idleSet.reps) == maxIdleReplicas || idleSet.bytes+r.bytes > maxIdleBytes {
+		dropIdle(0)
+	}
+	r.idle = true
+	idleSet.reps = append(idleSet.reps, r)
+	idleSet.bytes += r.bytes
+}
+
+// dropIdle removes the i-th idle replica from the set and returns it;
+// idleSet.mu is held.
+func dropIdle(i int) *Replica {
+	reps := idleSet.reps
+	r := reps[i]
+	copy(reps[i:], reps[i+1:])
+	reps[len(reps)-1] = nil
+	idleSet.reps = reps[:len(reps)-1]
+	idleSet.bytes -= r.bytes
+	r.idle = false
+	return r
+}
+
+// takeIdle removes and returns the most recently released idle replica
+// of exactly this shape, nil when there is none.
+func takeIdle(q, d, k, maxBatch int) *Replica {
+	idleSet.mu.Lock()
+	defer idleSet.mu.Unlock()
+	for i := len(idleSet.reps) - 1; i >= 0; i-- {
+		r := idleSet.reps[i]
+		if r.features == q && r.dim == d && r.classes == k && r.maxBatch == maxBatch {
+			return dropIdle(i)
+		}
+	}
+	return nil
+}
+
+// NewReplica returns an inference context sized for batches of up to
+// maxBatch rows, shaped after m: a released replica of that exact shape
+// when the idle set holds one, a new one otherwise. maxBatch must be
+// positive.
 func (m *Model) NewReplica(maxBatch int) (*Replica, error) {
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("disthd: NewReplica batch size %d, want > 0", maxBatch)
 	}
+	// Bind the packed encoder up front for a quantized model so the first
+	// request doesn't pay the one-time wrapper + f32 base cache build;
+	// PredictScratch rebinds lazily after a hot swap changes the encoder.
+	var penc *encoding.PackedRBF
+	if m.Quantized() {
+		p, err := encoding.NewPackedRBF(m.clf.Enc)
+		if err != nil {
+			return nil, fmt.Errorf("disthd: quantized model without RBF encoder: %w", err)
+		}
+		penc = p
+	}
 	q, d, k := m.Features(), m.Dim(), m.Classes()
+	r := takeIdle(q, d, k, maxBatch)
+	if r == nil {
+		r = newReplica(q, d, k, maxBatch)
+	}
+	if penc != nil {
+		r.penc, r.pencSrc = penc, m.clf.Enc
+	}
+	return r, nil
+}
+
+// newReplica leases the scratch of a replica of the given shape.
+func newReplica(q, d, k, maxBatch int) *Replica {
 	lease := mat.NewLease(maxBatch * (q + d + k))
 	qs, ds := mat.Stride32(q), mat.Stride32(d)
 	r := &Replica{
@@ -71,17 +170,8 @@ func (m *Model) NewReplica(maxBatch int) (*Replica, error) {
 	r.x32 = *mat.View32(maxBatch, q, r.f32buf[:maxBatch*qs])
 	r.z32 = *mat.View32(maxBatch, d, r.f32buf[maxBatch*qs:])
 	r.qview = *r.qm
-	// Bind the packed encoder up front for a quantized model so the first
-	// request doesn't pay the one-time wrapper + f32 base cache build;
-	// PredictScratch rebinds lazily after a hot swap changes the encoder.
-	if m.Quantized() {
-		p, err := encoding.NewPackedRBF(m.clf.Enc)
-		if err != nil {
-			return nil, fmt.Errorf("disthd: quantized model without RBF encoder: %w", err)
-		}
-		r.penc, r.pencSrc = p, m.clf.Enc
-	}
-	return r, nil
+	r.bytes = 8*maxBatch*(q+d+k) + 4*len(r.f32buf) + 8*len(r.qm.Words) + 4*len(r.iscores)
+	return r
 }
 
 // MaxBatch returns the largest chunk the replica predicts in one kernel

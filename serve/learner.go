@@ -186,18 +186,19 @@ func newLearner(sw *Swapper, o LearnerOptions, ol *disthd.OnlineLearner) *Learne
 	return l
 }
 
-// LearnerState is a portable snapshot of a Learner: the wrapped
-// OnlineLearner's deep state (feedback window, drift baseline, accuracy
-// rings, retrain counters) plus the serving-side gauges. Export takes one
-// and RestoreLearner rebuilds a Learner from it over a fresh Swapper,
-// which is how serve/registry makes tenant eviction lossless for learning
-// tenants. Gauges is the frozen /stats view at export time, so a parked
-// tenant's stats endpoint can keep reporting the learner without holding
-// a live serving unit; it also restores the serving-side counters and
-// gate verdicts. The four fields after it hold what Gauges does not carry
+// LearnerState is a Learner's whole state, moved out of it: the wrapped
+// OnlineLearner's state (feedback window, drift baseline, accuracy rings,
+// retrain counters; disthd.LearnerState, whose buffers move rather than
+// copy) plus the serving-side gauges. Export takes one and RestoreLearner
+// rebuilds a Learner from it over a fresh Swapper, which is how
+// serve/registry makes tenant eviction lossless for learning tenants.
+// Gauges is the frozen /stats view at export time, so a parked tenant's
+// stats endpoint can keep reporting the learner without holding a live
+// serving unit; it also restores the serving-side counters and gate
+// verdicts. The four fields after it hold what Gauges does not carry
 // exactly: the backoff anchor and the retrain clocks at full resolution.
 type LearnerState struct {
-	// Online is the wrapped OnlineLearner's deep snapshot.
+	// Online is the wrapped OnlineLearner's state.
 	Online *disthd.LearnerState
 	// Gauges is the LearnerSnapshot frozen at export time — what /stats
 	// reported the instant the learner was parked.
@@ -214,42 +215,45 @@ type LearnerState struct {
 	LastAutoNS int64
 }
 
-// Export settles the learner and snapshots it: any in-flight background
-// retrain is waited out first — its gated successor publishes through
-// the (still live) Swapper or is rejected and counted, so a snapshot
-// never races a publish — then the full state is deep-copied. The
-// caller must guarantee no concurrent Feed/Retrain calls (serve/registry
-// parks only idle tenants, which guarantees exactly that); Export is a
-// park-time operation, never a request-path one — it copies the whole
-// feedback window.
+// Export settles the learner and moves its state out: any in-flight
+// background retrain is waited out first — its gated successor publishes
+// through the (still live) Swapper or is rejected and counted, so the
+// state never races a publish — then the gauges are frozen and the
+// online state changes owner without a copy (disthd.OnlineLearner.Export).
+// The learner is spent afterwards: feed it no more. The caller must
+// guarantee no concurrent Feed/Retrain calls (serve/registry parks only
+// idle tenants, which guarantees exactly that).
 func (l *Learner) Export() *LearnerState {
 	l.Wait()
-	l.mu.Lock()
-	online := l.ol.Export()
-	l.mu.Unlock()
-	return &LearnerState{
-		Online:         online,
+	st := &LearnerState{
 		Gauges:         l.Snapshot(),
 		RejectAt:       l.rejectAt.Load(),
 		LastRetrainNS:  l.lastRetrain.Load(),
 		LastDurationNS: l.lastDuration.Load(),
 		LastAutoNS:     l.lastAuto.Load(),
 	}
+	l.mu.Lock()
+	st.Online = l.ol.Export()
+	l.mu.Unlock()
+	return st
 }
 
-// RestoreLearner rebuilds a Learner from an Export snapshot over sw,
-// continuing exactly where the exported learner stopped: feedback
+// RestoreLearner rebuilds a Learner over sw from the state Export moved
+// out, continuing exactly where the exported learner stopped: feedback
 // window, drift baseline, accuracy rings, retrain/gate counters, and
-// backoff position all carry over. opts must match the options the
-// snapshot was taken under (the registry reuses the tenant's Spec, which
-// guarantees it); sw should currently serve the model the exported
-// learner was bound to — the restored baseline describes that model.
+// backoff position all carry over. The learner takes over st.Online's
+// buffers (disthd.NewOnlineLearnerFromState), so a state restores once;
+// a state that does not fit is rejected and left as it was. opts must
+// match the options the state was taken under (the registry reuses the
+// tenant's Spec, which guarantees it); sw should currently serve the
+// model the exported learner was bound to — the restored baseline
+// describes that model.
 func RestoreLearner(sw *Swapper, opts LearnerOptions, st *LearnerState) (*Learner, error) {
 	if sw == nil {
 		return nil, fmt.Errorf("serve: RestoreLearner needs a swapper")
 	}
 	if st == nil || st.Online == nil {
-		return nil, fmt.Errorf("serve: RestoreLearner needs an Export snapshot")
+		return nil, fmt.Errorf("serve: RestoreLearner needs an Export state")
 	}
 	o := opts.withDefaults()
 	ol, err := disthd.NewOnlineLearnerFromState(sw.Current(), o.onlineConfig(), st.Online)

@@ -2,7 +2,12 @@
 
 package registry
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/serve"
+)
 
 // TestAcquireReleaseAllocs pins the dispatch contract with plain
 // `go test`: resolving a resident tenant and releasing it allocates
@@ -26,5 +31,55 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("Acquire+Release: %v allocs, want 0", got)
+	}
+}
+
+// wakeParkCycle runs one eviction cycle of two tenants alternating
+// through a one-slot pool: Acquire tenant i%2, which parks the other
+// (batcher drain, scratch to the idle set, learner state moved out) and
+// wakes this one (a fresh batcher, the learner state moved back), runs one
+// frame through it, which leases the replica the other's park released,
+// and Releases it.
+func wakeParkCycle(tb testing.TB, reg *Registry, ids [2]string, i int, rows int, out []int, fill func([]float64) error) {
+	h, err := reg.Acquire(ids[i%2])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := h.Server().Batcher().PredictStream(rows, out, fill); err != nil {
+		tb.Fatal(err)
+	}
+	reg.Release(h)
+}
+
+// TestWakeParkAllocBytes pins what an eviction cycle (wakeParkCycle)
+// allocates once warm: a cycle of tenants without a learner at most
+// 64 KiB — the wake builds a batcher but no routes and no scratch, and
+// the frame leases the replica the other tenant's park released — and a
+// cycle of learning tenants less than one feedback window, which moves
+// out on park and back on wake instead of being copied.
+func TestWakeParkAllocBytes(t *testing.T) {
+	f := benchFixtures(t, 512)
+	window := uint64(wakeParkLearner.Window * f.m.Features() * 8)
+	for _, c := range []struct {
+		name    string
+		learner *serve.LearnerOptions
+		limit   uint64
+	}{{"plain", nil, 64 << 10}, {"learner", wakeParkLearner, window - 1}} {
+		reg, ids, fill := wakeParkRegistry(t, f, c.learner)
+		out := make([]int, len(f.rows))
+		for i := 0; i < 4; i++ {
+			wakeParkCycle(t, reg, ids, i, len(f.rows), out, fill)
+		}
+		const cycles = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			wakeParkCycle(t, reg, ids, i, len(f.rows), out, fill)
+		}
+		runtime.ReadMemStats(&after)
+		reg.Close()
+		if got := (after.TotalAlloc - before.TotalAlloc) / cycles; got > c.limit {
+			t.Errorf("%s wake+park cycle allocates %d bytes, want at most %d", c.name, got, c.limit)
+		}
 	}
 }

@@ -18,7 +18,7 @@ var (
 	regBench   = map[int]*tenantFixture{}
 )
 
-func benchFixtures(b *testing.B, dim int) *tenantFixture {
+func benchFixtures(b testing.TB, dim int) *tenantFixture {
 	b.Helper()
 	regBenchMu.Lock()
 	defer regBenchMu.Unlock()
@@ -129,30 +129,58 @@ func BenchmarkRegistryDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryWakePark prices an eviction cycle: two tenants
-// alternating through a one-slot pool, so every Acquire parks one serving
-// unit (batcher drain, scratch release) and builds the other (batcher,
-// replica scratch lease). This is the cost the LRU policy pays per cold
-// hit — and the reason hot tenants keep their residency.
-func BenchmarkRegistryWakePark(b *testing.B) {
-	f := benchFixtures(b, 512)
+// wakeParkRegistry installs two tenants of f's model, learning when
+// learner is non-nil, into a one-slot pool, and returns the frame fill
+// the cycle sends.
+func wakeParkRegistry(tb testing.TB, f *tenantFixture, learner *serve.LearnerOptions) (*Registry, [2]string, func([]float64) error) {
 	reg, err := New(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer reg.Close()
 	ids := [2]string{"wp-a", "wp-b"}
 	for _, id := range ids {
-		if err := reg.Install(id, f.m, Spec{Options: benchOpts()}); err != nil {
-			b.Fatal(err)
+		if err := reg.Install(id, f.m, Spec{Options: benchOpts(), Learner: learner}); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := reg.Acquire(ids[i%2])
-		if err != nil {
-			b.Fatal(err)
+	features := f.m.Features()
+	fill := func(dst []float64) error {
+		for i, r := range f.rows {
+			copy(dst[i*features:(i+1)*features], r)
 		}
-		reg.Release(h)
+		return nil
+	}
+	return reg, ids, fill
+}
+
+// wakeParkLearner is the learner the learning wake/park cycle carries:
+// a full-size feedback window (512 rows of 561 features, 2.2 MiB).
+var wakeParkLearner = &serve.LearnerOptions{Window: 512, Seed: 3}
+
+// BenchmarkRegistryWakePark prices an eviction cycle: two tenants
+// alternating through a one-slot pool, so every Acquire parks one serving
+// unit (batcher drain, scratch to the idle set, learner state moved out)
+// and wakes the other (a fresh batcher, learner state moved back), without
+// and with a learner on the tenants. This is the cost the LRU policy pays
+// per cold hit — and the reason hot tenants keep their residency.
+func BenchmarkRegistryWakePark(b *testing.B) {
+	f := benchFixtures(b, 512)
+	for _, c := range []struct {
+		name    string
+		learner *serve.LearnerOptions
+	}{{"plain", nil}, {"learner", wakeParkLearner}} {
+		b.Run(c.name, func(b *testing.B) {
+			reg, ids, _ := wakeParkRegistry(b, f, c.learner)
+			defer reg.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, err := reg.Acquire(ids[i%2])
+				if err != nil {
+					b.Fatal(err)
+				}
+				reg.Release(h)
+			}
+		})
 	}
 }

@@ -33,10 +33,42 @@ func feedTenant(t *testing.T, reg *Registry, id string, fx *tenantFixture, n int
 	}
 }
 
-// TestRegistryParkWakeLearnerContinuity is the tentpole's acceptance
-// shape: park a learning tenant and wake it, and the learner is
-// bit-identical — window contents, drift baseline, counters — with the
-// parked /stats row reporting the frozen gauges in between.
+// twinState feeds a learner that never parks the stream feedTenant(fx, n)
+// sends and moves its state out — the reference a parked tenant's state
+// must equal bit for bit.
+func twinState(t *testing.T, fx *tenantFixture, spec Spec, n int) *serve.LearnerState {
+	t.Helper()
+	sw, err := serve.NewSwapper(fx.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := serve.NewLearner(sw, *spec.Learner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		j := i % len(fx.rows)
+		if _, err := l.Feed(fx.rows[j], fx.want[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l.Export()
+}
+
+// parkedState returns the learner state the registry holds for a parked
+// tenant.
+func parkedState(reg *Registry, id string) *serve.LearnerState {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return reg.tenants[id].learner
+}
+
+// TestRegistryParkWakeLearnerContinuity is the park/wake acceptance
+// shape: park a learning tenant and its learner state is bit-identical
+// to a twin learner that never parked — window contents, drift baseline,
+// counters — with the parked /stats row reporting the frozen gauges; wake
+// it and park it again, and the state is still that twin's, so the woken
+// learner continued rather than restarted.
 func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 	fx := fixtures(t)
 	a, b := fx[0], fx[1]
@@ -45,19 +77,15 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	if err := reg.Install(a.name, a.m, learnerSpec(7)); err != nil {
+	spec := learnerSpec(7)
+	if err := reg.Install(a.name, a.m, spec); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Install(b.name, b.m, Spec{Options: quickOpts()}); err != nil {
 		t.Fatal(err)
 	}
 	feedTenant(t, reg, a.name, a, 16)
-	h, err := reg.Acquire(a.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := h.Server().Learner().Export()
-	reg.Release(h)
+	want := twinState(t, a, spec, 16)
 
 	// Waking b through the 1-slot pool parks a.
 	checkTenant(t, reg, b.name, b)
@@ -75,17 +103,16 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 		t.Fatalf("parked gauges feedback=%d windowLen=%d, want 16/16",
 			row.Learner.Feedback, row.Learner.WindowLen)
 	}
+	if got := parkedState(reg, a.name); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parked learner state differs from a twin that never parked:\n got %+v\nwant %+v", got, want)
+	}
 
 	// Wake a: the learner must continue, not restart.
-	h, err = reg.Acquire(a.name)
+	h, err := reg.Acquire(a.name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := h.Server().Learner().Export()
 	reg.Release(h)
-	if !reflect.DeepEqual(after, before) {
-		t.Fatalf("learner state not bitwise-preserved across park/wake:\n got %+v\nwant %+v", after, before)
-	}
 	row, err = reg.TenantStats(a.name)
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +123,20 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 	if row.Serve == nil || row.Serve.Learner == nil || row.Serve.Learner.Feedback != 16 {
 		t.Fatalf("resident serve snapshot lost the learner gauges: %+v", row.Serve)
 	}
+	// Park it again: the woken learner held exactly the state it was given.
+	checkTenant(t, reg, b.name, b)
+	if got := parkedState(reg, a.name); !reflect.DeepEqual(got, want) {
+		t.Fatalf("learner state not bitwise-preserved across wake and park:\n got %+v\nwant %+v", got, want)
+	}
 	// And it keeps counting from where it stopped.
 	feedTenant(t, reg, a.name, a, 4)
 	h, err = reg.Acquire(a.name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := h.Server().Learner().Export().Online.Observations
+	got := h.Server().Learner().Snapshot().Feedback
 	reg.Release(h)
-	if want := before.Online.Observations + 4; got != want {
+	if want := want.Online.Observations + 4; got != want {
 		t.Fatalf("observations after wake+4 = %d, want %d (reset to cold?)", got, want)
 	}
 }
@@ -194,18 +226,18 @@ func TestRegistryLearnerChurnContinuity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := h.Server().Learner().Export()
+			st := h.Server().Learner().Snapshot()
 			reg.Release(h)
-			if want := prevObs[f.name] + perRound; st.Online.Observations != want {
+			if want := prevObs[f.name] + perRound; st.Feedback != want {
 				t.Fatalf("round %d tenant %q: observations %d, want %d (window reset across wake?)",
-					round, f.name, st.Online.Observations, want)
+					round, f.name, st.Feedback, want)
 			}
-			if st.Gauges.DriftEvents < prevDrifts[f.name] {
+			if st.DriftEvents < prevDrifts[f.name] {
 				t.Fatalf("round %d tenant %q: drift counter went backwards (%d -> %d)",
-					round, f.name, prevDrifts[f.name], st.Gauges.DriftEvents)
+					round, f.name, prevDrifts[f.name], st.DriftEvents)
 			}
-			prevObs[f.name] = st.Online.Observations
-			prevDrifts[f.name] = st.Gauges.DriftEvents
+			prevObs[f.name] = st.Feedback
+			prevDrifts[f.name] = st.DriftEvents
 		}
 	}
 	st := reg.Stats()

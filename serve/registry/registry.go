@@ -7,16 +7,19 @@
 //
 // What makes it a platform rather than a demo is the shared replica
 // budget: every resident tenant's Batcher holds Replicas worker
-// goroutines, each with a leased scratch arena sized for that tenant's
-// shape (features × D × classes — tenants are heterogeneous), and the
-// Registry caps the TOTAL resident replicas at a fixed pool capacity.
-// A request for a parked tenant wakes it, parking the least-recently-used
-// idle tenants to make room (their scratch is released; the model itself
-// stays registered and is rebuilt into a fresh Batcher on the next hit).
-// Parking is lossless: a learning tenant's full learner state — feedback
-// window, drift baseline, accuracy rings, retrain/gate gauges — is
-// snapshotted next to the authoritative model and restored on the next
-// wake, so eviction churn never resets a tenant to a cold learner.
+// goroutines, which lease scratch arenas sized for that tenant's shape
+// (features × D × classes — tenants are heterogeneous), and the Registry
+// caps the TOTAL resident replicas at a fixed pool capacity. A request
+// for a parked tenant wakes it, parking the least-recently-used idle
+// tenants to make room: a parked tenant's scratch goes back to the
+// process-wide idle set (bounded by a constant; see disthd.Replica), where
+// the next tenant of the same shape takes it, and the model itself stays
+// registered and is served by a fresh Batcher on the next hit. Parking is
+// lossless: a learning tenant's full learner state — feedback window,
+// drift baseline, accuracy rings, retrain/gate gauges — moves out next to
+// the authoritative model and moves back on the next wake, without a copy
+// of the window, so eviction churn never resets a tenant to a cold
+// learner.
 // When no idle tenant can be parked — every resident replica is actively
 // serving — admission fails with ErrPoolExhausted and the HTTP layer
 // answers 429, so a process serving N tenants can never allocate
@@ -65,11 +68,11 @@ type Spec struct {
 	// Learner, when non-nil, attaches online learning (/learn, /retrain,
 	// gated background retraining) to the tenant while it is resident.
 	// Learner state — the feedback window, drift baseline, accuracy rings,
-	// retrain/gate gauges — survives parking: eviction snapshots it
+	// retrain/gate gauges — survives parking: eviction moves it out
 	// (serve.Learner.Export) next to the authoritative model, and the next
-	// wake rebuilds the learner from the snapshot (serve.RestoreLearner),
+	// wake rebuilds the learner around it (serve.RestoreLearner),
 	// continuing exactly where it stopped. An in-flight background retrain
-	// is settled before the snapshot, so its gated successor is published
+	// is settled before the move, so its gated successor is published
 	// into the captured model or rejected and counted — never lost.
 	Learner *serve.LearnerOptions
 }
@@ -95,10 +98,10 @@ type Tenant struct {
 	// quantizations published while resident survive eviction).
 	model *disthd.Model
 
-	// learner is the parked learner snapshot, authoritative while parked
-	// for tenants whose spec attaches a learner; while resident the live
-	// serve.Learner is, and this is nil. Park captures it (settling any
-	// in-flight retrain first) and wake consumes it.
+	// learner is the parked learner state, authoritative while parked for
+	// tenants whose spec attaches a learner; while resident the live
+	// serve.Learner is, and this is nil. Park moves it out (settling any
+	// in-flight retrain first) and wake moves it back.
 	learner *serve.LearnerState
 
 	resident  bool
@@ -318,7 +321,9 @@ func (r *Registry) Release(t *Tenant) {
 // wakeLocked makes t resident: reclaim pool capacity by parking the
 // least-recently-used idle tenants, then build the serving unit — a fresh
 // Batcher over the tenant's latest model, wrapped in a serve.Server, with
-// a learner attached when the spec asks for one.
+// a learner attached when the spec asks for one. Nothing here allocates
+// scratch: the Batcher leases replicas on its first request, from the
+// idle set a parked tenant of the same shape filled.
 func (r *Registry) wakeLocked(t *Tenant) error {
 	need := t.spec.Options.Replicas
 	for r.used+need > r.capacity {
@@ -336,10 +341,10 @@ func (r *Registry) wakeLocked(t *Tenant) error {
 	if t.spec.Learner != nil {
 		var l *serve.Learner
 		if t.learner != nil {
-			// A previous park snapshotted the learner; continue it instead
-			// of starting cold. The spec (and so the learner config) is
-			// immutable for a registered tenant, and the tenant's
-			// authoritative model is exactly the one the snapshot's baseline
+			// A previous park moved the learner's state out; continue it
+			// instead of starting cold. The spec (and so the learner config)
+			// is immutable for a registered tenant, and the tenant's
+			// authoritative model is exactly the one the state's baseline
 			// describes, so the restore cannot misfit.
 			l, err = serve.RestoreLearner(srv.Batcher().Swapper(), *t.spec.Learner, t.learner)
 		} else {
@@ -380,10 +385,11 @@ func (r *Registry) victimLocked(exempt *Tenant) *Tenant {
 
 // parkLocked releases an idle resident tenant's serving unit: the Batcher
 // drains (its queue is empty — the tenant has no in-flight request — so
-// the close is prompt), the learner (if any) is settled and snapshotted,
-// and the latest published model is copied back as the tenant's
-// authoritative snapshot, so a swap, gated retrain, or quantization that
-// landed while resident survives the eviction.
+// the close is prompt) and hands its replicas to the idle set, the
+// learner (if any) is settled and its state moved out, and the latest
+// published model is copied back as the tenant's authoritative snapshot,
+// so a swap, gated retrain, or quantization that landed while resident
+// survives the eviction.
 //
 // Blocking on the learner under the registry lock is deadlock-free: the
 // retrain goroutine touches only the learner mutex and the Swapper, never
@@ -396,8 +402,8 @@ func (r *Registry) parkLocked(t *Tenant, evicted bool) {
 		// Export waits out any in-flight background retrain first: its
 		// gated successor publishes through the Swapper (which outlives the
 		// batcher) or is rejected and counted — either way the verdict is in
-		// the snapshot and the model read below sees the publish. This is
-		// also what lets Close guarantee no retrain goroutine outlives it.
+		// the moved state and the model read below sees the publish. This
+		// is also what lets Close guarantee no retrain goroutine outlives it.
 		t.learner = l.Export()
 	}
 	// Read the published model only after the batcher has quiesced and the

@@ -8,13 +8,15 @@
 // that long waiting to reach Options.MinFill rows, then greedily drains
 // whatever is queued) — and runs each flush through the zero-allocation
 // EncodeBatchInto → PredictBatchInto kernel path on a per-replica scratch
-// lease (disthd.Replica over mat.NewLease). N replica workers pull from one
-// queue; nothing on the flush path takes a lock or touches a shared pool.
-// A caller that already holds a batch skips the queue through
-// PredictStream, the one place a batch leases a pooled replica: the
-// caller fills the replica's input scratch chunk by chunk (the binary
-// wire protocol decodes straight into it), and PredictBatch is
-// PredictStream with a fill that copies the caller's rows.
+// lease (disthd.Replica over mat.NewLease). N workers pull from one queue
+// and lease a replica per flush from the Batcher's free list. A caller
+// that already holds a batch skips the queue through PredictStream, which
+// leases from the same list for the whole call: the caller fills the
+// replica's input scratch chunk by chunk (the binary wire protocol decodes
+// straight into it), and PredictBatch is PredictStream with a fill that
+// copies the caller's rows. Close hands the idle replicas to the
+// process-wide idle set (disthd.Replica.Release), where the next Batcher
+// of the same shape finds them.
 //
 // Around the Batcher sit the Swapper, which hot-swaps the served model
 // behind an atomic pointer so online retraining can publish new weights
@@ -65,9 +67,9 @@ type Options struct {
 	// concurrent load still coalesces through the greedy drain. Raise it
 	// to trade tail latency for guaranteed occupancy. Clamped to MaxBatch.
 	MinFill int
-	// Replicas is the number of worker goroutines, each with its own
-	// scratch lease. Default GOMAXPROCS. The request queue holds
-	// 2·Replicas·MaxBatch requests; submitters block (applying
+	// Replicas is the number of worker goroutines; each leases a replica
+	// (a scratch arena) per flush. Default GOMAXPROCS. The request queue
+	// holds 2·Replicas·MaxBatch requests; submitters block (applying
 	// backpressure) when it is full.
 	Replicas int
 }
@@ -121,11 +123,18 @@ type Batcher struct {
 	stats    *Stats
 	features int
 	queue    chan request
-	repPool  sync.Pool // *disthd.Replica for the direct batch path
 
 	mu     sync.RWMutex // guards closed + the right to send on queue
 	closed bool
 	wg     sync.WaitGroup
+
+	// free holds the idle replicas that workers lease per flush and
+	// PredictStream per call. It grows to the peak number of leases at
+	// once and is kept across GCs. After Close has released it, a lease
+	// still out goes to the process-wide idle set when it comes back.
+	freeMu   sync.Mutex
+	free     []*disthd.Replica
+	released bool
 }
 
 // NewBatcher starts opts.Replicas workers serving m. The returned Batcher
@@ -147,26 +156,41 @@ func NewBatcher(m *disthd.Model, opts Options) (*Batcher, error) {
 		features: m.Features(),
 		queue:    make(chan request, 2*o.Replicas*o.MaxBatch),
 	}
-	b.repPool.New = func() any {
-		// Built from the model serving at Get time, not the construction
-		// argument, so the pool never pins a swapped-out model. Replicas
-		// themselves are shape-bound, not model-bound, and every swap
-		// preserves the shape.
-		r, err := b.sw.Current().NewReplica(o.MaxBatch)
-		if err != nil {
-			panic(err) // MaxBatch was validated; unreachable
-		}
-		return r
-	}
+	b.wg.Add(o.Replicas)
 	for i := 0; i < o.Replicas; i++ {
-		rep, err := m.NewReplica(o.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		b.wg.Add(1)
-		go b.worker(rep)
+		go b.worker()
 	}
 	return b, nil
+}
+
+// lease takes an idle replica from the free list, or builds one when none
+// is idle. It is built from the model serving now, not the construction
+// argument, so the Batcher never pins a swapped-out model: replicas are
+// shape-bound, and every swap preserves the shape.
+func (b *Batcher) lease() (*disthd.Replica, error) {
+	b.freeMu.Lock()
+	if n := len(b.free); n > 0 {
+		rep := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		b.freeMu.Unlock()
+		return rep, nil
+	}
+	b.freeMu.Unlock()
+	return b.sw.Current().NewReplica(b.opts.MaxBatch)
+}
+
+// giveBack ends a lease: the replica rejoins the free list, or, once
+// Close has released the list, goes to the process-wide idle set.
+func (b *Batcher) giveBack(rep *disthd.Replica) {
+	b.freeMu.Lock()
+	if !b.released {
+		b.free = append(b.free, rep)
+		b.freeMu.Unlock()
+		return
+	}
+	b.freeMu.Unlock()
+	rep.Release()
 }
 
 // Swapper returns the Batcher's model publication point.
@@ -214,7 +238,7 @@ func (b *Batcher) Predict(x []float64) (int, error) {
 	return r.class, r.err
 }
 
-// PredictBatch classifies many rows at once through a pooled replica,
+// PredictBatch classifies many rows at once through a leased replica,
 // bypassing coalescing — the caller already has a batch, so there is
 // nothing to coalesce. It is PredictStream with a fill that width-checks
 // the rows and copies them into the replica's scratch; rows beyond
@@ -239,10 +263,10 @@ func (b *Batcher) PredictBatch(rows [][]float64) ([]int, error) {
 }
 
 // PredictStream classifies n rows that the caller writes directly into a
-// pooled replica's leased input scratch, skipping the intermediate
-// [][]float64 — the decode-into-lease fast path the binary wire protocol
-// rides, and the one place a batch leases a replica. fill is called once
-// per chunk of up to MaxBatch rows with the scratch slice to populate
+// leased replica's input scratch, skipping the intermediate [][]float64 —
+// the decode-into-lease fast path the binary wire protocol rides, and the
+// one path a caller's batch takes. fill is called once per chunk of up to
+// MaxBatch rows with the scratch slice to populate
 // (row-major, chunkRows×features); out must hold at least n slots.
 // Steady-state the whole call allocates nothing beyond what fill does.
 func (b *Batcher) PredictStream(n int, out []int, fill func(dst []float64) error) error {
@@ -259,8 +283,12 @@ func (b *Batcher) PredictStream(n int, out []int, fill func(dst []float64) error
 		b.stats.errors.Add(1)
 		return fmt.Errorf("serve: cannot predict %d rows into %d out slots", n, len(out))
 	}
-	rep := b.repPool.Get().(*disthd.Replica)
-	defer b.repPool.Put(rep)
+	rep, err := b.lease()
+	if err != nil {
+		b.stats.errors.Add(1)
+		return err
+	}
+	defer b.giveBack(rep)
 	maxBatch := rep.MaxBatch()
 	for done := 0; done < n; {
 		c := min(n-done, maxBatch)
@@ -284,7 +312,9 @@ func (b *Batcher) PredictStream(n int, out []int, fill func(dst []float64) error
 }
 
 // Close stops accepting new requests, waits for every accepted request to
-// be answered, and stops the workers. It is idempotent.
+// be answered, stops the workers, and releases every idle replica to the
+// process-wide idle set; a PredictStream still running releases its own
+// when it returns. It is idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -295,14 +325,21 @@ func (b *Batcher) Close() {
 	close(b.queue)
 	b.mu.Unlock()
 	b.wg.Wait()
+	b.freeMu.Lock()
+	free := b.free
+	b.free, b.released = nil, true
+	b.freeMu.Unlock()
+	for _, rep := range free {
+		rep.Release()
+	}
 }
 
-// worker is one replica loop: block for a first row, linger up to
+// worker is one batching loop: block for a first row, linger up to
 // MaxDelay while the batch is below MinFill, greedily drain whatever else
-// is queued, then flush through the replica's leased scratch. The model
+// is queued, then flush through a leased replica's scratch. The model
 // pointer is loaded exactly once per flush, so a concurrent Swap lands
 // cleanly between batches.
-func (b *Batcher) worker(rep *disthd.Replica) {
+func (b *Batcher) worker() {
 	defer b.wg.Done()
 	maxBatch, minFill := b.opts.MaxBatch, b.opts.MinFill
 	batch := make([]request, 0, maxBatch)
@@ -355,7 +392,7 @@ func (b *Batcher) worker(rep *disthd.Replica) {
 				break drain
 			}
 		}
-		b.flush(rep, batch, rows[:0], out)
+		b.flush(batch, rows[:0], out)
 		if !open {
 			return
 		}
@@ -364,12 +401,15 @@ func (b *Batcher) worker(rep *disthd.Replica) {
 
 // flush runs one micro-batch and answers every waiter, counting the batch
 // first so Stats read after a Predict returns includes it.
-func (b *Batcher) flush(rep *disthd.Replica, batch []request, rows [][]float64, out []int) {
+func (b *Batcher) flush(batch []request, rows [][]float64, out []int) {
 	for _, req := range batch {
 		rows = append(rows, req.x)
 	}
-	m := b.sw.Current()
-	_, err := rep.PredictBatch(m, rows, out[:len(batch)])
+	rep, err := b.lease()
+	if err == nil {
+		_, err = rep.PredictBatch(b.sw.Current(), rows, out[:len(batch)])
+		b.giveBack(rep)
+	}
 	b.stats.observeBatch(len(batch))
 	for i, req := range batch {
 		if err != nil {

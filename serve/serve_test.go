@@ -351,3 +351,80 @@ func TestBatcherAgreesWithModel(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictStreamOutlivesClose holds PredictStream calls inside their
+// fill until Close has returned, round after round, and checks that each
+// still answers right and that no replica ends up with two owners: a
+// replica released twice panics, and the replicas of the shape that come
+// back from the idle set afterwards are all distinct.
+func TestPredictStreamOutlivesClose(t *testing.T) {
+	s := fixtures(t)
+	rows := s.test.X[:8]
+	cols := len(rows[0])
+	want, err := s.a.PredictBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBatch = 5 // a replica shape no other test in the package uses
+	for round := 0; round < 20; round++ {
+		b, err := NewBatcher(s.a, Options{MaxBatch: maxBatch, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fill the free list first, so Close releases idle replicas while
+		// the streams below still hold theirs.
+		if _, err := b.PredictBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		started, closed := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := make([]int, len(rows))
+				next := 0
+				err := b.PredictStream(len(rows), out, func(dst []float64) error {
+					if next == 0 {
+						started <- struct{}{}
+						<-closed
+					}
+					for i := 0; i < len(dst)/cols; i++ {
+						copy(dst[i*cols:(i+1)*cols], rows[next])
+						next++
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range out {
+					if out[i] != want[i] {
+						t.Errorf("round %d row %d: %d, want %d", round, i, out[i], want[i])
+						return
+					}
+				}
+			}()
+		}
+		<-started
+		<-started
+		b.Close()
+		close(closed)
+		wg.Wait()
+	}
+	seen := make(map[*disthd.Replica]bool)
+	for i := 0; i < 16; i++ {
+		r, err := s.a.NewReplica(maxBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[r] {
+			t.Fatal("the idle set handed one replica out twice")
+		}
+		seen[r] = true
+	}
+	for r := range seen {
+		r.Release()
+	}
+}

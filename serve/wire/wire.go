@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // ContentType is the MIME type negotiating the frame protocol over HTTP:
@@ -283,18 +284,35 @@ func (d *Decoder) elemSize() uint32 {
 // the frame boundary.
 func (d *Decoder) take(n uint32) ([]byte, error) {
 	if n > d.remaining {
-		return nil, fmt.Errorf("wire: frame has %d payload bytes left, need %d", d.remaining, n)
+		return nil, d.overrun(n)
 	}
 	if uint32(cap(d.buf)) < n {
 		d.buf = make([]byte, n)
 	}
 	b := d.buf[:n]
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return nil, fmt.Errorf("wire: truncated frame payload: %w", err)
+	if err := d.read(b); err != nil {
+		return nil, err
 	}
-	d.remaining -= n
 	return b, nil
 }
+
+// overrun reports a read of n bytes past the frame end.
+func (d *Decoder) overrun(n uint32) error {
+	return fmt.Errorf("wire: frame has %d payload bytes left, need %d", d.remaining, n)
+}
+
+// read fills b from the payload; the caller has checked it fits the frame.
+func (d *Decoder) read(b []byte) error {
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		return fmt.Errorf("wire: truncated frame payload: %w", err)
+	}
+	d.remaining -= uint32(len(b))
+	return nil
+}
+
+// nativeLE reports a little-endian host, where a float64's wire bytes are
+// its memory bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // MatrixDims reads the dimension prefix of a matrix frame and verifies
 // the declared payload length matches rows*cols elements exactly, so the
@@ -324,13 +342,21 @@ func (d *Decoder) MatrixDims() (rows, cols int, err error) {
 
 // Floats reads len(dst) matrix elements into dst, widening float32 wire
 // values when the frame is TypeMatrixF32. Call it repeatedly to stream a
-// large matrix chunk by chunk; it never crosses the frame end.
+// large matrix chunk by chunk; it never crosses the frame end. On a
+// little-endian host float64 elements are read straight into dst's bytes.
 func (d *Decoder) Floats(dst []float64) error {
 	es := d.elemSize()
 	if es == 0 {
 		return fmt.Errorf("wire: frame %v carries no float elements", d.typ)
 	}
-	b, err := d.take(uint32(len(dst)) * es)
+	n := uint32(len(dst)) * es
+	if es == 8 && nativeLE {
+		if n > d.remaining {
+			return d.overrun(n)
+		}
+		return d.read(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), n))
+	}
+	b, err := d.take(n)
 	if err != nil {
 		return err
 	}

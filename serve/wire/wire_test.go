@@ -40,6 +40,70 @@ func TestMatrixF64RoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloatsDirectMatchesLoop decodes one f64 frame through the direct
+// read into dst and through the per-element loop big-endian hosts run,
+// chunk by chunk, and compares the two bit for bit on the values a byte
+// copy could get wrong: NaN payloads (quiet and signaling, both signs),
+// ±0, subnormals and ±Inf. Both paths must also refuse a read past the
+// frame end alike.
+func TestFloatsDirectMatchesLoop(t *testing.T) {
+	bits := []uint64{
+		0x7ff8000000000001, 0xfff8000000000bad, 0x7ff0000000000001, 0xfff4000000000000,
+		0x0000000000000000, 0x8000000000000000,
+		0x0000000000000001, 0x800fffffffffffff, 0x000ffffffffffffe,
+		0x7ff0000000000000, 0xfff0000000000000,
+		math.Float64bits(1.5), math.Float64bits(-3e-300),
+	}
+	row := make([]float64, len(bits))
+	for i, b := range bits {
+		row[i] = math.Float64frombits(b)
+	}
+	frame, err := AppendMatrixF64(nil, [][]float64{row, row}, len(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(native bool) ([]float64, error) {
+		defer func(was bool) { nativeLE = was }(nativeLE)
+		nativeLE = native
+		d := NewDecoder(bytes.NewReader(frame))
+		if _, err := d.Next(); err != nil {
+			return nil, err
+		}
+		r, c, err := d.MatrixDims()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]float64, r*c)
+		for lo := 0; lo < len(out); lo += 5 {
+			if err := d.Floats(out[lo:min(lo+5, len(out))]); err != nil {
+				return nil, err
+			}
+		}
+		// The frame is spent: one more element crosses its end.
+		if err := d.Floats(make([]float64, 1)); err == nil {
+			t.Fatalf("native=%v: Floats read past the frame end", native)
+		}
+		return out, nil
+	}
+	direct, err := decode(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := decode(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range loop {
+		want := bits[i%len(bits)]
+		if got := math.Float64bits(loop[i]); got != want {
+			t.Fatalf("loop element %d: %#x, want %#x", i, got, want)
+		}
+		if got := math.Float64bits(direct[i]); got != want {
+			t.Fatalf("direct element %d: %#x, want %#x", i, got, want)
+		}
+	}
+}
+
 func TestMatrixF32RoundTripWidens(t *testing.T) {
 	rows := [][]float64{{1.25, -3.5}, {0.0078125, 1e10}}
 	buf, err := AppendMatrixF32(nil, rows, 2)
