@@ -1,16 +1,17 @@
 # Tier-1 verification and benchmark targets for the DistHD reproduction.
 #
-# `make ci` is the documented tier-1 gate: formatting, vet, the exported-
-# identifier doc check on the public surface, build, race-enabled tests
-# (which include the runnable godoc Examples in the root and serve
-# packages), and a one-iteration benchmark smoke pass so the perf harness
-# itself cannot rot. `make bench` produces the numbers recorded in PERF.md.
+# `make ci` is the documented tier-1 gate: formatting, vet (of the arm64
+# build too), the exported-identifier doc check on the public surface,
+# build, race-enabled tests (which include the runnable godoc Examples in
+# the root and serve packages), and a one-iteration benchmark smoke pass
+# so the perf harness itself cannot rot. `make bench` produces the
+# numbers recorded in PERF.md.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet doc-check build test race bench-smoke fuzz-smoke bench-compare bench-snapshot drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke perfbench-check bench bench-kernels bench-serve bench-drift bench-cluster bench-registry
+.PHONY: ci fmt-check vet cross-vet doc-check build test race bench-smoke fuzz-smoke bench-compare bench-snapshot drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke perfbench-check bench bench-kernels bench-serve bench-drift bench-cluster bench-registry
 
-ci: fmt-check vet doc-check build race bench-smoke fuzz-smoke bench-compare drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke perfbench-check
+ci: fmt-check vet cross-vet doc-check build race bench-smoke fuzz-smoke bench-compare drift-smoke drift-http-smoke chaos-smoke wire-smoke registry-smoke perfbench-check
 
 # gofmt must be a no-op across the tree.
 fmt-check:
@@ -19,6 +20,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Vet the arm64 build too: it is the only one that compiles the generic
+# kernel tiers' stubs (internal/mat/simd_other.go,
+# internal/bitpack/simd_other.go) on a supported platform.
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 # The public surface (root package, serve, and its subpackages) must not
 # export an undocumented identifier.

@@ -11,11 +11,11 @@
 // -quantize 1bit deploys the bitpacked inference tier: the f32 model is
 // trained (or loaded) first, sign-quantized, and — when -demo provides a
 // test split to judge on — published only if the packed tier's accuracy
-// stays within -quantize-margin of the f32 champion's (the same
-// champion/challenger gate POST /quantize applies at runtime; a rejected
-// quantization keeps the f32 champion serving and says so). A -model
-// snapshot has no holdout, so it publishes ungated with a warning — or
-// just ship a version-2 (packed) snapshot, which serves quantized as-is.
+// stays within disthd.DefaultQuantizeMargin (2 points) of the f32
+// champion's (the same judgment POST /quantize applies at runtime; a
+// rejected quantization keeps the f32 champion serving and says so). A
+// -model snapshot has no holdout, so it publishes ungated with a warning —
+// or just ship a version-2 (packed) snapshot, which serves quantized as-is.
 //
 // The server coalesces concurrent /predict calls into micro-batches and
 // runs them through the zero-allocation batched-GEMM kernels; /swap
@@ -98,7 +98,6 @@ func main() {
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "deadline for a lingering micro-batch")
 		replicas = flag.Int("replicas", 0, "serving replicas (0 = GOMAXPROCS)")
 		quantize = flag.String("quantize", "", "deploy a quantized inference tier (\"1bit\" = packed sign bits on XOR+popcount kernels)")
-		quantMar = flag.Float64("quantize-margin", -0.02, "holdout-accuracy regression the quantized tier may cost and still publish (negative tolerates loss)")
 
 		learn     = flag.Bool("learn", false, "enable online learning (/learn, /retrain, learner gauges in /stats)")
 		learnWin  = flag.Int("learn-window", 512, "labeled-feedback window retrains draw from")
@@ -132,7 +131,7 @@ func main() {
 		log.Fatalf("disthd-serve: %v", err)
 	}
 	if *quantize != "" {
-		m, err = quantizeModel(m, *quantize, *quantMar, gateSplit)
+		m, err = quantizeModel(m, *quantize, gateSplit)
 		if err != nil {
 			log.Fatalf("disthd-serve: %v", err)
 		}
@@ -237,7 +236,7 @@ func loadModel(path, demo string, dim int, scale float64, seed uint64) (*disthd.
 // quantizeModel deploys the requested quantized tier over the f32 model m,
 // gating on the holdout split when one exists. A rejected quantization
 // returns the f32 champion — serving stays correct, just not packed.
-func quantizeModel(m *disthd.Model, kind string, margin float64, holdout disthd.DataSplit) (*disthd.Model, error) {
+func quantizeModel(m *disthd.Model, kind string, holdout disthd.DataSplit) (*disthd.Model, error) {
 	if kind != "1bit" {
 		return nil, fmt.Errorf("unknown -quantize tier %q (only \"1bit\")", kind)
 	}
@@ -245,20 +244,16 @@ func quantizeModel(m *disthd.Model, kind string, margin float64, holdout disthd.
 		log.Printf("model snapshot is already 1-bit packed; nothing to quantize")
 		return m, nil
 	}
-	q, err := m.Quantize1Bit()
+	q, v, err := m.Quantize1BitGated(holdout.X, holdout.Y, disthd.DefaultQuantizeMargin)
 	if err != nil {
 		return nil, err
 	}
-	if len(holdout.X) == 0 {
+	if v.HoldoutSize == 0 {
 		log.Printf("WARNING: no holdout to gate on (-model snapshot); publishing the 1-bit tier ungated")
 		return q, nil
 	}
-	v, err := disthd.NewGate(disthd.GateConfig{MinMargin: margin}).Evaluate(m, q, holdout.X, holdout.Y)
-	if err != nil {
-		return nil, err
-	}
 	log.Printf("quantize gate: f32 %.4f vs 1bit %.4f on %d held-out samples (margin %+.4f, floor %+.4f)",
-		v.ChampionAccuracy, v.ChallengerAccuracy, v.HoldoutSize, v.Margin, margin)
+		v.ChampionAccuracy, v.ChallengerAccuracy, v.HoldoutSize, v.Margin, disthd.DefaultQuantizeMargin)
 	if !v.Publish {
 		log.Printf("WARNING: 1-bit tier REJECTED by the gate; serving the f32 champion instead")
 		return m, nil

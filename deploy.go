@@ -3,7 +3,6 @@ package disthd
 import (
 	"fmt"
 
-	"repro/internal/bitpack"
 	"repro/internal/mat"
 	"repro/internal/model"
 	"repro/internal/quant"
@@ -22,8 +21,6 @@ type Deployed struct {
 	// work is the unpacked model used for classification; refreshed after
 	// every injection.
 	work *model.Model
-	// packed caches the 1-bit class sign matrix (lazy, see Packed).
-	packed *bitpack.Matrix
 }
 
 // Deploy packs the model's class hypervectors at the given precision.
@@ -50,50 +47,6 @@ func (d *Deployed) refresh() {
 	copy(w.Weights.Data, vals)
 	w.RefreshNorms()
 	d.work = w
-	d.packed = nil // invalidate the packed fast path
-}
-
-// Packed returns a 1-bit deployment's class hypervectors as a packed sign
-// matrix (≥ 0 is +1) — the image the XOR+popcount scoring kernels read,
-// the arithmetic an edge accelerator executes, typically an order of
-// magnitude faster than float dot products at equal dimensionality. It
-// reflects the image's current (possibly injured) state; it is rebuilt
-// lazily after Inject/Restore. Only valid when Bits() == 1.
-func (d *Deployed) Packed() (*bitpack.Matrix, error) {
-	if d.bits != 1 {
-		return nil, fmt.Errorf("disthd: packed inference requires a 1-bit deployment, have %d bits", d.bits)
-	}
-	if d.packed == nil {
-		rows := make([][]float64, d.work.Classes())
-		for c := range rows {
-			rows[c] = d.work.Weights.Row(c)
-		}
-		d.packed = bitpack.PackRows(rows)
-	}
-	return d.packed, nil
-}
-
-// PredictPacked classifies x on the packed 1-bit path: the encoded query
-// is sign-packed like the classes and scored with the XOR+popcount
-// kernels (bitpack.PredictBatchInto; the first class wins a tie). It can
-// differ from Predict on borderline samples — Predict keeps the float
-// query magnitudes while edge hardware quantizes the query too — but the
-// two agree on the vast majority of inputs.
-func (d *Deployed) PredictPacked(x []float64) (int, error) {
-	classes, err := d.Packed()
-	if err != nil {
-		return 0, err
-	}
-	if len(x) != d.parent.Features() {
-		return 0, fmt.Errorf("disthd: input has %d features, model expects %d", len(x), d.parent.Features())
-	}
-	h := make([]float64, d.parent.clf.Enc.Dim())
-	d.parent.clf.Enc.Encode(x, h)
-	q := bitpack.NewMatrix(1, len(h))
-	q.PackRow(0, h)
-	out := make([]int, 1)
-	bitpack.PredictBatchInto(classes, q, make([]int32, classes.Rows), out)
-	return out[0], nil
 }
 
 // Bits returns the deployment precision.

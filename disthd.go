@@ -169,14 +169,8 @@ func (m *Model) Predict(x []float64) (int, error) {
 		return 0, fmt.Errorf("disthd: input has %d features, model expects %d", len(x), m.Features())
 	}
 	if m.Quantized() {
-		scores := m.packedScoresSingle(x)
-		best := 0
-		for c := 1; c < len(scores); c++ {
-			if scores[c] > scores[best] {
-				best = c
-			}
-		}
-		return best, nil
+		out, _ := m.packedPredictBatch([][]float64{x})
+		return out[0], nil
 	}
 	return m.clf.Predict(x), nil
 }
@@ -188,7 +182,8 @@ func (m *Model) PredictTop2(x []float64) (first, second int, err error) {
 		return 0, 0, fmt.Errorf("disthd: input has %d features, model expects %d", len(x), m.Features())
 	}
 	if m.Quantized() {
-		first, second = packedTop2(m.packedScoresSingle(x))
+		_, scores := m.packedPredictBatch([][]float64{x})
+		first, second = packedTop2(scores)
 		return first, second, nil
 	}
 	first, second = m.clf.PredictTop2(x)
@@ -204,7 +199,7 @@ func (m *Model) Scores(x []float64) ([]float64, error) {
 		return nil, fmt.Errorf("disthd: input has %d features, model expects %d", len(x), m.Features())
 	}
 	if m.Quantized() {
-		agr := m.packedScoresSingle(x)
+		_, agr := m.packedPredictBatch([][]float64{x})
 		out := make([]float64, len(agr))
 		for c, a := range agr {
 			out[c] = float64(a) / float64(m.Dim())
@@ -223,7 +218,7 @@ func (m *Model) PredictBatch(X [][]float64) ([]int, error) {
 		return nil, fmt.Errorf("disthd: input has %d features, model expects %d", len(X[0]), m.Features())
 	}
 	if m.Quantized() {
-		out, _ := m.packedPredictBatch(X, false)
+		out, _ := m.packedPredictBatch(X)
 		return out, nil
 	}
 	return m.clf.PredictBatch(mat.FromRows(X)), nil
@@ -283,7 +278,7 @@ func (m *Model) TopKAccuracy(X [][]float64, y []int, k int) (float64, error) {
 		return 0, fmt.Errorf("disthd: input has %d features, model expects %d", len(X[0]), m.Features())
 	}
 	if m.Quantized() {
-		_, scores := m.packedPredictBatch(X, true)
+		_, scores := m.packedPredictBatch(X)
 		classes := m.Classes()
 		correct := 0
 		for i := range X {

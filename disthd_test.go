@@ -344,6 +344,10 @@ func TestZScoreValidation(t *testing.T) {
 	}
 }
 
+// TestPackedInference checks the 1-bit deployment against the packed
+// query path: the quantized model, which sign-packs the query as well as
+// the classes, keeps accuracy near the 1-bit Deployed view, which keeps
+// the float query, and injected faults reach the deployed predictions.
 func TestPackedInference(t *testing.T) {
 	train, test := smallTask(t)
 	cfg := quickConfig()
@@ -356,53 +360,36 @@ func TestPackedInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Packed path rejected for multi-bit deployments.
-	dep8, err := m.Deploy(8)
+	q, err := m.Quantize1Bit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep8.Packed(); err == nil {
-		t.Fatal("packed engine handed out for 8-bit deployment")
-	}
-
-	// The packed path quantizes the query too, so per-sample agreement
-	// with the float path is imperfect; what matters is accuracy parity.
 	floatAcc, err := dep.Evaluate(test.X, test.Y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packedOK := 0
-	for i, x := range test.X {
-		pp, err := dep.PredictPacked(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pp == test.Y[i] {
-			packedOK++
-		}
+	packedAcc, err := q.Evaluate(test.X, test.Y)
+	if err != nil {
+		t.Fatal(err)
 	}
-	packedAcc := float64(packedOK) / float64(len(test.X))
 	t.Logf("1-bit deployment: float-query acc=%.3f packed-query acc=%.3f", floatAcc, packedAcc)
 	if packedAcc < floatAcc-0.15 {
 		t.Fatalf("packed inference accuracy %.3f far below float path %.3f", packedAcc, floatAcc)
 	}
 
-	// The packed engine must reflect injected faults (cache invalidation):
-	// after flipping half the model bits, packed predictions change too.
+	// After flipping half the image bits, the deployed predictions change.
 	beforeInjury := make([]int, len(test.X))
 	for i, x := range test.X {
-		p, err := dep.PredictPacked(x)
-		if err != nil {
+		if beforeInjury[i], err = dep.Predict(x); err != nil {
 			t.Fatal(err)
 		}
-		beforeInjury[i] = p
 	}
 	if err := dep.Inject(0.5, 77); err != nil {
 		t.Fatal(err)
 	}
 	diff := 0
 	for i, x := range test.X {
-		p, err := dep.PredictPacked(x)
+		p, err := dep.Predict(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,10 +398,10 @@ func TestPackedInference(t *testing.T) {
 		}
 	}
 	if diff == 0 {
-		t.Fatal("packed engine did not observe the injected faults (stale cache)")
+		t.Fatal("the 1-bit deployment did not observe the injected faults")
 	}
-	if _, err := dep.PredictPacked(test.X[0][:2]); err == nil {
-		t.Fatal("short input accepted by PredictPacked")
+	if _, err := dep.Predict(test.X[0][:2]); err == nil {
+		t.Fatal("short input accepted by Predict")
 	}
 }
 

@@ -22,8 +22,8 @@
 //     same shape. A quantized model predicts, serializes (packed wire
 //     format), and serves through Replica, but refuses to learn; keep the
 //     f32 champion for training and quantize successors from it, gating
-//     each publish on measured holdout accuracy (serve does this on
-//     POST /quantize).
+//     each publish on measured holdout accuracy (Model.Quantize1BitGated;
+//     serve does this on POST /quantize).
 //   - SyntheticBenchmark regenerates the paper's five evaluation datasets
 //     (as synthetic stand-ins with matching shape) at any scale, and
 //     ReadCSV/LoadCSVFile bring in real data.

@@ -36,19 +36,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Quantize: pack the sign bits of every class hypervector and
-	//    switch scoring to XOR+popcount. One call, no retraining.
-	q, err := champion.Quantize1Bit()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Judge the accuracy cost exactly as a gated publish would: the
-	//    1-bit challenger against the f32 champion on held-out data,
-	//    tolerating a bounded regression (2 points here — the same
-	//    default POST /quantize uses) because the speedup pays for it.
-	gate := disthd.NewGate(disthd.GateConfig{MinMargin: -0.02})
-	verdict, err := gate.Evaluate(champion, q, test.X, test.Y)
+	// 2. Quantize and judge in one call: pack the sign bits of every
+	//    class hypervector (XOR+popcount scoring, no retraining), then
+	//    judge the 1-bit challenger against the f32 champion on held-out
+	//    data exactly as a gated publish does, tolerating a bounded
+	//    regression (DefaultQuantizeMargin, 2 points — what POST /quantize
+	//    uses by default) because the speedup pays for it.
+	q, verdict, err := champion.Quantize1BitGated(test.X, test.Y, disthd.DefaultQuantizeMargin)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +53,7 @@ func main() {
 		fmt.Println("gate would refuse this publish; serving stays on the f32 champion")
 	}
 
-	// 4. The payoff: batched inference throughput. Both models run the
+	// 3. The payoff: batched inference throughput. Both models run the
 	//    same PredictBatch surface; the quantized one routes through the
 	//    packed encoder and popcount kernels. (Rough wall-clock, not a
 	//    benchmark — PERF.md has the measured serving numbers.)
@@ -70,10 +64,10 @@ func main() {
 		len(test.X), rounds, f32Time.Round(time.Millisecond),
 		bitTime.Round(time.Millisecond), float64(f32Time)/float64(bitTime))
 
-	// 5. The same transition on a live server: serve the f32 champion,
+	// 4. The same transition on a live server: serve the f32 champion,
 	//    then publish the 1-bit tier through POST /quantize. Without an
 	//    attached learner the endpoint publishes unconditionally; with
-	//    -learn it gates on the holdout first, as in step 3.
+	//    -learn it gates on the holdout first, as in step 2.
 	srv, err := serve.New(champion, serve.Options{MaxBatch: 64, Replicas: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -116,7 +110,7 @@ func main() {
 	pr.Body.Close()
 	fmt.Printf("1-bit /predict: class %d (true %d)\n", out.Class, test.Y[0])
 
-	// 6. The /stats quantization gauges record the transition, and
+	// 5. The /stats quantization gauges record the transition, and
 	//    GET /model now serves the packed wire format.
 	st, err := http.Get(base + "/stats")
 	if err != nil {

@@ -69,19 +69,6 @@ func (a *Matrix) PackRow(i int, x []float64) {
 	}
 }
 
-// PackRows packs the sign view of float hypervectors (e.g. trained class
-// weights) into a fresh kernel-ready matrix.
-func PackRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		panic("bitpack: PackRows on empty input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		m.PackRow(i, r)
-	}
-	return m
-}
-
 // FracTurns reduces an angle in radians to its fractional number of full
 // turns in [0,1), using exactly the constant and operations the sign-
 // pack kernels use. Callers precompute FracTurns of each RBF phase and

@@ -89,7 +89,9 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 		}
 
 		// The padded Matrix kernels must agree with the scalar path.
-		m := PackRows([][]float64{xa, xb})
+		m := NewMatrix(2, dim)
+		m.PackRow(0, xa)
+		m.PackRow(1, xb)
 		scores := make([]int32, 4)
 		ScoreBatchInto(m, m, scores)
 		if int(scores[1]) != dot || int(scores[2]) != dot {

@@ -55,9 +55,6 @@ func NewPackedRBF(enc Encoder) (*PackedRBF, error) {
 	return p, nil
 }
 
-// Source returns the wrapped RBF encoder.
-func (p *PackedRBF) Source() *RBF { return p.e }
-
 // Dim returns the hypervector dimensionality.
 func (p *PackedRBF) Dim() int { return p.e.Dim() }
 
@@ -83,24 +80,4 @@ func (p *PackedRBF) EncodeBatchPackedInto(X, z *mat.Dense32, dst *bitpack.Matrix
 	p.dst = dst
 	mat.MulTInto32Fused(z, X, p.e.base32(), p.post)
 	p.dst = nil
-}
-
-// EncodePacked encodes a single sample into packed sign bits: x is
-// lowered into the caller's x32 scratch (len ≥ mat.Stride32(Features()),
-// padding zero), the projection lands in z (len ≥ mat.Stride32(Dim()),
-// padding zero; left holding raw f32 projections) and the signs in dst
-// (≥ ceil(Dim()/64) words, pad words zeroed). Runs through the same
-// kernels as the batch path, so single and batch packed encodes of the
-// same input agree bit for bit.
-func (p *PackedRBF) EncodePacked(x []float64, x32, z []float32, dst []uint64) {
-	if len(x) != p.Features() {
-		panic("encoding: EncodePacked size mismatch")
-	}
-	for j, v := range x {
-		x32[j] = float32(v)
-	}
-	xm := mat.View32(1, len(x), x32)
-	zm := mat.View32(1, p.Dim(), z)
-	mat.MulTInto32Fused(zm, xm, p.e.base32(), nil)
-	bitpack.PackActivationSigns32(zm.Row(0), p.e.fracPhase, dst)
 }

@@ -86,9 +86,6 @@ func Bundle(hs ...[]float64) []float64 {
 	return out
 }
 
-// BundleInto accumulates src into dst (dst += src).
-func BundleInto(dst, src []float64) { mat.Axpy(dst, 1, src) }
-
 // Bind returns the element-wise product a*b — the HDC association operator
 // (*). For bipolar inputs the result is nearly orthogonal to both inputs
 // and binding is its own inverse: Bind(Bind(a,b), a) == b.

@@ -77,18 +77,24 @@ func (m *Dense32) paddedRow(i int) []float32 {
 }
 
 // SetFrom fills the matrix with the float64 values of src, rounding each
-// to float32 — how the packed encode path lowers its inputs and the
-// shared projection base. Padding columns are left untouched (zero).
+// to float32 — how the shared projection base is lowered. Padding
+// columns are left untouched (zero).
 func (m *Dense32) SetFrom(src *Dense) {
 	if src.Rows != m.Rows || src.Cols != m.Cols {
 		panic(fmt.Sprintf("mat: SetFrom %dx%d from %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
 	for i := 0; i < m.Rows; i++ {
-		dst := m.Row(i)
-		srcRow := src.Row(i)
-		for j, v := range srcRow {
-			dst[j] = float32(v)
-		}
+		m.SetRow(i, src.Row(i))
+	}
+}
+
+// SetRow writes the float64 values of src into row i, rounding each to
+// float32 — how the packed query path lowers its inputs. src holds at
+// most Cols values; the padding columns are left untouched.
+func (m *Dense32) SetRow(i int, src []float64) {
+	dst := m.Row(i)
+	for j, v := range src {
+		dst[j] = float32(v)
 	}
 }
 

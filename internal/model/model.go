@@ -88,12 +88,6 @@ func (m *Model) Top2(h []float64) (int, int) {
 	return mat.ArgTop2(m.Scores(h, dst))
 }
 
-// TopK returns the k most similar classes in descending similarity.
-func (m *Model) TopK(h []float64, k int) []int {
-	dst := make([]float64, m.Classes())
-	return mat.ArgTopK(m.Scores(h, dst), k)
-}
-
 // PredictBatch classifies every row of H. The score matrix comes from the
 // shared scratch pool; use PredictBatchInto to control both buffers.
 func (m *Model) PredictBatch(H *mat.Dense) []int {

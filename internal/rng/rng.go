@@ -125,9 +125,6 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Int63 returns a non-negative 63-bit integer, mirroring math/rand.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // NormFloat64 returns a standard normal variate via the polar Box-Muller
 // method, caching the paired value.
 func (r *Rand) NormFloat64() float64 {

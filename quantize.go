@@ -29,9 +29,8 @@ import (
 // models quantize (the packed query encoder needs the RBF sign rule).
 //
 // Quantization changes accuracy — usually slightly, catastrophically at
-// low dimensionality. Measure the delta before deploying: pass the
-// result through Gate.Evaluate against the f32 champion (serve does
-// this on every quantized publish).
+// low dimensionality. Measure the delta before deploying:
+// Quantize1BitGated quantizes and judges in one step.
 func (m *Model) Quantize1Bit() (*Model, error) {
 	if m.Quantized() {
 		return nil, fmt.Errorf("disthd: model is already 1-bit quantized")
@@ -49,6 +48,29 @@ func (m *Model) Quantize1Bit() (*Model, error) {
 		packed.PackRow(c, clf.Model.Weights.Row(c))
 	}
 	return &Model{clf: clf, kind: m.kind, packed: packed, Info: m.Info}, nil
+}
+
+// DefaultQuantizeMargin is the holdout-accuracy regression a 1-bit
+// successor may cost against its f32 source and still publish: up to 2
+// points, which the packed tier pays for with a multiple of the batch
+// throughput. POST /quantize judges at it unless ?margin= overrides it;
+// registry installs and disthd-serve -quantize always do.
+const DefaultQuantizeMargin = -0.02
+
+// Quantize1BitGated is the 1-bit publication decision: it quantizes m
+// (Quantize1Bit) and judges the successor against m through a Gate with
+// MinMargin margin on the holdout (X, y). The caller publishes q when
+// v.Publish and keeps serving m otherwise; q is returned either way, so
+// an operator override can still publish it. An empty holdout publishes
+// by default (v.HoldoutSize == 0), as Gate.Evaluate does.
+func (m *Model) Quantize1BitGated(X [][]float64, y []int, margin float64) (q *Model, v GateVerdict, err error) {
+	if q, err = m.Quantize1Bit(); err != nil {
+		return nil, GateVerdict{}, err
+	}
+	if v, err = NewGate(GateConfig{MinMargin: margin}).Evaluate(m, q, X, y); err != nil {
+		return nil, GateVerdict{}, err
+	}
+	return q, v, nil
 }
 
 // Quantized reports whether the model is a frozen 1-bit packed view
@@ -70,41 +92,21 @@ func (m *Model) packedEncoder() *encoding.PackedRBF {
 	return p
 }
 
-// packedScoresSingle computes the per-class agreement (bipolar dot
-// product) of one sample on the packed tier.
-func (m *Model) packedScoresSingle(x []float64) []int32 {
-	p := m.packedEncoder()
-	x32 := make([]float32, mat.Stride32(m.Features()))
-	z := make([]float32, mat.Stride32(m.Dim()))
-	q := bitpack.NewMatrix(1, m.Dim())
-	p.EncodePacked(x, x32, z, q.Row(0))
-	scores := make([]int32, m.Classes())
-	bitpack.ScoreBatchInto(m.packed, q, scores)
-	return scores
-}
-
 // packedPredictBatch classifies every row of X on the packed tier,
-// returning predictions and, when wantScores is set, the full agreement
-// matrix (rows × classes).
-func (m *Model) packedPredictBatch(X [][]float64, wantScores bool) ([]int, []int32) {
+// returning the predictions and the agreement matrix (rows × classes).
+// It is the quantized model's one query path: single-row Predict,
+// PredictTop2 and Scores run it as one-row batches.
+func (m *Model) packedPredictBatch(X [][]float64) ([]int, []int32) {
 	n := len(X)
-	p := m.packedEncoder()
 	x32 := mat.NewDense32(n, m.Features())
 	for i, row := range X {
-		dst := x32.Row(i)
-		for j, v := range row {
-			dst[j] = float32(v)
-		}
+		x32.SetRow(i, row)
 	}
-	z := mat.NewDense32(n, m.Dim())
 	qm := bitpack.NewMatrix(n, m.Dim())
-	p.EncodeBatchPackedInto(x32, z, qm)
+	m.packedEncoder().EncodeBatchPackedInto(x32, mat.NewDense32(n, m.Dim()), qm)
 	out := make([]int, n)
 	scores := make([]int32, n*m.Classes())
 	bitpack.PredictBatchInto(m.packed, qm, scores, out)
-	if !wantScores {
-		scores = nil
-	}
 	return out, scores
 }
 

@@ -55,6 +55,51 @@ func TestQuantize1BitServesCloseToF32(t *testing.T) {
 	}
 }
 
+// TestQuantize1BitGated pins the 1-bit publication decision: the
+// successor is Quantize1Bit's, the verdict is the Gate's at the given
+// margin against the f32 source, an empty holdout publishes, and a
+// quantized source is refused.
+func TestQuantize1BitGated(t *testing.T) {
+	m, _, test := trainQuantFixture(t, 256)
+	X, y := test.X[:40], test.Y[:40]
+	plain, err := m.Quantize1Bit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewGate(GateConfig{MinMargin: DefaultQuantizeMargin}).Evaluate(m, plain, X, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, v, err := m.Quantize1BitGated(X, y, DefaultQuantizeMargin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != want {
+		t.Fatalf("verdict %+v, the gate says %+v", v, want)
+	}
+	got, _ := q.PredictBatch(X)
+	ref, _ := plain.PredictBatch(X)
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("row %d: gated successor predicts %d, Quantize1Bit %d", i, got[i], ref[i])
+		}
+	}
+	for _, c := range []struct {
+		margin  float64
+		publish bool
+	}{{v.Margin - 0.01, true}, {v.Margin + 0.01, false}} {
+		if _, v, _ := m.Quantize1BitGated(X, y, c.margin); v.Publish != c.publish {
+			t.Fatalf("margin %+.3f against measured %+.3f: publish %v", c.margin, v.Margin, v.Publish)
+		}
+	}
+	if _, v, err := m.Quantize1BitGated(nil, nil, DefaultQuantizeMargin); err != nil || !v.Publish || v.HoldoutSize != 0 {
+		t.Fatalf("empty holdout: %+v, %v; want an evidence-free publish", v, err)
+	}
+	if _, _, err := q.Quantize1BitGated(X, y, DefaultQuantizeMargin); err == nil {
+		t.Fatal("quantizing a quantized model must error")
+	}
+}
+
 // TestQuantizedModelIsFrozen pins the learning guards: Update and
 // Retrain refuse on the packed tier.
 func TestQuantizedModelIsFrozen(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 
 // Replica is a single-goroutine inference context: every buffer batched
 // prediction needs — the row-gathered input matrix, the encoded batch, and
-// the score matrix — is leased once from one contiguous arena
-// (mat.NewLease) and reused for the replica's lifetime, so the steady-state
-// serving loop allocates nothing and never contends on a shared pool.
+// the score matrix — is cut once from one contiguous float64 allocation
+// and reused for the replica's lifetime, so the steady-state serving loop
+// allocates nothing and never contends on a shared pool.
 //
 // A Replica is shape-bound, not model-bound: it serves any model whose
 // (features, dim, classes) match the model it was created from, which is
@@ -37,8 +37,8 @@ import (
 type Replica struct {
 	features, dim, classes int
 	maxBatch               int
-	x, h, s                mat.Dense // views over the leased arena
-	xbuf, hbuf, sbuf       []float64
+	x, h, s                mat.Dense // views over xbuf, hbuf, sbuf
+	xbuf, hbuf, sbuf       []float64 // capped cuts of one allocation
 
 	// Packed-tier scratch: the packed projection runs in float32 (x32
 	// holds the lowered inputs, z32 the raw projections; both are padded
@@ -153,16 +153,19 @@ func (m *Model) NewReplica(maxBatch int) (*Replica, error) {
 	return r, nil
 }
 
-// newReplica leases the scratch of a replica of the given shape.
+// newReplica allocates the scratch of a replica of the given shape. The
+// three float64 buffers are capped cuts of one allocation, so they sit
+// together in memory and an append to one cannot overwrite the next.
 func newReplica(q, d, k, maxBatch int) *Replica {
-	lease := mat.NewLease(maxBatch * (q + d + k))
+	buf := make([]float64, maxBatch*(q+d+k))
+	xEnd, hEnd := maxBatch*q, maxBatch*(q+d)
 	qs, ds := mat.Stride32(q), mat.Stride32(d)
 	r := &Replica{
 		features: q, dim: d, classes: k,
 		maxBatch: maxBatch,
-		xbuf:     lease.Floats(maxBatch * q),
-		hbuf:     lease.Floats(maxBatch * d),
-		sbuf:     lease.Floats(maxBatch * k),
+		xbuf:     buf[:xEnd:xEnd],
+		hbuf:     buf[xEnd:hEnd:hEnd],
+		sbuf:     buf[hEnd:],
 		f32buf:   make([]float32, maxBatch*(qs+ds)),
 		qm:       bitpack.NewMatrix(maxBatch, d),
 		iscores:  make([]int32, maxBatch*k),
@@ -170,7 +173,7 @@ func newReplica(q, d, k, maxBatch int) *Replica {
 	r.x32 = *mat.View32(maxBatch, q, r.f32buf[:maxBatch*qs])
 	r.z32 = *mat.View32(maxBatch, d, r.f32buf[maxBatch*qs:])
 	r.qview = *r.qm
-	r.bytes = 8*maxBatch*(q+d+k) + 4*len(r.f32buf) + 8*len(r.qm.Words) + 4*len(r.iscores)
+	r.bytes = 8*len(buf) + 4*len(r.f32buf) + 8*len(r.qm.Words) + 4*len(r.iscores)
 	return r
 }
 
@@ -187,7 +190,7 @@ func (r *Replica) Compatible(m *Model) bool {
 
 // PredictBatch classifies rows through m into out (len(out) >= len(rows)),
 // running the zero-allocation EncodeBatchInto → PredictBatchInto kernel
-// path over the replica's leased scratch — or, for a quantized model, the
+// path over the replica's scratch — or, for a quantized model, the
 // packed encode → XOR+popcount path over the packed scratch. Inputs longer
 // than MaxBatch are copied into InputScratch and classified by
 // PredictScratch in MaxBatch-sized chunks. It returns the number of rows
@@ -228,12 +231,12 @@ func (r *Replica) bindPacked(m *Model) {
 	r.penc, r.pencSrc = p, m.clf.Enc
 }
 
-// InputScratch exposes the replica's leased input buffer sized for n rows
-// of Features() values each, row-major. A decoder that lands request rows
+// InputScratch exposes the replica's input buffer sized for n rows of
+// Features() values each, row-major. A decoder that lands request rows
 // here and then calls PredictScratch skips the intermediate [][]float64 a
-// PredictBatch call would need — the decode-into-lease fast path the
+// PredictBatch call would need — the decode-into-scratch fast path the
 // binary wire protocol rides. The returned slice aliases the replica's
-// arena and is only valid until the next predict call on this replica.
+// scratch and is only valid until the next predict call on this replica.
 func (r *Replica) InputScratch(n int) ([]float64, error) {
 	if n <= 0 || n > r.maxBatch {
 		return nil, fmt.Errorf("disthd: InputScratch for %d rows, want 1..%d", n, r.maxBatch)
@@ -272,10 +275,7 @@ func (r *Replica) PredictScratch(m *Model, n int, out []int) error {
 	r.bindPacked(m)
 	r.x32.Rows, r.z32.Rows, r.qview.Rows = n, n, n
 	for i := 0; i < n; i++ {
-		x32 := r.x32.Row(i)
-		for j, v := range r.xbuf[i*r.features : (i+1)*r.features] {
-			x32[j] = float32(v)
-		}
+		r.x32.SetRow(i, r.xbuf[i*r.features:(i+1)*r.features])
 	}
 	r.penc.EncodeBatchPackedInto(&r.x32, &r.z32, &r.qview)
 	r.x32.Rows, r.z32.Rows = r.maxBatch, r.maxBatch

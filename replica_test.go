@@ -3,6 +3,7 @@ package disthd
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // TestReplicaEntryPointsMatchModel checks that both Replica batch entry
@@ -213,5 +214,26 @@ func TestReplicaReuseAcrossTiersBitwise(t *testing.T) {
 			}
 			reused.Release()
 		})
+	}
+}
+
+// TestReplicaScratchCapped pins the float64 scratch layout: the input,
+// encoded and score buffers are adjacent cuts of one allocation, each
+// capped at its length, so an append to one reallocates instead of
+// overwriting the next.
+func TestReplicaScratchCapped(t *testing.T) {
+	r := newReplica(3, 5, 2, 4)
+	bufs := [][]float64{r.xbuf, r.hbuf, r.sbuf}
+	for i, want := range []int{4 * 3, 4 * 5, 4 * 2} {
+		b := bufs[i]
+		if len(b) != want || cap(b) != want {
+			t.Fatalf("buffer %d: len %d cap %d, want %d", i, len(b), cap(b), want)
+		}
+		if i > 0 {
+			prev := bufs[i-1]
+			if unsafe.Pointer(&b[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), 8*len(prev)) {
+				t.Fatalf("buffer %d does not follow buffer %d in one allocation", i, i-1)
+			}
+		}
 	}
 }

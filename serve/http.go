@@ -25,7 +25,7 @@ import (
 //	POST /swap           <Model.Save bytes>     -> {"swaps":2}
 //	POST /learn          {"x":[...],"label":3}  -> serve.FeedResult JSON
 //	POST /retrain[?force=1]                     -> {"started":true,...}
-//	POST /quantize[?force=1&margin=-0.02]       -> {"published":true,...}
+//	POST /quantize[?force=1&margin=...]         -> {"published":true,...}
 //
 // /predict, /predict_batch, and /learn also speak the binary frame
 // protocol (Content-Type application/x-disthd-frame, see repro/serve/wire)
@@ -303,24 +303,18 @@ func forced(r *http.Request) bool {
 	return f == "1" || f == "true"
 }
 
-// defaultQuantizeMargin is the accuracy regression /quantize tolerates by
-// default: the 1-bit tier may lose up to 2 points of holdout accuracy
-// against the f32 champion and still publish — it buys a multiple of the
-// batch throughput for it. ?margin= overrides per request.
-const defaultQuantizeMargin = -0.02
-
 // ServeQuantize handles POST /quantize: it sign-quantizes the serving f32
 // champion to the packed 1-bit tier and publishes it through the Swapper.
 // With a learner attached the quantized challenger must first clear the
 // champion/challenger gate on the learner's holdout slice, tolerating
-// margin (default -0.02) of regression; a losing verdict answers 409 with
-// {"published":false} and the full gate evaluation, and the f32 champion
-// keeps serving. ?force=1 publishes regardless of the verdict (still
-// measured and reported). Quantizing an already-quantized champion
-// answers 409.
+// margin (default disthd.DefaultQuantizeMargin) of regression; a losing
+// verdict answers 409 with {"published":false} and the full gate
+// evaluation, and the f32 champion keeps serving. ?force=1 publishes
+// regardless of the verdict (still measured and reported). Quantizing an
+// already-quantized champion answers 409.
 func (s *Server) ServeQuantize(w http.ResponseWriter, r *http.Request) {
 	force := forced(r)
-	margin := defaultQuantizeMargin
+	margin := disthd.DefaultQuantizeMargin
 	if mq := r.URL.Query().Get("margin"); mq != "" {
 		v, err := strconv.ParseFloat(mq, 64)
 		if err != nil {
@@ -338,18 +332,21 @@ func (s *Server) ServeQuantize(w http.ResponseWriter, r *http.Request) {
 		edge.WriteError(w, http.StatusConflict, errors.New("serve: serving model is already 1-bit quantized"))
 		return
 	}
-	q, err := cur.Quantize1Bit()
+	// Without a learner there is no holdout: the empty one publishes, and
+	// the response reports no gate.
+	var holdX [][]float64
+	var holdY []int
+	if s.learner != nil {
+		holdX, holdY = s.learner.holdout()
+	}
+	q, v, err := cur.Quantize1BitGated(holdX, holdY, margin)
 	if err != nil {
 		edge.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	var gate *GateResult
 	if s.learner != nil {
-		gate, err = s.learner.GateQuantized(cur, q, margin)
-		if err != nil {
-			edge.WriteError(w, http.StatusConflict, err)
-			return
-		}
+		gate = gateResult(v)
 		gate.Forced = force
 		if !gate.Passed && !force {
 			s.quantRejects.Add(1)

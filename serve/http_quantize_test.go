@@ -11,6 +11,10 @@ import (
 	disthd "repro"
 )
 
+// defaultQuantizeMargin is the margin a /quantize without ?margin=
+// judges at.
+const defaultQuantizeMargin = disthd.DefaultQuantizeMargin
+
 // quantizeResponse is the /quantize body both outcomes share.
 type quantizeResponse struct {
 	Published bool        `json:"published"`
@@ -234,6 +238,48 @@ func TestHTTPQuantizePublishesAtHealthyDim(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("/model?format=f32 on packed champion returned %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestHTTPQuantizeWithoutLearner is the ungated leg: without a learner
+// there is no holdout to judge on, so POST /quantize publishes the 1-bit
+// tier and reports no gate, and the tier answers /predict_batch exactly
+// as the quantized model does.
+func TestHTTPQuantizeWithoutLearner(t *testing.T) {
+	st := fixtures(t)
+	srv, ts := newTestServer(t, st.a)
+	resp, err := http.Post(ts.URL+"/quantize", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"gate":null,"published":true,"swaps":1}` + "\n"; resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Fatalf("/quantize without a learner: %d %q, want 200 %q", resp.StatusCode, body, want)
+	}
+	q := srv.Batcher().Model()
+	if !q.Quantized() {
+		t.Fatal("ungated quantization not serving")
+	}
+	rows := st.test.X[:8]
+	want, err := q.PredictBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Classes []int `json:"classes"`
+	}
+	if code := postJSON(t, ts.URL+"/predict_batch", map[string][][]float64{"x": rows}, &out); code != http.StatusOK {
+		t.Fatalf("/predict_batch on the 1-bit tier returned %d", code)
+	}
+	for i := range want {
+		if out.Classes[i] != want[i] {
+			t.Fatalf("row %d: served %d, 1-bit model says %d", i, out.Classes[i], want[i])
+		}
+	}
+	qs := srv.Stats().Quantization
+	if !qs.Active || qs.Publishes != 1 || qs.Rejects != 0 || qs.LastGate != nil {
+		t.Fatalf("quantization gauges after an ungated publish: %+v", qs)
 	}
 }
 

@@ -370,22 +370,13 @@ func (l *Learner) Retrain(force bool) (started bool, err error) {
 	return l.startRetrain(force), nil
 }
 
-// GateQuantized judges a 1-bit quantized challenger against the f32
-// champion on the learner's current holdout slice, tolerating up to
-// -margin of accuracy regression (quantization trades a little accuracy
-// for a large throughput win, so the natural margin is slightly negative;
-// a retrain gate would demand ≥ 0). The verdict is advisory: the caller
-// (Server.handleQuantize) decides whether to publish. An empty holdout
-// publishes by default — there is then no evidence to reject on.
-func (l *Learner) GateQuantized(champion, challenger *disthd.Model, margin float64) (*GateResult, error) {
+// holdout returns the holdout slice of the current feedback window, the
+// evidence POST /quantize judges a 1-bit successor on.
+func (l *Learner) holdout() ([][]float64, []int) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	_, _, holdX, holdY := l.ol.SplitWindow()
-	l.mu.Unlock()
-	v, err := disthd.NewGate(disthd.GateConfig{MinMargin: margin}).Evaluate(champion, challenger, holdX, holdY)
-	if err != nil {
-		return nil, err
-	}
-	return gateResult(v), nil
+	return holdX, holdY
 }
 
 // gateResult reports a verdict in the /stats shape (Published unset).

@@ -182,11 +182,10 @@ type InstallSpec struct {
 	Learn bool `json:"learn"`
 	// Quantize deploys a quantized tier at install ("1bit"): the trained
 	// f32 model is sign-quantized and published only if it holds within
-	// QuantizeMargin of f32 accuracy on the benchmark's test split — a
-	// rejected quantization installs the f32 model instead.
+	// disthd.DefaultQuantizeMargin of f32 accuracy on the benchmark's test
+	// split (disthd.Model.Quantize1BitGated) — a rejected quantization
+	// installs the f32 model instead.
 	Quantize string `json:"quantize"`
-	// QuantizeMargin is the gate floor for Quantize (default -0.02).
-	QuantizeMargin float64 `json:"quantize_margin"`
 	// Default additionally makes this tenant the root-alias default.
 	Default bool `json:"default"`
 }
@@ -288,15 +287,7 @@ func (is InstallSpec) train() (*disthd.Model, error) {
 	case "":
 		return m, nil
 	case "1bit":
-		q, err := m.Quantize1Bit()
-		if err != nil {
-			return nil, err
-		}
-		margin := is.QuantizeMargin
-		if margin == 0 {
-			margin = -0.02
-		}
-		v, err := disthd.NewGate(disthd.GateConfig{MinMargin: margin}).Evaluate(m, q, test.X, test.Y)
+		q, v, err := m.Quantize1BitGated(test.X, test.Y, disthd.DefaultQuantizeMargin)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -114,6 +115,45 @@ func TestInstallSpecLearnerSeedDefault(t *testing.T) {
 	}
 	if sp.Learner == nil || sp.Learner.Seed != 42 {
 		t.Fatalf("learner options %+v, want seed 42", sp.Learner)
+	}
+}
+
+// TestInstallSpecQuantizeJudgment pins the install-time 1-bit judgment
+// (disthd.Model.Quantize1BitGated on the benchmark's test split): a
+// {"quantize":"1bit"} spec installs the 1-bit tier at a healthy D, where
+// it holds within disthd.DefaultQuantizeMargin of the f32 model, and the
+// f32 model at D=64, where sign quantization costs far more.
+func TestInstallSpecQuantizeJudgment(t *testing.T) {
+	reg, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		dim       int
+		quantized bool
+	}{{4096, true}, {64, false}} {
+		body := fmt.Sprintf(`{"demo":"PAMAP2","dim":%d,"scale":0.05,"iterations":10,"quantize":"1bit"}`, c.dim)
+		req, err := http.NewRequest("PUT", fmt.Sprintf("%s/t/q%d", ts.URL, c.dim), strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var row TenantStats
+		err = json.NewDecoder(resp.Body).Decode(&row)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("D=%d install: status %d, decode %v", c.dim, resp.StatusCode, err)
+		}
+		if row.Dim != c.dim || row.Quantized != c.quantized {
+			t.Fatalf("D=%d install: dim %d quantized %v, want quantized %v", c.dim, row.Dim, row.Quantized, c.quantized)
+		}
 	}
 }
 

@@ -199,6 +199,64 @@ func TestRegistryParkMidRetrainKeepsSuccessor(t *testing.T) {
 	}
 }
 
+// TestRegistryEvictionSkipsRetrainingTenant pins the eviction order
+// around an in-flight retrain: with a learning tenant mid-retrain and a
+// plain tenant idle, a wake parks the plain tenant even though the
+// learning one is colder, so the wake returns without waiting out the
+// retrain under the registry lock.
+func TestRegistryEvictionSkipsRetrainingTenant(t *testing.T) {
+	fx := fixtures(t)
+	a, b, c := fx[2], fx[1], fx[0]
+	reg, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	// c first, so installing b parks it (every lastUse is still 0): a and
+	// b resident, c parked.
+	spec := learnerSpec(17)
+	spec.Learner.Iterations = 500 // ~50 ms, over 100 times what the wake takes
+	for _, in := range []struct {
+		f    *tenantFixture
+		spec Spec
+	}{{c, Spec{Options: quickOpts()}}, {a, spec}, {b, Spec{Options: quickOpts()}}} {
+		if err := reg.Install(in.f.name, in.f.m, in.spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feedTenant(t, reg, a.name, a, 16)
+	h, err := reg.Acquire(a.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, err := h.Server().Learner().Retrain(true)
+	reg.Release(h)
+	if err != nil || !started {
+		t.Fatalf("forced retrain: started=%v err=%v", started, err)
+	}
+	checkTenant(t, reg, b.name, b) // b is now more recently used than a
+	h, err = reg.Acquire(c.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Release(h)
+	rowA, err := reg.TenantStats(a.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowB, err := reg.TenantStats(b.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowA.Resident || rowB.Resident {
+		t.Fatalf("wake of %q parked the wrong tenant: %q resident=%v, %q resident=%v",
+			c.name, a.name, rowA.Resident, b.name, rowB.Resident)
+	}
+	if rowA.Serve == nil || rowA.Serve.Learner == nil || !rowA.Serve.Learner.Retraining {
+		t.Fatalf("the wake waited for %q's retrain to finish", a.name)
+	}
+}
+
 // TestRegistryLearnerChurnContinuity is the eviction-churn soak with a
 // learner on every tenant: labeled traffic through a 1-slot pool, every
 // round forcing park/wake cycles, with each tenant's observation counters

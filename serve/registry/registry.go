@@ -368,16 +368,22 @@ func (r *Registry) wakeLocked(t *Tenant) error {
 }
 
 // victimLocked picks the least-recently-used resident tenant that is idle
-// (no in-flight request) and is not exempt. Tenant counts are small, so a
-// linear scan beats maintaining an intrusive list.
+// (no in-flight request) and is not exempt, preferring one whose learner
+// is not mid-retrain: parking a retraining tenant waits out its retrain
+// under the registry lock (parkLocked), which stalls every Acquire, so
+// such a tenant is parked only when no other idle tenant can be. Tenant
+// counts are small, so a linear scan beats maintaining an intrusive list.
 func (r *Registry) victimLocked(exempt *Tenant) *Tenant {
 	var victim *Tenant
+	victimBusy := false
 	for _, t := range r.order {
 		if t == exempt || !t.resident || t.inflight > 0 {
 			continue
 		}
-		if victim == nil || t.lastUse < victim.lastUse {
-			victim = t
+		l := t.srv.Learner()
+		busy := l != nil && l.Retraining()
+		if victim == nil || (victimBusy && !busy) || (busy == victimBusy && t.lastUse < victim.lastUse) {
+			victim, victimBusy = t, busy
 		}
 	}
 	return victim

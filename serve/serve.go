@@ -7,9 +7,9 @@
 // latency-bounded by Options.MaxDelay (a forming batch lingers at most
 // that long waiting to reach Options.MinFill rows, then greedily drains
 // whatever is queued) — and runs each flush through the zero-allocation
-// EncodeBatchInto → PredictBatchInto kernel path on a per-replica scratch
-// lease (disthd.Replica over mat.NewLease). N workers pull from one queue
-// and lease a replica per flush from the Batcher's free list. A caller
+// EncodeBatchInto → PredictBatchInto kernel path on a replica's scratch
+// (disthd.Replica). N workers pull from one queue and lease a replica
+// per flush from the Batcher's free list. A caller
 // that already holds a batch skips the queue through PredictStream, which
 // leases from the same list for the whole call: the caller fills the
 // replica's input scratch chunk by chunk (the binary wire protocol decodes
