@@ -67,7 +67,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -322,7 +321,7 @@ func (t *tenantFlags) Set(v string) error {
 }
 
 // loadManifest reads a JSON boot manifest: an array of install specs with
-// "id" fields.
+// "id" fields. A field no spec has is an error, as on PUT /t/{model}.
 func loadManifest(path string) ([]bootSpec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -330,7 +329,7 @@ func loadManifest(path string) ([]bootSpec, error) {
 	}
 	defer f.Close()
 	var specs []bootSpec
-	if err := json.NewDecoder(f).Decode(&specs); err != nil {
+	if err := registry.DecodeSpec(f, &specs); err != nil {
 		return nil, fmt.Errorf("manifest %s: %w", path, err)
 	}
 	return specs, nil

@@ -83,9 +83,10 @@ func FracTurns(c float64) float64 {
 // cos(z_d + c_d)·sin(z_d) for one encoded row, given the projection
 // z and the per-dimension fractional phases fracPhase[d] =
 // FracTurns(c_d). dst must hold at least ceil(len(z)/64) words (a Matrix
-// row); the partial tail word is packed in pure Go on every ISA tier and
-// all remaining words are zeroed, so the Matrix padding invariant holds
-// even when rows are reused across batches.
+// row); all words past the used ones are zeroed, so the Matrix padding
+// invariant holds even when rows are reused across batches. It runs the
+// pure-Go kernel on every host: it is the float64 reference that
+// PackActivationSigns32, the serving path, is checked against.
 func PackActivationSigns(z, fracPhase []float64, dst []uint64) {
 	dim := len(z)
 	if len(fracPhase) != dim {
@@ -96,9 +97,7 @@ func PackActivationSigns(z, fracPhase []float64, dst []uint64) {
 		panic(fmt.Sprintf("bitpack: PackActivationSigns dst %d words, need %d", len(dst), used))
 	}
 	groups := dim / 64
-	if groups > 0 {
-		packSignWords(z[:groups*64], fracPhase[:groups*64], dst[:groups])
-	}
+	packSignWordsGo(z[:groups*64], fracPhase[:groups*64], dst[:groups])
 	if tail := dim - groups*64; tail > 0 {
 		dst[groups] = packSignTailBits(z[groups*64:], fracPhase[groups*64:])
 	}
@@ -109,10 +108,11 @@ func PackActivationSigns(z, fracPhase []float64, dst []uint64) {
 
 // PackActivationSigns32 is PackActivationSigns for a float32 projection
 // row — the packed serving tier's native width. Each float32 widens to
-// float64 exactly, so the sign rule (and therefore the packed bits) is
-// the same deterministic function on every host; the widening runs
-// through a small stack buffer in chunks so the call allocates nothing
-// and still feeds the SIMD sign-pack kernel whole words.
+// float64 exactly (in registers on the AVX-512 tier, through a small
+// stack buffer on the others), so the sign rule, and therefore the packed
+// bits, is the same deterministic function on every host, and the call
+// allocates nothing. The partial tail word is packed in pure Go on every
+// tier.
 func PackActivationSigns32(z []float32, fracPhase []float64, dst []uint64) {
 	dim := len(z)
 	if len(fracPhase) != dim {
@@ -122,21 +122,10 @@ func PackActivationSigns32(z []float32, fracPhase []float64, dst []uint64) {
 	if len(dst) < used {
 		panic(fmt.Sprintf("bitpack: PackActivationSigns32 dst %d words, need %d", len(dst), used))
 	}
-	var buf [512]float64 // 8 words per SIMD kernel call
 	groups := dim / 64
-	for g := 0; g < groups; {
-		gn := groups - g
-		if gn > 8 {
-			gn = 8
-		}
-		lo := g * 64
-		for j, v := range z[lo : lo+gn*64] {
-			buf[j] = float64(v)
-		}
-		packSignWords(buf[:gn*64], fracPhase[lo:lo+gn*64], dst[g:g+gn])
-		g += gn
-	}
+	packSignWords32(z[:groups*64], fracPhase[:groups*64], dst[:groups])
 	if tail := dim - groups*64; tail > 0 {
+		var buf [64]float64
 		for j, v := range z[groups*64:] {
 			buf[j] = float64(v)
 		}

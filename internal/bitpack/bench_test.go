@@ -47,8 +47,10 @@ func BenchmarkScoreBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPackSigns measures the activation sign-pack kernel per ISA
-// tier — the packed encoder's epilogue cost per 64-row batch.
+// BenchmarkPackSigns measures the activation sign pack: the float32
+// PackActivationSigns32 per ISA tier at the served D = 1024 (the 1-bit
+// tier's epilogue per projection row), and its float64 reference
+// PackActivationSigns, which runs the Go kernel on every host.
 func BenchmarkPackSigns(b *testing.B) {
 	for _, dim := range []int{2048, 10000} {
 		rng := rand.New(rand.NewSource(2))
@@ -59,18 +61,34 @@ func BenchmarkPackSigns(b *testing.B) {
 			fc[i] = FracTurns(rng.Float64() * 2 * math.Pi)
 		}
 		dst := make([]uint64, matrixStride(dim))
-		for _, isa := range availableISAs() {
-			if isa == isaAVX2 {
-				continue // pack has no AVX2 tier; identical to generic
+		b.Run(fmt.Sprintf("d=%d/generic", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(dim * 8))
+			for i := 0; i < b.N; i++ {
+				PackActivationSigns(z, fc, dst)
 			}
-			b.Run(fmt.Sprintf("d=%d/%s", dim, isaName(isa)), func(b *testing.B) {
-				defer setISA(setISA(isa))
-				b.ReportAllocs()
-				b.SetBytes(int64(dim * 8))
-				for i := 0; i < b.N; i++ {
-					PackActivationSigns(z, fc, dst)
-				}
-			})
+		})
+	}
+	const dim = 1024
+	rng := rand.New(rand.NewSource(2))
+	z := make([]float32, dim)
+	fc := make([]float64, dim)
+	for i := range z {
+		z[i] = float32(rng.NormFloat64() * 10)
+		fc[i] = FracTurns(rng.Float64() * 2 * math.Pi)
+	}
+	dst := make([]uint64, matrixStride(dim))
+	for _, isa := range availableISAs() {
+		if isa == isaAVX2 {
+			continue // pack has no AVX2 tier; identical to generic
 		}
+		b.Run(fmt.Sprintf("f32/d=%d/%s", dim, isaName(isa)), func(b *testing.B) {
+			defer setISA(setISA(isa))
+			b.ReportAllocs()
+			b.SetBytes(dim * 4)
+			for i := 0; i < b.N; i++ {
+				PackActivationSigns32(z, fc, dst)
+			}
+		})
 	}
 }

@@ -191,10 +191,13 @@ func xorPopcnt4(q, c0, c1, c2, c3 []uint64, out *[4]int64) {
 	xorPopcnt4Go(q, c0, c1, c2, c3, out)
 }
 
-// packSignWords dispatches the full-word sign pack. Only AVX-512 has an
-// assembly tier (the rule needs per-lane floor and mask compares); AVX2
-// hosts run the Go kernel, which is still branch-light and exact.
-func packSignWords(z, fc []float64, out []uint64) {
+// packSignWords32 dispatches the full-word sign pack of float32
+// activations. Only AVX-512 has an assembly tier (the rule needs per-lane
+// floor and mask compares); it widens each lane in a register. The other
+// tiers widen through a stack buffer, eight words at a time, into the Go
+// kernel. float32 to float64 is exact either way, so every tier packs the
+// same bits.
+func packSignWords32(z []float32, fc []float64, out []uint64) {
 	if len(out) == 0 {
 		return
 	}
@@ -202,5 +205,12 @@ func packSignWords(z, fc []float64, out []uint64) {
 		packSignsAVX512(&z[0], &fc[0], len(out), &packConsts, &out[0])
 		return
 	}
-	packSignWordsGo(z, fc, out)
+	var buf [512]float64
+	for g := 0; g < len(out); g += 8 {
+		lo, hi := g*64, min(g+8, len(out))*64
+		for j, v := range z[lo:hi] {
+			buf[j] = float64(v)
+		}
+		packSignWordsGo(buf[:hi-lo], fc[lo:hi], out[g:hi/64])
+	}
 }

@@ -142,43 +142,52 @@ func TestScoreKernelParityAcrossISAs(t *testing.T) {
 	}
 }
 
-// TestPackSignParityAcrossISAs checks that the assembly sign-pack tier
-// reproduces the Go analytic rule bit for bit on every boundary
-// dimension, including reused (dirty) destination rows.
+// TestPackSignParityAcrossISAs checks that every tier of the float32
+// sign pack (the AVX-512 kernel widens in registers, the others through a
+// buffer) reproduces the Go analytic rule of the float64 reference on the
+// exactly widened row, bit for bit, on every boundary dimension: ±0, NaN,
+// ±Inf and huge angles included, into reused (dirty) destination rows.
 func TestPackSignParityAcrossISAs(t *testing.T) {
 	defer setISA(setISA(bestISA))
 	rng := rand.New(rand.NewSource(7))
 	for _, dim := range parityDims {
-		z := make([]float64, dim)
+		z := make([]float32, dim)
+		wide := make([]float64, dim)
 		fc := make([]float64, dim)
 		for i := range z {
 			switch rng.Intn(10) {
 			case 0:
 				z[i] = 0
 			case 1:
-				z[i] = math.Copysign(0, -1)
+				z[i] = float32(math.Copysign(0, -1))
 			case 2:
-				z[i] = (rng.Float64() - 0.5) * 1e9 // huge angles
+				z[i] = float32((rng.Float64() - 0.5) * 1e9) // huge angles
 			case 3:
-				z[i] = math.Inf(1)
+				z[i] = float32(math.Inf(1))
 			case 4:
-				z[i] = math.NaN()
+				z[i] = float32(math.NaN())
+			case 5:
+				z[i] = float32(math.Inf(-1))
 			default:
-				z[i] = rng.NormFloat64() * 10
+				z[i] = float32(rng.NormFloat64() * 10)
 			}
+			wide[i] = float64(z[i])
 			fc[i] = FracTurns(rng.Float64() * 2 * math.Pi)
 		}
 		stride := matrixStride(dim)
-		want := make([]uint64, stride)
-		setISA(isaGeneric)
-		PackActivationSigns(z, fc, want)
-		for _, isa := range availableISAs()[1:] {
-			setISA(isa)
-			got := make([]uint64, stride)
-			for j := range got {
-				got[j] = ^uint64(0) // dirty: pack must clear pads and tails
+		dirty := func() []uint64 {
+			w := make([]uint64, stride)
+			for j := range w {
+				w[j] = ^uint64(0) // pack must clear pads and tails
 			}
-			PackActivationSigns(z, fc, got)
+			return w
+		}
+		want := dirty()
+		PackActivationSigns(wide, fc, want)
+		for _, isa := range availableISAs() {
+			setISA(isa)
+			got := dirty()
+			PackActivationSigns32(z, fc, got)
 			for j := range want {
 				if got[j] != want[j] {
 					t.Fatalf("dim %d isa %s: pack word %d = %#x, want %#x",
@@ -209,17 +218,19 @@ func TestKernelParityQuick(t *testing.T) {
 		t.Fatalf("popcount parity: %v", err)
 	}
 
-	pack := func(raw [64]float64, phases [64]float64) bool {
+	pack := func(raw [64]float32, phases [64]float64) bool {
+		wide := make([]float64, 64)
 		fc := make([]float64, 64)
 		for i, p := range phases {
+			wide[i] = float64(raw[i])
 			fc[i] = FracTurns(p)
 		}
 		want := make([]uint64, 1)
-		packSignWordsGo(raw[:], fc, want)
+		packSignWordsGo(wide, fc, want)
 		for _, isa := range availableISAs() {
 			setISA(isa)
 			got := make([]uint64, 1)
-			packSignWords(raw[:], fc, got)
+			packSignWords32(raw[:], fc, got)
 			if got[0] != want[0] {
 				return false
 			}

@@ -32,8 +32,10 @@ func xorPopcnt4AVX2(q, c0, c1, c2, c3 *uint64, n int, lut *[32]byte, out *[4]int
 
 // packSignsAVX512 packs `groups` full 64-element words of activation
 // signs using the analytic rule of packSignWordsGo, eight lanes at a
-// time (VRNDSCALEPD floor + mask-register compares). consts is
+// time (VRNDSCALEPD floor + mask-register compares). It reads float32
+// activations and widens each lane in a register (VCVTPS2PD, exact), so
+// the bits equal packSignWordsGo's on the widened values. consts is
 // packConsts, so both tiers use bit-identical constants.
 //
 //go:noescape
-func packSignsAVX512(z, fc *float64, groups int, consts *[4]float64, out *uint64)
+func packSignsAVX512(z *float32, fc *float64, groups int, consts *[4]float64, out *uint64)

@@ -1,11 +1,12 @@
 // Popcount and sign-pack micro-kernels for the packed 1-bit serving
 // path. The XOR+popcount kernels are pure integer arithmetic, so every
 // tier returns identical Hamming distances by construction. The AVX-512
-// sign-pack kernel executes the exactly-rounded analytic rule of
-// packSignWordsGo (multiply, floor, subtract, add, ordered compares) on
-// eight lanes at a time, with constants broadcast from the same
-// packConsts array the Go kernel reads — bit-identical output on every
-// input, including NaN/Inf activations and signed zeros.
+// sign-pack kernel reads float32 activations, widens them exactly, and
+// executes the exactly-rounded analytic rule of packSignWordsGo
+// (multiply, floor, subtract, add, ordered compares) on eight lanes at a
+// time, with constants broadcast from the same packConsts array the Go
+// kernel reads — bit-identical output on every input, including NaN/Inf
+// activations and signed zeros.
 
 #include "textflag.h"
 
@@ -183,12 +184,15 @@ xa4loop:
 	VZEROUPPER
 	RET
 
-// func packSignsAVX512(z, fc *float64, groups int, consts *[4]float64, out *uint64)
+// func packSignsAVX512(z *float32, fc *float64, groups int, consts *[4]float64, out *uint64)
 // Packs `groups` full 64-element words of activation signs: per lane
 //	f = frac(z·inv2π); g = frac(f + fc)
 //	bit = ((f ≤ ½) == (g ≤ ¼ ∨ g ≥ ¾)) ∨ (z == 0)
-// Eight lanes per compare round; eight rounds build one output word via
-// the rotate-in-from-the-top trick (chunk j lands at bits 8j..8j+7).
+// Each chunk loads eight float32 and widens them with VCVTPS2PD, which is
+// exact (NaN stays NaN), so every lane sees the float64 that the Go
+// widening float64(v) gives. Eight lanes per compare round; eight rounds
+// build one output word via the rotate-in-from-the-top trick (chunk j
+// lands at bits 8j..8j+7).
 TEXT ·packSignsAVX512(SB), NOSPLIT, $0-40
 	MOVQ z+0(FP), SI
 	MOVQ fc+8(FP), DX
@@ -206,7 +210,7 @@ psword:
 	MOVQ $8, R8
 
 pschunk:
-	VMOVUPD     (SI), Z1
+	VCVTPS2PD   (SI), Z1        // z, widened exactly
 	VMULPD      Z9, Z1, Z2      // f0 = z·inv2π
 	VRNDSCALEPD $1, Z2, Z3      // floor(f0)
 	VSUBPD      Z3, Z2, Z2      // f
@@ -224,7 +228,7 @@ pschunk:
 	SHLQ        $56, AX
 	SHRQ        $8, R13
 	ORQ         AX, R13
-	ADDQ        $64, SI
+	ADDQ        $32, SI
 	ADDQ        $64, DX
 	DECQ        R8
 	JNZ         pschunk

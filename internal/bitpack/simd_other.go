@@ -22,6 +22,6 @@ func xorPopcnt4AVX2(q, c0, c1, c2, c3 *uint64, n int, lut *[32]byte, out *[4]int
 	panic("bitpack: AVX2 kernel on non-amd64 build")
 }
 
-func packSignsAVX512(z, fc *float64, groups int, consts *[4]float64, out *uint64) {
+func packSignsAVX512(z *float32, fc *float64, groups int, consts *[4]float64, out *uint64) {
 	panic("bitpack: AVX-512 kernel on non-amd64 build")
 }

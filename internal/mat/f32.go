@@ -21,11 +21,19 @@ import (
 // software emulation of the hardware single-precision FMA (see its
 // comment for the round-to-odd argument), so "same bits" holds even on
 // hosts with no FMA at all.
+//
+// Within a panel the product runs one 2×8 register tile per eight-row B
+// tile (dot2x8F32): on AVX-512 one kernel call walks every row pair of
+// the range, 16 ZMM accumulators per pair, and folds the pair's sixteen
+// outputs into one ZMM in a single merged reduction that keeps laneSum32's
+// order; the other tiers compose the tile from 1×4 tiles.
 
-// kernelNR32 is the f32 register-tile width (outputs per pass), matching
-// the float64 kernels; lanes32 is the FMA lane count per output element.
+// kernelNR32 is the f32 register tile's B rows (outputs per A row and
+// pass): a 16-lane f32 output fills a whole ZMM accumulator, so the 2×8
+// tile's 16 outputs fill the 16 upper ZMM registers. lanes32 is the FMA
+// lane count per output element.
 const (
-	kernelNR32 = 4
+	kernelNR32 = 8
 	lanes32    = 16
 )
 
@@ -159,16 +167,6 @@ func laneDot32(a, b []float32) float32 {
 	return laneSum32(&lanes, 0)
 }
 
-// laneDot232 computes two lane dots sharing b — the remainder-column
-// kernel for a pair of A rows.
-func laneDot232(a0, a1, b []float32) (s0, s1 float32) {
-	n := len(a0)
-	var lanes [64]float32
-	laneFMA32(a0, b[:n], 0, n, 0, &lanes)
-	laneFMA32(a1[:n], b[:n], 0, n, 16, &lanes)
-	return laneSum32(&lanes, 0), laneSum32(&lanes, 16)
-}
-
 // dotBatch4F32Go is the pure-Go 1×4 micro-kernel: four lane dots of a
 // against b0..b3 in one pass over a.
 func dotBatch4F32Go(a, b0, b1, b2, b3 []float32, out *[4]float32) {
@@ -209,28 +207,36 @@ func dotBatch4F32(a, b0, b1, b2, b3 []float32, out *[4]float32) {
 	dotBatch4F32Go(a, b0, b1, b2, b3, out)
 }
 
-// dot2x4F32 dispatches the 2×4 register tile. Only AVX-512 has a fused
-// 2×4 kernel; the AVX2 tier composes it from two 1×4 calls, which is
-// bit-identical because the eight outputs are independent lane dots.
-func dot2x4F32(a0, a1, b0, b1, b2, b3 []float32, out *[8]float32) {
-	n := len(a0)
-	switch tier.Load() {
-	case tierAVX512:
-		dot2x4F32AVX512(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, out)
-		return
-	case tierAVX2:
-		var lo, hi [4]float32
-		dotBatch4F32AVX2(&a0[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, &f32TailMasks, &lo)
-		dotBatch4F32AVX2(&a1[0], &b0[0], &b1[0], &b2[0], &b3[0], n/lanes32, n%lanes32, &f32TailMasks, &hi)
-		out[0], out[1], out[2], out[3] = lo[0], lo[1], lo[2], lo[3]
-		out[4], out[5], out[6], out[7] = hi[0], hi[1], hi[2], hi[3]
-		return
+// dot2x8F32 runs the 2×8 register tile over rows [i0, i1) of A's panel
+// [k0, k1) against the eight B row panels in b: column c of each row's
+// tile goes to dst at (i, j+c) for c < cols, stored on the first panel
+// and added on later ones. The AVX-512 kernel walks the row pairs itself;
+// the AVX2 and generic tiers compose each pair from four 1×4 tiles, and
+// an odd last row runs two 1×4 tiles on every tier. Each output is an
+// independent lane dot, so every composition has the same bits.
+func dot2x8F32(dst, a *Dense32, i0, i1, k0, k1 int, b *[kernelNR32][]float32, j, cols int, first bool) {
+	i := i0
+	if pairs := (i1 - i0) / 2; pairs > 0 && tier.Load() == tierAVX512 {
+		w := k1 - k0
+		bp := [kernelNR32]*float32{&b[0][0], &b[1][0], &b[2][0], &b[3][0], &b[4][0], &b[5][0], &b[6][0], &b[7][0]}
+		dot2x8F32AVX512(&a.Data[i0*a.Stride+k0], a.Stride, pairs, &bp, w/lanes32, w%lanes32,
+			&dst.Data[i0*dst.Stride+j], dst.Stride, cols, first)
+		i += 2 * pairs
 	}
-	var lo, hi [4]float32
-	dotBatch4F32Go(a0, b0, b1, b2, b3, &lo)
-	dotBatch4F32Go(a1[:n], b0, b1, b2, b3, &hi)
-	out[0], out[1], out[2], out[3] = lo[0], lo[1], lo[2], lo[3]
-	out[4], out[5], out[6], out[7] = hi[0], hi[1], hi[2], hi[3]
+	var t [kernelNR32]float32
+	for ; i < i1; i++ {
+		ai := a.paddedRow(i)[k0:k1]
+		dotBatch4F32(ai, b[0], b[1], b[2], b[3], (*[4]float32)(t[:4]))
+		dotBatch4F32(ai, b[4], b[5], b[6], b[7], (*[4]float32)(t[4:]))
+		c := dst.Row(i)[j : j+cols]
+		for x := range c {
+			if first {
+				c[x] = t[x]
+			} else {
+				c[x] += t[x]
+			}
+		}
+	}
 }
 
 // PanelDot32 returns the inner product of a and b accumulated in the
@@ -260,7 +266,7 @@ func PanelDot32(a, b []float32) float32 {
 
 // MulTInto32Fused computes C = A · Bᵀ in float32 into dst (A n×q, B d×q,
 // dst n×d) with an optional per-row epilogue, blocked like MulTIntoFused:
-// kernelKC-column panels over the shared dimension, 2×4 register tiles
+// kernelKC-column panels over the shared dimension, 2×8 register tiles
 // within a panel, row blocks sharded across the worker pool. post(i,
 // dst.Row(i)) runs once the shard's rows are complete and must be safe to
 // call concurrently for different rows. dst must not alias A or B. It
@@ -297,7 +303,7 @@ func MulTInto32Fused(dst, a, b *Dense32, post func(i int, row []float32)) *Dense
 // mulT32Blocks processes row blocks [lo, hi) of the blocked f32 product
 // as merged row ranges capped in bytes of the padded stride (forRanges),
 // applying the optional epilogue to each row once its range is complete.
-// Each range streams every four-row B tile from cache once, not once per
+// Each range streams every eight-row B tile from cache once, not once per
 // kernelMR rows — at serving shapes B is megabytes and dominates the
 // memory traffic — while the cap keeps the range's A rows resident in L2.
 func mulT32Blocks(dst, a, b *Dense32, post func(i int, row []float32), lo, hi int) {
@@ -312,83 +318,24 @@ func mulT32Blocks(dst, a, b *Dense32, post func(i int, row []float32), lo, hi in
 }
 
 // mulT32Block computes output rows [i0, i1) of dst = A·Bᵀ with panel
-// blocking over the shared dimension and 2×4 register tiling — the f32
-// mirror of mulTBlock, with panel accumulation in float32. The panels
-// run over the full padded stride: the padding columns are zero in both
-// operands, so the extra FMA lanes add +0 and the SIMD tiers never need
-// a masked tail (every group is a whole 16-lane step).
+// blocking over the shared dimension, one 2×8 tile call (dot2x8F32) per
+// eight-row B tile — the f32 mirror of mulTBlock, with panel
+// accumulation in float32. The d%8 remainder columns run the same tile
+// with the last B row repeated, and only their cols columns are put. The
+// panels run over the full padded stride: the padding columns are zero in
+// both operands, so the extra FMA lanes add +0 and the SIMD tiers never
+// need a masked tail (every group is a whole 16-lane step).
 func mulT32Block(dst, a, b *Dense32, i0, i1 int) {
 	q := a.Stride
 	d := b.Rows
-	var t8 [8]float32
-	var t4 [4]float32
+	var bt [kernelNR32][]float32
 	for k0 := 0; k0 < q; k0 += kernelKC {
-		k1 := k0 + kernelKC
-		if k1 > q {
-			k1 = q
-		}
-		first := k0 == 0
-		j := 0
-		for ; j+kernelNR32 <= d; j += kernelNR32 {
-			b0 := b.paddedRow(j)[k0:k1]
-			b1 := b.paddedRow(j + 1)[k0:k1]
-			b2 := b.paddedRow(j + 2)[k0:k1]
-			b3 := b.paddedRow(j + 3)[k0:k1]
-			i := i0
-			for ; i+2 <= i1; i += 2 {
-				dot2x4F32(a.paddedRow(i)[k0:k1], a.paddedRow(i + 1)[k0:k1], b0, b1, b2, b3, &t8)
-				c0 := dst.Row(i)
-				c1 := dst.Row(i + 1)
-				if first {
-					c0[j], c0[j+1], c0[j+2], c0[j+3] = t8[0], t8[1], t8[2], t8[3]
-					c1[j], c1[j+1], c1[j+2], c1[j+3] = t8[4], t8[5], t8[6], t8[7]
-				} else {
-					c0[j] += t8[0]
-					c0[j+1] += t8[1]
-					c0[j+2] += t8[2]
-					c0[j+3] += t8[3]
-					c1[j] += t8[4]
-					c1[j+1] += t8[5]
-					c1[j+2] += t8[6]
-					c1[j+3] += t8[7]
-				}
+		k1 := min(k0+kernelKC, q)
+		for j := 0; j < d; j += kernelNR32 {
+			for c := range bt {
+				bt[c] = b.paddedRow(min(j+c, d-1))[k0:k1]
 			}
-			if i < i1 {
-				dotBatch4F32(a.paddedRow(i)[k0:k1], b0, b1, b2, b3, &t4)
-				ci := dst.Row(i)
-				if first {
-					ci[j], ci[j+1], ci[j+2], ci[j+3] = t4[0], t4[1], t4[2], t4[3]
-				} else {
-					ci[j] += t4[0]
-					ci[j+1] += t4[1]
-					ci[j+2] += t4[2]
-					ci[j+3] += t4[3]
-				}
-			}
-		}
-		// Remainder columns (d % 4) run the pure-Go lane kernels so every
-		// output element stays reproducible by PanelDot32.
-		for ; j < d; j++ {
-			bj := b.paddedRow(j)[k0:k1]
-			i := i0
-			for ; i+2 <= i1; i += 2 {
-				s0, s1 := laneDot232(a.paddedRow(i)[k0:k1], a.paddedRow(i + 1)[k0:k1], bj)
-				if first {
-					dst.Row(i)[j] = s0
-					dst.Row(i + 1)[j] = s1
-				} else {
-					dst.Row(i)[j] += s0
-					dst.Row(i + 1)[j] += s1
-				}
-			}
-			if i < i1 {
-				s := laneDot32(a.paddedRow(i)[k0:k1], bj)
-				if first {
-					dst.Row(i)[j] = s
-				} else {
-					dst.Row(i)[j] += s
-				}
-			}
+			dot2x8F32(dst, a, i0, i1, k0, k1, &bt, j, min(kernelNR32, d-j), k0 == 0)
 		}
 	}
 }

@@ -105,8 +105,9 @@ func TestFMA32MatchesCorrectRounding(t *testing.T) {
 	}
 }
 
-// TestF32KernelsMatchGoLanes pins the dispatching f32 micro-kernels to
-// the pure-Go lane kernels bitwise across every ISA tier the host
+// TestF32KernelsMatchGoLanes pins the dispatching f32 micro-kernels — the
+// 1×4 tile and the 2×8 tile, storing, adding and storing fewer columns —
+// to the pure-Go lane kernels bitwise across every ISA tier the host
 // supports, over aligned and ragged lengths, for sign-mixed inputs and
 // for inputs whose every product underflows to -0 — the f32 mirror of
 // TestSIMDKernelsMatchGoLanes, with the tiers forced through setTier.
@@ -124,30 +125,35 @@ func TestF32KernelsMatchGoLanes(t *testing.T) {
 		{16, true}, {17, true}, {24, true}, {31, true}, {561, true},
 	} {
 		n := c.n
-		a0 := make([]float32, n)
-		a1 := make([]float32, n)
-		rows := NewDense32(4, n)
-		fillPseudo32(a0, 0.1)
-		fillPseudo32(a1, -0.7)
+		a := NewDense32(2, n)
+		rows := NewDense32(kernelNR32, n)
+		fillPseudo32(a.Row(0), 0.1)
+		fillPseudo32(a.Row(1), -0.7)
 		fillDense32(rows, 0.3)
 		if c.underflow {
 			// -1e-30·1e-30 underflows to -0 in float32: from n = 16 on
 			// every lane and every lane dot is -0.
-			for i := range a0 {
-				a0[i], a1[i] = -1e-30, -1e-30
+			for r := 0; r < 2; r++ {
+				for i := range a.Row(r) {
+					a.Row(r)[i] = -1e-30
+				}
 			}
-			for r := 0; r < 4; r++ {
+			for r := 0; r < kernelNR32; r++ {
 				for j := range rows.Row(r) {
 					rows.Row(r)[j] = 1e-30
 				}
 			}
 		}
-		b0, b1, b2, b3 := rows.Row(0), rows.Row(1), rows.Row(2), rows.Row(3)
+		var bt [kernelNR32][]float32
+		for r := range bt {
+			bt[r] = rows.Row(r)
+		}
 
-		// laneDot32 is the canonical definition every element must equal.
-		want := [8]float32{
-			laneDot32(a0, b0), laneDot32(a0, b1), laneDot32(a0, b2), laneDot32(a0, b3),
-			laneDot32(a1, b0), laneDot32(a1, b1), laneDot32(a1, b2), laneDot32(a1, b3),
+		// laneDot32 is the canonical definition every element must equal:
+		// want[8r+c] is A row r against B row c.
+		var want [2 * kernelNR32]float32
+		for i := range want {
+			want[i] = laneDot32(a.Row(i/kernelNR32), bt[i%kernelNR32])
 		}
 		if c.underflow && math.Float32bits(want[0]) != 1<<31 {
 			t.Fatalf("n=%d: laneDot32 of underflowing products is %g, want -0", n, want[0])
@@ -159,44 +165,57 @@ func TestF32KernelsMatchGoLanes(t *testing.T) {
 			}
 			prev := setTier(lvl)
 			var t4 [4]float32
-			dotBatch4F32(a0, b0, b1, b2, b3, &t4)
+			dotBatch4F32(a.Row(0), bt[0], bt[1], bt[2], bt[3], &t4)
 			for i, got := range t4 {
 				if math.Float32bits(got) != math.Float32bits(want[i]) {
 					setTier(prev)
 					t.Fatalf("n=%d tier=%d dotBatch4F32 lane %d: %g != laneDot32 %g", n, lvl, i, got, want[i])
 				}
 			}
-			var t8 [8]float32
-			dot2x4F32(a0, a1, b0, b1, b2, b3, &t8)
-			for i, got := range t8 {
-				if math.Float32bits(got) != math.Float32bits(want[i]) {
+			// The tile stores all eight columns, then adds to the first
+			// five and leaves the other three as stored.
+			dst := NewDense32(2, kernelNR32)
+			dot2x8F32(dst, a, 0, 2, 0, n, &bt, 0, kernelNR32, true)
+			for i, w := range want {
+				if got := dst.Row(i / kernelNR32)[i%kernelNR32]; math.Float32bits(got) != math.Float32bits(w) {
 					setTier(prev)
-					t.Fatalf("n=%d tier=%d dot2x4F32 element %d: %g != laneDot32 %g", n, lvl, i, got, want[i])
+					t.Fatalf("n=%d tier=%d dot2x8F32 element %d: %g != laneDot32 %g", n, lvl, i, got, w)
+				}
+			}
+			dot2x8F32(dst, a, 0, 2, 0, n, &bt, 0, 5, false)
+			for i, w := range want {
+				if i%kernelNR32 < 5 {
+					w += w
+				}
+				if got := dst.Row(i / kernelNR32)[i%kernelNR32]; math.Float32bits(got) != math.Float32bits(w) {
+					setTier(prev)
+					t.Fatalf("n=%d tier=%d dot2x8F32 adding 5 columns, element %d: %g, want %g", n, lvl, i, got, w)
 				}
 			}
 			setTier(prev)
-		}
-
-		s0, s1 := laneDot232(a0, a1, b0)
-		if s0 != want[0] || s1 != want[4] {
-			t.Fatalf("n=%d laneDot232 (%g, %g) != laneDot32 (%g, %g)", n, s0, s1, want[0], want[4])
 		}
 	}
 }
 
 // TestMulTInto32TiersBitIdentical computes full blocked f32 products on
 // every supported ISA tier at GOMAXPROCS 1, 2 and 4 and requires every
-// output bit to equal PanelDot32's — ragged shapes exercise the 2×4
-// tile, the 1×4 row remainder, the scalar column remainder, the
-// multi-panel accumulation path, and ranges past the rangeRows cap (224
-// rows at q = 561).
+// output bit to equal PanelDot32's — ragged shapes exercise the 2×8
+// tile's row-pair walk, the odd last row's 1×4 tiles, every d%8 remainder
+// (the tile with the last B row repeated), the multi-panel path where the
+// tile adds into dst, ranges past the rangeRows cap (224 rows at
+// q = 561), and the served 1-bit shape (64 × 617 → 1024).
 func TestMulTInto32TiersBitIdentical(t *testing.T) {
 	defer setTier(setTier(bestTier))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct{ n, q, d int }{
 		{1, 1, 1}, {2, 16, 4}, {3, 17, 5}, {8, 64, 12}, {5, 561, 11},
 		{13, 700, 9}, {7, 1030, 6}, {64, 2048, 3}, {9, 3000, 8},
+		{15, 2100, 17},
 		{460, 561, 5}, // ranges of 224, 224 and 12 rows at GOMAXPROCS 1
+		{64, 617, 1024},
+	}
+	for d := 9; d <= 15; d++ { // every d%8 on an odd and an even row count
+		shapes = append(shapes, struct{ n, q, d int }{d - 6, 3 * d, d}, struct{ n, q, d int }{d - 5, 1024 + d, d})
 	}
 	if 460 <= rangeRows(4*Stride32(561)) {
 		t.Fatal("the merged-range shape no longer outgrows the rangeRows cap")
@@ -252,15 +271,19 @@ func TestMulTInto32FusedPost(t *testing.T) {
 	}
 }
 
-// BenchmarkMulTInto32 measures the f32 projection GEMM at the serving
-// shape (64-row batch, UCIHAR-like 561 features) — the packed tier's
-// answer to BenchmarkMulTInto.
+// BenchmarkMulTInto32 measures the f32 projection GEMM at serving
+// shapes: a 64-row batch of UCIHAR-like 561 features against D = 256 and
+// 2048 — the packed tier's answer to BenchmarkMulTInto — and the served
+// 1-bit tenant's 617 features → D = 1024.
 func BenchmarkMulTInto32(b *testing.B) {
-	for _, d := range []int{256, 2048} {
-		b.Run(benchName32(d), func(b *testing.B) {
-			a := NewDense32(64, 561)
-			bb := NewDense32(d, 561)
-			dst := NewDense32(64, d)
+	for _, sh := range []struct {
+		name string
+		q, d int
+	}{{"D=256", 561, 256}, {"D=2048", 561, 2048}, {"q=617/D=1024", 617, 1024}} {
+		b.Run(sh.name, func(b *testing.B) {
+			a := NewDense32(64, sh.q)
+			bb := NewDense32(sh.d, sh.q)
+			dst := NewDense32(64, sh.d)
 			fillDense32(a, 0.1)
 			fillDense32(bb, 0.7)
 			b.ReportAllocs()
@@ -270,12 +293,4 @@ func BenchmarkMulTInto32(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchName32 formats the sub-benchmark name for a dimensionality.
-func benchName32(d int) string {
-	if d == 256 {
-		return "D=256"
-	}
-	return "D=2048"
 }

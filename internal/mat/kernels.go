@@ -275,7 +275,11 @@ func MulTInto(dst, a, b *Dense) *Dense {
 // This is how batch encoding fuses its nonlinearity onto the GEMM instead
 // of making a second pass over the whole (much larger than L2) output.
 // post must be safe to call concurrently for different rows; a nil post
-// is a plain product.
+// is a plain product. Every range starts on a multiple of kernelMR (8)
+// rows and post sees its rows in increasing order, so when post reaches
+// the last row of an aligned group of at most eight rows, the whole group
+// is complete (the scoring epilogue takes its row norms four rows at a
+// time this way).
 //
 // The row blocks are sharded by ParallelFor's rule: GOMAXPROCS ÷ the
 // ParallelFor calls in flight, so a lone product spreads over every core

@@ -156,6 +156,30 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// RowNorms writes the Euclidean norms of rows [i0, i0+len(dst)) of m
+// into dst, four rows per pass over the columns. Each row's sum of
+// squares is Norm2's chain, in index order, so every norm has Norm2's
+// bits; the four chains are independent, so they run side by side rather
+// than each waiting out the add latency alone.
+func RowNorms(dst []float64, m *Dense, i0 int) {
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		x0 := m.Row(i0 + r)
+		x1, x2, x3 := m.Row(i0 + r + 1)[:len(x0)], m.Row(i0 + r + 2)[:len(x0)], m.Row(i0 + r + 3)[:len(x0)]
+		var s0, s1, s2, s3 float64
+		for j, v := range x0 {
+			s0 += v * v
+			s1 += x1[j] * x1[j]
+			s2 += x2[j] * x2[j]
+			s3 += x3[j] * x3[j]
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+	}
+	for ; r < len(dst); r++ {
+		dst[r] = Norm2(m.Row(i0 + r))
+	}
+}
+
 // Normalize scales x to unit Euclidean norm in place and returns the
 // original norm. A zero vector is left unchanged and 0 is returned.
 func Normalize(x []float64) float64 {

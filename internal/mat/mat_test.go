@@ -91,6 +91,52 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
+// TestRowNormsMatchNorm2 pins RowNorms to Norm2 bit for bit for every
+// row count that reaches its four-row pass and its remainder (1–9, 64),
+// starting mid-matrix, over rows that mix zeros, subnormals, ±Inf, NaN
+// and squares that overflow.
+func TestRowNormsMatchNorm2(t *testing.T) {
+	r := rng.New(5)
+	const cols = 37
+	m := New(70, cols)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = r.NormFloat64() * 3
+		}
+		switch i % 8 { // most rows carry one kind of special value
+		case 1:
+			clear(row)
+		case 2:
+			for j := range row {
+				row[j] = 5e-324 * float64(j+1) // subnormal: squares underflow
+			}
+		case 3:
+			row[i%cols] = math.Inf(1)
+		case 4:
+			row[i%cols] = math.Inf(-1)
+		case 5:
+			row[i%cols] = math.NaN()
+		case 6:
+			row[i%cols] = 1e200 // its square overflows
+		case 7:
+			row[i%cols], row[0] = 1e150, -1e-160 // rounding depends on the order
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+		for _, i0 := range []int{0, 3, m.Rows - n} {
+			got := make([]float64, n)
+			RowNorms(got, m, i0)
+			for k, g := range got {
+				if want := Norm2(m.Row(i0 + k)); math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("rows %d from %d: row %d norm %v (%#x), Norm2 %v (%#x)",
+						n, i0, i0+k, g, math.Float64bits(g), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 func TestNorm2AndNormalize(t *testing.T) {
 	x := []float64{3, 4}
 	if Norm2(x) != 5 {

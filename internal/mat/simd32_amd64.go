@@ -25,11 +25,14 @@ var f32TailMasks = func() (m [240]int32) {
 //go:noescape
 func dotBatch4F32AVX512(a, b0, b1, b2, b3 *float32, groups, tail int, out *[4]float32)
 
-// dot2x4F32AVX512 is the complete AVX-512 2×4 register tile (two A rows,
-// four B rows, eight finished dots in out).
+// dot2x8F32AVX512 is the AVX-512 2×8 register tile, walked over pairs
+// row pairs of A (from a, lda floats apart) against the eight B rows b
+// points to: it puts each pair's sixteen finished dots into columns
+// [0, cols) of c's rows 2p and 2p+1 (ldc floats apart), stored when first
+// and added otherwise. b must not escape: it is the caller's stack array.
 //
 //go:noescape
-func dot2x4F32AVX512(a0, a1, b0, b1, b2, b3 *float32, groups, tail int, out *[8]float32)
+func dot2x8F32AVX512(a *float32, lda, pairs int, b *[8]*float32, groups, tail int, c *float32, ldc, cols int, first bool)
 
 // dotBatch4F32AVX2 is the AVX2 1×4 micro-kernel under the same contract,
 // with each 16-lane accumulator split across two YMM registers and the

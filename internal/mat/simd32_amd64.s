@@ -3,11 +3,16 @@
 // element — one ZMM accumulator on the AVX-512 tier, two YMM on AVX2 —
 // handles the sub-group tail with a masked partial step, and finishes
 // with the laneSum32 horizontal reduction (512→256→128-bit folds, then
-// the float64 kernels' (x0+x2)+(x1+x3) order). The pure-Go lane kernels
-// in f32.go reproduce every output bitwise via fma32, signed zeros
-// included: as in the float64 kernels, a tail step leaves its closed
-// lanes untouched, by an opmask-merged FMA on the AVX-512 tier and a
-// blend on AVX2.
+// the float64 kernels' (x0+x2)+(x1+x3) order). The 1×4 kernels reduce
+// each accumulator on its own (HSUM32Z, HSUM32Y). The 2×8 tile reduces
+// its sixteen accumulators together: two VSHUFF32X4 levels (FOLD32,
+// FOLD16) and two VSHUFPS levels, 30 shuffles and 15 adds, leave all
+// sixteen dots in one ZMM, each added in laneSum32's order with the same
+// operand first, against 64 shuffles, 64 adds and 16 scalar stores for
+// sixteen HSUM32Z. The pure-Go lane kernels in f32.go reproduce every
+// output bitwise via fma32, signed zeros included: as in the float64
+// kernels, a tail step leaves its closed lanes untouched, by an
+// opmask-merged FMA on the AVX-512 tier and a blend on AVX2.
 
 #include "textflag.h"
 
@@ -105,88 +110,182 @@ zb4done:
 	VZEROUPPER
 	RET
 
-// func dot2x4F32AVX512(a0, a1, b0, b1, b2, b3 *float32, groups, tail int, out *[8]float32)
-// The complete AVX-512 2×4 register tile: two A rows against four B
-// rows, eight output elements, 128 FMA lanes in flight, masked tail,
-// horizontal reduction. out layout: a0·b0, a0·b1, a0·b2, a0·b3, a1·b0,
-// ..., a1·b3.
-TEXT ·dot2x4F32AVX512(SB), NOSPLIT, $0-72
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DX
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ groups+48(FP), CX
-	MOVQ tail+56(FP), BX
-	MOVQ out+64(FP), DI
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	VXORPS X4, X4, X4
-	VXORPS X5, X5, X5
-	VXORPS X6, X6, X6
-	VXORPS X7, X7, X7
-	TESTQ CX, CX
-	JZ    z24tail
+// FOLD32 is the first level of the merged reduction: it joins the
+// 16-lane accumulators lo and hi into dst = (lo.m, hi.m), where m is
+// laneSum32's first fold l[j]+l[j+8] (j < 8) of each: VSHUFF32X4 gathers
+// the 128-bit chunks 0,1 and 2,3 of both, and one add folds them.
+#define FOLD32(lo, hi, dst) \
+	VSHUFF32X4 $0x44, hi, lo, dst \
+	VSHUFF32X4 $0xee, hi, lo, Z15 \
+	VADDPS     Z15, dst, dst
 
-z24loop:
-	VMOVUPS     (SI), Z8
-	VMOVUPS     (DX), Z9
-	VMOVUPS     (R8), Z10
-	VFMADD231PS Z10, Z8, Z0
-	VFMADD231PS Z10, Z9, Z4
-	VMOVUPS     (R9), Z11
-	VFMADD231PS Z11, Z8, Z1
-	VFMADD231PS Z11, Z9, Z5
-	VMOVUPS     (R10), Z10
-	VFMADD231PS Z10, Z8, Z2
-	VFMADD231PS Z10, Z9, Z6
-	VMOVUPS     (R11), Z11
-	VFMADD231PS Z11, Z8, Z3
-	VFMADD231PS Z11, Z9, Z7
-	ADDQ        $64, SI
-	ADDQ        $64, DX
-	ADDQ        $64, R8
-	ADDQ        $64, R9
-	ADDQ        $64, R10
-	ADDQ        $64, R11
-	DECQ        CX
-	JNZ         z24loop
+// FOLD16 is the second level: from p = (a.m, b.m) and q = (c.m, d.m) it
+// forms dst = (a.x, b.x, c.x, d.x), x[j] = m[j]+m[j+4] (j < 4), one chunk
+// per accumulator.
+#define FOLD16(p, q, dst) \
+	VSHUFF32X4 $0x88, q, p, dst \
+	VSHUFF32X4 $0xdd, q, p, Z15 \
+	VADDPS     Z15, dst, dst
 
-z24tail:
-	TESTQ BX, BX
-	JZ    z24done
-	MOVL  $1, AX
-	MOVQ  BX, CX
-	SHLL  CX, AX
-	DECL  AX
-	KMOVW AX, K1
-	VMOVUPS.Z   (SI), K1, Z8
-	VMOVUPS.Z   (DX), K1, Z9
-	VMOVUPS.Z   (R8), K1, Z10
-	VFMADD231PS Z10, Z8, K1, Z0
-	VFMADD231PS Z10, Z9, K1, Z4
-	VMOVUPS.Z   (R9), K1, Z11
-	VFMADD231PS Z11, Z8, K1, Z1
-	VFMADD231PS Z11, Z9, K1, Z5
-	VMOVUPS.Z   (R10), K1, Z10
-	VFMADD231PS Z10, Z8, K1, Z2
-	VFMADD231PS Z10, Z9, K1, Z6
-	VMOVUPS.Z   (R11), K1, Z11
-	VFMADD231PS Z11, Z8, K1, Z3
-	VFMADD231PS Z11, Z9, K1, Z7
+// STEP28 is one B row's share of a 2×8 FMA step: it loads the row's 16
+// lanes at (b)(AX*1) into breg and folds them times A rows 0 and 1 (Z0,
+// Z1) into acc0 and acc1.
+#define STEP28(b, breg, acc0, acc1) \
+	VMOVUPS     (b)(AX*1), breg \
+	VFMADD231PS breg, Z0, acc0  \
+	VFMADD231PS breg, Z1, acc1
 
-z24done:
-	HSUM32Z(Z0, Y0, X0, Y14, X15, 0)
-	HSUM32Z(Z1, Y1, X1, Y14, X15, 4)
-	HSUM32Z(Z2, Y2, X2, Y14, X15, 8)
-	HSUM32Z(Z3, Y3, X3, Y14, X15, 12)
-	HSUM32Z(Z4, Y4, X4, Y14, X15, 16)
-	HSUM32Z(Z5, Y5, X5, Y14, X15, 20)
-	HSUM32Z(Z6, Y6, X6, Y14, X15, 24)
-	HSUM32Z(Z7, Y7, X7, Y14, X15, 28)
+// TAIL28 is STEP28 for the tail step at (b): loads zeroed past the tail,
+// FMAs merged under K1, so the closed lanes keep their values.
+#define TAIL28(b, breg, acc0, acc1) \
+	VMOVUPS.Z   (b), K1, breg      \
+	VFMADD231PS breg, Z0, K1, acc0 \
+	VFMADD231PS breg, Z1, K1, acc1
+
+// func dot2x8F32AVX512(a *float32, lda, pairs int, b *[8]*float32, groups, tail int, c *float32, ldc, cols int, first bool)
+// The AVX-512 2×8 register tile, walked over pairs row pairs: A rows
+// 2p and 2p+1 (lda floats apart, from a) against the eight B rows b[0..7]
+// in 16 ZMM accumulators, groups full 16-lane FMA steps and an
+// opmask-merged partial step for the tail (0..15), 16 FMAs per 10
+// loads. Accumulator Z16+4(c%4)+2r+c/4 holds A row r against B row c, so
+// the merged reduction — FOLD32 on the eight accumulator pairs, FOLD16 on
+// the four results, then two VSHUFPS levels finishing (x0+x2)+(x1+x3)
+// within each chunk — leaves the pair's sixteen dots in one ZMM in output
+// order: A row 0 against b[0..7] in the low half, row 1 in the high half.
+// Every output is added in laneSum32's order with the same operands
+// first. Columns [0, cols) of the halves go to c rows 2p and 2p+1 (ldc
+// floats apart) through opmask-masked stores: stored when first, added to
+// the stored value (first operand) otherwise.
+TEXT ·dot2x8F32AVX512(SB), NOSPLIT, $0-73
+	MOVQ b+24(FP), AX
+	MOVQ 0(AX), BX
+	MOVQ 8(AX), DI
+	MOVQ 16(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 32(AX), R10
+	MOVQ 40(AX), R11
+	MOVQ 48(AX), R12
+	MOVQ 56(AX), R13
+	MOVQ tail+40(FP), CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1 // the tail lanes
+	MOVQ cols+64(FP), CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K2 // the stored columns
+	// Every row pointer moves to its tail, and the FMA loop runs a
+	// negative byte offset up to zero.
+	MOVQ groups+32(FP), AX
+	SHLQ $6, AX
+	ADDQ AX, BX
+	ADDQ AX, DI
+	ADDQ AX, R8
+	ADDQ AX, R9
+	ADDQ AX, R10
+	ADDQ AX, R11
+	ADDQ AX, R12
+	ADDQ AX, R13
+	MOVQ a+0(FP), SI
+	ADDQ AX, SI
+	MOVQ lda+8(FP), DX
+	LEAQ (SI)(DX*4), DX
+	MOVQ c+48(FP), CX
+
+z28pair:
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ   groups+32(FP), AX
+	SHLQ   $6, AX
+	NEGQ   AX
+	JZ     z28tail
+
+z28loop:
+	VMOVUPS (SI)(AX*1), Z0
+	VMOVUPS (DX)(AX*1), Z1
+	STEP28(BX, Z2, Z16, Z18)
+	STEP28(DI, Z3, Z20, Z22)
+	STEP28(R8, Z4, Z24, Z26)
+	STEP28(R9, Z5, Z28, Z30)
+	STEP28(R10, Z6, Z17, Z19)
+	STEP28(R11, Z7, Z21, Z23)
+	STEP28(R12, Z8, Z25, Z27)
+	STEP28(R13, Z9, Z29, Z31)
+	ADDQ    $64, AX
+	JNZ     z28loop
+
+z28tail:
+	KORTESTW K1, K1
+	JZ       z28sum
+	VMOVUPS.Z (SI), K1, Z0
+	VMOVUPS.Z (DX), K1, Z1
+	TAIL28(BX, Z2, Z16, Z18)
+	TAIL28(DI, Z3, Z20, Z22)
+	TAIL28(R8, Z4, Z24, Z26)
+	TAIL28(R9, Z5, Z28, Z30)
+	TAIL28(R10, Z6, Z17, Z19)
+	TAIL28(R11, Z7, Z21, Z23)
+	TAIL28(R12, Z8, Z25, Z27)
+	TAIL28(R13, Z9, Z29, Z31)
+
+z28sum:
+	FOLD32(Z16, Z17, Z0)
+	FOLD32(Z18, Z19, Z1)
+	FOLD32(Z20, Z21, Z2)
+	FOLD32(Z22, Z23, Z3)
+	FOLD32(Z24, Z25, Z4)
+	FOLD32(Z26, Z27, Z5)
+	FOLD32(Z28, Z29, Z6)
+	FOLD32(Z30, Z31, Z7)
+	FOLD16(Z0, Z1, Z8)
+	FOLD16(Z2, Z3, Z9)
+	FOLD16(Z4, Z5, Z10)
+	FOLD16(Z6, Z7, Z11)
+	VSHUFPS $0x44, Z9, Z8, Z12   // (x0, x1) of two accumulators per chunk
+	VSHUFPS $0xee, Z9, Z8, Z15   // (x2, x3)
+	VADDPS  Z15, Z12, Z12        // (x0+x2, x1+x3)
+	VSHUFPS $0x44, Z11, Z10, Z13
+	VSHUFPS $0xee, Z11, Z10, Z15
+	VADDPS  Z15, Z13, Z13
+	VSHUFPS $0x88, Z13, Z12, Z0  // x0+x2 of four accumulators per chunk
+	VSHUFPS $0xdd, Z13, Z12, Z15 // x1+x3
+	VADDPS  Z15, Z0, Z0          // (x0+x2)+(x1+x3)
+	VEXTRACTF64X4 $1, Z0, Y1
+	MOVQ    ldc+56(FP), AX
+	SHLQ    $2, AX
+	CMPB    first+72(FP), $0
+	JNE     z28store
+	VMOVUPS.Z (CX), K2, Y2
+	VADDPS    Y0, Y2, Y0
+	VMOVUPS.Z (CX)(AX*1), K2, Y3
+	VADDPS    Y1, Y3, Y1
+
+z28store:
+	VMOVUPS Y0, K2, (CX)
+	VMOVUPS Y1, K2, (CX)(AX*1)
+	LEAQ    (CX)(AX*2), CX
+	MOVQ    lda+8(FP), AX
+	SHLQ    $3, AX
+	ADDQ    AX, SI
+	ADDQ    AX, DX
+	DECQ    pairs+16(FP)
+	JNZ     z28pair
 	VZEROUPPER
 	RET
 

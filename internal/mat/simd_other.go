@@ -37,7 +37,7 @@ func dotBatch4F32AVX512(a, b0, b1, b2, b3 *float32, groups, tail int, out *[4]fl
 	panic("mat: f32 SIMD kernel on non-amd64 build")
 }
 
-func dot2x4F32AVX512(a0, a1, b0, b1, b2, b3 *float32, groups, tail int, out *[8]float32) {
+func dot2x8F32AVX512(a *float32, lda, pairs int, b *[8]*float32, groups, tail int, c *float32, ldc, cols int, first bool) {
 	panic("mat: f32 SIMD kernel on non-amd64 build")
 }
 

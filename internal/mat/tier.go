@@ -20,8 +20,9 @@ const (
 // tier needs AVX2 and FMA. The AVX-512 tier also runs the AVX2 kernels
 // (for row remainders and DotBatch), and needs AVX512F for ZMM
 // arithmetic, AVX512DQ for the epilogue's VCVTTPD2UQQ and VCVTUQQ2PD,
-// and AVX512VL for the 4×4 and 8×4 tiles' masked YMM tail loads. Every
-// AVX-512 Xeon since Skylake-SP has all three.
+// and AVX512VL for the masked YMM loads of the 4×4 and 8×4 tiles' tails
+// and the f32 2×8 tile's masked YMM stores. Every AVX-512 Xeon since
+// Skylake-SP has all three.
 func tierOf(f isa.Features) int32 {
 	switch {
 	case !f.AVX2 || !f.FMA:

@@ -136,27 +136,45 @@ func (m *Model) ScoreBatchInto(H, dst *mat.Dense) *mat.Dense {
 	return m.scoreBatch(H, dst, nil)
 }
 
-// scoreBatch is the scoring GEMM H·Wᵀ into dst with its per-row epilogue
-// (finishRow). On one core the epilogue runs as a loop after the product,
-// since an epilogue closure handed to the GEMM would be a heap allocation
-// per call; the rows and their bits are the same either way.
+// scoreBatch is the scoring GEMM H·Wᵀ into dst with its epilogue,
+// finishRows. With more than one core the epilogue runs in the GEMM's
+// shards: mat.MulTIntoFused hands over the rows of each finished range in
+// order, and its ranges start on multiples of eight rows, so the row that
+// closes an aligned group of four (or the last row) finds the whole group
+// done. On one core the epilogue is a pass after the product, since an
+// epilogue closure handed to the GEMM would be a heap allocation per
+// call; the rows and their bits are the same either way.
 func (m *Model) scoreBatch(H, dst *mat.Dense, out []int) *mat.Dense {
 	if mat.Serial() {
 		mat.MulTInto(dst, H, m.Weights)
-		for i := 0; i < H.Rows; i++ {
-			m.finishRow(H, dst.Row(i), out, i)
-		}
+		m.finishRows(H, dst, out, 0, H.Rows)
 		return dst
 	}
-	return mat.MulTIntoFused(dst, H, m.Weights, func(i int, row []float64) {
-		m.finishRow(H, row, out, i)
+	return mat.MulTIntoFused(dst, H, m.Weights, func(i int, _ []float64) {
+		if i%4 == 3 || i == H.Rows-1 {
+			m.finishRows(H, dst, out, i&^3, i+1)
+		}
 	})
 }
 
-// finishRow converts the raw dot products of row i into cosine
-// similarities and, with a non-nil out, stores the row's argmax in out[i].
-func (m *Model) finishRow(H *mat.Dense, row []float64, out []int, i int) {
-	hn := mat.Norm2(H.Row(i))
+// finishRows finishes rows [i0, i1) of dst four at a time: mat.RowNorms
+// takes the four rows' norms in one sweep of H, and finishRow scales
+// each.
+func (m *Model) finishRows(H, dst *mat.Dense, out []int, i0, i1 int) {
+	var hn [4]float64
+	for ; i0 < i1; i0 += len(hn) {
+		norms := hn[:min(len(hn), i1-i0)]
+		mat.RowNorms(norms, H, i0)
+		for r, n := range norms {
+			m.finishRow(dst.Row(i0+r), n, out, i0+r)
+		}
+	}
+}
+
+// finishRow converts the raw dot products of row i, whose hypervector
+// has norm hn, into cosine similarities and, with a non-nil out, stores
+// the row's argmax in out[i].
+func (m *Model) finishRow(row []float64, hn float64, out []int, i int) {
 	for c := range row {
 		if hn == 0 || m.norms[c] == 0 {
 			row[c] = 0

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -249,6 +250,41 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	for i := 0; i < tr.Rows; i++ {
 		if single := m.Predict(tr.Row(i)); single != batch[i] {
 			t.Fatalf("row %d: batch %d != single %d", i, batch[i], single)
+		}
+	}
+}
+
+// TestScoreBatchBitwiseAcrossGOMAXPROCS checks the scoring epilogue run
+// in the GEMM's shards (GOMAXPROCS 2 and 4) against the pass after the
+// product (GOMAXPROCS 1), bit for bit: row counts off the groups of four
+// and the blocks of eight, a zero row, a zero class, and 600 rows of a
+// 300-wide H, several ranges per shard.
+func TestScoreBatchBitwiseAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const dim, k = 300, 5
+	m := New(k, dim)
+	r := rng.New(11)
+	r.FillNorm(m.Weights.Data[:(k-1)*dim], 0, 1) // the last class stays zero
+	m.RefreshNorms()
+	H := mat.New(600, dim)
+	r.FillNorm(H.Data[dim:], 0, 1) // row 0 stays zero
+	for _, n := range []int{1, 3, 4, 5, 9, 13, 67, 600} {
+		Hn := mat.View(n, dim, H.Data[:n*dim])
+		runtime.GOMAXPROCS(1)
+		want, wantOut := m.ScoreBatch(Hn), m.PredictBatch(Hn)
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, gotOut := m.ScoreBatch(Hn), m.PredictBatch(Hn)
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%d rows at GOMAXPROCS %d: score %d = %v, want %v", n, procs, i, v, want.Data[i])
+				}
+			}
+			for i, c := range gotOut {
+				if c != wantOut[i] {
+					t.Fatalf("%d rows at GOMAXPROCS %d: row %d predicts %d, want %d", n, procs, i, c, wantOut[i])
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/serve/wire"
 )
 
@@ -120,20 +121,22 @@ func TestBatcherPredictAllocs(t *testing.T) {
 }
 
 // TestBatchAllocsMultiCore pins the 64-row batch path at GOMAXPROCS 2,
-// where the GEMMs fan out over the worker pool. testing.AllocsPerRun
-// forces GOMAXPROCS 1 and never sees that path, so the count comes from
-// runtime.MemStats: one shard closure for the encode GEMM, and one shard
-// closure plus one epilogue closure (cosine scaling and argmax) for the
-// scoring GEMM; ParallelFor's done channels and the pack buffers are
-// reused. The binary handler adds its own 2.
+// where the GEMMs fan out over the worker pool, for the f32 model and
+// its 1-bit tier. testing.AllocsPerRun forces GOMAXPROCS 1 and never sees
+// that path, so the count comes from runtime.MemStats: a shard closure
+// per GEMM that fans out, two for the f32 model (encode and scoring) and
+// one for the 1-bit tier (its f32 projection), plus the f32 model's
+// scoring epilogue closure (cosine scaling and argmax, run in the
+// shards). ParallelFor's done channels and the pack buffers are reused,
+// and the f32 tile's array of B-row pointers stays on the stack. The
+// binary handler adds its own 2. Every pin is the exact count.
 func TestBatchAllocsMultiCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := fixtures(t)
-	srv, err := New(s.a, Options{MaxBatch: 64, Replicas: 1})
+	q, err := s.a.Quantize1Bit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	rows := make([][]float64, 64)
 	for i := range rows {
 		rows[i] = s.test.X[i%len(s.test.X)]
@@ -158,24 +161,35 @@ func TestBatchAllocsMultiCore(t *testing.T) {
 		Body:   body,
 	}
 	w := &nullRW{h: make(http.Header)}
-	for _, c := range []struct {
-		name string
-		f    func()
-		want float64
-	}{
-		{"PredictStream", func() {
-			if err := srv.Batcher().PredictStream(len(rows), out, fill); err != nil {
-				t.Fatal(err)
-			}
-		}, 3},
-		{"binary /predict_batch", func() {
-			body.Reset(frame)
-			srv.ServePredictBatch(w, req)
-		}, 5},
-	} {
-		if got := mallocsPerCall(200, c.f); got > c.want {
-			t.Errorf("%s of 64 rows at GOMAXPROCS 2: %v allocs per call, want at most %v", c.name, got, c.want)
+	for _, tier := range []struct {
+		name            string
+		m               *disthd.Model
+		stream, handler float64
+	}{{"f32", s.a, 3, 5}, {"1bit", q, 1, 3}} {
+		srv, err := New(tier.m, Options{MaxBatch: 64, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, c := range []struct {
+			name string
+			f    func()
+			want float64
+		}{
+			{"PredictStream", func() {
+				if err := srv.Batcher().PredictStream(len(rows), out, fill); err != nil {
+					t.Fatal(err)
+				}
+			}, tier.stream},
+			{"binary /predict_batch", func() {
+				body.Reset(frame)
+				srv.ServePredictBatch(w, req)
+			}, tier.handler},
+		} {
+			if got := mallocsPerCall(200, c.f); got > c.want {
+				t.Errorf("%s %s of 64 rows at GOMAXPROCS 2: %v allocs per call, want at most %v", tier.name, c.name, got, c.want)
+			}
+		}
+		srv.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -188,6 +189,19 @@ type InstallSpec struct {
 	Quantize string `json:"quantize"`
 	// Default additionally makes this tenant the root-alias default.
 	Default bool `json:"default"`
+	// QuantizeMargin is accepted and ignored, so specs written while the
+	// 1-bit publication margin was a spec field still install; the margin
+	// is disthd.DefaultQuantizeMargin.
+	QuantizeMargin json.RawMessage `json:"quantize_margin,omitempty"`
+}
+
+// DecodeSpec decodes one JSON value from r into v — an InstallSpec, or a
+// boot manifest's array of them — and refuses any field the target does
+// not have, so a misspelled option is an error instead of its default.
+func DecodeSpec(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Install bounds. An install names sizes that drive allocation (a
@@ -315,7 +329,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); ct == "" || strings.HasPrefix(ct, "application/json") {
 		var is InstallSpec
 		body := http.MaxBytesReader(w, r.Body, maxSpecBody)
-		if err := json.NewDecoder(body).Decode(&is); err != nil {
+		if err := DecodeSpec(body, &is); err != nil {
 			edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode install spec: %w", err))
 			return
 		}

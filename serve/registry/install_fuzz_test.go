@@ -2,16 +2,15 @@ package registry
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// FuzzInstallSpec decodes arbitrary bytes the way PUT /t/{model} decodes
-// a JSON body, and the way disthd-serve decodes a -manifest file (a JSON
-// array of the same specs), then runs the bound check Build runs before
-// training — it never trains. Decoding and checking must not panic, and
-// every spec the check accepts holds each size within its maxInstall*
-// bound.
+// FuzzInstallSpec decodes arbitrary bytes through DecodeSpec the way PUT
+// /t/{model} decodes a JSON body, and the way disthd-serve decodes a
+// -manifest file (a JSON array of the same specs, each with an "id"),
+// then runs the bound check Build runs before training — it never
+// trains. Decoding and checking must not panic, and every spec the check
+// accepts holds each size within its maxInstall* bound.
 func FuzzInstallSpec(f *testing.F) {
 	for _, seed := range []string{
 		// Specs from the docs, examples and smoke scripts.
@@ -32,13 +31,16 @@ func FuzzInstallSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var one InstallSpec
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&one) == nil {
+		if DecodeSpec(bytes.NewReader(body), &one) == nil {
 			checkAccepted(t, one)
 		}
-		var manifest []InstallSpec
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&manifest) == nil {
-			for _, is := range manifest {
-				checkAccepted(t, is)
+		var manifest []struct {
+			ID string `json:"id"`
+			InstallSpec
+		}
+		if DecodeSpec(bytes.NewReader(body), &manifest) == nil {
+			for _, e := range manifest {
+				checkAccepted(t, e.InstallSpec)
 			}
 		}
 	})

@@ -106,6 +106,47 @@ func TestRegistryInstallBounds(t *testing.T) {
 	}
 }
 
+// TestInstallSpecUnknownFields pins the strict spec decoding of PUT
+// /t/{model}: a misspelled field answers 400 and installs nothing, and
+// quantize_margin, a field of older specs, is accepted and ignored.
+func TestInstallSpecUnknownFields(t *testing.T) {
+	reg, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer ts.Close()
+	const spec = `{"demo":"DIABETES","dim":32,"scale":0.05,"iterations":1`
+	for _, c := range []struct {
+		name, id, body string
+		want           int
+	}{
+		{"misspelled max_batch", "typo", spec + `,"max_bach":16}`, http.StatusBadRequest},
+		{"unknown field", "extra", spec + `,"replica":2}`, http.StatusBadRequest},
+		{"quantize_margin", "margin", spec + `,"quantize_margin":-0.02}`, http.StatusOK},
+	} {
+		req, err := http.NewRequest("PUT", ts.URL+"/t/"+c.id, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, msg, c.want)
+		}
+		_, err = reg.TenantStats(c.id)
+		if installed := err == nil; installed != (c.want == http.StatusOK) {
+			t.Errorf("%s: installed %v after status %d", c.name, installed, resp.StatusCode)
+		}
+	}
+}
+
 // TestInstallSpecLearnerSeedDefault pins InstallSpec.Seed's documented
 // default: a spec without "seed" trains and attaches its learner with 42.
 func TestInstallSpecLearnerSeedDefault(t *testing.T) {
