@@ -1,11 +1,11 @@
 # Tier-1 verification and benchmark targets for the DistHD reproduction.
 #
 # `make ci` is the documented tier-1 gate: formatting, vet (of the arm64
-# build too), the exported-identifier doc check on the public surface,
-# build, race-enabled tests (which include the runnable godoc Examples in
-# the root and serve packages), and a one-iteration benchmark smoke pass
-# so the perf harness itself cannot rot. `make bench` produces the
-# numbers recorded in PERF.md.
+# build too), the exported-identifier check (docs on the public surface,
+# no test-only exports under internal/), build, race-enabled tests (which
+# include the runnable godoc Examples in the root and serve packages), and
+# a one-iteration benchmark smoke pass so the perf harness itself cannot
+# rot. `make bench` produces the numbers recorded in PERF.md.
 
 GO ?= go
 
@@ -28,7 +28,11 @@ cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # The public surface (root package, serve, and its subpackages) must not
-# export an undocumented identifier.
+# export an undocumented identifier, and nothing under an internal/
+# directory may export an identifier that only its own package's tests or
+# nothing reference: doccheck reads every .go file below the repo root,
+# perfbench's module included, and counts a non-test file or another
+# package's test as a use.
 doc-check:
 	$(GO) run ./cmd/doccheck . ./serve ./serve/cluster ./serve/wire ./serve/registry
 

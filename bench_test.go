@@ -4,7 +4,7 @@ package disthd_test
 // evaluation. Each benchmark runs the corresponding experiment of
 // internal/experiments at CI scale (Options.Quick), so `go test -bench=.`
 // regenerates every artifact end to end and reports its cost. Full-scale
-// tables (the numbers recorded in EXPERIMENTS.md) come from:
+// tables come from:
 //
 //	go run ./cmd/hdbench -exp all -scale 0.35
 //

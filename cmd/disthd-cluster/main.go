@@ -11,8 +11,8 @@
 // POST /predict_batch (JSON by default, the compact binary frame protocol
 // when the request's Content-Type is application/x-disthd-frame), GET
 // /healthz, GET /stats, plus POST /merge to force one federated merge
-// round. -worker-wire binary makes the coordinator itself speak the frame
-// protocol to its workers. Batches fan out across the worker shards
+// round. The coordinator itself speaks the frame protocol to its
+// workers. Batches fan out across the worker shards
 // behind per-worker circuit breakers with retries, jittered backoff, and
 // optional hedging; when fewer than -quorum workers are available the
 // batch is served by the locally held fallback model instead of failing.
@@ -68,7 +68,6 @@ func main() {
 		brOpenFor   = flag.Duration("breaker-open-for", 2*time.Second, "cooldown before an open breaker admits half-open trials")
 		probeEvery  = flag.Duration("probe-interval", 500*time.Millisecond, "active /healthz probe cadence (0 = passive only)")
 
-		workerWire = flag.String("worker-wire", cluster.WireJSON, "wire format for coordinator->worker predict calls: json, or binary for the compact frame protocol")
 		mergeEvery = flag.Duration("merge-interval", 0, "federated merge-loop cadence (0 = only on POST /merge)")
 		gateMargin = flag.Float64("gate-margin", 0, "holdout-accuracy lead a merged candidate needs over the incumbent fallback")
 		republish  = flag.Bool("republish", false, "push a published merged model back to every worker via /swap")
@@ -80,11 +79,7 @@ func main() {
 	if len(addrs) == 0 {
 		log.Fatal("disthd-cluster: -workers is required, e.g. -workers 127.0.0.1:8081,127.0.0.1:8082")
 	}
-	if *workerWire != cluster.WireJSON && *workerWire != cluster.WireBinary {
-		log.Fatalf("disthd-cluster: bad -worker-wire %q: want %s or %s", *workerWire, cluster.WireJSON, cluster.WireBinary)
-	}
 	tr := cluster.NewHTTPTransport()
-	tr.Wire = *workerWire
 
 	fallback, holdX, holdY, err := loadFallback(*model, *demo, *dim, *scale, *seed, *holdout)
 	if err != nil {
@@ -145,8 +140,8 @@ func main() {
 		}
 	}()
 
-	log.Printf("coordinating %d workers on %s (wire=%s quorum=%d call-timeout=%v attempts=%d hedge=%v probe=%v merge=%v)",
-		len(addrs), *addr, *workerWire, c.Stats().Quorum, *callTimeout, *maxAttempts, *hedgeAfter, *probeEvery, *mergeEvery)
+	log.Printf("coordinating %d workers on %s (quorum=%d call-timeout=%v attempts=%d hedge=%v probe=%v merge=%v)",
+		len(addrs), *addr, c.Stats().Quorum, *callTimeout, *maxAttempts, *hedgeAfter, *probeEvery, *mergeEvery)
 	if err := srv.ListenAndServe(*addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("disthd-cluster: %v", err)
 	}

@@ -1,15 +1,20 @@
-// Command doccheck fails when a package exports an undocumented
-// identifier — the CI guard that keeps the public surface (root package
-// and serve) fully godoc'd.
+// Command doccheck is the CI guard on exported identifiers. It fails
+// when a listed package exports an undocumented identifier — keeping the
+// public surface (root package and serve) fully godoc'd — and when
+// anything under internal/ exports an identifier that nothing runs.
 //
 // Usage:
 //
 //	doccheck <dir> [<dir>...]
 //
-// For every non-test Go file in each directory (no recursion), every
-// exported top-level function, type, method, constant and variable must
-// carry a doc comment. Violations are listed one per line and the exit
-// status is 1.
+// For every non-test Go file in each listed directory (no recursion),
+// every exported top-level function, type, method, constant and variable
+// must carry a doc comment. Then every .go file under the working
+// directory is read, nested modules included, and every exported
+// identifier declared under an internal/ directory must be referenced by
+// a non-test file or by another package's test: code only its own tests
+// reach is dead weight, since internal/ is not API. Violations are listed
+// one per line and the exit status is 1.
 package main
 
 import (
@@ -26,7 +31,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: doccheck <dir> [<dir>...]")
 		os.Exit(2)
 	}
-	bad := 0
+	undocumented := 0
 	for _, dir := range os.Args[1:] {
 		missing, err := check(dir)
 		if err != nil {
@@ -36,10 +41,23 @@ func main() {
 		for _, m := range missing {
 			fmt.Println(m)
 		}
-		bad += len(missing)
+		undocumented += len(missing)
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifier(s)\n", bad)
+	dead, err := unused(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(2)
+	}
+	for _, d := range dead {
+		fmt.Println(d)
+	}
+	if undocumented > 0 {
+		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifier(s)\n", undocumented)
+	}
+	if len(dead) > 0 {
+		fmt.Fprintf(os.Stderr, "doccheck: %d exported identifier(s) under internal/ that only their own tests or nothing reference\n", len(dead))
+	}
+	if undocumented+len(dead) > 0 {
 		os.Exit(1)
 	}
 }

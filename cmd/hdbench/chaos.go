@@ -24,7 +24,7 @@ type chaosOptions struct {
 	concurrency int
 	duration    time.Duration
 	httpTarget  string // non-empty: drive an external coordinator instead
-	wire        string // wire format: client->coordinator in external mode, coordinator->worker in self-contained mode
+	wire        string // client->coordinator wire format of an external (-http) run
 }
 
 // chaosBatch is the rows-per-request size the harness sends.
@@ -48,10 +48,6 @@ func runChaos(o chaosOptions, w io.Writer) error {
 	if o.concurrency < 1 {
 		o.concurrency = 1
 	}
-	if o.httpTarget == "" && o.wire == wireF32 {
-		return fmt.Errorf("-wire %s needs -http: the self-contained run applies -wire to its coordinator->worker hop, which speaks %s or %s",
-			wireF32, wireJSON, wireBinary)
-	}
 	train, test, err := disthd.SyntheticBenchmark(o.dataset, o.scale, o.seed)
 	if err != nil {
 		return err
@@ -72,8 +68,8 @@ func runChaos(o chaosOptions, w io.Writer) error {
 		return err
 	}
 	defer cc.close()
-	fmt.Fprintf(w, "chaos: %d clients x %v against %d workers over %s wire (kill w0 at 1/3, stall w1 at 2/3)\n",
-		o.concurrency, o.duration, len(cc.hss), o.wire)
+	fmt.Fprintf(w, "chaos: %d clients x %v against %d workers (kill w0 at 1/3, stall w1 at 2/3)\n",
+		o.concurrency, o.duration, len(cc.hss))
 	var faults sync.WaitGroup
 	faults.Add(1)
 	go func() {
@@ -159,7 +155,7 @@ func (g *stallGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // chaosCluster is the self-contained run's cluster: three stock
 // serve.Servers as real-HTTP workers behind an in-process coordinator
-// that speaks o.wire to them and holds the model as its fallback.
+// that holds the model as its fallback.
 type chaosCluster struct {
 	servers []*serve.Server
 	gates   []*stallGate
@@ -193,12 +189,10 @@ func startChaosCluster(o chaosOptions, train disthd.DataSplit, w io.Writer) (*ch
 		cc.hss = append(cc.hss, hs)
 		addrs = append(addrs, hs.URL)
 	}
-	tr := cluster.NewHTTPTransport()
-	tr.Wire = o.wire
 	cc.c, err = cluster.New(cluster.Config{
 		Workers:     addrs,
 		Quorum:      2,
-		Transport:   tr,
+		Transport:   cluster.NewHTTPTransport(),
 		CallTimeout: 250 * time.Millisecond,
 		Retry: cluster.RetryConfig{
 			MaxAttempts: 3,

@@ -6,7 +6,7 @@
 //
 //	hdbench -list
 //	hdbench -exp fig4                 # one experiment at the default scale
-//	hdbench -exp all -scale 0.35      # everything, EXPERIMENTS.md scale
+//	hdbench -exp all -scale 0.35      # everything, at full scale
 //	hdbench -exp fig8 -quick          # CI-sized smoke run
 //	hdbench -loadgen -concurrency 1,8,32,64 -duration 2s
 //	hdbench -loadgen -http 127.0.0.1:8080 -wire binary
@@ -55,14 +55,13 @@
 // stream batches, one worker is killed at a third of the run and another
 // stalled at two thirds, and the run FAILS (nonzero exit) unless zero
 // requests were dropped; the latency distribution the faults produced
-// (p50/p95/p99) is reported. The self-contained run applies -wire to the
-// coordinator->worker hop (json or binary). With -http it instead drives a
-// live disthd-cluster as a pure load generator while a script — see
+// (p50/p95/p99) is reported. With -http it instead drives a live
+// disthd-cluster as a pure load generator while a script — see
 // scripts/chaos_smoke.sh — injects the process-level faults.
 //
 // Experiment output is plain text, one table per experiment, in the same
-// layout the paper reports. See EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison.
+// layout the paper reports; `go run ./cmd/hdbench -exp all -scale 0.35`
+// regenerates every table.
 package main
 
 import (
@@ -111,7 +110,7 @@ func main() {
 		dgHoldout = flag.Float64("drift-holdout", 0, "driftgen: holdout fraction for the gated run (0 = default 0.20)")
 		dgMargin  = flag.Float64("drift-gate-margin", -0.07, "driftgen: holdout-accuracy lead a challenger needs to publish; the default tolerates one standard error of the ~51-sample holdout estimate (sqrt(0.25/51)), so sampling noise never vetoes a challenger while garbage — which loses by far more — still rejects")
 		dgHTTP    = flag.String("http", "", "loadgen/driftgen/chaos: drive a LIVE server at this address (host:port or URL) instead of the in-process stack — a disthd-serve for -loadgen/-driftgen, a disthd-cluster coordinator for -chaos")
-		wireFmt   = flag.String("wire", "json", "loadgen/driftgen/chaos: wire format for live-HTTP predict/learn calls: json, binary, or f32 (binary frames carrying float32 request matrices — half the bytes, exact for the 1-bit tier); self-contained -chaos uses it coordinator->worker, json or binary only")
+		wireFmt   = flag.String("wire", "json", "loadgen/driftgen/chaos: wire format for live-HTTP predict/learn calls: json, binary, or f32 (binary frames carrying float32 request matrices — half the bytes, exact for the 1-bit tier)")
 		lgTenants = flag.Int("tenants", 0, "loadgen: multi-tenant mixed workload over a serve/registry — N tenants with heterogeneous D, per-tenant p50/p99 and eviction churn (with -http, installs t0..tN-1 on a live -registry server)")
 		lgPool    = flag.Int("pool", 0, "loadgen -tenants (in-process): registry replica-pool capacity; set below -tenants to force LRU eviction churn (0 = no eviction)")
 	)

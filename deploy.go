@@ -94,8 +94,8 @@ func (d *Deployed) Evaluate(X [][]float64, y []int) (float64, error) {
 	if len(X) != len(y) || len(X) == 0 {
 		return 0, fmt.Errorf("disthd: bad evaluation set (%d samples, %d labels)", len(X), len(y))
 	}
-	if len(X[0]) != d.parent.Features() {
-		return 0, fmt.Errorf("disthd: input has %d features, model expects %d", len(X[0]), d.parent.Features())
+	if err := d.parent.checkBatch(X, nil); err != nil {
+		return 0, err
 	}
 	H := d.parent.clf.Enc.EncodeBatch(mat.FromRows(X))
 	return model.Accuracy(d.work, H, y), nil

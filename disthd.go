@@ -209,13 +209,30 @@ func (m *Model) Scores(x []float64) ([]float64, error) {
 	return m.clf.Scores(x), nil
 }
 
+// checkBatch reports the first row of X whose width is not Features()
+// and then the first label of y outside [0, Classes()), naming the row, so
+// no batch entry point hands a ragged batch or a bad label to a kernel.
+func (m *Model) checkBatch(X [][]float64, y []int) error {
+	for i, x := range X {
+		if len(x) != m.Features() {
+			return fmt.Errorf("disthd: row %d has %d features, model expects %d", i, len(x), m.Features())
+		}
+	}
+	for i, c := range y {
+		if c < 0 || c >= m.Classes() {
+			return fmt.Errorf("disthd: row %d has label %d outside [0,%d)", i, c, m.Classes())
+		}
+	}
+	return nil
+}
+
 // PredictBatch classifies many samples at once (parallel across CPUs).
 func (m *Model) PredictBatch(X [][]float64) ([]int, error) {
 	if len(X) == 0 {
 		return nil, nil
 	}
-	if len(X[0]) != m.Features() {
-		return nil, fmt.Errorf("disthd: input has %d features, model expects %d", len(X[0]), m.Features())
+	if err := m.checkBatch(X, nil); err != nil {
+		return nil, err
 	}
 	if m.Quantized() {
 		out, _ := m.packedPredictBatch(X)
@@ -274,8 +291,8 @@ func (m *Model) TopKAccuracy(X [][]float64, y []int, k int) (float64, error) {
 	if len(X) != len(y) || len(X) == 0 {
 		return 0, fmt.Errorf("disthd: bad evaluation set (%d samples, %d labels)", len(X), len(y))
 	}
-	if len(X[0]) != m.Features() {
-		return 0, fmt.Errorf("disthd: input has %d features, model expects %d", len(X[0]), m.Features())
+	if err := m.checkBatch(X, y); err != nil {
+		return 0, err
 	}
 	if m.Quantized() {
 		_, scores := m.packedPredictBatch(X)

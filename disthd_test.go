@@ -168,6 +168,84 @@ func TestTopKAccuracyAPI(t *testing.T) {
 	}
 }
 
+// TestBatchEntryPointsCheckEveryRow pins the width check of the public
+// batch entry points to every row, not just the first: a ragged second
+// row (short or long) and, for TopKAccuracy, an out-of-range label must
+// come back as an error naming the row on both tiers, never as a panic
+// or as a silently zero-padded answer.
+func TestBatchEntryPointsCheckEveryRow(t *testing.T) {
+	train, test := smallTask(t)
+	m, err := disthd.TrainWithConfig(train.X, train.Y, train.Classes, quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := m.Quantize1Bit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q0 := m.Features()
+	short := [][]float64{test.X[0], test.X[1][:q0-3]}
+	long := [][]float64{test.X[0], append(append([]float64{}, test.X[1]...), 1, 2, 3)}
+	y := test.Y[:2]
+	entries := map[string]func(mm *disthd.Model, X [][]float64, y []int) error{
+		"PredictBatch": func(mm *disthd.Model, X [][]float64, _ []int) error {
+			_, err := mm.PredictBatch(X)
+			return err
+		},
+		"Evaluate": func(mm *disthd.Model, X [][]float64, y []int) error {
+			_, err := mm.Evaluate(X, y)
+			return err
+		},
+		"TopKAccuracy": func(mm *disthd.Model, X [][]float64, y []int) error {
+			_, err := mm.TopKAccuracy(X, y, 2)
+			return err
+		},
+		"Deployed.Evaluate": func(mm *disthd.Model, X [][]float64, y []int) error {
+			d, err := mm.Deploy(8)
+			if err != nil {
+				return err
+			}
+			_, err = d.Evaluate(X, y)
+			return err
+		},
+	}
+	type batch struct {
+		name, want string
+		X          [][]float64
+		y          []int
+	}
+	batches := []batch{
+		{"short row", "row 1 has", short, y},
+		{"long row", "row 1 has", long, y},
+	}
+	for _, tier := range []struct {
+		name string
+		m    *disthd.Model
+	}{{"f32", m}, {"1bit", q}} {
+		for entry, call := range entries {
+			cases := batches
+			if entry == "TopKAccuracy" {
+				cases = append(cases,
+					batch{"label -1", "row 1 has label -1", test.X[:2], []int{y[0], -1}},
+					batch{"label k", "row 1 has label", test.X[:2], []int{y[0], m.Classes()}})
+			}
+			for _, c := range cases {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s %s %s: panicked: %v", tier.name, entry, c.name, r)
+						}
+					}()
+					err := call(tier.m, c.X, c.y)
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Errorf("%s %s %s: err = %v, want one naming %q", tier.name, entry, c.name, err, c.want)
+					}
+				}()
+			}
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	train, test := smallTask(t)
 	m, err := disthd.TrainWithConfig(train.X, train.Y, train.Classes, quickConfig())

@@ -67,27 +67,20 @@ func (m *Memory) Store(name string, h []float64) error {
 	return nil
 }
 
-// normalizeScores converts raw item dot products in row to cosine
-// similarities against a query of norm qn; zero-norm queries or items
-// score 0. Both recall paths share this one definition — Recall and
-// RecallBatch are pinned to exact agreement by tests.
-func (m *Memory) normalizeScores(row []float64, qn float64) {
-	for i := range row {
-		if qn == 0 || m.norms[i] == 0 {
-			row[i] = 0
-		} else {
-			row[i] /= qn * m.norms[i]
-		}
-	}
-}
-
 // scoreInto writes the cosine similarity of query (with norm qn) against
-// every stored item into dst via the blocked kernel.
+// every stored item into dst via the blocked kernel; zero-norm queries or
+// items score 0.
 func (m *Memory) scoreInto(query []float64, qn float64, dst []float64) {
 	qv := mat.View(1, m.dim, query)
 	sv := mat.View(1, m.Len(), dst)
 	mat.MulTInto(sv, qv, m.items)
-	m.normalizeScores(dst, qn)
+	for i := range dst {
+		if qn == 0 || m.norms[i] == 0 {
+			dst[i] = 0
+		} else {
+			dst[i] /= qn * m.norms[i]
+		}
+	}
 }
 
 // Recall returns the stored item most similar to the query, its name, and
@@ -108,32 +101,6 @@ func (m *Memory) Recall(query []float64) (name string, item []float64, sim float
 	out := make([]float64, m.dim)
 	copy(out, m.items.Row(best))
 	return m.names[best], out, bestSim, nil
-}
-
-// RecallBatch resolves every row of queries to its nearest stored item in
-// one blocked GEMM over the whole batch, returning the matched names and
-// similarities row by row.
-func (m *Memory) RecallBatch(queries *mat.Dense) ([]string, []float64, error) {
-	if m.Len() == 0 {
-		return nil, nil, fmt.Errorf("assoc: recall from empty memory")
-	}
-	if queries.Cols != m.dim {
-		return nil, nil, fmt.Errorf("assoc: queries have dimension %d, memory expects %d", queries.Cols, m.dim)
-	}
-	names := make([]string, queries.Rows)
-	sims := make([]float64, queries.Rows)
-	s := mat.GetScratch(queries.Rows * m.Len())
-	scores := mat.View(queries.Rows, m.Len(), s.Buf)
-	mat.MulTIntoFused(scores, queries, m.items, func(i int, row []float64) {
-		m.normalizeScores(row, mat.Norm2(queries.Row(i)))
-	})
-	for i := 0; i < queries.Rows; i++ {
-		best := mat.ArgMax(scores.Row(i))
-		names[i] = m.names[best]
-		sims[i] = scores.Row(i)[best]
-	}
-	s.Release()
-	return names, sims, nil
 }
 
 // RecallAbove behaves like Recall but fails the lookup when the best

@@ -3,12 +3,30 @@ package assoc
 import (
 	"testing"
 
-	"repro/internal/hv"
 	"repro/internal/mat"
 	"repro/internal/rng"
 )
 
 const testDim = 2048
+
+// bipolar draws a random ±1 hypervector of dimension d.
+func bipolar(d int, r *rng.Rand) []float64 {
+	h := make([]float64, d)
+	for i := range h {
+		h[i] = r.Bipolar()
+	}
+	return h
+}
+
+// bind is the HDC association operator, the element-wise product; for
+// bipolar inputs it is its own inverse.
+func bind(a, b []float64) []float64 {
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] * b[i]
+	}
+	return out
+}
 
 func filled(t *testing.T, names ...string) (*Memory, map[string][]float64) {
 	t.Helper()
@@ -16,7 +34,7 @@ func filled(t *testing.T, names ...string) (*Memory, map[string][]float64) {
 	m := New(testDim)
 	items := map[string][]float64{}
 	for _, n := range names {
-		h := hv.RandomBipolar(testDim, r)
+		h := bipolar(testDim, r)
 		items[n] = h
 		if err := m.Store(n, h); err != nil {
 			t.Fatal(err)
@@ -117,7 +135,7 @@ func TestRecallAboveThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A random unrelated query must be rejected at a modest threshold.
-	unknown := hv.RandomBipolar(testDim, rng.New(3))
+	unknown := bipolar(testDim, rng.New(3))
 	if _, _, _, err := m.RecallAbove(unknown, 0.5); err == nil {
 		t.Fatal("unknown input recognized above threshold")
 	}
@@ -127,7 +145,10 @@ func TestRecallAboveThreshold(t *testing.T) {
 // the memory operation §III-A of the paper describes.
 func TestRecallFromBundle(t *testing.T) {
 	m, items := filled(t, "x", "y", "z")
-	bundle := hv.Bundle(items["x"], items["y"])
+	bundle := make([]float64, testDim) // bundling is element-wise addition
+	for i := range bundle {
+		bundle[i] = items["x"][i] + items["y"][i]
+	}
 	name, _, sim, err := m.Recall(bundle)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +160,7 @@ func TestRecallFromBundle(t *testing.T) {
 		t.Fatalf("bundle similarity %.3f too low", sim)
 	}
 	// "z" must score clearly lower than the bundle members.
-	zsim := hv.Cosine(bundle, items["z"])
+	zsim := mat.CosineSim(bundle, items["z"])
 	if zsim > sim {
 		t.Fatal("non-member outranked a bundle member")
 	}
@@ -148,9 +169,9 @@ func TestRecallFromBundle(t *testing.T) {
 // Unbinding: recover a bound pair's second element via the first.
 func TestRecallAfterUnbinding(t *testing.T) {
 	m, items := filled(t, "role", "filler", "other")
-	bound := hv.Bind(items["role"], items["filler"])
+	bound := bind(items["role"], items["filler"])
 	// bound * role = filler (bipolar binding is self-inverse)
-	recovered := hv.Bind(bound, items["role"])
+	recovered := bind(bound, items["role"])
 	name, _, _, err := m.Recall(recovered)
 	if err != nil {
 		t.Fatal(err)
@@ -180,31 +201,4 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New(0)
-}
-
-// TestRecallBatchMatchesSingle pins the batched recall to per-query Recall.
-func TestRecallBatchMatchesSingle(t *testing.T) {
-	m, _ := filled(t, "alpha", "beta", "gamma", "delta")
-	r := rng.New(77)
-	queries := mat.New(7, testDim)
-	r.FillNorm(queries.Data, 0, 1)
-	names, sims, err := m.RecallBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < queries.Rows; i++ {
-		name, _, sim, err := m.Recall(queries.Row(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if names[i] != name || sims[i] != sim {
-			t.Fatalf("row %d: batch (%s, %v) != single (%s, %v)", i, names[i], sims[i], name, sim)
-		}
-	}
-	if _, _, err := m.RecallBatch(mat.New(2, testDim-1)); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	if _, _, err := New(8).RecallBatch(mat.New(1, 8)); err == nil {
-		t.Fatal("recall from empty memory accepted")
-	}
 }

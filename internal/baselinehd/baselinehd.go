@@ -31,12 +31,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns D = 4096 (the paper's effective dimensionality for
-// baselineHD) and 20 retraining epochs.
-func DefaultConfig() Config {
-	return Config{Dim: 4096, Epochs: 20, Seed: 1}
-}
-
 // Validate reports the first configuration problem, or nil.
 func (c *Config) Validate() error {
 	switch {
@@ -222,18 +216,4 @@ func (c *Classifier) TopKAccuracy(X *mat.Dense, y []int, k int) float64 {
 	scoreS.Release()
 	svS.Release()
 	return float64(correct) / float64(H.Rows)
-}
-
-// BipolarModel returns the sign-quantized class hypervectors — the 1-bit
-// deployed model used by the robustness experiment.
-func (c *Classifier) BipolarModel() *mat.Dense {
-	out := c.Acc.Clone()
-	for i := range out.Data {
-		if out.Data[i] < 0 {
-			out.Data[i] = -1
-		} else {
-			out.Data[i] = 1
-		}
-	}
-	return out
 }

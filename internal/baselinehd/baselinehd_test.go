@@ -56,10 +56,10 @@ func TestAccuracyDropsWithDim(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	train, _ := toyData(t, 3)
-	if _, err := Train(train.X, train.Y[:5], train.Classes, DefaultConfig()); err == nil {
+	if _, err := Train(train.X, train.Y[:5], train.Classes, Config{Dim: 4096, Epochs: 20, Seed: 1}); err == nil {
 		t.Fatal("label mismatch accepted")
 	}
-	if _, err := Train(train.X, train.Y, 1, DefaultConfig()); err == nil {
+	if _, err := Train(train.X, train.Y, 1, Config{Dim: 4096, Epochs: 20, Seed: 1}); err == nil {
 		t.Fatal("single class accepted")
 	}
 	if _, err := Train(train.X, train.Y, train.Classes, Config{Dim: 0, Epochs: 1}); err == nil {
@@ -105,23 +105,6 @@ func TestPredictSingleMatchesBatch(t *testing.T) {
 		if p := clf.Predict(test.X.Row(i)); p != batch[i] {
 			t.Fatalf("row %d: single %d != batch %d", i, p, batch[i])
 		}
-	}
-}
-
-func TestBipolarModelIsBipolar(t *testing.T) {
-	train, _ := toyData(t, 6)
-	clf, err := Train(train.X, train.Y, train.Classes, Config{Dim: 128, Epochs: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm := clf.BipolarModel()
-	for _, v := range bm.Data {
-		if v != 1 && v != -1 {
-			t.Fatalf("BipolarModel contains non-bipolar value %v", v)
-		}
-	}
-	if bm.Rows != train.Classes || bm.Cols != 128 {
-		t.Fatal("BipolarModel has wrong shape")
 	}
 }
 

@@ -1,3 +1,12 @@
+// Package bitpack implements deployment-grade bipolar hypervector
+// inference: hypervectors packed one bit per dimension into uint64 words,
+// with Hamming similarity computed by XOR + popcount. This is the
+// arithmetic an edge accelerator or microcontroller actually executes for
+// a 1-bit HDC model (the most robust configuration in the paper's Fig. 8),
+// and it is typically an order of magnitude faster than float dot
+// products at equal dimensionality. Everything scores Matrix rows; the
+// one-vector Vector and the float64 PackActivationSigns that the kernels
+// are checked against are test code.
 package bitpack
 
 // Batch-serving layout and kernels-facing API. A Matrix stores packed
@@ -72,47 +81,24 @@ func (a *Matrix) PackRow(i int, x []float64) {
 // FracTurns reduces an angle in radians to its fractional number of full
 // turns in [0,1), using exactly the constant and operations the sign-
 // pack kernels use. Callers precompute FracTurns of each RBF phase and
-// hand the result to PackActivationSigns.
+// hand the result to PackActivationSigns32.
 func FracTurns(c float64) float64 {
 	f := c * packConsts[0]
 	f -= math.Floor(f)
 	return f
 }
 
-// PackActivationSigns packs the signs of the RBF activation
-// cos(z_d + c_d)·sin(z_d) for one encoded row, given the projection
-// z and the per-dimension fractional phases fracPhase[d] =
-// FracTurns(c_d). dst must hold at least ceil(len(z)/64) words (a Matrix
-// row); all words past the used ones are zeroed, so the Matrix padding
-// invariant holds even when rows are reused across batches. It runs the
-// pure-Go kernel on every host: it is the float64 reference that
-// PackActivationSigns32, the serving path, is checked against.
-func PackActivationSigns(z, fracPhase []float64, dst []uint64) {
-	dim := len(z)
-	if len(fracPhase) != dim {
-		panic(fmt.Sprintf("bitpack: fracPhase length %d for dimension %d", len(fracPhase), dim))
-	}
-	used := (dim + 63) / 64
-	if len(dst) < used {
-		panic(fmt.Sprintf("bitpack: PackActivationSigns dst %d words, need %d", len(dst), used))
-	}
-	groups := dim / 64
-	packSignWordsGo(z[:groups*64], fracPhase[:groups*64], dst[:groups])
-	if tail := dim - groups*64; tail > 0 {
-		dst[groups] = packSignTailBits(z[groups*64:], fracPhase[groups*64:])
-	}
-	for j := used; j < len(dst); j++ {
-		dst[j] = 0
-	}
-}
-
-// PackActivationSigns32 is PackActivationSigns for a float32 projection
-// row — the packed serving tier's native width. Each float32 widens to
-// float64 exactly (in registers on the AVX-512 tier, through a small
-// stack buffer on the others), so the sign rule, and therefore the packed
-// bits, is the same deterministic function on every host, and the call
-// allocates nothing. The partial tail word is packed in pure Go on every
-// tier.
+// PackActivationSigns32 packs the signs of the RBF activation
+// cos(z_d + c_d)·sin(z_d) for one float32 projection row z — the packed
+// serving tier's native width — given the per-dimension fractional phases
+// fracPhase[d] = FracTurns(c_d). dst must hold at least ceil(len(z)/64)
+// words (a Matrix row); all words past the used ones are zeroed, so the
+// Matrix padding invariant holds even when rows are reused across
+// batches. Each float32 widens to float64 exactly (in registers on the
+// AVX-512 tier, through a small stack buffer on the others), so the sign
+// rule, and therefore the packed bits, is the same deterministic function
+// on every host, and the call allocates nothing. The partial tail word is
+// packed in pure Go on every tier.
 func PackActivationSigns32(z []float32, fracPhase []float64, dst []uint64) {
 	dim := len(z)
 	if len(fracPhase) != dim {

@@ -1,12 +1,98 @@
 package bitpack
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/hv"
+	"repro/internal/mat"
 	"repro/internal/rng"
 )
+
+// Vector is a packed bipolar hypervector: bit i set means dimension i is
+// +1, clear means −1. Dim is the logical dimensionality; trailing bits of
+// the last word are kept zero. Scoring runs on Matrix (batch.go); Vector
+// with HammingDistance and Agreement is the plain one-vector reference
+// the Matrix kernels are checked against in tests.
+type Vector struct {
+	Dim   int
+	Words []uint64
+}
+
+// NewVector returns an all-(-1) packed vector of the given dimensionality.
+func NewVector(dim int) *Vector {
+	if dim <= 0 {
+		panic(fmt.Sprintf("bitpack: non-positive dimension %d", dim))
+	}
+	return &Vector{Dim: dim, Words: make([]uint64, (dim+63)/64)}
+}
+
+// FromFloats packs the signs of a float hypervector (zero counts +1,
+// matching the repo-wide sign convention).
+func FromFloats(h []float64) *Vector {
+	v := NewVector(len(h))
+	for i, x := range h {
+		if x >= 0 {
+			v.Words[i/64] |= 1 << uint(i%64)
+		}
+	}
+	return v
+}
+
+// ToFloats unpacks to ±1 float values.
+func (v *Vector) ToFloats() []float64 {
+	out := make([]float64, v.Dim)
+	for i := range out {
+		if v.Bit(i) {
+			out[i] = 1
+		} else {
+			out[i] = -1
+		}
+	}
+	return out
+}
+
+// Bit reports whether dimension i is +1.
+func (v *Vector) Bit(i int) bool {
+	return v.Words[i/64]&(1<<uint(i%64)) != 0
+}
+
+// SetBit assigns dimension i (+1 when set).
+func (v *Vector) SetBit(i int, set bool) {
+	if set {
+		v.Words[i/64] |= 1 << uint(i%64)
+	} else {
+		v.Words[i/64] &^= 1 << uint(i%64)
+	}
+}
+
+// HammingDistance counts dimensions where a and b disagree.
+func HammingDistance(a, b *Vector) int {
+	if a.Dim != b.Dim {
+		panic(fmt.Sprintf("bitpack: dimension mismatch %d vs %d", a.Dim, b.Dim))
+	}
+	d := 0
+	for i := range a.Words {
+		d += bits.OnesCount64(a.Words[i] ^ b.Words[i])
+	}
+	return d
+}
+
+// Agreement returns Dim − 2·HammingDistance, i.e. the dot product of the
+// two bipolar vectors — the quantity HDC classification maximizes.
+func Agreement(a, b *Vector) int {
+	return a.Dim - 2*HammingDistance(a, b)
+}
+
+// bipolar draws a random ±1 hypervector of dimension d.
+func bipolar(d int, r *rng.Rand) []float64 {
+	h := make([]float64, d)
+	for i := range h {
+		h[i] = r.Bipolar()
+	}
+	return h
+}
 
 func TestFromToFloatsRoundTrip(t *testing.T) {
 	h := []float64{1, -1, -1, 1, 1, -1, 0.5, -0.5, 0}
@@ -67,9 +153,9 @@ func TestAgreementMatchesFloatDot(t *testing.T) {
 	f := func(seed uint64, rawDim uint16) bool {
 		dim := int(rawDim%300) + 1
 		r := rng.New(seed)
-		fa := hv.RandomBipolar(dim, r)
-		fb := hv.RandomBipolar(dim, r)
-		want := int(hv.Dot(fa, fb))
+		fa := bipolar(dim, r)
+		fb := bipolar(dim, r)
+		want := int(mat.Dot(fa, fb))
 		got := Agreement(FromFloats(fa), FromFloats(fb))
 		return got == want
 	}
@@ -86,24 +172,4 @@ func TestNewVectorValidation(t *testing.T) {
 		}
 	}()
 	NewVector(0)
-}
-
-func BenchmarkPackedAgreement4096(b *testing.B) {
-	r := rng.New(3)
-	x := FromFloats(hv.RandomBipolar(4096, r))
-	y := FromFloats(hv.RandomBipolar(4096, r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Agreement(x, y)
-	}
-}
-
-func BenchmarkFloatDot4096(b *testing.B) {
-	r := rng.New(3)
-	x := hv.RandomBipolar(4096, r)
-	y := hv.RandomBipolar(4096, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = hv.Dot(x, y)
-	}
 }

@@ -11,6 +11,29 @@ import (
 	"repro/internal/isa"
 )
 
+// PackActivationSigns is PackActivationSigns32 for a float64 projection
+// row. It runs the pure-Go kernel on every host: it is the float64
+// reference that PackActivationSigns32, the serving path, is checked
+// against.
+func PackActivationSigns(z, fracPhase []float64, dst []uint64) {
+	dim := len(z)
+	if len(fracPhase) != dim {
+		panic(fmt.Sprintf("bitpack: fracPhase length %d for dimension %d", len(fracPhase), dim))
+	}
+	used := (dim + 63) / 64
+	if len(dst) < used {
+		panic(fmt.Sprintf("bitpack: PackActivationSigns dst %d words, need %d", len(dst), used))
+	}
+	groups := dim / 64
+	packSignWordsGo(z[:groups*64], fracPhase[:groups*64], dst[:groups])
+	if tail := dim - groups*64; tail > 0 {
+		dst[groups] = packSignTailBits(z[groups*64:], fracPhase[groups*64:])
+	}
+	for j := used; j < len(dst); j++ {
+		dst[j] = 0
+	}
+}
+
 // parityDims covers the interesting word-boundary shapes: sub-word,
 // word-1, exact word, word+1, one kernel stride, the serving default,
 // and a large non-round dimension with a padded tail.

@@ -159,12 +159,6 @@ func newPipeline(enc encoding.Regenerable, m *model.Model, X *mat.Dense, y []int
 	}
 }
 
-// Stage returns the stage the pipeline will run next.
-func (p *Pipeline) Stage() PipelineStage { return p.stage }
-
-// Iteration returns the 0-based index of the current training iteration.
-func (p *Pipeline) Iteration() int { return p.iter }
-
 // Done reports whether the pipeline has finished (budget exhausted or early
 // stopping fired).
 func (p *Pipeline) Done() bool { return p.stage == StageDone }

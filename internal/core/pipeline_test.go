@@ -132,27 +132,27 @@ func TestPipelineStageOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Stage() != StageEncode {
-		t.Fatalf("fresh pipeline at stage %v", p.Stage())
+	if p.stage != StageEncode {
+		t.Fatalf("fresh pipeline at stage %v", p.stage)
 	}
 	mustPanic(t, "Adapt before Encode", func() { p.Adapt() })
 	p.Encode()
-	if p.Stage() != StageAdapt {
-		t.Fatalf("after Encode at stage %v", p.Stage())
+	if p.stage != StageAdapt {
+		t.Fatalf("after Encode at stage %v", p.stage)
 	}
 	mustPanic(t, "Score before Adapt", func() { p.Score() })
 	p.Adapt()
-	if p.Stage() != StageScore {
-		t.Fatalf("after Adapt at stage %v", p.Stage())
+	if p.stage != StageScore {
+		t.Fatalf("after Adapt at stage %v", p.stage)
 	}
 	mustPanic(t, "Regenerate before Score", func() { p.Regenerate(DimStats{}) })
 	ds := p.Score()
-	if p.Stage() != StageRegenerate {
-		t.Fatalf("after Score at stage %v", p.Stage())
+	if p.stage != StageRegenerate {
+		t.Fatalf("after Score at stage %v", p.stage)
 	}
 	p.Regenerate(ds)
-	if p.Stage() != StageAdapt || p.Iteration() != 1 {
-		t.Fatalf("after Regenerate at stage %v, iter %d", p.Stage(), p.Iteration())
+	if p.stage != StageAdapt || p.iter != 1 {
+		t.Fatalf("after Regenerate at stage %v, iter %d", p.stage, p.iter)
 	}
 }
 

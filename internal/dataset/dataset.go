@@ -111,15 +111,6 @@ func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
 	return train, test
 }
 
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
 // Normalizer holds per-feature affine statistics fit on a training set and
 // applied to any split, so test data never leaks into the statistics.
 type Normalizer struct {

@@ -1,5 +1,5 @@
 // Package encoding maps low-dimensional feature vectors into
-// hyperdimensional space. It provides the three encoder families used in
+// hyperdimensional space. It provides the two encoder families used in
 // the DistHD paper and its baselines:
 //
 //   - RBF: the paper's nonlinear encoder (§III-C, "Dimension Regeneration"),
@@ -8,8 +8,6 @@
 //     (Rahimi & Recht, ref [21]).
 //   - Linear: a plain Gaussian random projection, optionally sign-quantized;
 //     the classic static bipolar encoder of baselineHD (ref [6]).
-//   - IDLevel: the record-based ID×Level binding encoder common in the HDC
-//     literature, included for completeness and the examples.
 //
 // Batch encoding is one blocked GEMM (X·Bᵀ via mat.MulTIntoFused) with the
 // encoder nonlinearity fused onto each merged range of output rows while
@@ -58,15 +56,12 @@ type Regenerable interface {
 	// Regenerate replaces the base vectors of the listed dimensions with
 	// fresh random draws. Out-of-range dims panic (programmer error).
 	Regenerate(dims []int)
-	// EncodeDims writes the encoding of x restricted to the listed
-	// dimensions: dst[j] receives the value of output dimension dims[j].
-	EncodeDims(x []float64, dims []int, dst []float64)
 	// EncodeDimsBatch recomputes the listed output dimensions for every
 	// row of X, patching column dims[j] of the already-encoded matrix H in
 	// place. This is the DistHD cheap-retrain path: after Regenerate, only
 	// the regenerated columns of the training batch are recomputed — as
 	// one compact blocked GEMM over the gathered base rows — instead of
-	// re-encoding everything. Values match EncodeDims bitwise.
+	// re-encoding everything. Values match Encode bitwise.
 	EncodeDimsBatch(X *mat.Dense, dims []int, H *mat.Dense)
 	// CloneDetached returns a deep copy encoding identically to the
 	// original, whose regeneration stream restarts from regenSeed — the
@@ -83,18 +78,6 @@ func checkBatch(e Encoder, X, dst *mat.Dense) {
 	if dst.Rows != X.Rows || dst.Cols != e.Dim() {
 		panic(fmt.Sprintf("encoding: batch dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, X.Rows, e.Dim()))
 	}
-}
-
-// batchEncodeInto implements EncodeBatchInto for encoders without a fused
-// kernel path (IDLevel), sharding per-sample Encode calls across CPUs.
-func batchEncodeInto(e Encoder, X, dst *mat.Dense) *mat.Dense {
-	checkBatch(e, X, dst)
-	mat.ParallelFor(X.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.Encode(X.Row(i), dst.Row(i))
-		}
-	})
-	return dst
 }
 
 // checkDimsBatch validates an EncodeDimsBatch request.
@@ -167,7 +150,7 @@ type RBF struct {
 	// unrelated angles.
 	cosPhase, sinPhase []float64
 	// fracPhase caches frac(c_d/2π) for the packed 1-bit encode path
-	// (bitpack.PackActivationSigns), which decides activation signs with
+	// (bitpack.PackActivationSigns32), which decides activation signs with
 	// the trig-free analytic rule instead of evaluating cos·sin.
 	fracPhase []float64
 	// base32c lazily caches the float32 lowering of base for the packed
@@ -249,9 +232,10 @@ func (e *RBF) Features() int { return e.base.Cols }
 
 // activate maps one projection z to output dimension d's value,
 // cos(z + c_d)·sin(z), expanded against the cached phase trig. Every RBF
-// encode path (nonlinearRow, EncodeDims, EncodeDimsBatch) must go through
-// this single definition: the bitwise equivalence between batch encoding
-// and the regeneration patch path depends on the formula never diverging.
+// encode path (nonlinearRow, EncodeDimsBatch, the tests' EncodeDims) must
+// go through this single definition: the bitwise equivalence between
+// batch encoding and the regeneration patch path depends on the formula
+// never diverging.
 // The one vectorized copy of it, mat.ActivateRBF, is pinned to it bit for
 // bit by TestNonlinearRowMatchesActivate.
 func (e *RBF) activate(d int, z float64) float64 {
@@ -327,18 +311,6 @@ func (e *RBF) base32() *mat.Dense32 {
 	return b
 }
 
-// EncodeDims computes only the listed output dimensions of x. PanelDot
-// reproduces the blocked kernel's accumulation order, so values match
-// Encode bitwise.
-func (e *RBF) EncodeDims(x []float64, dims []int, dst []float64) {
-	if len(x) != e.Features() || len(dst) != len(dims) {
-		panic("encoding: RBF.EncodeDims size mismatch")
-	}
-	for j, d := range dims {
-		dst[j] = e.activate(d, mat.PanelDot(e.base.Row(d), x))
-	}
-}
-
 // EncodeDimsBatch patches the regenerated columns of H in place via the
 // shared gather/GEMM/scatter scaffolding (see encodeDimsBatch); buffers
 // come from the scratch pool, so the steady-state retrain loop allocates
@@ -394,10 +366,6 @@ func (e *RBF) CloneDetached(regenSeed uint64) Regenerable {
 	}
 	return c
 }
-
-// BaseRow exposes a read-only view of dimension d's base vector, used by
-// tests to verify regeneration semantics.
-func (e *RBF) BaseRow(d int) []float64 { return e.base.Row(d) }
 
 // Linear is a Gaussian random-projection encoder, optionally sign-quantized
 // to bipolar output — the static encoder of baselineHD.
@@ -477,25 +445,6 @@ func (e *Linear) Regenerate(dims []int) {
 			panic(fmt.Sprintf("encoding: Regenerate dim %d out of [0,%d)", d, e.Dim()))
 		}
 		e.regen.FillNorm(e.base.Row(d), 0, 1)
-	}
-}
-
-// EncodeDims computes only the listed output dimensions of x, bitwise
-// consistent with Encode (see RBF.EncodeDims).
-func (e *Linear) EncodeDims(x []float64, dims []int, dst []float64) {
-	if len(x) != e.Features() || len(dst) != len(dims) {
-		panic("encoding: Linear.EncodeDims size mismatch")
-	}
-	for j, d := range dims {
-		v := mat.PanelDot(e.base.Row(d), x)
-		if e.bipolar {
-			if v < 0 {
-				v = -1
-			} else {
-				v = 1
-			}
-		}
-		dst[j] = v
 	}
 }
 

@@ -3,7 +3,6 @@ package encoding
 import (
 	"fmt"
 
-	"repro/internal/hv"
 	"repro/internal/mat"
 	"repro/internal/rng"
 )
@@ -28,8 +27,8 @@ func NewNGram(alphabet, d, n int, seed uint64) *NGram {
 	}
 	r := rng.New(seed)
 	e := &NGram{symbols: mat.New(alphabet, d), n: n}
-	for s := 0; s < alphabet; s++ {
-		copy(e.symbols.Row(s), hv.RandomBipolar(d, r))
+	for i := range e.symbols.Data {
+		e.symbols.Data[i] = r.Bipolar()
 	}
 	return e
 }

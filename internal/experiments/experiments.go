@@ -7,8 +7,8 @@
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data); the reproduction target is the qualitative shape: who wins, by
-// roughly what factor, and where crossovers fall. EXPERIMENTS.md records
-// paper-vs-measured for every artifact.
+// roughly what factor, and where crossovers fall. Every table regenerates
+// at full scale with `go run ./cmd/hdbench -exp all -scale 0.35`.
 package experiments
 
 import (
@@ -31,11 +31,6 @@ type Options struct {
 	// Quick shrinks sweeps (fewer dims, fewer iterations) so the
 	// experiment finishes in seconds; used by tests and testing.B benches.
 	Quick bool
-}
-
-// DefaultOptions returns the configuration used for EXPERIMENTS.md.
-func DefaultOptions() Options {
-	return Options{Scale: 0.35, Seed: 42}
 }
 
 // QuickOptions returns a CI-sized configuration.

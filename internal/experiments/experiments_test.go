@@ -7,7 +7,7 @@ import (
 )
 
 // Every experiment test runs at Quick scale so the suite stays fast; the
-// full-scale runs back EXPERIMENTS.md via cmd/hdbench.
+// full-scale tables come from `go run ./cmd/hdbench -exp all -scale 0.35`.
 
 func TestOptionsValidate(t *testing.T) {
 	o := Options{Scale: 0}

@@ -11,7 +11,7 @@ import (
 // over several independent seeds (fresh data draws AND fresh model
 // initializations). The paper reports single numbers; this quantifies how
 // much of each gap is real versus seed noise — the question that dominated
-// this reproduction (see EXPERIMENTS.md note 4).
+// this reproduction.
 type Fig4StatsResult struct {
 	Seeds    []uint64
 	Learners []string

@@ -14,12 +14,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Fig8Cell is one entry of the robustness table: average quality loss of a
-// deployed model at a given bit-flip error rate.
-type Fig8Cell struct {
-	QualityLoss float64
-}
-
 // Fig8Result reproduces the Fig. 8 table: quality loss of the 8-bit DNN
 // and of DistHD at D ∈ {0.5k, 1k, 2k, 4k} × precision ∈ {1, 2, 4, 8} bits
 // under memory bit-flip rates of {1, 2, 5, 10, 15}%.

@@ -6,15 +6,16 @@ import (
 )
 
 // TestFullScaleShapes asserts the paper's qualitative orderings at the
-// EXPERIMENTS.md scale. It takes several minutes on one core, so it only
-// runs when HD_FULL=1 is set:
+// scale of `go run ./cmd/hdbench -exp all -scale 0.35` (seed 42). It
+// takes several minutes on one core, so it only runs when HD_FULL=1 is
+// set:
 //
 //	HD_FULL=1 go test ./internal/experiments -run TestFullScaleShapes -timeout 60m
 func TestFullScaleShapes(t *testing.T) {
 	if os.Getenv("HD_FULL") != "1" {
 		t.Skip("set HD_FULL=1 to run the full-scale shape assertions")
 	}
-	o := DefaultOptions()
+	o := Options{Scale: 0.35, Seed: 42}
 	res, err := RunComparison(o)
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +36,7 @@ func TestFullScaleShapes(t *testing.T) {
 	if dist < baseHigh-0.02 {
 		t.Errorf("DistHD at 0.5k (%.4f) fell short of baselineHD at 4k (%.4f)", dist, baseHigh)
 	}
-	// DistHD and NeuralHD should be comparable (paper: +1.88% for DistHD;
-	// our reproduction measures them within ~2% — see EXPERIMENTS.md).
+	// DistHD and NeuralHD should be comparable (paper: +1.88% for DistHD).
 	if dist < neural-0.04 {
 		t.Errorf("DistHD (%.4f) fell more than 4%% below NeuralHD (%.4f)", dist, neural)
 	}

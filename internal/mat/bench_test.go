@@ -29,33 +29,6 @@ func BenchmarkDot(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkMulT measures C = A·Bᵀ at the similarity-search shape: a batch
-// of encoded samples against a small set of class hypervectors, with the
-// hypervector dimensionality D as the inner dimension.
-func BenchmarkMulT(b *testing.B) {
-	for _, d := range []int{256, 2048} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			a := benchDense(128, d, 1)
-			bm := benchDense(32, d, 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MulT(a, bm)
-			}
-		})
-	}
-}
-
-// BenchmarkColSums measures the column reduction used on the Fit path.
-func BenchmarkColSums(b *testing.B) {
-	m := benchDense(512, 2048, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ColSums()
-	}
-}
-
 // BenchmarkArgTopK measures top-k selection at the Algorithm 2 shape:
 // k = 10% of D dimensions nominated for regeneration.
 func BenchmarkArgTopK(b *testing.B) {

@@ -157,16 +157,6 @@ func laneSum32(l *[64]float32, o int) float32 {
 	return (x[0] + x[2]) + (x[1] + x[3])
 }
 
-// laneDot32 is the canonical single-element f32 kernel: the inner
-// product of one panel accumulated in 16 strided fma32 lanes. Every
-// micro-kernel output element — assembly or pure Go, tiled or remainder
-// — equals laneDot32 over its panels.
-func laneDot32(a, b []float32) float32 {
-	var lanes [64]float32
-	laneFMA32(a, b[:len(a)], 0, len(a), 0, &lanes)
-	return laneSum32(&lanes, 0)
-}
-
 // dotBatch4F32Go is the pure-Go 1×4 micro-kernel: four lane dots of a
 // against b0..b3 in one pass over a.
 func dotBatch4F32Go(a, b0, b1, b2, b3 []float32, out *[4]float32) {
@@ -237,31 +227,6 @@ func dot2x8F32(dst, a *Dense32, i0, i1, k0, k1 int, b *[kernelNR32][]float32, j,
 			}
 		}
 	}
-}
-
-// PanelDot32 returns the inner product of a and b accumulated in the
-// same panel-wise lane order as the MulTInto32Fused micro-kernels:
-// kernelKC-column panels summed left to right (in float32), 16 strided
-// fma32 lanes within each panel. Use it to recompute any single element
-// of the blocked f32 product bitwise-identically to the batch kernels.
-func PanelDot32(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("mat: PanelDot32 length mismatch")
-	}
-	var s float32
-	for k0 := 0; k0 < len(a); k0 += kernelKC {
-		k1 := k0 + kernelKC
-		if k1 > len(a) {
-			k1 = len(a)
-		}
-		p := laneDot32(a[k0:k1], b[k0:k1])
-		if k0 == 0 {
-			s = p
-		} else {
-			s += p
-		}
-	}
-	return s
 }
 
 // MulTInto32Fused computes C = A · Bᵀ in float32 into dst (A n×q, B d×q,

@@ -8,6 +8,41 @@ import (
 	"testing"
 )
 
+// laneDot32 is the canonical single-element f32 kernel: the inner
+// product of one panel accumulated in 16 strided fma32 lanes. Every
+// micro-kernel output element — assembly or pure Go, tiled or remainder
+// — equals laneDot32 over its panels.
+func laneDot32(a, b []float32) float32 {
+	var lanes [64]float32
+	laneFMA32(a, b[:len(a)], 0, len(a), 0, &lanes)
+	return laneSum32(&lanes, 0)
+}
+
+// PanelDot32 returns the inner product of a and b accumulated in the
+// same panel-wise lane order as the MulTInto32Fused micro-kernels:
+// kernelKC-column panels summed left to right (in float32), 16 strided
+// fma32 lanes within each panel. Use it to recompute any single element
+// of the blocked f32 product bitwise-identically to the batch kernels.
+func PanelDot32(a, b []float32) float32 {
+	if len(a) != len(b) {
+		panic("mat: PanelDot32 length mismatch")
+	}
+	var s float32
+	for k0 := 0; k0 < len(a); k0 += kernelKC {
+		k1 := k0 + kernelKC
+		if k1 > len(a) {
+			k1 = len(a)
+		}
+		p := laneDot32(a[k0:k1], b[k0:k1])
+		if k0 == 0 {
+			s = p
+		} else {
+			s += p
+		}
+	}
+	return s
+}
+
 // fillPseudo32 deterministically fills a slice with sign-mixed values.
 func fillPseudo32(xs []float32, seed float64) {
 	v := seed

@@ -7,9 +7,8 @@ import (
 	"unsafe"
 )
 
-// This file holds the cache-blocked, register-tiled matrix kernels. The
-// destination-passing variants (MulTInto, MulInto) are the primitives; MulT
-// and Mul are thin allocating wrappers kept for convenience.
+// This file holds the cache-blocked, register-tiled matrix kernels behind
+// MulTInto, which writes into a caller-owned destination.
 //
 // Blocking parameters are sized for a ~48 KiB L1d / ~2 MiB L2 cache:
 //
@@ -525,54 +524,4 @@ func mulTBlock(dst, a, b *Dense, i0, i1 int, pack []float64) {
 			putCols(dst.Row(i)[j:], t[0:4], first)
 		}
 	}
-}
-
-// MulT computes C = A · Bᵀ into a freshly allocated matrix. See MulTInto.
-func MulT(a, b *Dense) *Dense {
-	return MulTInto(New(a.Rows, b.Rows), a, b)
-}
-
-// MulInto computes the ordinary product C = A · B into dst, with A n×k and
-// B k×m and dst n×m. dst must not alias A or B. The ikj loop order streams
-// rows of B and C; rows of the output are sharded across the worker pool.
-// It returns dst.
-func MulInto(dst, a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulInto inner dimension mismatch %d vs %d", a.Cols, b.Rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulInto dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	if Serial() {
-		mulRows(dst, a, b, 0, a.Rows)
-		return dst
-	}
-	ParallelFor(a.Rows, func(lo, hi int) {
-		mulRows(dst, a, b, lo, hi)
-	})
-	return dst
-}
-
-// mulRows computes output rows [lo, hi) of the ordinary product in ikj
-// order.
-func mulRows(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		ci := dst.Row(i)
-		for j := range ci {
-			ci[j] = 0
-		}
-		for k := 0; k < a.Cols; k++ {
-			aik := ai[k]
-			if aik == 0 {
-				continue
-			}
-			Axpy(ci, aik, b.Row(k))
-		}
-	}
-}
-
-// Mul computes C = A · B into a freshly allocated matrix. See MulInto.
-func Mul(a, b *Dense) *Dense {
-	return MulInto(New(a.Rows, b.Cols), a, b)
 }

@@ -14,12 +14,10 @@
 //     computing four output columns per pass over its rows.
 //   - ActivateRBF is the RBF encoder's cos·sin epilogue, eight lanes at a
 //     time on AVX-512, bit-identical to math.Sincos.
-//   - MulInto(dst, A, B) is the ordinary product in ikj order.
 //   - ParallelFor shards loops over a persistent goroutine worker pool
 //     (see pool.go); GetScratch provides pooled temporaries.
 //
-// MulT and Mul are thin allocating wrappers over the Into variants. The
-// package deliberately stays small and allocation-conscious rather than
+// The package deliberately stays small and allocation-conscious rather than
 // general: matrices are plain row-major slices, rows are exposed as
 // zero-copy views, and hot-path dimension mismatches panic (they are
 // programmer errors, not runtime conditions).
@@ -97,14 +95,6 @@ func (m *Dense) Fill(v float64) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
-}
-
-// CopyFrom copies src into m; shapes must match.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic("mat: CopyFrom shape mismatch")
-	}
-	copy(m.Data, src.Data)
 }
 
 // Dot returns the inner product of equal-length vectors a and b.
@@ -211,11 +201,6 @@ func AbsDiff(dst, a, b []float64) {
 	}
 }
 
-// ColSums returns the 1×Cols vector of column sums of m.
-func (m *Dense) ColSums() []float64 {
-	return m.ColSumsInto(make([]float64, m.Cols))
-}
-
 // ReduceChunk is the fixed shard height of ChunkedColReduce. A
 // machine-independent chunk (rather than n/GOMAXPROCS) fixes the
 // partial-sum boundaries and merge order, so chunked reductions are
@@ -277,51 +262,11 @@ func ChunkedColReduce(n, width int, out []float64, accumulate func(chunk int, p 
 	return out
 }
 
-// ColSumsInto writes the column sums of m into out (len m.Cols) and
-// returns it, as a chunked parallel reduction (see ChunkedColReduce).
-func (m *Dense) ColSumsInto(out []float64) []float64 {
-	return ChunkedColReduce(m.Rows, m.Cols, out, func(c int, p []float64) {
-		lo, hi := ChunkSpan(c, m.Rows)
-		for i := lo; i < hi; i++ {
-			for j, v := range m.Row(i) {
-				p[j] += v
-			}
-		}
-	})
-}
-
 // RowNormalizeL2 scales each row of m to unit Euclidean norm in place.
 // Zero rows are left untouched.
 func (m *Dense) RowNormalizeL2() {
 	for i := 0; i < m.Rows; i++ {
 		Normalize(m.Row(i))
-	}
-}
-
-// MinMaxNormalize rescales x in place to [0, 1]. A constant vector becomes
-// all zeros.
-func MinMaxNormalize(x []float64) {
-	if len(x) == 0 {
-		return
-	}
-	lo, hi := x[0], x[0]
-	for _, v := range x {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	span := hi - lo
-	if span == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return
-	}
-	for i := range x {
-		x[i] = (x[i] - lo) / span
 	}
 }
 

@@ -178,17 +178,6 @@ func TestAbsDiff(t *testing.T) {
 	}
 }
 
-func TestColSums(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := m.ColSums()
-	want := []float64{5, 7, 9}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ColSums = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRowNormalizeL2(t *testing.T) {
 	m := FromRows([][]float64{{3, 4}, {0, 0}, {5, 12}})
 	m.RowNormalizeL2()
@@ -203,49 +192,13 @@ func TestRowNormalizeL2(t *testing.T) {
 func TestMulTSmall(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})         // 2x2
 	b := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}}) // 3x2
-	c := MulT(a, b)                                    // 2x3
+	c := MulTInto(New(2, 3), a, b)                     // 2x3
 	want := [][]float64{{1, 2, 3}, {3, 4, 7}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			if c.At(i, j) != want[i][j] {
-				t.Fatalf("MulT(%d,%d) = %v, want %v", i, j, c.At(i, j), want[i][j])
+				t.Fatalf("MulTInto(%d,%d) = %v, want %v", i, j, c.At(i, j), want[i][j])
 			}
-		}
-	}
-}
-
-func TestMulSmall(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("Mul(%d,%d) = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulMatchesMulT(t *testing.T) {
-	r := rng.New(1)
-	a := New(13, 7)
-	b := New(7, 9)
-	r.FillNorm(a.Data, 0, 1)
-	r.FillNorm(b.Data, 0, 1)
-	// Build bT (9x7) so MulT(a, bT) == Mul(a, b).
-	bT := New(b.Cols, b.Rows)
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			bT.Set(j, i, b.At(i, j))
-		}
-	}
-	c1 := Mul(a, b)
-	c2 := MulT(a, bT)
-	for i := range c1.Data {
-		if !almostEq(c1.Data[i], c2.Data[i], 1e-9) {
-			t.Fatalf("Mul and MulT disagree at %d: %v vs %v", i, c1.Data[i], c2.Data[i])
 		}
 	}
 }
@@ -253,10 +206,10 @@ func TestMulMatchesMulT(t *testing.T) {
 func TestMulTDimMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MulT mismatch did not panic")
+			t.Fatal("MulTInto mismatch did not panic")
 		}
 	}()
-	MulT(New(2, 3), New(2, 4))
+	MulTInto(New(2, 2), New(2, 3), New(2, 4))
 }
 
 func TestParallelForCoversRange(t *testing.T) {
@@ -316,22 +269,6 @@ func TestArgTopK(t *testing.T) {
 	}
 	if got := ArgTopK(x, 0); got != nil {
 		t.Fatal("ArgTopK(x,0) should be nil")
-	}
-}
-
-func TestMinMaxNormalize(t *testing.T) {
-	x := []float64{2, 4, 6}
-	MinMaxNormalize(x)
-	want := []float64{0, 0.5, 1}
-	for i := range x {
-		if !almostEq(x[i], want[i], 1e-12) {
-			t.Fatalf("MinMaxNormalize = %v, want %v", x, want)
-		}
-	}
-	c := []float64{3, 3}
-	MinMaxNormalize(c)
-	if c[0] != 0 || c[1] != 0 {
-		t.Fatal("constant vector should normalize to zeros")
 	}
 }
 
@@ -415,19 +352,7 @@ func BenchmarkDot1024(b *testing.B) {
 	}
 }
 
-func BenchmarkMulT128x64x512(b *testing.B) {
-	r := rng.New(2)
-	a := New(128, 64)
-	bb := New(512, 64)
-	r.FillNorm(a.Data, 0, 1)
-	r.FillNorm(bb.Data, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MulT(a, bb)
-	}
-}
-
-func TestFillAndCopyFrom(t *testing.T) {
+func TestFill(t *testing.T) {
 	m := New(2, 3)
 	m.Fill(7)
 	for _, v := range m.Data {
@@ -435,20 +360,6 @@ func TestFillAndCopyFrom(t *testing.T) {
 			t.Fatal("Fill missed an element")
 		}
 	}
-	dst := New(2, 3)
-	dst.CopyFrom(m)
-	for _, v := range dst.Data {
-		if v != 7 {
-			t.Fatal("CopyFrom missed an element")
-		}
-	}
-	// shape mismatch panics
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom shape mismatch did not panic")
-		}
-	}()
-	dst.CopyFrom(New(3, 2))
 }
 
 func TestNewNegativePanics(t *testing.T) {
@@ -483,15 +394,6 @@ func TestAbsDiffMismatchPanics(t *testing.T) {
 		}
 	}()
 	AbsDiff(make([]float64, 2), []float64{1}, []float64{1, 2})
-}
-
-func TestMulMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Mul mismatch did not panic")
-		}
-	}()
-	Mul(New(2, 3), New(4, 2))
 }
 
 func TestArgMaxEmptyPanics(t *testing.T) {
@@ -534,8 +436,4 @@ func TestParallelForMultiWorker(t *testing.T) {
 			t.Fatalf("index %d not covered", i)
 		}
 	}
-}
-
-func TestMinMaxNormalizeEmpty(t *testing.T) {
-	MinMaxNormalize(nil) // must not panic
 }

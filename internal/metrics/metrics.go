@@ -1,6 +1,6 @@
 // Package metrics implements the evaluation metrics used by the DistHD
-// paper: classification accuracy, confusion matrices, per-class
-// sensitivity/specificity (§III-C), and ROC curves with AUC (Fig. 6).
+// paper: classification accuracy, ROC curves with AUC (Fig. 6), and the
+// quality loss of a faulty model (Fig. 8).
 package metrics
 
 import (
@@ -23,55 +23,6 @@ func Accuracy(pred, y []int) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(y)), nil
-}
-
-// Confusion returns the k×k confusion matrix: entry [t][p] counts samples
-// with true label t predicted as p.
-func Confusion(pred, y []int, k int) ([][]int, error) {
-	if len(pred) != len(y) {
-		return nil, fmt.Errorf("metrics: %d predictions but %d labels", len(pred), len(y))
-	}
-	conf := make([][]int, k)
-	for i := range conf {
-		conf[i] = make([]int, k)
-	}
-	for i := range y {
-		if y[i] < 0 || y[i] >= k || pred[i] < 0 || pred[i] >= k {
-			return nil, fmt.Errorf("metrics: label/prediction out of range at %d", i)
-		}
-		conf[y[i]][pred[i]]++
-	}
-	return conf, nil
-}
-
-// SensitivitySpecificity returns the one-vs-rest sensitivity (recall, TPR)
-// and specificity (TNR) of class c from a confusion matrix, as defined in
-// §III-C of the paper. Degenerate denominators yield 0.
-func SensitivitySpecificity(conf [][]int, c int) (sensitivity, specificity float64) {
-	k := len(conf)
-	var tp, fn, fp, tn float64
-	for t := 0; t < k; t++ {
-		for p := 0; p < k; p++ {
-			n := float64(conf[t][p])
-			switch {
-			case t == c && p == c:
-				tp += n
-			case t == c:
-				fn += n
-			case p == c:
-				fp += n
-			default:
-				tn += n
-			}
-		}
-	}
-	if tp+fn > 0 {
-		sensitivity = tp / (tp + fn)
-	}
-	if tn+fp > 0 {
-		specificity = tn / (tn + fp)
-	}
-	return sensitivity, specificity
 }
 
 // ROCPoint is one operating point of a ROC curve.
@@ -135,47 +86,6 @@ func ROC(scores []float64, positive []bool) ([]ROCPoint, float64, error) {
 	return curve, auc, nil
 }
 
-// MacroAUC computes the unweighted mean one-vs-rest AUC over all classes,
-// given a score matrix scores[i][c] and integer labels. Classes absent
-// from y are skipped.
-func MacroAUC(scores [][]float64, y []int, k int) (float64, error) {
-	if len(scores) != len(y) {
-		return 0, fmt.Errorf("metrics: %d score rows but %d labels", len(scores), len(y))
-	}
-	for i, row := range scores {
-		if len(row) < k {
-			return 0, fmt.Errorf("metrics: score row %d has %d columns, need %d", i, len(row), k)
-		}
-	}
-	var sum float64
-	var used int
-	col := make([]float64, len(y))
-	pos := make([]bool, len(y))
-	for c := 0; c < k; c++ {
-		nPos := 0
-		for i := range y {
-			col[i] = scores[i][c]
-			pos[i] = y[i] == c
-			if pos[i] {
-				nPos++
-			}
-		}
-		if nPos == 0 || nPos == len(y) {
-			continue
-		}
-		_, auc, err := ROC(col, pos)
-		if err != nil {
-			return 0, err
-		}
-		sum += auc
-		used++
-	}
-	if used == 0 {
-		return 0, fmt.Errorf("metrics: no class had both positives and negatives")
-	}
-	return sum / float64(used), nil
-}
-
 // QualityLoss returns the accuracy degradation (in absolute fraction) of a
 // faulty model relative to a clean one, clamped at 0 — the metric reported
 // in Fig. 8.
@@ -185,53 +95,4 @@ func QualityLoss(cleanAcc, faultyAcc float64) float64 {
 		return 0
 	}
 	return loss
-}
-
-// F1 returns the one-vs-rest F1 score of class c from a confusion matrix:
-// the harmonic mean of precision and recall. Degenerate cases (no
-// predicted or no actual positives) yield 0.
-func F1(conf [][]int, c int) float64 {
-	k := len(conf)
-	var tp, fn, fp float64
-	for t := 0; t < k; t++ {
-		for p := 0; p < k; p++ {
-			n := float64(conf[t][p])
-			switch {
-			case t == c && p == c:
-				tp += n
-			case t == c:
-				fn += n
-			case p == c:
-				fp += n
-			}
-		}
-	}
-	if tp == 0 {
-		return 0
-	}
-	precision := tp / (tp + fp)
-	recall := tp / (tp + fn)
-	return 2 * precision * recall / (precision + recall)
-}
-
-// MacroF1 returns the unweighted mean F1 over all classes that appear in
-// the true labels.
-func MacroF1(conf [][]int) float64 {
-	var sum float64
-	var used int
-	for c := range conf {
-		actual := 0
-		for p := range conf[c] {
-			actual += conf[c][p]
-		}
-		if actual == 0 {
-			continue
-		}
-		sum += F1(conf, c)
-		used++
-	}
-	if used == 0 {
-		return 0
-	}
-	return sum / float64(used)
 }

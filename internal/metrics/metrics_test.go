@@ -24,40 +24,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestConfusion(t *testing.T) {
-	conf, err := Confusion([]int{0, 1, 1, 2}, []int{0, 1, 2, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conf[0][0] != 1 || conf[1][1] != 1 || conf[2][1] != 1 || conf[2][2] != 1 {
-		t.Fatalf("confusion = %v", conf)
-	}
-	if _, err := Confusion([]int{5}, []int{0}, 3); err == nil {
-		t.Fatal("out-of-range prediction accepted")
-	}
-}
-
-func TestSensitivitySpecificity(t *testing.T) {
-	// class 0: TP=8, FN=2, FP=1, TN=9
-	conf := [][]int{
-		{8, 2},
-		{1, 9},
-	}
-	sens, spec := SensitivitySpecificity(conf, 0)
-	if math.Abs(sens-0.8) > 1e-12 {
-		t.Fatalf("sensitivity = %v, want 0.8", sens)
-	}
-	if math.Abs(spec-0.9) > 1e-12 {
-		t.Fatalf("specificity = %v, want 0.9", spec)
-	}
-	// degenerate: class with no samples
-	conf2 := [][]int{{0, 0}, {0, 5}}
-	s, _ := SensitivitySpecificity(conf2, 0)
-	if s != 0 {
-		t.Fatalf("empty-class sensitivity = %v, want 0", s)
-	}
-}
-
 func TestROCPerfectClassifier(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.2, 0.1}
 	pos := []bool{true, true, false, false}
@@ -127,36 +93,6 @@ func TestROCValidation(t *testing.T) {
 	}
 	if _, _, err := ROC([]float64{1, 2}, []bool{true, true}); err == nil {
 		t.Fatal("single-class input accepted")
-	}
-}
-
-func TestMacroAUC(t *testing.T) {
-	// 3 samples, 2 classes, perfectly separable
-	scores := [][]float64{
-		{0.9, 0.1},
-		{0.8, 0.2},
-		{0.1, 0.9},
-	}
-	y := []int{0, 0, 1}
-	auc, err := MacroAUC(scores, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(auc-1) > 1e-12 {
-		t.Fatalf("macro AUC = %v, want 1", auc)
-	}
-	// class absent from labels is skipped, not an error
-	wide := [][]float64{
-		{0.9, 0.1, 0},
-		{0.8, 0.2, 0},
-		{0.1, 0.9, 0},
-	}
-	if _, err := MacroAUC(wide, y, 3); err != nil {
-		t.Fatal(err)
-	}
-	// score rows narrower than k must be rejected, not panic
-	if _, err := MacroAUC(scores, y, 3); err == nil {
-		t.Fatal("narrow score rows accepted")
 	}
 }
 
@@ -245,48 +181,5 @@ func TestAUCEqualsMannWhitney(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestF1(t *testing.T) {
-	// class 0: tp=8, fn=2, fp=4 -> precision 8/12, recall 8/10, F1 = 2*.667*.8/1.467
-	conf := [][]int{
-		{8, 2},
-		{4, 6},
-	}
-	got := F1(conf, 0)
-	precision := 8.0 / 12
-	recall := 8.0 / 10
-	want := 2 * precision * recall / (precision + recall)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("F1 = %v, want %v", got, want)
-	}
-	// degenerate: class never predicted and never actual
-	empty := [][]int{{0, 0}, {0, 5}}
-	if F1(empty, 0) != 0 {
-		t.Fatal("degenerate F1 should be 0")
-	}
-}
-
-func TestMacroF1(t *testing.T) {
-	// perfect classifier: macro F1 = 1
-	conf := [][]int{
-		{5, 0},
-		{0, 7},
-	}
-	if got := MacroF1(conf); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect MacroF1 = %v", got)
-	}
-	// class 2 absent from labels is skipped
-	conf3 := [][]int{
-		{5, 0, 0},
-		{0, 7, 0},
-		{0, 0, 0},
-	}
-	if got := MacroF1(conf3); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("MacroF1 with absent class = %v", got)
-	}
-	if MacroF1([][]int{{0}}) != 0 {
-		t.Fatal("all-absent MacroF1 should be 0")
 	}
 }

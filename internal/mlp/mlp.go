@@ -283,16 +283,6 @@ func (n *Network) Predict(x []float64) int {
 	return mat.ArgMax(acts[len(acts)-1])
 }
 
-// Probs returns softmax class probabilities for x.
-func (n *Network) Probs(x []float64) []float64 {
-	acts := n.newActs()
-	n.forward(x, acts)
-	out := make([]float64, n.Out())
-	copy(out, acts[len(acts)-1])
-	softmaxInPlace(out)
-	return out
-}
-
 // PredictBatch classifies every row of X in parallel.
 func (n *Network) PredictBatch(X *mat.Dense) []int {
 	out := make([]int, X.Rows)

@@ -153,30 +153,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestProbsValid(t *testing.T) {
-	train, _ := toyData(t, 3)
-	cfg := DefaultConfig()
-	cfg.Epochs = 2
-	n, err := New(train.Features(), train.Classes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Fit(train.X, train.Y); err != nil {
-		t.Fatal(err)
-	}
-	p := n.Probs(train.X.Row(0))
-	var sum float64
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Fatalf("invalid probability %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probs sum to %v", sum)
-	}
-}
-
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	train, test := toyData(t, 4)
 	cfg := DefaultConfig()

@@ -23,21 +23,6 @@ func benchModel(n, k, d int) (*Model, *mat.Dense, []int) {
 	return m, H, y
 }
 
-// BenchmarkSimilarityScore measures the batched cosine-similarity scoring
-// that dominates both training (bucketing) and batched inference.
-func BenchmarkSimilarityScore(b *testing.B) {
-	for _, d := range []int{256, 2048} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			m, H, _ := benchModel(128, 26, d)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ScoreBatch(H)
-			}
-		})
-	}
-}
-
 // BenchmarkPredictBatch measures batched classification throughput.
 func BenchmarkPredictBatch(b *testing.B) {
 	m, H, _ := benchModel(128, 26, 2048)

@@ -112,11 +112,6 @@ func (m *Model) PredictBatchInto(H, scores *mat.Dense, out []int) []int {
 	return out
 }
 
-// ScoreBatch returns the full N×k similarity matrix for H.
-func (m *Model) ScoreBatch(H *mat.Dense) *mat.Dense {
-	return m.ScoreBatchInto(H, mat.New(H.Rows, m.Classes()))
-}
-
 // ScoreBatchInto writes the N×k cosine-similarity matrix of H into dst and
 // returns it: one blocked GEMM H·Wᵀ whose epilogue (mat.MulTIntoFused)
 // scales each row by the norms as soon as the row is complete, instead
@@ -128,10 +123,10 @@ func (m *Model) ScoreBatch(H *mat.Dense) *mat.Dense {
 // bitwise: Scores uses the 4-way-unrolled mat.Dot (the AdaptiveStep hot
 // path cannot afford the blocked kernel's sequential lanes), while the
 // batch path accumulates in the kernel's panel order. Unlike the encoding
-// layer — where EncodeDims patches columns of a batch-encoded matrix and
-// bitwise parity is therefore load-bearing — scored values from the two
-// paths are never mixed in one structure, so sub-ulp disagreement on exact
-// score ties is acceptable here.
+// layer — where EncodeDimsBatch patches columns of a batch-encoded matrix
+// and bitwise parity is therefore load-bearing — scored values from the
+// two paths are never mixed in one structure, so sub-ulp disagreement on
+// exact score ties is acceptable here.
 func (m *Model) ScoreBatchInto(H, dst *mat.Dense) *mat.Dense {
 	return m.scoreBatch(H, dst, nil)
 }
@@ -254,12 +249,6 @@ type TrainConfig struct {
 	Patience int
 	// Seed drives the per-epoch shuffle.
 	Seed uint64
-}
-
-// DefaultTrainConfig returns the hyperparameters used throughout the
-// experiments (η = 0.05, 20 epochs, no early stop).
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{LearningRate: 0.05, Epochs: 20, Seed: 1}
 }
 
 // TrainResult reports per-epoch training accuracy.

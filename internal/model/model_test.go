@@ -12,6 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
+// trainCfg is the experiments' Algorithm 1 setting (η = 0.05, 20 epochs,
+// no early stop).
+var trainCfg = TrainConfig{LearningRate: 0.05, Epochs: 20, Seed: 1}
+
 // encodedToy returns a small, learnable encoded dataset: 3 well-separated
 // Gaussian classes pushed through an RBF encoder.
 func encodedToy(t *testing.T, d int, seed uint64) (tr, te *mat.Dense, trY, teY []int, k int) {
@@ -158,7 +162,7 @@ func TestAdaptiveUpdateScalesWithNovelty(t *testing.T) {
 func TestFitLearnsToy(t *testing.T) {
 	tr, te, trY, teY, k := encodedToy(t, 512, 1)
 	m := New(k, 512)
-	cfg := DefaultTrainConfig()
+	cfg := trainCfg
 	res, err := Fit(m, tr, trY, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,18 +191,18 @@ func TestFitValidation(t *testing.T) {
 	m := New(2, 8)
 	H := mat.New(4, 8)
 	y := []int{0, 1, 0, 1}
-	if _, err := Fit(m, H, y[:3], DefaultTrainConfig()); err == nil {
+	if _, err := Fit(m, H, y[:3], trainCfg); err == nil {
 		t.Fatal("label count mismatch accepted")
 	}
-	if _, err := Fit(m, mat.New(4, 7), y, DefaultTrainConfig()); err == nil {
+	if _, err := Fit(m, mat.New(4, 7), y, trainCfg); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
-	bad := DefaultTrainConfig()
+	bad := trainCfg
 	bad.LearningRate = 0
 	if _, err := Fit(m, H, y, bad); err == nil {
 		t.Fatal("zero learning rate accepted")
 	}
-	bad2 := DefaultTrainConfig()
+	bad2 := trainCfg
 	bad2.Epochs = 0
 	if _, err := Fit(m, H, y, bad2); err == nil {
 		t.Fatal("zero epochs accepted")
@@ -209,7 +213,7 @@ func TestFitDeterministic(t *testing.T) {
 	tr, _, trY, _, k := encodedToy(t, 128, 2)
 	m1 := New(k, 128)
 	m2 := New(k, 128)
-	cfg := DefaultTrainConfig()
+	cfg := trainCfg
 	cfg.Epochs = 3
 	if _, err := Fit(m1, tr, trY, cfg); err != nil {
 		t.Fatal(err)
@@ -243,7 +247,7 @@ func TestEarlyStopping(t *testing.T) {
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	tr, _, trY, _, k := encodedToy(t, 128, 4)
 	m := New(k, 128)
-	if _, err := Fit(m, tr, trY, DefaultTrainConfig()); err != nil {
+	if _, err := Fit(m, tr, trY, trainCfg); err != nil {
 		t.Fatal(err)
 	}
 	batch := m.PredictBatch(tr)
@@ -271,10 +275,10 @@ func TestScoreBatchBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	for _, n := range []int{1, 3, 4, 5, 9, 13, 67, 600} {
 		Hn := mat.View(n, dim, H.Data[:n*dim])
 		runtime.GOMAXPROCS(1)
-		want, wantOut := m.ScoreBatch(Hn), m.PredictBatch(Hn)
+		want, wantOut := m.ScoreBatchInto(Hn, mat.New(n, k)), m.PredictBatch(Hn)
 		for _, procs := range []int{2, 4} {
 			runtime.GOMAXPROCS(procs)
-			got, gotOut := m.ScoreBatch(Hn), m.PredictBatch(Hn)
+			got, gotOut := m.ScoreBatchInto(Hn, mat.New(n, k)), m.PredictBatch(Hn)
 			for i, v := range got.Data {
 				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("%d rows at GOMAXPROCS %d: score %d = %v, want %v", n, procs, i, v, want.Data[i])
@@ -292,7 +296,7 @@ func TestScoreBatchBitwiseAcrossGOMAXPROCS(t *testing.T) {
 func TestTopKAccuracyMonotone(t *testing.T) {
 	tr, te, trY, teY, k := encodedToy(t, 256, 5)
 	m := New(k, 256)
-	if _, err := Fit(m, tr, trY, DefaultTrainConfig()); err != nil {
+	if _, err := Fit(m, tr, trY, trainCfg); err != nil {
 		t.Fatal(err)
 	}
 	a1 := TopKAccuracy(m, te, teY, 1)
@@ -429,7 +433,7 @@ func BenchmarkAdaptiveEpoch512(b *testing.B) {
 func TestFitOnlineLearnsToy(t *testing.T) {
 	tr, te, trY, teY, k := encodedToy(t, 256, 21)
 	m := New(k, 256)
-	cfg := DefaultTrainConfig()
+	cfg := trainCfg
 	cfg.Epochs = 10
 	res, err := FitOnline(m, tr, trY, cfg)
 	if err != nil {
@@ -446,7 +450,7 @@ func TestFitOnlineLearnsToy(t *testing.T) {
 func TestFitOnlineSinglePassBeatsNothing(t *testing.T) {
 	tr, te, trY, teY, k := encodedToy(t, 256, 22)
 	m := New(k, 256)
-	cfg := DefaultTrainConfig()
+	cfg := trainCfg
 	cfg.Epochs = 1 // single pass only
 	if _, err := FitOnline(m, tr, trY, cfg); err != nil {
 		t.Fatal(err)
@@ -458,13 +462,13 @@ func TestFitOnlineSinglePassBeatsNothing(t *testing.T) {
 
 func TestFitOnlineValidation(t *testing.T) {
 	m := New(2, 8)
-	if _, err := FitOnline(m, mat.New(3, 8), []int{0, 1}, DefaultTrainConfig()); err == nil {
+	if _, err := FitOnline(m, mat.New(3, 8), []int{0, 1}, trainCfg); err == nil {
 		t.Fatal("label mismatch accepted")
 	}
-	if _, err := FitOnline(m, mat.New(2, 7), []int{0, 1}, DefaultTrainConfig()); err == nil {
+	if _, err := FitOnline(m, mat.New(2, 7), []int{0, 1}, trainCfg); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
-	bad := DefaultTrainConfig()
+	bad := trainCfg
 	bad.LearningRate = 0
 	if _, err := FitOnline(m, mat.New(2, 8), []int{0, 1}, bad); err == nil {
 		t.Fatal("zero lr accepted")

@@ -165,14 +165,3 @@ func (img *Image) FlipBits(rate float64, r *rng.Rand) error {
 	}
 	return nil
 }
-
-// QuantizeRoundTrip packs and immediately unpacks values, returning the
-// quantized approximation — the "deployed" view of a model at a given
-// precision with no faults.
-func QuantizeRoundTrip(values []float64, bits int) ([]float64, error) {
-	img, err := Pack(values, bits)
-	if err != nil {
-		return nil, err
-	}
-	return img.Unpack(), nil
-}

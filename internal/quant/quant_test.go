@@ -32,10 +32,11 @@ func TestPackRejectsBad(t *testing.T) {
 
 func TestRoundTrip8Bit(t *testing.T) {
 	vals := []float64{-1, -0.5, 0, 0.25, 0.9999, 1}
-	got, err := QuantizeRoundTrip(vals, 8)
+	img, err := Pack(vals, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := img.Unpack()
 	for i, v := range vals {
 		if math.Abs(got[i]-v) > 1.0/127+1e-9 {
 			t.Fatalf("8-bit round trip: %v -> %v", v, got[i])
@@ -45,10 +46,11 @@ func TestRoundTrip8Bit(t *testing.T) {
 
 func TestRoundTrip1BitIsSign(t *testing.T) {
 	vals := []float64{-3, -0.1, 0, 0.1, 3}
-	got, err := QuantizeRoundTrip(vals, 1)
+	img, err := Pack(vals, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := img.Unpack()
 	// scale = 3, so outputs are ±3 with sign matching (0 counts positive)
 	want := []float64{-3, -3, 3, 3, 3}
 	for i := range want {
@@ -64,10 +66,11 @@ func TestHigherPrecisionLowerError(t *testing.T) {
 	r.FillNorm(vals, 0, 1)
 	var prev float64 = math.Inf(1)
 	for _, bits := range []int{1, 2, 4, 8} {
-		got, err := QuantizeRoundTrip(vals, bits)
+		img, err := Pack(vals, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := img.Unpack()
 		var mse float64
 		for i := range vals {
 			d := got[i] - vals[i]
@@ -82,10 +85,11 @@ func TestHigherPrecisionLowerError(t *testing.T) {
 }
 
 func TestZeroTensor(t *testing.T) {
-	got, err := QuantizeRoundTrip([]float64{0, 0, 0}, 4)
+	img, err := Pack([]float64{0, 0, 0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := img.Unpack()
 	for _, v := range got[1:] { // index 0 under 1-bit convention aside, 4-bit: all zero
 		if v != 0 {
 			t.Fatalf("zero tensor round trip produced %v", got)
@@ -209,14 +213,16 @@ func TestQuantizationIdempotent(t *testing.T) {
 		r := rng.New(seed)
 		vals := make([]float64, 32)
 		r.FillNorm(vals, 0, 1)
-		once, err := QuantizeRoundTrip(vals, 4)
+		img, err := Pack(vals, 4)
 		if err != nil {
 			return false
 		}
-		twice, err := QuantizeRoundTrip(once, 4)
+		once := img.Unpack()
+		img, err = Pack(once, 4)
 		if err != nil {
 			return false
 		}
+		twice := img.Unpack()
 		for i := range once {
 			if math.Abs(once[i]-twice[i]) > 1e-12 {
 				return false

@@ -79,15 +79,3 @@ func Search(axes []Axis, objective func(Point) (float64, error)) (*Result, error
 		}
 	}
 }
-
-// GridSize returns the number of points the axes span.
-func GridSize(axes []Axis) int {
-	if len(axes) == 0 {
-		return 0
-	}
-	n := 1
-	for _, a := range axes {
-		n *= len(a.Values)
-	}
-	return n
-}

@@ -83,16 +83,3 @@ func TestFirstBestWinsTies(t *testing.T) {
 		t.Fatal("enumeration order not deterministic")
 	}
 }
-
-func TestGridSize(t *testing.T) {
-	axes := []Axis{
-		{Name: "a", Values: []float64{1, 2}},
-		{Name: "b", Values: []float64{1, 2, 3}},
-	}
-	if GridSize(axes) != 6 {
-		t.Fatalf("GridSize = %d, want 6", GridSize(axes))
-	}
-	if GridSize(nil) != 0 {
-		t.Fatal("empty grid should be 0")
-	}
-}

@@ -33,33 +33,13 @@ func benchRows(f *clusterFixtures) [][]float64 {
 	return f.test.X[:16]
 }
 
-// BenchmarkDirectWorker is the baseline: one /predict_batch round trip
-// straight to a single worker through the same HTTPTransport the
-// coordinator uses.
+// BenchmarkDirectWorker is the baseline: one binary /predict_batch round
+// trip straight to a single worker through the same HTTPTransport the
+// coordinator uses, loopback TCP and net/http included.
 func BenchmarkDirectWorker(b *testing.B) {
 	f := fixtures(b)
 	addr := benchWorker(b, f.shards[0])
 	tr := NewHTTPTransport()
-	rows := benchRows(f)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.PredictBatch(ctx, addr, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDirectWorkerBinary is BenchmarkDirectWorker on the binary
-// frame protocol: the same worker, rows, and transport machinery with
-// Wire set to WireBinary. The delta against the JSON row is PR 8's
-// end-to-end wire win, loopback TCP and net/http included.
-func BenchmarkDirectWorkerBinary(b *testing.B) {
-	f := fixtures(b)
-	addr := benchWorker(b, f.shards[0])
-	tr := NewHTTPTransport()
-	tr.Wire = WireBinary
 	rows := benchRows(f)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -87,40 +67,6 @@ func BenchmarkCoordinator(b *testing.B) {
 		Workers:     addrs,
 		CallTimeout: 2 * time.Second,
 		Fallback:    f.shards[0],
-		Seed:        11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Close)
-	rows := benchRows(f)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PredictBatch(ctx, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCoordinatorBinary is BenchmarkCoordinator with the
-// coordinator speaking the binary frame protocol to its three workers —
-// the fault-tolerant path's share of the wire win.
-func BenchmarkCoordinatorBinary(b *testing.B) {
-	f := fixtures(b)
-	addrs := []string{
-		benchWorker(b, f.shards[0]),
-		benchWorker(b, f.shards[1]),
-		benchWorker(b, f.shards[2]),
-	}
-	tr := NewHTTPTransport()
-	tr.Wire = WireBinary
-	c, err := New(Config{
-		Workers:     addrs,
-		CallTimeout: 2 * time.Second,
-		Fallback:    f.shards[0],
-		Transport:   tr,
 		Seed:        11,
 	})
 	if err != nil {

@@ -77,31 +77,17 @@ func (e *PermanentError) Unwrap() error { return e.Err }
 // chunk; only the transport that prepared it knows its concrete type.
 type PreparedBatch any
 
-// WireBinary and WireJSON name the worker wire formats HTTPTransport can
-// speak on predict calls.
-const (
-	// WireJSON is the default HTTP/JSON format.
-	WireJSON = "json"
-	// WireBinary is the repro/serve/wire frame protocol.
-	WireBinary = "binary"
-)
-
 // HTTPTransport talks to workers over the serve.Server HTTP wire formats:
-// POST /predict_batch (JSON by default, the binary frame protocol with
-// Wire set to WireBinary), GET /healthz, GET /model, POST /swap. A worker
-// address may be "host:port" or a full http:// URL. The Coordinator
-// encodes each chunk exactly once and reuses the payload (and the cached
-// endpoint URL) across every retry and hedge of that chunk.
+// POST /predict_batch in the repro/serve/wire binary frame protocol, GET
+// /healthz, GET /model, POST /swap. A worker address may be "host:port" or
+// a full http:// URL. The Coordinator encodes each chunk exactly once and
+// reuses the payload (and the cached endpoint URL) across every retry and
+// hedge of that chunk.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; NewHTTPTransport installs one
 	// tuned for many small requests to few hosts. Per-call deadlines come
 	// from the context, not Client.Timeout.
 	Client *http.Client
-	// Wire selects the predict-call request format: WireJSON (the default,
-	// also chosen by an empty string) or WireBinary. Health, model fetch,
-	// and swap always use their existing formats. Set it before serving
-	// traffic.
-	Wire string
 
 	// urls caches per-worker endpoint URLs so no request rebuilds them.
 	urls sync.Map // worker addr -> *workerURLs
@@ -176,42 +162,31 @@ func (t *HTTPTransport) do(req *http.Request) (*http.Response, error) {
 	return nil, err
 }
 
-// preparedBatch is HTTPTransport's PreparedBatch: the encoded request
-// payload plus what a response must answer. The payload is immutable once
-// built, so concurrent hedged attempts can stream it simultaneously (each
-// attempt wraps it in its own bytes.Reader). It is not pooled: abandoned
-// hedges may still be streaming it after the chunk is answered, so it is
-// garbage-collected once the last attempt's body reader drops it.
+// preparedBatch is HTTPTransport's PreparedBatch: the encoded matrix
+// frame plus the row count a response must answer. The payload is
+// immutable once built, so concurrent hedged attempts can stream it
+// simultaneously (each attempt wraps it in its own bytes.Reader). It is
+// not pooled: abandoned hedges may still be streaming it after the chunk
+// is answered, so it is garbage-collected once the last attempt's body
+// reader drops it.
 type preparedBatch struct {
-	payload     []byte
-	contentType string
-	rows        int
-	binary      bool
+	payload []byte
+	rows    int
 }
 
-// PrepareBatch implements Transport: the chunk is marshaled exactly once
-// — as a JSON {"x": rows} body or a binary matrix frame per Wire — into a
-// payload of its own, and every retry/hedge reuses the bytes.
+// PrepareBatch implements Transport: the chunk is encoded exactly once, as
+// a binary matrix frame, into a payload of its own, and every retry/hedge
+// reuses the bytes.
 func (t *HTTPTransport) PrepareBatch(rows [][]float64) (PreparedBatch, error) {
-	switch t.Wire {
-	case "", WireJSON:
-		payload, err := json.Marshal(map[string][][]float64{"x": rows})
-		if err != nil {
-			return nil, &PermanentError{Err: err}
-		}
-		return &preparedBatch{payload: payload, contentType: "application/json", rows: len(rows)}, nil
-	case WireBinary:
-		cols := 0
-		if len(rows) > 0 {
-			cols = len(rows[0])
-		}
-		payload, err := wire.AppendMatrixF64(make([]byte, 0, wire.HeaderSize+8+len(rows)*cols*8), rows, cols)
-		if err != nil {
-			return nil, &PermanentError{Err: err}
-		}
-		return &preparedBatch{payload: payload, contentType: wire.ContentType, rows: len(rows), binary: true}, nil
+	cols := 0
+	if len(rows) > 0 {
+		cols = len(rows[0])
 	}
-	return nil, &PermanentError{Err: fmt.Errorf("cluster: unknown wire format %q", t.Wire)}
+	payload, err := wire.AppendMatrixF64(make([]byte, 0, wire.HeaderSize+8+len(rows)*cols*8), rows, cols)
+	if err != nil {
+		return nil, &PermanentError{Err: err}
+	}
+	return &preparedBatch{payload: payload, rows: len(rows)}, nil
 }
 
 // PredictPrepared implements Transport over POST /predict_batch.
@@ -224,25 +199,13 @@ func (t *HTTPTransport) PredictPrepared(ctx context.Context, worker string, pb P
 	if err != nil {
 		return nil, &PermanentError{Err: err}
 	}
-	req.Header.Set("Content-Type", p.contentType)
+	req.Header.Set("Content-Type", wire.ContentType)
 	resp, err := t.do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if p.binary {
-		return decodeClasses(resp.Body, worker, p.rows)
-	}
-	var out struct {
-		Classes []int `json:"classes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("cluster: worker %s: decode response: %w", worker, err)
-	}
-	if len(out.Classes) != p.rows {
-		return nil, fmt.Errorf("cluster: worker %s answered %d classes for %d rows", worker, len(out.Classes), p.rows)
-	}
-	return out.Classes, nil
+	return decodeClasses(resp.Body, worker, p.rows)
 }
 
 // decodeClasses reads a binary classes frame and validates the count.

@@ -33,9 +33,8 @@ func liveWorker(t testing.TB, m *disthd.Model) string {
 }
 
 // newLiveCluster stands up three real workers and a cluster Server in
-// front of them, with the coordinator's transport speaking workerWire to
-// the workers.
-func newLiveCluster(t *testing.T, workerWire string) *httptest.Server {
+// front of them.
+func newLiveCluster(t *testing.T) *httptest.Server {
 	t.Helper()
 	f := fixtures(t)
 	addrs := []string{
@@ -43,13 +42,10 @@ func newLiveCluster(t *testing.T, workerWire string) *httptest.Server {
 		liveWorker(t, f.shards[1]),
 		liveWorker(t, f.shards[2]),
 	}
-	tr := NewHTTPTransport()
-	tr.Wire = workerWire
 	c, err := New(Config{
 		Workers:     addrs,
 		CallTimeout: 2 * time.Second,
 		Fallback:    f.shards[0],
-		Transport:   tr,
 		Seed:        7,
 	})
 	if err != nil {
@@ -112,39 +108,31 @@ func postBatchBinary(t *testing.T, url string, rows [][]float64) []int {
 	return classes
 }
 
-// TestClusterMixedFormatInterop is the coordinator<->worker interop E2E:
-// every combination of client format (JSON, binary) and coordinator->
-// worker format (JSON, binary) must answer the same classes over real
-// HTTP end to end — format negotiation happens per hop, invisibly to the
-// other hop.
+// TestClusterMixedFormatInterop is the client<->coordinator interop E2E:
+// a JSON and a binary client must get the same classes over real HTTP end
+// to end while the coordinator speaks binary frames to its workers —
+// format negotiation happens per hop, invisibly to the other hop.
 func TestClusterMixedFormatInterop(t *testing.T) {
 	f := fixtures(t)
 	rows := f.test.X[:13]
+	ts := newLiveCluster(t)
 	var want []int
-	for _, workerWire := range []string{WireJSON, WireBinary} {
-		ts := newLiveCluster(t, workerWire)
-		for _, client := range []string{"json", "binary"} {
-			var got []int
-			if client == "binary" {
-				got = postBatchBinary(t, ts.URL, rows)
-			} else {
-				got = postBatchJSON(t, ts.URL, rows)
+	for _, client := range []string{"json", "binary"} {
+		var got []int
+		if client == "binary" {
+			got = postBatchBinary(t, ts.URL, rows)
+		} else {
+			got = postBatchJSON(t, ts.URL, rows)
+		}
+		if want == nil {
+			want = got
+			if len(want) != len(rows) {
+				t.Fatalf("got %d classes for %d rows", len(want), len(rows))
 			}
-			if want == nil {
-				want = got
-				if len(want) != len(rows) {
-					t.Fatalf("got %d classes for %d rows", len(want), len(rows))
-				}
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("client=%s workers=%s: %d classes, want %d", client, workerWire, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("client=%s workers=%s: class[%d] = %d, want %d", client, workerWire, i, got[i], want[i])
-				}
-			}
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("client=%s: classes %v, want %v", client, got, want)
 		}
 	}
 }
@@ -153,7 +141,7 @@ func TestClusterMixedFormatInterop(t *testing.T) {
 // live cluster plus the per-format counters in the coordinator's /stats.
 func TestClusterWireSingleAndStats(t *testing.T) {
 	f := fixtures(t)
-	ts := newLiveCluster(t, WireBinary)
+	ts := newLiveCluster(t)
 
 	var one struct {
 		Class int `json:"class"`
@@ -198,32 +186,26 @@ func TestClusterWireSingleAndStats(t *testing.T) {
 	}
 }
 
-// TestTransportBinaryMatchesJSON pins the transport's two wire formats to
-// each other against one live worker, prepared-payload path included.
+// TestTransportBinaryMatchesJSON pins the transport's binary frames to
+// the worker model's own PredictBatch against one live worker,
+// prepared-payload path included.
 func TestTransportBinaryMatchesJSON(t *testing.T) {
 	f := fixtures(t)
 	addr := liveWorker(t, f.shards[0])
 	rows := f.test.X[:9]
 	ctx := context.Background()
 
-	jt := NewHTTPTransport()
-	want, err := jt.PredictBatch(ctx, addr, rows)
+	want, err := f.shards[0].PredictBatch(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bt := NewHTTPTransport()
-	bt.Wire = WireBinary
 	got, err := bt.PredictBatch(ctx, addr, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("binary transport answered %d classes, JSON %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("class[%d]: binary %d, JSON %d", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("transport answered %v, the worker model %v", got, want)
 	}
 
 	// A prepared payload must survive reuse: run the same PreparedBatch
@@ -250,12 +232,5 @@ func TestTransportBinaryMatchesJSON(t *testing.T) {
 				t.Fatalf("attempt %d class[%d]: %d, want %d", attempt, i, again[i], want[i])
 			}
 		}
-	}
-
-	// An unknown wire format must fail permanently, not retry forever.
-	ut := NewHTTPTransport()
-	ut.Wire = "carrier-pigeon"
-	if _, err := ut.PredictBatch(ctx, addr, rows); err == nil {
-		t.Fatal("unknown wire format did not error")
 	}
 }

@@ -327,7 +327,7 @@ func (b *replayBody) Close() error { return nil }
 // factored out, so the wire format's own cost is visible. This is the
 // number behind the "≤10 allocs per binary /predict_batch" acceptance
 // bar; the end-to-end figure including a real loopback round trip is
-// BenchmarkDirectWorkerBinary in serve/cluster.
+// BenchmarkDirectWorker in serve/cluster.
 func benchHandlerBatch(b *testing.B, dim, nrows int, binary bool) {
 	s := benchFixtures(b, dim)
 	srv, err := New(s.m, Options{MaxBatch: 64, Replicas: 1})
