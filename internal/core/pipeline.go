@@ -163,13 +163,6 @@ func newPipeline(enc encoding.Regenerable, m *model.Model, X *mat.Dense, y []int
 // stopping fired).
 func (p *Pipeline) Done() bool { return p.stage == StageDone }
 
-// Model returns the model under training (live, mutated by Adapt and
-// Regenerate).
-func (p *Pipeline) Model() *model.Model { return p.m }
-
-// Encoder returns the encoder under regeneration (live).
-func (p *Pipeline) Encoder() encoding.Regenerable { return p.enc }
-
 // mustBeAt panics when a stage method is called out of order — programmer
 // error, matching the panic convention of the kernel layers.
 func (p *Pipeline) mustBeAt(want PipelineStage, method string) {
@@ -278,7 +271,7 @@ func (p *Pipeline) Regenerate(ds DimStats) {
 		p.enc.EncodeDimsBatch(p.X, ds.Undesired, p.H)
 		p.m.ZeroDims(ds.Undesired)
 		if p.cfg.WarmStart {
-			warmStartDims(p.m, p.H, p.y, ds.Undesired)
+			p.m.WarmStartDims(p.H, p.y, ds.Undesired)
 		}
 		p.cur.Regenerated = len(ds.Undesired)
 		p.stats.TotalRegenerated += len(ds.Undesired)

@@ -186,7 +186,7 @@ func TestResumeWarmRetrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Model() != clf.Model {
+	if p.m != clf.Model {
 		t.Fatal("Resume must train the classifier's own model in place")
 	}
 	clf2, stats := p.Run()

@@ -109,8 +109,3 @@ func (s *DriftStream) Next() (x []float64, label int, ok bool) {
 	}
 	return x, s.src.Y[i], true
 }
-
-// Reset rewinds the stream to the beginning. The noise stream is NOT
-// rewound, so a DriftNoise replay differs sample-by-sample (as a fresh
-// physical run would); DriftShift and DriftScale replays are identical.
-func (s *DriftStream) Reset() { s.pos = 0 }

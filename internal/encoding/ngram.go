@@ -39,9 +39,6 @@ func (e *NGram) Dim() int { return e.symbols.Cols }
 // Alphabet returns the number of distinct symbols.
 func (e *NGram) Alphabet() int { return e.symbols.Rows }
 
-// N returns the n-gram order.
-func (e *NGram) N() int { return e.n }
-
 // EncodeSequence returns the bundled n-gram hypervector of the symbol
 // sequence. Sequences shorter than n yield the bundle of what is available
 // (a single (len)-gram); an empty sequence returns the zero vector.

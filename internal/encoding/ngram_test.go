@@ -20,7 +20,7 @@ func TestNGramValidation(t *testing.T) {
 		}()
 	}
 	e := NewNGram(5, 64, 3, 1)
-	if e.Dim() != 64 || e.Alphabet() != 5 || e.N() != 3 {
+	if e.Dim() != 64 || e.Alphabet() != 5 || e.n != 3 {
 		t.Fatal("accessors wrong")
 	}
 	if _, err := e.EncodeSequence([]int{0, 9}); err == nil {

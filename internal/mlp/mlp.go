@@ -276,13 +276,6 @@ func (n *Network) accumulateGradients(x []float64, label int, acts, deltas [][]f
 	return loss
 }
 
-// Predict returns the argmax class for x.
-func (n *Network) Predict(x []float64) int {
-	acts := n.newActs()
-	n.forward(x, acts)
-	return mat.ArgMax(acts[len(acts)-1])
-}
-
 // PredictBatch classifies every row of X in parallel.
 func (n *Network) PredictBatch(X *mat.Dense) []int {
 	out := make([]int, X.Rows)

@@ -166,7 +166,7 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	}
 	batch := n.PredictBatch(test.X)
 	for i := 0; i < 10; i++ {
-		if p := n.Predict(test.X.Row(i)); p != batch[i] {
+		if p := n.PredictBatch(mat.View(1, test.X.Cols, test.X.Row(i)))[0]; p != batch[i] {
 			t.Fatalf("row %d: single %d != batch %d", i, p, batch[i])
 		}
 	}

@@ -198,6 +198,57 @@ func (m *Model) ZeroDims(dims []int) {
 	m.RefreshNorms()
 }
 
+// Saliency returns, per dimension, the variance across classes of the
+// row-normalized class weights: the signal NeuralHD regenerates by and
+// DistHD guards its eliminations with. A low value marks a dimension that
+// responds alike for every class, so it carries little discriminative
+// information.
+func (m *Model) Saliency() []float64 {
+	norm := m.Weights.Clone()
+	norm.RowNormalizeL2()
+	out := make([]float64, m.Dim())
+	col := make([]float64, m.Classes())
+	for j := range out {
+		for c := range col {
+			col[c] = norm.At(c, j)
+		}
+		out[j] = mat.Variance(col)
+	}
+	return out
+}
+
+// WarmStartDims seeds the class weights of freshly regenerated dimensions
+// with the class-conditional mean of the new encoded column of H (labels
+// y) — a one-pass bundling restricted to those dimensions, so they take
+// part in classification at once instead of waiting for error-driven
+// updates.
+func (m *Model) WarmStartDims(H *mat.Dense, y []int, dims []int) {
+	k := m.Classes()
+	counts := make([]float64, k)
+	for _, label := range y {
+		counts[label]++
+	}
+	sums := mat.New(k, len(dims))
+	for i := 0; i < H.Rows; i++ {
+		row := H.Row(i)
+		srow := sums.Row(y[i])
+		for j, d := range dims {
+			srow[j] += row[d]
+		}
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] == 0 {
+			continue
+		}
+		srow := sums.Row(c)
+		wrow := m.Weights.Row(c)
+		for j, d := range dims {
+			wrow[d] = srow[j] / counts[c]
+		}
+	}
+	m.RefreshNorms()
+}
+
 // AdaptiveStep applies the Algorithm 1 update for a single encoded sample
 // h with true label y: if the most similar class is wrong, the wrong class
 // is weakened and the true class strengthened, each scaled by how *novel*

@@ -76,31 +76,11 @@ type Stats struct {
 	TotalRegenerated int
 }
 
-// SaliencyScores returns, per dimension, the variance of the normalized
-// class weights across classes. Low variance = the dimension responds the
-// same way for every class = no discriminative power.
-func SaliencyScores(m *model.Model) []float64 {
-	norm := m.Weights.Clone()
-	norm.RowNormalizeL2()
-	d := m.Dim()
-	k := m.Classes()
-	out := make([]float64, d)
-	col := make([]float64, k)
-	for j := 0; j < d; j++ {
-		for c := 0; c < k; c++ {
-			col[c] = norm.At(c, j)
-		}
-		out[j] = mat.Variance(col)
-	}
-	return out
-}
-
 // leastSalient returns the `budget` dimensions with the lowest saliency.
 func leastSalient(m *model.Model, budget int) []int {
-	scores := SaliencyScores(m)
 	// ArgTopK selects the largest; negate to select the smallest.
-	neg := make([]float64, len(scores))
-	for i, v := range scores {
+	neg := m.Saliency()
+	for i, v := range neg {
 		neg[i] = -v
 	}
 	return mat.ArgTopK(neg, budget)
@@ -149,47 +129,11 @@ func Train(enc encoding.Regenerable, X *mat.Dense, y []int, classes int, cfg Con
 			enc.Regenerate(dims)
 			enc.EncodeDimsBatch(X, dims, H)
 			m.ZeroDims(dims)
-			warmStart(m, H, y, dims)
+			m.WarmStartDims(H, y, dims)
 			stats.TotalRegenerated += len(dims)
 		}
 	}
 	return &Classifier{Enc: enc, Model: m, Cfg: cfg}, stats, nil
-}
-
-// warmStart seeds regenerated dimensions with class-conditional means, the
-// single-pass (re)training NeuralHD applies to fresh dimensions.
-func warmStart(m *model.Model, H *mat.Dense, y []int, dims []int) {
-	k := m.Classes()
-	counts := make([]float64, k)
-	for _, label := range y {
-		counts[label]++
-	}
-	sums := mat.New(k, len(dims))
-	for i := 0; i < H.Rows; i++ {
-		row := H.Row(i)
-		srow := sums.Row(y[i])
-		for j, d := range dims {
-			srow[j] += row[d]
-		}
-	}
-	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			continue
-		}
-		srow := sums.Row(c)
-		wrow := m.Weights.Row(c)
-		for j, d := range dims {
-			wrow[d] = srow[j] / counts[c]
-		}
-	}
-	m.RefreshNorms()
-}
-
-// Predict classifies a single raw feature vector.
-func (c *Classifier) Predict(x []float64) int {
-	h := make([]float64, c.Enc.Dim())
-	c.Enc.Encode(x, h)
-	return c.Model.Predict(h)
 }
 
 // PredictBatch classifies every row of X.

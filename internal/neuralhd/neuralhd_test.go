@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/encoding"
+	"repro/internal/mat"
 	"repro/internal/model"
 )
 
@@ -57,7 +58,7 @@ func TestSaliencyScores(t *testing.T) {
 		m.Weights.Set(c, 3, 0.5)
 	}
 	m.RefreshNorms()
-	s := SaliencyScores(m)
+	s := m.Saliency()
 	if len(s) != 4 {
 		t.Fatalf("saliency length %d", len(s))
 	}
@@ -155,7 +156,7 @@ func TestPredictSingleMatchesBatch(t *testing.T) {
 	}
 	batch := clf.PredictBatch(test.X)
 	for i := 0; i < 10; i++ {
-		if p := clf.Predict(test.X.Row(i)); p != batch[i] {
+		if p := clf.PredictBatch(mat.View(1, test.X.Cols, test.X.Row(i)))[0]; p != batch[i] {
 			t.Fatalf("row %d: single %d != batch %d", i, p, batch[i])
 		}
 	}

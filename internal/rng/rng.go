@@ -59,26 +59,6 @@ func (r *Rand) Reseed(seed uint64) {
 	r.gauss = 0
 }
 
-// State returns the generator's raw internal state — the four xoshiro
-// words plus the cached Box-Muller pair — for snapshot/restore. A Rand
-// restored with SetState continues the stream exactly where State was
-// taken, draw for draw.
-func (r *Rand) State() (s [4]uint64, gauss float64, hasGauss bool) {
-	return r.s, r.gauss, r.hasGauss
-}
-
-// SetState overwrites r's internal state with a snapshot taken by State.
-// The all-zero xoshiro state is invalid and is mapped onto the same
-// fallback word Reseed uses.
-func (r *Rand) SetState(s [4]uint64, gauss float64, hasGauss bool) {
-	r.s = s
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
-	}
-	r.gauss = gauss
-	r.hasGauss = hasGauss
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

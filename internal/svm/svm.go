@@ -161,38 +161,6 @@ func (m *Machine) lift(X *mat.Dense) *mat.Dense {
 	return out
 }
 
-// liftOne applies the feature map (plus bias feature) to a single sample.
-func (m *Machine) liftOne(x []float64) []float64 {
-	if m.rffW == nil {
-		out := make([]float64, len(x)+1)
-		copy(out, x)
-		out[len(x)] = 1
-		return out
-	}
-	out := make([]float64, m.rffW.Rows+1)
-	scale := math.Sqrt(2 / float64(m.rffW.Rows))
-	for j := 0; j < m.rffW.Rows; j++ {
-		out[j] = scale * math.Cos(mat.Dot(m.rffW.Row(j), x)+m.rffB[j])
-	}
-	out[m.rffW.Rows] = 1
-	return out
-}
-
-// DecisionValues returns the per-class margins for x.
-func (m *Machine) DecisionValues(x []float64) []float64 {
-	f := m.liftOne(x)
-	out := make([]float64, m.W.Rows)
-	for c := 0; c < m.W.Rows; c++ {
-		out[c] = mat.Dot(m.W.Row(c), f)
-	}
-	return out
-}
-
-// Predict returns the class with the largest margin.
-func (m *Machine) Predict(x []float64) int {
-	return mat.ArgMax(m.DecisionValues(x))
-}
-
 // PredictBatch classifies every row of X in parallel.
 func (m *Machine) PredictBatch(X *mat.Dense) []int {
 	F := m.lift(X)

@@ -157,25 +157,8 @@ func TestPredictSingleMatchesBatch(t *testing.T) {
 	}
 	batch := m.PredictBatch(test.X)
 	for i := 0; i < 10; i++ {
-		if p := m.Predict(test.X.Row(i)); p != batch[i] {
+		if p := m.PredictBatch(mat.View(1, test.X.Cols, test.X.Row(i)))[0]; p != batch[i] {
 			t.Fatalf("row %d: single %d != batch %d", i, p, batch[i])
 		}
-	}
-}
-
-func TestDecisionValuesShape(t *testing.T) {
-	train, _ := toyData(t, 7)
-	cfg := DefaultConfig()
-	cfg.Epochs = 2
-	m, err := Train(train.X, train.Y, train.Classes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv := m.DecisionValues(train.X.Row(0))
-	if len(dv) != train.Classes {
-		t.Fatalf("decision values length %d, want %d", len(dv), train.Classes)
-	}
-	if m.Predict(train.X.Row(0)) != mat.ArgMax(dv) {
-		t.Fatal("Predict disagrees with DecisionValues argmax")
 	}
 }

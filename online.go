@@ -1,7 +1,6 @@
 package disthd
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -297,9 +296,6 @@ func (l *OnlineLearner) Model() *Model { return l.m }
 // sample joins the retrain window. It returns whether the prediction was
 // correct. The bound model's weights are NOT updated (see the type comment).
 func (l *OnlineLearner) Observe(x []float64, label int) (correct bool, err error) {
-	if l.m == nil {
-		return false, errSpent
-	}
 	if len(x) != l.m.Features() {
 		return false, fmt.Errorf("disthd: feedback has %d features, model expects %d", len(x), l.m.Features())
 	}
@@ -586,193 +582,10 @@ func (l *OnlineLearner) SplitWindow() (trainX [][]float64, trainY []int, holdX [
 // rejected by the gate (plain Retrain never rejects).
 func (l *OnlineLearner) Rejections() uint64 { return l.rejections }
 
-// LearnerState is an OnlineLearner's whole mutable state, moved out of
-// it: the feedback window ring, the recent-accuracy ring with its
-// per-class tallies, the frozen post-bind baseline, the reservoir sampler
-// position, and the lifetime counters. Export produces one and
-// NewOnlineLearnerFromState rebuilds a learner from it, bit-for-bit —
-// the park/wake substrate serve/registry uses so evicting a learning
-// tenant never costs it its window, drift state, or counters. The slices
-// are the learner's own buffers, handed over rather than copied: Export
-// leaves the learner spent, and NewOnlineLearnerFromState takes them over
-// and empties the state, so a park/wake cycle copies no window. Every
-// field is a plain value or a slice, so a state can be serialized by any
-// encoding that round-trips the field types exactly.
-type LearnerState struct {
-	// WinX is the feedback window's sample backing array, row-major at
-	// full Window capacity (Window × features); WinY holds the labels.
-	WinX []float64
-	// WinY is the feedback window's label backing array (Window slots).
-	WinY []int
-	// WinLen is how many window slots hold samples.
-	WinLen int
-	// WinPos is the next slot the sliding ring overwrites.
-	WinPos int
-	// Seen is the feedback stream length so far (reservoir admission).
-	Seen uint64
-	// Sampler, SamplerGauss, and SamplerHasGauss freeze the reservoir
-	// sampler's position in its random stream, so reservoir admission
-	// after a restore draws exactly what the original learner would have.
-	Sampler [4]uint64
-	// SamplerGauss is the sampler's cached Box-Muller variate.
-	SamplerGauss float64
-	// SamplerHasGauss is whether SamplerGauss is live.
-	SamplerHasGauss bool
-	// Recent is the outcome ring behind the windowed accuracy estimate
-	// (RecentWindow slots); RecentLabel mirrors it with the true labels.
-	Recent []bool
-	// RecentLabel holds each recent observation's true label.
-	RecentLabel []int
-	// RecentLen, RecentPos, and RecentOK are the ring's fill, cursor, and
-	// correct-prediction count.
-	RecentLen int
-	// RecentPos is the ring's overwrite cursor.
-	RecentPos int
-	// RecentOK counts correct predictions in the ring.
-	RecentOK int
-	// ClsRecentN and ClsRecentOK are the per-class tallies over the
-	// recent ring (drift attribution), indexed by class.
-	ClsRecentN []int
-	// ClsRecentOK counts correct predictions per class in the ring.
-	ClsRecentOK []int
-	// ObsSinceBind counts observations since the model was (re)bound —
-	// the drift detector's maturity clock.
-	ObsSinceBind uint64
-	// BaseOK and BaseN are the frozen post-bind baseline tallies.
-	BaseOK int
-	// BaseN counts baseline observations (frozen at RecentWindow).
-	BaseN int
-	// ClsBaseN and ClsBaseOK are the baseline's per-class tallies.
-	ClsBaseN []int
-	// ClsBaseOK counts correct baseline predictions per class.
-	ClsBaseOK []int
-	// Observations, Attempts, Retrains, and Rejections are the lifetime
-	// counters (Observations, Retrains, Rejections accessors).
-	Observations uint64
-	// Attempts counts retrain rounds taken (per-attempt seed derivation).
-	Attempts uint64
-	// Retrains counts rounds that published a successor.
-	Retrains uint64
-	// Rejections counts rounds whose challenger the gate rejected.
-	Rejections uint64
-}
-
-// Export moves the learner's mutable state into a LearnerState, copying
-// no buffer: the window, rings and tallies change owner, and the learner
-// is spent — Observe and rebinding fail on it, and its accessors report
-// an empty learner. Pair it with NewOnlineLearnerFromState to continue
-// the learner later.
-func (l *OnlineLearner) Export() *LearnerState {
-	st := &LearnerState{
-		WinX:         l.winX,
-		WinY:         l.winY,
-		WinLen:       l.winLen,
-		WinPos:       l.winPos,
-		Seen:         l.seen,
-		Recent:       l.recent,
-		RecentLabel:  l.recentLabel,
-		RecentLen:    l.recentLen,
-		RecentPos:    l.recentPos,
-		RecentOK:     l.recentOK,
-		ClsRecentN:   l.clsRecentN,
-		ClsRecentOK:  l.clsRecentOK,
-		ObsSinceBind: l.obsSinceBind,
-		BaseOK:       l.baseOK,
-		BaseN:        l.baseN,
-		ClsBaseN:     l.clsBaseN,
-		ClsBaseOK:    l.clsBaseOK,
-		Observations: l.observations,
-		Attempts:     l.attempts,
-		Retrains:     l.retrains,
-		Rejections:   l.rejections,
-	}
-	st.Sampler, st.SamplerGauss, st.SamplerHasGauss = l.sampler.State()
-	*l = OnlineLearner{}
-	return st
-}
-
-// errSpent answers a learner whose state Export moved out.
-var errSpent = errors.New("disthd: learner state was exported; the learner is spent")
-
-// NewOnlineLearnerFromState rebuilds a learner bound to m from the state
-// Export moved out, continuing exactly where the exporting learner
-// stopped: window contents, drift baseline, accuracy rings, counters, and
-// the reservoir sampler's stream position all carry over bit-for-bit. The
-// learner takes over st's buffers without copying them and empties st, so
-// a state restores once. cfg must describe the same geometry the state
-// was taken under (same Window, RecentWindow, and a model of the same
-// shape) — a mismatched state is rejected, and left as it was, rather
-// than silently truncated. m should be the model the exporting learner
-// was bound to (or a successor already published to its serving
-// surface): the restored baseline and drift state describe THAT model's
-// behavior.
-func NewOnlineLearnerFromState(m *Model, cfg OnlineConfig, st *LearnerState) (*OnlineLearner, error) {
-	if st == nil {
-		return nil, fmt.Errorf("disthd: NewOnlineLearnerFromState needs a state")
-	}
-	if m == nil {
-		return nil, fmt.Errorf("disthd: NewOnlineLearnerFromState needs a model")
-	}
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if len(st.WinX) != c.Window*m.Features() || len(st.WinY) != c.Window {
-		return nil, fmt.Errorf("disthd: learner state window holds %d values / %d labels, config wants %d / %d",
-			len(st.WinX), len(st.WinY), c.Window*m.Features(), c.Window)
-	}
-	if len(st.Recent) != c.RecentWindow || len(st.RecentLabel) != c.RecentWindow {
-		return nil, fmt.Errorf("disthd: learner state recent ring %d slots, config wants %d",
-			len(st.Recent), c.RecentWindow)
-	}
-	k := m.Classes()
-	if len(st.ClsRecentN) != k || len(st.ClsRecentOK) != k || len(st.ClsBaseN) != k || len(st.ClsBaseOK) != k {
-		return nil, fmt.Errorf("disthd: learner state tallies cover %d classes, model has %d",
-			len(st.ClsRecentN), k)
-	}
-	if st.WinLen < 0 || st.WinLen > c.Window || st.WinPos < 0 || st.WinPos >= c.Window ||
-		st.RecentLen < 0 || st.RecentLen > c.RecentWindow || st.RecentPos < 0 || st.RecentPos >= c.RecentWindow {
-		return nil, fmt.Errorf("disthd: learner state cursors out of range (winLen=%d winPos=%d recentLen=%d recentPos=%d)",
-			st.WinLen, st.WinPos, st.RecentLen, st.RecentPos)
-	}
-	l := &OnlineLearner{
-		m:            m,
-		cfg:          c,
-		winX:         st.WinX,
-		winY:         st.WinY,
-		winLen:       st.WinLen,
-		winPos:       st.WinPos,
-		seen:         st.Seen,
-		sampler:      new(rng.Rand),
-		recent:       st.Recent,
-		recentLabel:  st.RecentLabel,
-		recentLen:    st.RecentLen,
-		recentPos:    st.RecentPos,
-		recentOK:     st.RecentOK,
-		clsRecentN:   st.ClsRecentN,
-		clsRecentOK:  st.ClsRecentOK,
-		obsSinceBind: st.ObsSinceBind,
-		baseOK:       st.BaseOK,
-		baseN:        st.BaseN,
-		clsBaseN:     st.ClsBaseN,
-		clsBaseOK:    st.ClsBaseOK,
-		observations: st.Observations,
-		attempts:     st.Attempts,
-		retrains:     st.Retrains,
-		rejections:   st.Rejections,
-	}
-	l.sampler.SetState(st.Sampler, st.SamplerGauss, st.SamplerHasGauss)
-	*st = LearnerState{}
-	return l, nil
-}
-
 // bindable validates that m can replace the currently bound model.
 func (l *OnlineLearner) bindable(m *Model) error {
 	if m == nil {
 		return fmt.Errorf("disthd: rebind needs a model")
-	}
-	if l.m == nil {
-		return errSpent
 	}
 	if m.Features() != l.m.Features() || m.Dim() != l.m.Dim() || m.Classes() != l.m.Classes() {
 		return fmt.Errorf("disthd: successor model shaped %d/%d/%d, learner bound to %d/%d/%d",

@@ -38,10 +38,11 @@ func TestIdleSetBoundAcrossBatchers(t *testing.T) {
 	rows := train.X[:12]
 	for maxBatch := 1; maxBatch <= 2*disthd.MaxIdleReplicas; maxBatch++ {
 		for _, m := range models {
-			b, err := serve.NewBatcher(m, serve.Options{MaxBatch: maxBatch, Replicas: 2})
+			srv, err := serve.New(m, serve.Options{MaxBatch: maxBatch, Replicas: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
+			b := srv.Batcher()
 			// Three batch callers and coalesced traffic at once lease
 			// several replicas, so each close releases more than one.
 			var wg sync.WaitGroup

@@ -8,7 +8,8 @@
 # PUT /t/{id} and exits nonzero if any request ultimately fails — 429s
 # are retried, never dropped). Afterwards the script asserts the
 # registry actually churned (evictions > 0 in /stats), proves a
-# learning tenant's feedback counter survives a park/wake cycle, scrapes
+# learning tenant's feedback counter and swap count survive a park/wake
+# cycle, scrapes
 # a per-tenant /t/{model}/stats, removes a tenant over DELETE, and
 # SIGTERMs the server expecting a clean drain (the "bye:" line only
 # prints after every tenant drained).
@@ -30,6 +31,15 @@ post_json() {
         curl -fsS -X POST -H 'Content-Type: application/json' -d "$2" "$1"
     else
         wget -qO- --header='Content-Type: application/json' --post-data="$2" "$1"
+    fi
+}
+
+# post_file URL FILE POSTs FILE's bytes as they are.
+post_file() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -fsS -X POST -H 'Content-Type: application/octet-stream' --data-binary @"$2" "$1"
+    else
+        wget -qO- --header='Content-Type: application/octet-stream' --post-file="$2" "$1"
     fi
 }
 
@@ -85,9 +95,10 @@ case "$TSTATS" in
 esac
 
 # Learner state survives eviction: install a learning tenant, feed it
-# labeled samples, park it by waking other tenants through the 2-slot
-# pool, and the per-tenant /stats feedback counter must (a) stay visible
-# while parked and (b) continue — never reset to zero — after the wake.
+# labeled samples, swap its own snapshot back in, park it by waking other
+# tenants through the 2-slot pool, and the per-tenant /stats feedback
+# counter must (a) stay visible while parked and (b) continue — never
+# reset to zero — after the wake, which must still count the swap.
 echo "$SMOKE: learner park/wake continuity..."
 put_json "http://$ADDR/t/lrn" \
     '{"demo":"DIABETES","dim":48,"scale":0.05,"iterations":2,"learn":true,"seed":7}' >/dev/null
@@ -99,6 +110,8 @@ while [ "$i" -lt 5 ]; do
     post_json "http://$ADDR/t/lrn/learn" "{\"x\":[$ROW],\"label\":0}" >/dev/null
     i=$((i + 1))
 done
+fetch "http://$ADDR/t/lrn/model" >"$TMP/lrn.dhd"
+post_file "http://$ADDR/t/lrn/swap" "$TMP/lrn.dhd" >/dev/null
 # Two wakes of other learning tenants cycle the 2-slot pool, parking lrn
 # (a zero row with label 0 is valid feedback for any tenant shape).
 for id in t0 t1; do
@@ -126,6 +139,12 @@ case "$TSTATS" in
 *)
     smoke_fail "learner feedback counter reset across park/wake: $TSTATS" ;;
 esac
+HEALTH=$(fetch "http://$ADDR/t/lrn/healthz")
+case "$HEALTH" in
+*'"swaps":1'*) ;;
+*)
+    smoke_fail "lrn lost its swap count across park/wake: $HEALTH" ;;
+esac
 
 # DELETE drains and removes: gamma must disappear from /models.
 echo "$SMOKE: DELETE /t/gamma..."
@@ -141,4 +160,4 @@ case "$MODELS" in
 esac
 
 smoke_drain serve
-echo "$SMOKE: OK (3 boot + 4 PUT tenants, JSON+binary learn+predict traffic, evictions observed, learner survives park/wake, per-tenant stats, DELETE drain, clean SIGTERM)"
+echo "$SMOKE: OK (3 boot + 4 PUT tenants, JSON+binary learn+predict traffic, evictions observed, learner and swap count survive park/wake, per-tenant stats, DELETE drain, clean SIGTERM)"

@@ -69,7 +69,7 @@ func TestHandlerAllocs(t *testing.T) {
 // allocations, chunking included.
 func TestPredictStreamAllocs(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(s.a, Options{MaxBatch: 8, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBatcherPredictAllocs(t *testing.T) {
 	s := fixtures(t)
 	x := s.test.X[0]
 	for _, minFill := range []int{1, 4} {
-		b, err := NewBatcher(s.a, Options{MaxBatch: 8, MinFill: minFill, MaxDelay: 50 * time.Microsecond, Replicas: 1})
+		b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, MinFill: minFill, MaxDelay: 50 * time.Microsecond, Replicas: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func BenchmarkServeBatched(b *testing.B) {
 	for _, g := range benchGrid {
 		s := benchFixtures(b, g.dim)
 		b.Run(fmt.Sprintf("D=%d/conc=%d", g.dim, g.conc), func(b *testing.B) {
-			bat, err := NewBatcher(s.m, Options{
+			bat, err := NewBatcher(swapperFor(b, s.m), Options{
 				MaxBatch: 64,
 				MinFill:  minFill(g.conc),
 				MaxDelay: 2 * time.Millisecond,
@@ -179,7 +179,7 @@ func minFill(conc int) int {
 func BenchmarkServeBatchedWithLearner(b *testing.B) {
 	const conc = 32
 	s := benchFixtures(b, 512)
-	bat, err := NewBatcher(s.m, Options{
+	bat, err := NewBatcher(swapperFor(b, s.m), Options{
 		MaxBatch: 64,
 		MinFill:  minFill(conc),
 		MaxDelay: 2 * time.Millisecond,

@@ -33,6 +33,16 @@ func benchRows(f *clusterFixtures) [][]float64 {
 	return f.test.X[:16]
 }
 
+// predictDirect classifies rows on worker in one attempt: one prepare and
+// one call, the frame the Coordinator sends per attempt of a chunk.
+func predictDirect(ctx context.Context, tr *HTTPTransport, worker string, rows [][]float64) ([]int, error) {
+	p, err := tr.PrepareBatch(rows)
+	if err != nil {
+		return nil, err
+	}
+	return tr.PredictPrepared(ctx, worker, p)
+}
+
 // BenchmarkDirectWorker is the baseline: one binary /predict_batch round
 // trip straight to a single worker through the same HTTPTransport the
 // coordinator uses, loopback TCP and net/http included.
@@ -45,7 +55,7 @@ func BenchmarkDirectWorker(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.PredictBatch(ctx, addr, rows); err != nil {
+		if _, err := predictDirect(ctx, tr, addr, rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -232,17 +232,6 @@ func decodeClasses(body io.Reader, worker string, rows int) ([]int, error) {
 	return classes, nil
 }
 
-// PredictBatch classifies rows on worker over POST /predict_batch in one
-// attempt: one prepare, one call, no retry. The Coordinator instead
-// prepares each chunk once and reuses it across retries and hedges.
-func (t *HTTPTransport) PredictBatch(ctx context.Context, worker string, rows [][]float64) ([]int, error) {
-	p, err := t.PrepareBatch(rows)
-	if err != nil {
-		return nil, err
-	}
-	return t.PredictPrepared(ctx, worker, p)
-}
-
 // Health implements Transport over GET /healthz.
 func (t *HTTPTransport) Health(ctx context.Context, worker string) (HealthStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.endpoints(worker).healthz, nil)

@@ -54,7 +54,7 @@ func TestHTTPTransportConnectionReuse(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := tr.PredictBatch(ctx, addr, rows); err != nil {
+				if _, err := predictDirect(ctx, tr, addr, rows); err != nil {
 					t.Error(err)
 				}
 			}()

@@ -200,7 +200,7 @@ func TestTransportBinaryMatchesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt := NewHTTPTransport()
-	got, err := bt.PredictBatch(ctx, addr, rows)
+	got, err := predictDirect(ctx, bt, addr, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,11 @@ func ExampleBatcher() {
 
 	// Serve. Every concurrent Predict call rides a micro-batch: flushed at
 	// 64 rows, or 2ms after the first row arrives, whichever comes first.
-	b, err := serve.NewBatcher(live, serve.Options{
+	sw, err := serve.NewSwapper(live)
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := serve.NewBatcher(sw, serve.Options{
 		MaxBatch: 64,
 		MaxDelay: 2 * time.Millisecond,
 		Replicas: 1,

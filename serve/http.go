@@ -110,10 +110,14 @@ func (s *Server) mount() {
 	s.hs = edge.NewHTTPServer(s.mux)
 }
 
-// New builds a Batcher for m with opts and wraps it in a Server — the
-// one-call path cmd/disthd-serve uses.
+// New builds a Swapper publishing m and a Batcher over it with opts, and
+// wraps them in a Server — the one-call path cmd/disthd-serve uses.
 func New(m *disthd.Model, opts Options) (*Server, error) {
-	b, err := NewBatcher(m, opts)
+	sw, err := NewSwapper(m)
+	if err != nil {
+		return nil, err
+	}
+	b, err := NewBatcher(sw, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 )
 
 // decodeJSON decodes a response body.
@@ -101,8 +100,4 @@ func TestHTTPLearnFlow(t *testing.T) {
 		t.Fatalf("second /retrain returned %d", code)
 	}
 	srv.Learner().Wait()
-	deadline := time.Now().Add(time.Second)
-	for srv.Learner().Retraining() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 }

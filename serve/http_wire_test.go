@@ -246,7 +246,7 @@ func TestPredictStreamMatchesPredictBatch(t *testing.T) {
 	}{{"f32", s.a}, {"1bit", q}} {
 		t.Run(tier.name, func(t *testing.T) {
 			// MaxBatch 4 forces chunking over the 11-row input.
-			b, err := NewBatcher(tier.m, Options{MaxBatch: 4, Replicas: 1})
+			b, err := NewBatcher(swapperFor(t, tier.m), Options{MaxBatch: 4, Replicas: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

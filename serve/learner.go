@@ -143,9 +143,7 @@ type Learner struct {
 }
 
 // onlineConfig maps resolved options onto the disthd.OnlineConfig the
-// wrapped OnlineLearner runs under — the single definition NewLearner
-// and RestoreLearner share, so a restored learner always rebuilds under
-// exactly the configuration its snapshot was taken under.
+// wrapped OnlineLearner runs under.
 func (o LearnerOptions) onlineConfig() disthd.OnlineConfig {
 	holdout := o.HoldoutFraction
 	if o.GateDisabled {
@@ -174,102 +172,10 @@ func NewLearner(sw *Swapper, opts LearnerOptions) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLearner(sw, o, ol), nil
-}
-
-// newLearner wraps ol, resolved options already applied.
-func newLearner(sw *Swapper, o LearnerOptions, ol *disthd.OnlineLearner) *Learner {
 	l := &Learner{sw: sw, opts: o, ol: ol}
 	if !o.GateDisabled {
 		l.gate = disthd.NewGate(disthd.GateConfig{MinMargin: o.GateMargin})
 	}
-	return l
-}
-
-// LearnerState is a Learner's whole state, moved out of it: the wrapped
-// OnlineLearner's state (feedback window, drift baseline, accuracy rings,
-// retrain counters; disthd.LearnerState, whose buffers move rather than
-// copy) plus the serving-side gauges. Export takes one and RestoreLearner
-// rebuilds a Learner from it over a fresh Swapper, which is how
-// serve/registry makes tenant eviction lossless for learning tenants.
-// Gauges is the frozen /stats view at export time, so a parked tenant's
-// stats endpoint can keep reporting the learner without holding a live
-// serving unit; it also restores the serving-side counters and gate
-// verdicts. The four fields after it hold what Gauges does not carry
-// exactly: the backoff anchor and the retrain clocks at full resolution.
-type LearnerState struct {
-	// Online is the wrapped OnlineLearner's state.
-	Online *disthd.LearnerState
-	// Gauges is the LearnerSnapshot frozen at export time — what /stats
-	// reported the instant the learner was parked.
-	Gauges LearnerSnapshot
-	// RejectAt is 1 + the feedback count at the last rejection (the
-	// rejection-backoff anchor; 0 when no challenger was ever rejected).
-	RejectAt uint64
-	// LastRetrainNS, LastDurationNS, and LastAutoNS restore the retrain
-	// wall-clock gauges (UnixNano / duration ns).
-	LastRetrainNS int64
-	// LastDurationNS is the last completed retrain's duration in ns.
-	LastDurationNS int64
-	// LastAutoNS is the wall-clock ns of the last auto retrain trigger.
-	LastAutoNS int64
-}
-
-// Export settles the learner and moves its state out: any in-flight
-// background retrain is waited out first — its gated successor publishes
-// through the (still live) Swapper or is rejected and counted, so the
-// state never races a publish — then the gauges are frozen and the
-// online state changes owner without a copy (disthd.OnlineLearner.Export).
-// The learner is spent afterwards: feed it no more. The caller must
-// guarantee no concurrent Feed/Retrain calls (serve/registry parks only
-// idle tenants, which guarantees exactly that).
-func (l *Learner) Export() *LearnerState {
-	l.Wait()
-	st := &LearnerState{
-		Gauges:         l.Snapshot(),
-		RejectAt:       l.rejectAt.Load(),
-		LastRetrainNS:  l.lastRetrain.Load(),
-		LastDurationNS: l.lastDuration.Load(),
-		LastAutoNS:     l.lastAuto.Load(),
-	}
-	l.mu.Lock()
-	st.Online = l.ol.Export()
-	l.mu.Unlock()
-	return st
-}
-
-// RestoreLearner rebuilds a Learner over sw from the state Export moved
-// out, continuing exactly where the exported learner stopped: feedback
-// window, drift baseline, accuracy rings, retrain/gate counters, and
-// backoff position all carry over. The learner takes over st.Online's
-// buffers (disthd.NewOnlineLearnerFromState), so a state restores once;
-// a state that does not fit is rejected and left as it was. opts must
-// match the options the state was taken under (the registry reuses the
-// tenant's Spec, which guarantees it); sw should currently serve the
-// model the exported learner was bound to — the restored baseline
-// describes that model.
-func RestoreLearner(sw *Swapper, opts LearnerOptions, st *LearnerState) (*Learner, error) {
-	if sw == nil {
-		return nil, fmt.Errorf("serve: RestoreLearner needs a swapper")
-	}
-	if st == nil || st.Online == nil {
-		return nil, fmt.Errorf("serve: RestoreLearner needs an Export state")
-	}
-	o := opts.withDefaults()
-	ol, err := disthd.NewOnlineLearnerFromState(sw.Current(), o.onlineConfig(), st.Online)
-	if err != nil {
-		return nil, err
-	}
-	l := newLearner(sw, o, ol)
-	l.feedback.Store(ol.Observations())
-	l.drifts.Store(st.Gauges.DriftEvents)
-	l.retrainErrs.Store(st.Gauges.RetrainErrors)
-	l.lastGate.Store(st.Gauges.LastGate)
-	l.lastReject.Store(st.Gauges.LastRejection)
-	l.rejectAt.Store(st.RejectAt)
-	l.lastRetrain.Store(st.LastRetrainNS)
-	l.lastDuration.Store(st.LastDurationNS)
-	l.lastAuto.Store(st.LastAutoNS)
 	return l, nil
 }
 
@@ -581,11 +487,11 @@ func (l *Learner) publish(next *disthd.Model) bool {
 	return true
 }
 
-// Retraining reports whether a retrain is in flight right now.
-func (l *Learner) Retraining() bool { return l.retraining.Load() }
-
-// Wait blocks until no retrain is in flight — a test and benchmark hook;
-// production callers never need it.
+// Wait blocks until no retrain is in flight. serve/registry calls it,
+// outside its lock, to settle the learner of a tenant it dropped, so no
+// retrain goroutine outlives the tenant's removal or the registry's Close.
+// The caller must make sure no Feed or Retrain can start a new retrain
+// while it waits.
 func (l *Learner) Wait() { l.wg.Wait() }
 
 // LearnerSnapshot is a point-in-time copy of the learner gauges, embedded

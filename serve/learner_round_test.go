@@ -45,7 +45,7 @@ func TestLearnerRunsOnlineLearnerRound(t *testing.T) {
 			nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := NewBatcher(st.a, Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+			b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestLearnerRetrainsTheServingModel(t *testing.T) {
 		{"quantize then swap back", q, st.a},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := NewBatcher(st.a, Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+			b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

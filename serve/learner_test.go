@@ -13,7 +13,7 @@ import (
 func learnerFixture(t *testing.T, opts LearnerOptions) (*Batcher, *Learner, *testState) {
 	t.Helper()
 	st := fixtures(t)
-	b, err := NewBatcher(st.a, Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestLearnerAutoRetrainsOnDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Snapshot().Retrains != 0 || l.Retraining() {
+	if snap := l.Snapshot(); snap.Retrains != 0 || snap.Retraining {
 		t.Fatal("auto retrain fired on clean data")
 	}
 	// Severe drift: accuracy collapses; auto retrain must fire and publish.
@@ -248,7 +248,7 @@ func TestLearnerConcurrentFeedAndRetrain(t *testing.T) {
 // batch may mix weights.
 func TestSwapStorm(t *testing.T) {
 	st := fixtures(t)
-	b, err := NewBatcher(st.a, Options{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Replicas: 2})
+	b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

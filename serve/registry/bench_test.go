@@ -159,9 +159,9 @@ var wakeParkLearner = &serve.LearnerOptions{Window: 512, Seed: 3}
 
 // BenchmarkRegistryWakePark prices an eviction cycle: two tenants
 // alternating through a one-slot pool, so every Acquire parks one serving
-// unit (batcher drain, scratch to the idle set, learner state moved out)
-// and wakes the other (a fresh batcher, learner state moved back), without
-// and with a learner on the tenants. This is the cost the LRU policy pays
+// unit (batcher drain, scratch to the idle set) and wakes the other (a
+// fresh batcher over the kept Swapper), without and with a learner on the
+// tenants. This is the cost the LRU policy pays
 // per cold hit — and the reason hot tenants keep their residency.
 func BenchmarkRegistryWakePark(b *testing.B) {
 	f := benchFixtures(b, 512)

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/serve"
@@ -33,10 +35,10 @@ func feedTenant(t *testing.T, reg *Registry, id string, fx *tenantFixture, n int
 	}
 }
 
-// twinState feeds a learner that never parks the stream feedTenant(fx, n)
-// sends and moves its state out — the reference a parked tenant's state
-// must equal bit for bit.
-func twinState(t *testing.T, fx *tenantFixture, spec Spec, n int) *serve.LearnerState {
+// twinSnapshot feeds a learner that never parks the stream
+// feedTenant(fx, n) sends and returns its gauges — what a parked tenant's
+// learner must report.
+func twinSnapshot(t *testing.T, fx *tenantFixture, spec Spec, n int) serve.LearnerSnapshot {
 	t.Helper()
 	sw, err := serve.NewSwapper(fx.m)
 	if err != nil {
@@ -52,23 +54,26 @@ func twinState(t *testing.T, fx *tenantFixture, spec Spec, n int) *serve.Learner
 			t.Fatal(err)
 		}
 	}
-	return l.Export()
+	return l.Snapshot()
 }
 
-// parkedState returns the learner state the registry holds for a parked
-// tenant.
-func parkedState(reg *Registry, id string) *serve.LearnerState {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.tenants[id].learner
+// tenantLearner returns the learner attached to tenant id, waking it if
+// parked.
+func tenantLearner(t *testing.T, reg *Registry, id string) *serve.Learner {
+	t.Helper()
+	h, err := reg.Acquire(id)
+	if err != nil {
+		t.Fatalf("Acquire(%q): %v", id, err)
+	}
+	defer reg.Release(h)
+	return h.Server().Learner()
 }
 
 // TestRegistryParkWakeLearnerContinuity is the park/wake acceptance
-// shape: park a learning tenant and its learner state is bit-identical
-// to a twin learner that never parked — window contents, drift baseline,
-// counters — with the parked /stats row reporting the frozen gauges; wake
-// it and park it again, and the state is still that twin's, so the woken
-// learner continued rather than restarted.
+// shape: park a learning tenant and its parked row reports exactly the
+// gauges of a twin learner that never parked — window, drift baseline,
+// counters; wake it and it serves with the very learner it parked with,
+// which keeps counting from where it stopped.
 func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 	fx := fixtures(t)
 	a, b := fx[0], fx[1]
@@ -85,7 +90,8 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedTenant(t, reg, a.name, a, 16)
-	want := twinState(t, a, spec, 16)
+	l := tenantLearner(t, reg, a.name)
+	want := twinSnapshot(t, a, spec, 16)
 
 	// Waking b through the 1-slot pool parks a.
 	checkTenant(t, reg, b.name, b)
@@ -99,53 +105,37 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 	if row.Learner == nil {
 		t.Fatal("parked learning tenant reports no learner gauges")
 	}
-	if row.Learner.Feedback != 16 || row.Learner.WindowLen != 16 {
-		t.Fatalf("parked gauges feedback=%d windowLen=%d, want 16/16",
-			row.Learner.Feedback, row.Learner.WindowLen)
-	}
-	if got := parkedState(reg, a.name); !reflect.DeepEqual(got, want) {
-		t.Fatalf("parked learner state differs from a twin that never parked:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(*row.Learner, want) {
+		t.Fatalf("parked learner gauges differ from a twin that never parked:\n got %+v\nwant %+v", *row.Learner, want)
 	}
 
-	// Wake a: the learner must continue, not restart.
-	h, err := reg.Acquire(a.name)
-	if err != nil {
-		t.Fatal(err)
+	// Wake a: the learner it parked with serves again.
+	if got := tenantLearner(t, reg, a.name); got != l {
+		t.Fatal("woken tenant serves another learner than the one it parked with")
 	}
-	reg.Release(h)
 	row, err = reg.TenantStats(a.name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row.Learner != nil {
-		t.Fatal("resident tenant still reports the frozen parked gauges")
+		t.Fatal("resident tenant still reports parked learner gauges")
 	}
 	if row.Serve == nil || row.Serve.Learner == nil || row.Serve.Learner.Feedback != 16 {
 		t.Fatalf("resident serve snapshot lost the learner gauges: %+v", row.Serve)
 	}
-	// Park it again: the woken learner held exactly the state it was given.
+	// Park it again, wake it with more feedback: it keeps counting.
 	checkTenant(t, reg, b.name, b)
-	if got := parkedState(reg, a.name); !reflect.DeepEqual(got, want) {
-		t.Fatalf("learner state not bitwise-preserved across wake and park:\n got %+v\nwant %+v", got, want)
-	}
-	// And it keeps counting from where it stopped.
 	feedTenant(t, reg, a.name, a, 4)
-	h, err = reg.Acquire(a.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := h.Server().Learner().Snapshot().Feedback
-	reg.Release(h)
-	if want := want.Online.Observations + 4; got != want {
-		t.Fatalf("observations after wake+4 = %d, want %d (reset to cold?)", got, want)
+	if got := l.Snapshot().Feedback; got != want.Feedback+4 {
+		t.Fatalf("observations after wake+4 = %d, want %d (reset to cold?)", got, want.Feedback+4)
 	}
 }
 
 // TestRegistryParkMidRetrainKeepsSuccessor parks a tenant while its
-// background retrain is in flight: park must settle the retrain, and the
-// gate-accepted successor must be the model the tenant serves after the
-// next wake — never lost into the dead serving unit. Run under -race this
-// also proves park and the retrain goroutine are properly synchronized.
+// background retrain is in flight: the park does not wait for it, the
+// retrain publishes into the parked tenant's Swapper, and the woken tenant
+// serves the gate-accepted successor. Run under -race this also proves
+// park and the retrain goroutine are properly synchronized.
 func TestRegistryParkMidRetrainKeepsSuccessor(t *testing.T) {
 	fx := fixtures(t)
 	a, b := fx[0], fx[1]
@@ -161,18 +151,14 @@ func TestRegistryParkMidRetrainKeepsSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedTenant(t, reg, a.name, a, 16)
-	h, err := reg.Acquire(a.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	started, err := h.Server().Learner().Retrain(true) // forced: always publishes
-	reg.Release(h)
-	if err != nil || !started {
+	l := tenantLearner(t, reg, a.name)
+	if started, err := l.Retrain(true); err != nil || !started { // forced: always publishes
 		t.Fatalf("forced retrain: started=%v err=%v", started, err)
 	}
-	// Evict a immediately — the retrain may still be running; park must
-	// wait it out and capture its successor.
+	// Evict a at once, the retrain likely still running; the park does
+	// not wait for it.
 	checkTenant(t, reg, b.name, b)
+	l.Wait()
 	row, err := reg.TenantStats(a.name)
 	if err != nil {
 		t.Fatal(err)
@@ -180,13 +166,10 @@ func TestRegistryParkMidRetrainKeepsSuccessor(t *testing.T) {
 	if row.Resident {
 		t.Fatalf("tenant %q still resident; nothing was parked mid-retrain", a.name)
 	}
-	if row.Learner == nil || row.Learner.Retrains != 1 || row.Learner.GateAccepts != 1 {
-		t.Fatalf("parked gauges lost the settled retrain: %+v", row.Learner)
+	if row.Learner == nil || row.Learner.Retrains != 1 || row.Learner.GateAccepts != 1 || row.Learner.Retraining {
+		t.Fatalf("parked gauges after the retrain settled: %+v, want 1 retrain, 1 gate accept, none in flight", row.Learner)
 	}
-	if row.Learner.Retraining {
-		t.Fatal("parked snapshot claims a retrain is still in flight")
-	}
-	h, err = reg.Acquire(a.name)
+	h, err := reg.Acquire(a.name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +177,18 @@ func TestRegistryParkMidRetrainKeepsSuccessor(t *testing.T) {
 	if h.Server().Batcher().Model() == a.m {
 		t.Fatal("woken tenant serves the pre-retrain model; the successor was lost in the park")
 	}
-	if snap := h.Server().Learner().Snapshot(); snap.Retrains != 1 {
-		t.Fatalf("woken learner retrains = %d, want 1", snap.Retrains)
+	if h.Server().Learner() != l {
+		t.Fatal("woken tenant serves another learner than the one that retrained")
 	}
 }
 
-// TestRegistryEvictionSkipsRetrainingTenant pins the eviction order
-// around an in-flight retrain: with a learning tenant mid-retrain and a
-// plain tenant idle, a wake parks the plain tenant even though the
-// learning one is colder, so the wake returns without waiting out the
-// retrain under the registry lock.
-func TestRegistryEvictionSkipsRetrainingTenant(t *testing.T) {
+// TestRegistryEvictionNeverWaitsOnRetrain pins that no registry method
+// waits on a retrain while holding the registry lock: a wake parks the
+// least-recently-used tenant although it is mid-retrain and returns with
+// the retrain still running, and a Remove of that tenant, which does wait
+// the retrain out, lets an Acquire of another tenant return first. A
+// Close meanwhile still returns only after that retrain.
+func TestRegistryEvictionNeverWaitsOnRetrain(t *testing.T) {
 	fx := fixtures(t)
 	a, b, c := fx[2], fx[1], fx[0]
 	reg, err := New(2)
@@ -225,35 +209,63 @@ func TestRegistryEvictionSkipsRetrainingTenant(t *testing.T) {
 		}
 	}
 	feedTenant(t, reg, a.name, a, 16)
-	h, err := reg.Acquire(a.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	started, err := h.Server().Learner().Retrain(true)
-	reg.Release(h)
-	if err != nil || !started {
+	l := tenantLearner(t, reg, a.name)
+	if started, err := l.Retrain(true); err != nil || !started {
 		t.Fatalf("forced retrain: started=%v err=%v", started, err)
 	}
 	checkTenant(t, reg, b.name, b) // b is now more recently used than a
-	h, err = reg.Acquire(c.name)
+	h, err := reg.Acquire(c.name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg.Release(h)
-	rowA, err := reg.TenantStats(a.name)
+	row, err := reg.TenantStats(a.name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowB, err := reg.TenantStats(b.name)
-	if err != nil {
+	if row.Resident {
+		t.Fatalf("wake of %q did not park the least-recently-used tenant %q", c.name, a.name)
+	}
+	if row.Learner == nil || !row.Learner.Retraining {
+		t.Fatalf("the wake of %q waited for %q's retrain to finish", c.name, a.name)
+	}
+
+	// Remove a mid-retrain; once it is unregistered, Acquire b from a
+	// second goroutine.
+	removed := make(chan error, 1)
+	go func() { removed <- reg.Remove(a.name) }()
+	for {
+		if _, err := reg.TenantStats(a.name); errors.Is(err, ErrUnknownTenant) {
+			break
+		}
+		runtime.Gosched()
+	}
+	acquired := make(chan error, 1)
+	go func() {
+		h, err := reg.Acquire(b.name)
+		if err == nil {
+			reg.Release(h)
+		}
+		acquired <- err
+	}()
+	select {
+	case err := <-acquired:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case err := <-removed:
+		t.Fatalf("Remove (err %v) returned before a concurrent Acquire of another tenant", err)
+	}
+	if !l.Snapshot().Retraining {
+		t.Fatalf("Acquire of %q returned only after %q's retrain finished", b.name, a.name)
+	}
+	// Close, too, waits for the retrain of the tenant Remove dropped.
+	reg.Close()
+	if l.Snapshot().Retraining {
+		t.Fatal("Close returned with a removed tenant's retrain still running")
+	}
+	if err := <-removed; err != nil {
 		t.Fatal(err)
-	}
-	if !rowA.Resident || rowB.Resident {
-		t.Fatalf("wake of %q parked the wrong tenant: %q resident=%v, %q resident=%v",
-			c.name, a.name, rowA.Resident, b.name, rowB.Resident)
-	}
-	if rowA.Serve == nil || rowA.Serve.Learner == nil || !rowA.Serve.Learner.Retraining {
-		t.Fatalf("the wake waited for %q's retrain to finish", a.name)
 	}
 }
 

@@ -11,15 +11,15 @@
 // (features × D × classes — tenants are heterogeneous), and the Registry
 // caps the TOTAL resident replicas at a fixed pool capacity. A request
 // for a parked tenant wakes it, parking the least-recently-used idle
-// tenants to make room: a parked tenant's scratch goes back to the
-// process-wide idle set (bounded by a constant; see disthd.Replica), where
-// the next tenant of the same shape takes it, and the model itself stays
-// registered and is served by a fresh Batcher on the next hit. Parking is
-// lossless: a learning tenant's full learner state — feedback window,
-// drift baseline, accuracy rings, retrain/gate gauges — moves out next to
-// the authoritative model and moves back on the next wake, without a copy
-// of the window, so eviction churn never resets a tenant to a cold
-// learner.
+// tenants to make room: a parked tenant's Batcher closes and its scratch
+// goes back to the process-wide idle set (bounded by a constant; see
+// disthd.Replica), where the next tenant of the same shape takes it. That
+// is all a park frees. Each tenant keeps one serve.Swapper, and one
+// serve.Learner when its spec asks for one, for its whole registration;
+// the next wake builds a fresh Batcher over that Swapper and attaches that
+// learner, so a parked tenant keeps its model, swap count, feedback
+// window, drift state and retrain gauges, and a retrain still running when
+// it parks publishes into its Swapper as it would while resident.
 // When no idle tenant can be parked — every resident replica is actively
 // serving — admission fails with ErrPoolExhausted and the HTTP layer
 // answers 429, so a process serving N tenants can never allocate
@@ -66,14 +66,10 @@ type Spec struct {
 	// so the default must be the cheapest resident footprint.
 	Options serve.Options
 	// Learner, when non-nil, attaches online learning (/learn, /retrain,
-	// gated background retraining) to the tenant while it is resident.
-	// Learner state — the feedback window, drift baseline, accuracy rings,
-	// retrain/gate gauges — survives parking: eviction moves it out
-	// (serve.Learner.Export) next to the authoritative model, and the next
-	// wake rebuilds the learner around it (serve.RestoreLearner),
-	// continuing exactly where it stopped. An in-flight background retrain
-	// is settled before the move, so its gated successor is published
-	// into the captured model or rejected and counted — never lost.
+	// gated background retraining) to the tenant. The Install builds one
+	// learner that lasts the whole registration: a park does not touch it,
+	// so its window, drift state and gauges carry across every wake, and a
+	// background retrain may finish while the tenant is parked.
 	Learner *serve.LearnerOptions
 }
 
@@ -89,20 +85,16 @@ func (s Spec) withDefaults() Spec {
 // fields are guarded by the owning Registry's lock; the exported methods
 // take it.
 type Tenant struct {
-	reg  *Registry
 	id   string
 	spec Spec
 
-	// model is authoritative while parked; while resident the unit's
-	// Swapper is (park copies the pointer back, so swaps, retrains, and
-	// quantizations published while resident survive eviction).
-	model *disthd.Model
-
-	// learner is the parked learner state, authoritative while parked for
-	// tenants whose spec attaches a learner; while resident the live
-	// serve.Learner is, and this is nil. Park moves it out (settling any
-	// in-flight retrain first) and wake moves it back.
-	learner *serve.LearnerState
+	// sw publishes the tenant's model for the whole registration: every
+	// Batcher a wake builds serves it, and swaps, retrains and
+	// quantizations land in it whether the tenant is resident or parked.
+	sw *serve.Swapper
+	// learner is the tenant's online learner (nil when the spec attaches
+	// none). It publishes into sw and is attached to every serving unit.
+	learner *serve.Learner
 
 	resident  bool
 	removing  bool
@@ -137,6 +129,9 @@ type Registry struct {
 	order    []*Tenant // insertion order, for deterministic listings
 	def      string    // default tenant ID ("" = none)
 	closed   bool
+	// settling counts drained tenants not yet settled, so Close also waits
+	// for the retrains Remove and Install wait on outside the lock.
+	settling sync.WaitGroup
 
 	evictions  atomic.Uint64
 	rejections atomic.Uint64
@@ -161,7 +156,8 @@ func (r *Registry) Capacity() int { return r.capacity }
 
 // Install registers m as tenant id, replacing an existing tenant of the
 // same ID (the replacement drains first: in-flight requests complete on
-// the old unit). The new tenant is installed resident when the pool has
+// the old unit, and a retrain of its learner is waited out once the
+// registry lock is released). The new tenant is installed resident when the pool has
 // room — parking colder tenants if needed — and parked otherwise, waking
 // on its first request. The first installed tenant becomes the default.
 func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
@@ -176,18 +172,30 @@ func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
 		return fmt.Errorf("registry: tenant %q wants %d replicas, pool capacity is %d",
 			id, sp.Options.Replicas, r.capacity)
 	}
+	sw, err := serve.NewSwapper(m)
+	if err != nil {
+		return err
+	}
+	t := &Tenant{id: id, spec: sp, sw: sw, installed: time.Now()}
+	if sp.Learner != nil {
+		if t.learner, err = serve.NewLearner(sw, *sp.Learner); err != nil {
+			return fmt.Errorf("registry: tenant %q learner: %w", id, err)
+		}
+	}
+	var old *Tenant
+	defer func() { r.settle(old) }() // after the Unlock deferred below
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return ErrClosed
 	}
-	if old := r.tenants[id]; old != nil {
-		if err := r.drainLocked(old); err != nil {
+	if cur := r.tenants[id]; cur != nil {
+		if err := r.drainLocked(cur); err != nil {
 			return err
 		}
-		r.dropLocked(old)
+		r.dropLocked(cur)
+		old = cur
 	}
-	t := &Tenant{reg: r, id: id, spec: sp, model: m, installed: time.Now()}
 	r.tenants[id] = t
 	r.order = append(r.order, t)
 	if r.def == "" {
@@ -204,8 +212,11 @@ func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
 }
 
 // Remove drains tenant id — new requests get ErrUnknownTenant, in-flight
-// ones complete — then parks it and deletes the registration.
+// ones complete — then parks it, deletes the registration, and, with the
+// registry lock released, waits out the retrain its learner may be running.
 func (r *Registry) Remove(id string) error {
+	var dropped *Tenant
+	defer func() { r.settle(dropped) }() // after the Unlock deferred below
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -219,12 +230,29 @@ func (r *Registry) Remove(id string) error {
 		return err
 	}
 	r.dropLocked(t)
+	dropped = t
 	return nil
 }
 
+// settle waits out the background retrain the learner of t, a drained
+// tenant (nil: none), may be running, and then lets Close return. It runs
+// with the registry lock released: a retrain takes tens of milliseconds,
+// and every Acquire would stall behind it. A drained tenant is idle and
+// hidden from Acquire, so nothing can start another retrain on it.
+func (r *Registry) settle(t *Tenant) {
+	if t == nil {
+		return
+	}
+	if t.learner != nil {
+		t.learner.Wait()
+	}
+	r.settling.Done()
+}
+
 // drainLocked marks t removing (hiding it from Acquire), waits until its
-// in-flight requests complete, and parks it. The registry lock is held;
-// cond.Wait releases it while blocked, so traffic to other tenants flows.
+// in-flight requests complete, and parks it; the caller settles t once it
+// has released the lock. The registry lock is held; cond.Wait releases it
+// while blocked, so traffic to other tenants flows.
 func (r *Registry) drainLocked(t *Tenant) error {
 	t.removing = true
 	for t.inflight > 0 {
@@ -236,6 +264,7 @@ func (r *Registry) drainLocked(t *Tenant) error {
 	if t.resident {
 		r.parkLocked(t, false)
 	}
+	r.settling.Add(1)
 	return nil
 }
 
@@ -320,10 +349,10 @@ func (r *Registry) Release(t *Tenant) {
 
 // wakeLocked makes t resident: reclaim pool capacity by parking the
 // least-recently-used idle tenants, then build the serving unit — a fresh
-// Batcher over the tenant's latest model, wrapped in a serve.Server, with
-// a learner attached when the spec asks for one. Nothing here allocates
-// scratch: the Batcher leases replicas on its first request, from the
-// idle set a parked tenant of the same shape filled.
+// Batcher over the tenant's Swapper, wrapped in a serve.Server, with the
+// tenant's learner attached. Nothing here allocates scratch: the Batcher
+// leases replicas on its first request, from the idle set a parked tenant
+// of the same shape filled.
 func (r *Registry) wakeLocked(t *Tenant) error {
 	need := t.spec.Options.Replicas
 	for r.used+need > r.capacity {
@@ -334,30 +363,14 @@ func (r *Registry) wakeLocked(t *Tenant) error {
 		}
 		r.parkLocked(v, true)
 	}
-	srv, err := serve.New(t.model, t.spec.Options)
+	bat, err := serve.NewBatcher(t.sw, t.spec.Options)
 	if err != nil {
 		return fmt.Errorf("registry: wake tenant %q: %w", t.id, err)
 	}
-	if t.spec.Learner != nil {
-		var l *serve.Learner
-		if t.learner != nil {
-			// A previous park moved the learner's state out; continue it
-			// instead of starting cold. The spec (and so the learner config)
-			// is immutable for a registered tenant, and the tenant's
-			// authoritative model is exactly the one the state's baseline
-			// describes, so the restore cannot misfit.
-			l, err = serve.RestoreLearner(srv.Batcher().Swapper(), *t.spec.Learner, t.learner)
-		} else {
-			l, err = serve.NewLearner(srv.Batcher().Swapper(), *t.spec.Learner)
-		}
-		if err != nil {
-			srv.Batcher().Close()
-			return fmt.Errorf("registry: wake tenant %q: %w", t.id, err)
-		}
-		t.learner = nil
-		srv.AttachLearner(l)
+	t.srv = serve.NewServer(bat)
+	if t.learner != nil {
+		t.srv.AttachLearner(t.learner)
 	}
-	t.srv = srv
 	t.resident = true
 	r.used += need
 	t.wakes++
@@ -368,22 +381,16 @@ func (r *Registry) wakeLocked(t *Tenant) error {
 }
 
 // victimLocked picks the least-recently-used resident tenant that is idle
-// (no in-flight request) and is not exempt, preferring one whose learner
-// is not mid-retrain: parking a retraining tenant waits out its retrain
-// under the registry lock (parkLocked), which stalls every Acquire, so
-// such a tenant is parked only when no other idle tenant can be. Tenant
-// counts are small, so a linear scan beats maintaining an intrusive list.
+// (no in-flight request) and is not exempt. Tenant counts are small, so a
+// linear scan beats maintaining an intrusive list.
 func (r *Registry) victimLocked(exempt *Tenant) *Tenant {
 	var victim *Tenant
-	victimBusy := false
 	for _, t := range r.order {
 		if t == exempt || !t.resident || t.inflight > 0 {
 			continue
 		}
-		l := t.srv.Learner()
-		busy := l != nil && l.Retraining()
-		if victim == nil || (victimBusy && !busy) || (busy == victimBusy && t.lastUse < victim.lastUse) {
-			victim, victimBusy = t, busy
+		if victim == nil || t.lastUse < victim.lastUse {
+			victim = t
 		}
 	}
 	return victim
@@ -391,32 +398,11 @@ func (r *Registry) victimLocked(exempt *Tenant) *Tenant {
 
 // parkLocked releases an idle resident tenant's serving unit: the Batcher
 // drains (its queue is empty — the tenant has no in-flight request — so
-// the close is prompt) and hands its replicas to the idle set, the
-// learner (if any) is settled and its state moved out, and the latest
-// published model is copied back as the tenant's authoritative snapshot,
-// so a swap, gated retrain, or quantization that landed while resident
-// survives the eviction.
-//
-// Blocking on the learner under the registry lock is deadlock-free: the
-// retrain goroutine touches only the learner mutex and the Swapper, never
-// the registry, and with the tenant idle (inflight == 0, guaranteed by
-// every caller) no Feed can start a new retrain under us.
+// the close is prompt) and hands its replicas to the idle set. The
+// tenant's Swapper and learner stay as they are, so a park waits on
+// nothing, not even a retrain in flight.
 func (r *Registry) parkLocked(t *Tenant, evicted bool) {
-	bat := t.srv.Batcher()
-	bat.Close()
-	if l := t.srv.Learner(); l != nil {
-		// Export waits out any in-flight background retrain first: its
-		// gated successor publishes through the Swapper (which outlives the
-		// batcher) or is rejected and counted — either way the verdict is in
-		// the moved state and the model read below sees the publish. This
-		// is also what lets Close guarantee no retrain goroutine outlives it.
-		t.learner = l.Export()
-	}
-	// Read the published model only after the batcher has quiesced and the
-	// learner has settled, so neither a swap landing mid-drain nor a
-	// retrain's successor is lost. The Swapper outlives the batcher;
-	// Model() after Close is just an atomic load.
-	t.model = bat.Model()
+	t.srv.Batcher().Close()
 	t.srv = nil
 	t.resident = false
 	r.used -= t.spec.Options.Replicas
@@ -427,14 +413,14 @@ func (r *Registry) parkLocked(t *Tenant, evicted bool) {
 }
 
 // Close drains every tenant and shuts the registry down: in-flight
-// requests complete, learners settle (parkLocked waits out each tenant's
-// background retrain, so no retrain goroutine outlives Close), parked
-// state is kept only in memory, and every later operation returns
-// ErrClosed.
+// requests complete, every serving unit closes, and then, with the lock
+// released, every learner's background retrain is waited out, so no
+// retrain goroutine outlives Close. Parked state is kept only in memory,
+// and every later operation returns ErrClosed.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
+		r.mu.Unlock()
 		return
 	}
 	// Closed flips first so a request arriving mid-drain gets ErrClosed
@@ -449,6 +435,13 @@ func (r *Registry) Close() {
 		}
 	}
 	r.cond.Broadcast()
+	tenants := append([]*Tenant(nil), r.order...)
+	r.settling.Add(len(tenants))
+	r.mu.Unlock()
+	for _, t := range tenants {
+		r.settle(t)
+	}
+	r.settling.Wait()
 }
 
 // TenantStats is one tenant's row in the aggregate Stats and the
@@ -483,11 +476,11 @@ type TenantStats struct {
 	// Serve is the tenant's serving snapshot while resident (batcher
 	// counters, learner and quantization gauges), nil while parked.
 	Serve *serve.Snapshot `json:"serve,omitempty"`
-	// Learner is the learner gauge snapshot frozen at the last park, for
-	// learning tenants while parked — the feedback window length, drift
-	// state, and retrain/gate counters survive eviction, and this reports
-	// them without waking the tenant. Nil while resident (the live gauges
-	// are in Serve.Learner) and for tenants without a learner.
+	// Learner is the parked learner's live gauge snapshot, for learning
+	// tenants while parked — the feedback window length, drift state, and
+	// retrain/gate counters, reported without waking the tenant. Nil while
+	// resident (the gauges are in Serve.Learner) and for tenants without a
+	// learner.
 	Learner *serve.LearnerSnapshot `json:"learner,omitempty"`
 }
 
@@ -540,10 +533,7 @@ func (r *Registry) Stats() Stats {
 
 // tenantStatsLocked builds one tenant's stats row.
 func (r *Registry) tenantStatsLocked(t *Tenant) TenantStats {
-	m := t.model
-	if t.resident {
-		m = t.srv.Batcher().Model()
-	}
+	m := t.sw.Current()
 	ts := TenantStats{
 		ID:            t.id,
 		Resident:      t.resident,
@@ -563,8 +553,8 @@ func (r *Registry) tenantStatsLocked(t *Tenant) TenantStats {
 		snap := t.srv.Stats()
 		ts.Serve = &snap
 	} else if t.learner != nil {
-		gauges := t.learner.Gauges
-		ts.Learner = &gauges
+		snap := t.learner.Snapshot()
+		ts.Learner = &snap
 	}
 	return ts
 }

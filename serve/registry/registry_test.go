@@ -277,7 +277,8 @@ func TestRegistryRemoveDrains(t *testing.T) {
 
 // TestRegistrySwapSurvivesEviction proves park/wake keeps the latest
 // published model: a hot-swap while resident must still serve after the
-// tenant is parked and woken — the eviction releases scratch, not state.
+// tenant is parked and woken — the eviction releases scratch, not state —
+// and the woken tenant still counts that swap.
 func TestRegistrySwapSurvivesEviction(t *testing.T) {
 	fx := fixtures(t)
 	a, b := fx[0], fx[1]
@@ -322,6 +323,9 @@ func TestRegistrySwapSurvivesEviction(t *testing.T) {
 	defer reg.Release(h)
 	if got := h.Server().Batcher().Model(); got != successor {
 		t.Fatalf("woken tenant serves the pre-swap model; the park lost the published successor")
+	}
+	if got := h.Server().Stats().Swaps; got != 1 {
+		t.Fatalf("woken tenant reports %d swaps, want 1", got)
 	}
 }
 

@@ -137,15 +137,16 @@ type Batcher struct {
 	released bool
 }
 
-// NewBatcher starts opts.Replicas workers serving m. The returned Batcher
-// owns a Swapper; hot-swap models through Swap / SwapReader (or the
-// Swapper itself, via Swapper()).
-func NewBatcher(m *disthd.Model, opts Options) (*Batcher, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+// NewBatcher starts opts.Replicas workers serving whatever model sw
+// publishes. The Swapper is not the Batcher's: it outlives Close, so a
+// caller may close one Batcher and serve the same Swapper (its model, swap
+// count and attached learner) from the next — serve/registry parks and
+// wakes a tenant this way. Hot-swap models through Swap or the Swapper.
+func NewBatcher(sw *Swapper, opts Options) (*Batcher, error) {
+	if sw == nil {
+		return nil, fmt.Errorf("serve: NewBatcher needs a swapper")
 	}
-	sw, err := NewSwapper(m)
+	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +154,7 @@ func NewBatcher(m *disthd.Model, opts Options) (*Batcher, error) {
 		opts:     o,
 		sw:       sw,
 		stats:    newStats(),
-		features: m.Features(),
+		features: sw.Current().Features(),
 		queue:    make(chan request, 2*o.Replicas*o.MaxBatch),
 	}
 	b.wg.Add(o.Replicas)
@@ -164,9 +165,9 @@ func NewBatcher(m *disthd.Model, opts Options) (*Batcher, error) {
 }
 
 // lease takes an idle replica from the free list, or builds one when none
-// is idle. It is built from the model serving now, not the construction
-// argument, so the Batcher never pins a swapped-out model: replicas are
-// shape-bound, and every swap preserves the shape.
+// is idle. It is built from the model serving now, so the Batcher never
+// pins a swapped-out model: replicas are shape-bound, and every swap
+// preserves the shape.
 func (b *Batcher) lease() (*disthd.Replica, error) {
 	b.freeMu.Lock()
 	if n := len(b.free); n > 0 {

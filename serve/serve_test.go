@@ -48,12 +48,22 @@ func fixtures(t *testing.T) *testState {
 	return &state
 }
 
+// swapperFor publishes m for a test's Batcher.
+func swapperFor(tb testing.TB, m *disthd.Model) *Swapper {
+	tb.Helper()
+	sw, err := NewSwapper(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sw
+}
+
 func TestBatcherFlushOnSize(t *testing.T) {
 	s := fixtures(t)
 	const batch = 8
 	// MaxDelay is effectively infinite: the only way the requests below can
 	// complete is a size-triggered flush.
-	b, err := NewBatcher(s.a, Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +104,7 @@ func TestBatcherFlushOnSize(t *testing.T) {
 func TestBatcherFlushOnSizeExact(t *testing.T) {
 	s := fixtures(t)
 	const batch = 4
-	b, err := NewBatcher(s.a, Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestBatcherFlushOnSizeExact(t *testing.T) {
 func TestBatcherFlushOnDeadline(t *testing.T) {
 	s := fixtures(t)
 	const delay = 2 * time.Millisecond
-	b, err := NewBatcher(s.a, Options{MaxBatch: 64, MinFill: 64, MaxDelay: delay, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 64, MinFill: 64, MaxDelay: delay, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 // publishes safely.
 func TestSwapUnderLoad(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(s.a, Options{MaxBatch: 16, MaxDelay: 200 * time.Microsecond, Replicas: 2})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 16, MaxDelay: 200 * time.Microsecond, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +272,7 @@ func TestSwapShapeMismatch(t *testing.T) {
 
 func TestBatcherValidation(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(s.a, Options{MaxBatch: 4, MaxDelay: time.Millisecond, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 4, MaxDelay: time.Millisecond, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +327,7 @@ func TestBatcherValidation(t *testing.T) {
 // an accuracy change.
 func TestBatcherAgreesWithModel(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(s.a, Options{MaxBatch: 8, MaxDelay: 100 * time.Microsecond, Replicas: 2})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, MaxDelay: 100 * time.Microsecond, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestPredictStreamOutlivesClose(t *testing.T) {
 	}
 	const maxBatch = 5 // a replica shape no other test in the package uses
 	for round := 0; round < 20; round++ {
-		b, err := NewBatcher(s.a, Options{MaxBatch: maxBatch, Replicas: 2})
+		b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: maxBatch, Replicas: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
