@@ -213,20 +213,7 @@ func (c *httpClient) predictBatch(rows [][]float64) ([]int, error) {
 // mirrored back.
 func decodeClasses(contentType string, body []byte) ([]int, error) {
 	if contentType == wire.ContentType {
-		d := wire.NewDecoder(bytes.NewReader(body))
-		typ, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		if typ != wire.TypeClasses {
-			return nil, fmt.Errorf("response frame %v, want classes", typ)
-		}
-		n, err := d.ClassCount()
-		if err != nil {
-			return nil, err
-		}
-		classes := make([]int, n)
-		return classes, d.Classes(classes)
+		return wire.ReadClasses(bytes.NewReader(body))
 	}
 	var out struct {
 		Classes []int `json:"classes"`

@@ -6,7 +6,8 @@
 // /t/{model}/... HTTP surface: per-tenant predictions, the
 // default-tenant alias, a fourth tenant installed live over
 // PUT /t/{model}, per-tenant and aggregate stats, a learning tenant
-// whose feedback window survives being parked, and a drain.
+// whose feedback window and serving counters survive being parked, and a
+// drain.
 package main
 
 import (
@@ -89,8 +90,8 @@ func main() {
 	fmt.Println("serving", len(tenants), "tenants on", base)
 
 	// 3. Per-tenant traffic. Touching a parked tenant wakes it: the
-	//    least-recently-used idle tenant is parked (its serving unit torn
-	//    down, the model kept) to free a replica slot.
+	//    least-recently-used idle tenant is parked (its replica scratch
+	//    handed back, its serving unit kept) to free a replica slot.
 	for _, t := range tenants {
 		test := tests[t.id]
 		classes, err := postBatch(base+"/t/"+t.id, test.X[:4])
@@ -155,13 +156,14 @@ func main() {
 	fmt.Printf("registry: %d/%d replica slots used by %d/%d resident tenants; %d evictions, %d wakes\n",
 		agg.UsedReplicas, agg.Capacity, agg.ResidentCount, agg.TenantCount, agg.Evictions, agg.Wakes)
 
-	// 7. Parking is lossless for learners. "vitals" was installed with a
-	//    learner: feed it labeled samples over /learn, then force it out
-	//    of the pool by touching the other tenants. A park frees only the
-	//    serving unit, so while parked its /stats still reports the
-	//    learner's gauges, and the next feedback sample wakes it with the
-	//    same learner — window, drift baseline, and counters where they
-	//    stopped; eviction churn never resets a tenant to a cold learner.
+	// 7. Parking is lossless. "vitals" was installed with a learner: feed
+	//    it labeled samples over /learn, then force it out of the pool by
+	//    touching the other tenants. A park frees only replica scratch, so
+	//    while parked its /stats still reports the serving unit — learner
+	//    gauges and request counters — and the next feedback sample wakes
+	//    it with the same unit: window, drift baseline, and counters where
+	//    they stopped; eviction churn never resets a tenant to a cold
+	//    learner.
 	vt := tests["vitals"]
 	for i := 0; i < 8; i++ {
 		if err := postLearn(base+"/t/vitals", vt.X[i], vt.Y[i]); err != nil {
@@ -177,7 +179,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("vitals parked: resident=%v, learner gauges feedback=%d\n",
-		ts.Resident, ts.Learner.Feedback)
+		ts.Resident, ts.Serve.Learner.Feedback)
 	if err := postLearn(base+"/t/vitals", vt.X[8], vt.Y[8]); err != nil { // wakes vitals
 		log.Fatal(err)
 	}

@@ -155,16 +155,7 @@ func postPredictBatchBinary(base string, rows [][]float64) ([]int, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("predict_batch: %s", resp.Status)
 	}
-	d := wire.NewDecoder(resp.Body)
-	if typ, err := d.Next(); err != nil || typ != wire.TypeClasses {
-		return nil, fmt.Errorf("want a classes frame, got %v (%v)", typ, err)
-	}
-	n, err := d.ClassCount()
-	if err != nil {
-		return nil, err
-	}
-	classes := make([]int, n)
-	return classes, d.Classes(classes)
+	return wire.ReadClasses(resp.Body)
 }
 
 // postPredict sends one feature vector to /predict.

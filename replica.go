@@ -32,8 +32,9 @@ import (
 // Release hands a replica that is no longer needed to a process-wide idle
 // set of at most maxIdleReplicas replicas and maxIdleBytes of scratch, and
 // NewReplica takes one of the same shape from there before it builds a
-// new one, so a serving unit that is closed and rebuilt (a parked tenant
-// waking) reuses its scratch instead of zeroing a fresh arena.
+// new one, so a serving unit that gives its idle replicas back and later
+// serves again (a parked tenant waking) reuses its scratch instead of
+// zeroing a fresh arena.
 type Replica struct {
 	features, dim, classes int
 	maxBatch               int

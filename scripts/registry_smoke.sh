@@ -8,8 +8,8 @@
 # PUT /t/{id} and exits nonzero if any request ultimately fails — 429s
 # are retried, never dropped). Afterwards the script asserts the
 # registry actually churned (evictions > 0 in /stats), proves a
-# learning tenant's feedback counter and swap count survive a park/wake
-# cycle, scrapes
+# learning tenant's feedback counter, swap count and serving counters
+# survive a park/wake cycle, scrapes
 # a per-tenant /t/{model}/stats, removes a tenant over DELETE, and
 # SIGTERMs the server expecting a clean drain (the "bye:" line only
 # prints after every tenant drained).
@@ -98,7 +98,9 @@ esac
 # labeled samples, swap its own snapshot back in, park it by waking other
 # tenants through the 2-slot pool, and the per-tenant /stats feedback
 # counter must (a) stay visible while parked and (b) continue — never
-# reset to zero — after the wake, which must still count the swap.
+# reset to zero — after the wake, which must still count the swap. The
+# serving unit outlives the park too, so its JSON request counter (every
+# /learn post) continues with the feedback counter.
 echo "$SMOKE: learner park/wake continuity..."
 put_json "http://$ADDR/t/lrn" \
     '{"demo":"DIABETES","dim":48,"scale":0.05,"iterations":2,"learn":true,"seed":7}' >/dev/null
@@ -131,13 +133,18 @@ case "$TSTATS" in
 *)
     smoke_fail "parked /t/lrn/stats lost the learner gauges: $TSTATS" ;;
 esac
-# One more feedback sample wakes lrn; the counter continues at 6.
+# One more feedback sample wakes lrn; the counters continue at 6.
 post_json "http://$ADDR/t/lrn/learn" "{\"x\":[$ROW],\"label\":0}" >/dev/null
 TSTATS=$(fetch "http://$ADDR/t/lrn/stats")
 case "$TSTATS" in
 *'"feedback":6'*) ;;
 *)
     smoke_fail "learner feedback counter reset across park/wake: $TSTATS" ;;
+esac
+case "$TSTATS" in
+*'"wire_json_requests":6'*) ;;
+*)
+    smoke_fail "serving counters reset across park/wake (want 6 JSON /learn requests): $TSTATS" ;;
 esac
 HEALTH=$(fetch "http://$ADDR/t/lrn/healthz")
 case "$HEALTH" in
@@ -160,4 +167,4 @@ case "$MODELS" in
 esac
 
 smoke_drain serve
-echo "$SMOKE: OK (3 boot + 4 PUT tenants, JSON+binary learn+predict traffic, evictions observed, learner and swap count survive park/wake, per-tenant stats, DELETE drain, clean SIGTERM)"
+echo "$SMOKE: OK (3 boot + 4 PUT tenants, JSON+binary learn+predict traffic, evictions observed, learner, swap count and serving counters survive park/wake, per-tenant stats, DELETE drain, clean SIGTERM)"

@@ -210,24 +210,12 @@ func (t *HTTPTransport) PredictPrepared(ctx context.Context, worker string, pb P
 
 // decodeClasses reads a binary classes frame and validates the count.
 func decodeClasses(body io.Reader, worker string, rows int) ([]int, error) {
-	d := wire.NewDecoder(body)
-	typ, err := d.Next()
+	classes, err := wire.ReadClasses(body)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: worker %s: decode response: %w", worker, err)
 	}
-	if typ != wire.TypeClasses {
-		return nil, fmt.Errorf("cluster: worker %s answered frame %v, want classes", worker, typ)
-	}
-	n, err := d.ClassCount()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: worker %s: decode response: %w", worker, err)
-	}
-	if n != rows {
-		return nil, fmt.Errorf("cluster: worker %s answered %d classes for %d rows", worker, n, rows)
-	}
-	classes := make([]int, n)
-	if err := d.Classes(classes); err != nil {
-		return nil, fmt.Errorf("cluster: worker %s: decode response: %w", worker, err)
+	if len(classes) != rows {
+		return nil, fmt.Errorf("cluster: worker %s answered %d classes for %d rows", worker, len(classes), rows)
 	}
 	return classes, nil
 }

@@ -92,18 +92,9 @@ func postBatchBinary(t *testing.T, url string, rows [][]float64) []int {
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
 		t.Fatalf("binary response content type %q", ct)
 	}
-	d := wire.NewDecoder(bytes.NewReader(body))
-	typ, err := d.Next()
-	if err != nil || typ != wire.TypeClasses {
-		t.Fatalf("response frame = %v, %v; want classes", typ, err)
-	}
-	n, err := d.ClassCount()
+	classes, err := wire.ReadClasses(bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
-	}
-	classes := make([]int, n)
-	if err := d.Classes(classes); err != nil {
-		t.Fatal(err)
+		t.Fatalf("response frame: %v", err)
 	}
 	return classes
 }

@@ -61,13 +61,8 @@ type Server struct {
 	b            *Batcher
 	learner      *Learner
 	strictHealth bool
-
-	// The route table and the http.Server are made on first use (Handler,
-	// ListenAndServe, Close): serve/registry calls the Serve* methods of a
-	// tenant's Server directly and never needs either.
-	routes sync.Once
-	mux    *http.ServeMux
-	hs     *http.Server
+	mux          *http.ServeMux
+	hs           *http.Server
 
 	// edge serves /predict and /predict_batch over the Batcher and counts
 	// requests per wire format (/learn adds to its counters).
@@ -86,18 +81,13 @@ type Server struct {
 // Batcher's lifecycle only if it never calls Server.Close (which closes
 // both).
 func NewServer(b *Batcher) *Server {
-	return &Server{b: b, edge: edge.Edge{
+	s := &Server{b: b, mux: http.NewServeMux(), edge: edge.Edge{
 		Name:         "serve",
 		Predict:      func(_ context.Context, x []float64) (int, error) { return b.Predict(x) },
 		PredictBatch: func(_ context.Context, rows [][]float64) ([]int, error) { return b.PredictBatch(rows) },
 		Stream:       b.streamFrame,
 		StatusFor:    statusFor,
 	}}
-}
-
-// mount builds the route table and the http.Server around it, once.
-func (s *Server) mount() {
-	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /predict", s.ServePredict)
 	s.mux.HandleFunc("POST /predict_batch", s.ServePredictBatch)
 	s.mux.HandleFunc("GET /healthz", s.ServeHealthz)
@@ -108,6 +98,7 @@ func (s *Server) mount() {
 	s.mux.HandleFunc("POST /retrain", s.ServeRetrain)
 	s.mux.HandleFunc("POST /quantize", s.ServeQuantize)
 	s.hs = edge.NewHTTPServer(s.mux)
+	return s
 }
 
 // New builds a Swapper publishing m and a Batcher over it with opts, and
@@ -142,16 +133,12 @@ func (s *Server) Learner() *Learner { return s.learner }
 func (s *Server) SetStrictHealth(on bool) { s.strictHealth = on }
 
 // Handler returns the route table, mountable under any mux.
-func (s *Server) Handler() http.Handler {
-	s.routes.Do(s.mount)
-	return s.mux
-}
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // ListenAndServe serves on addr until Close or a listener error. It blocks
 // like http.Server.ListenAndServe and returns http.ErrServerClosed after a
 // clean Close.
 func (s *Server) ListenAndServe(addr string) error {
-	s.routes.Do(s.mount)
 	s.hs.Addr = addr
 	return s.hs.ListenAndServe()
 }
@@ -167,7 +154,6 @@ func (s *Server) ListenAndServe(addr string) error {
 // are answered with 503 rather than dropped.
 func (s *Server) Close() error {
 	s.b.Close()
-	s.routes.Do(s.mount)
 	return edge.Shutdown(s.hs)
 }
 

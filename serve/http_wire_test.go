@@ -32,18 +32,9 @@ func postFrame(t *testing.T, url string, frame []byte) (int, []byte, string) {
 // decodeClassesFrame parses a classes frame out of a response body.
 func decodeClassesFrame(t *testing.T, body []byte) []int {
 	t.Helper()
-	d := wire.NewDecoder(bytes.NewReader(body))
-	typ, err := d.Next()
-	if err != nil || typ != wire.TypeClasses {
-		t.Fatalf("response frame = %v, %v; want classes", typ, err)
-	}
-	n, err := d.ClassCount()
+	classes, err := wire.ReadClasses(bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
-	}
-	classes := make([]int, n)
-	if err := d.Classes(classes); err != nil {
-		t.Fatal(err)
+		t.Fatalf("response frame: %v", err)
 	}
 	return classes
 }

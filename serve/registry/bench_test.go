@@ -158,11 +158,12 @@ func wakeParkRegistry(tb testing.TB, f *tenantFixture, learner *serve.LearnerOpt
 var wakeParkLearner = &serve.LearnerOptions{Window: 512, Seed: 3}
 
 // BenchmarkRegistryWakePark prices an eviction cycle: two tenants
-// alternating through a one-slot pool, so every Acquire parks one serving
-// unit (batcher drain, scratch to the idle set) and wakes the other (a
-// fresh batcher over the kept Swapper), without and with a learner on the
-// tenants. This is the cost the LRU policy pays
-// per cold hit — and the reason hot tenants keep their residency.
+// alternating through a one-slot pool, so every Acquire parks one tenant
+// (its Batcher's idle replicas to the idle set; none here, since no
+// request leases one) and wakes the other (pool accounting only), without
+// and with a learner on the tenants. The serving units last the
+// registration, so the cycle builds nothing; what a cold hit still pays
+// is its first lease of a replica, which wakeParkCycle's frame measures.
 func BenchmarkRegistryWakePark(b *testing.B) {
 	f := benchFixtures(b, 512)
 	for _, c := range []struct {

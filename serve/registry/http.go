@@ -132,9 +132,9 @@ func (s *Server) forward(f endpoint) http.HandlerFunc {
 	}
 }
 
-// handleTenantStats serves one tenant's row — registry gauges plus, while
-// resident, the serve snapshot. Deliberately not routed through forward:
-// reading a parked tenant's stats must not wake it.
+// handleTenantStats serves one tenant's row — registry gauges plus the
+// serve snapshot. Deliberately not routed through forward: reading a
+// parked tenant's stats must not wake it.
 func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 	ts, err := s.reg.TenantStats(r.PathValue("model"))
 	if err != nil {
@@ -318,7 +318,8 @@ func (is InstallSpec) train() (*disthd.Model, error) {
 // mirrors the serving plane: a JSON body is an InstallSpec trained here,
 // any other body is Model.Save snapshot bytes — exactly what GET /model
 // emits and POST /swap accepts — with options in the query string
-// (?replicas=, ?max_batch=, ?learn=1, ?default=1).
+// (?replicas=, ?max_batch=, ?learn=1, ?seed=, ?default=1), each refused
+// with a 400 before the body is read when its value does not parse.
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("model")
 	var (
@@ -340,9 +341,36 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		}
 		m, spec, def = mm, sp, is.Default
 	} else {
+		var (
+			learn bool
+			seed  uint64
+		)
 		q := r.URL.Query()
-		spec.Options.Replicas, _ = strconv.Atoi(q.Get("replicas"))
-		spec.Options.MaxBatch, _ = strconv.Atoi(q.Get("max_batch"))
+		for _, o := range []struct {
+			key string
+			dst any
+		}{
+			{"replicas", &spec.Options.Replicas}, {"max_batch", &spec.Options.MaxBatch},
+			{"seed", &seed}, {"learn", &learn}, {"default", &def},
+		} {
+			v, ok := q[o.key]
+			if !ok {
+				continue // absent: the default
+			}
+			var err error
+			switch dst := o.dst.(type) {
+			case *int:
+				*dst, err = strconv.Atoi(v[0])
+			case *uint64:
+				*dst, err = strconv.ParseUint(v[0], 10, 64)
+			case *bool:
+				*dst, err = strconv.ParseBool(v[0])
+			}
+			if err != nil {
+				edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("registry: install query %s=%q: %w", o.key, v[0], err))
+				return
+			}
+		}
 		if err := checkServing(spec.Options.Replicas, spec.Options.MaxBatch); err != nil {
 			edge.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -352,11 +380,10 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 			edge.WriteError(w, edge.BodyStatus(err), fmt.Errorf("decode model snapshot: %w", err))
 			return
 		}
-		if q.Get("learn") == "1" {
-			seed, _ := strconv.ParseUint(q.Get("seed"), 10, 64)
+		if learn {
 			spec.Learner = &serve.LearnerOptions{Seed: seed}
 		}
-		m, def = mm, q.Get("default") == "1"
+		m = mm
 	}
 	if err := s.reg.Install(id, m, spec); err != nil {
 		edge.WriteError(w, statusFor(err), err)

@@ -147,6 +147,62 @@ func TestInstallSpecUnknownFields(t *testing.T) {
 	}
 }
 
+// TestSnapshotInstallQuery pins the query options of a snapshot install:
+// a value that does not parse answers 400 naming its key before the body
+// is decoded, and registers nothing; an absent key keeps its default.
+func TestSnapshotInstallQuery(t *testing.T) {
+	fx := fixtures(t)
+	reg, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	h := NewServer(reg).Handler()
+	var snapshot bytes.Buffer
+	if err := fx[0].m.Save(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		query         string
+		status        int
+		learning, def bool
+		replicas      int
+	}{
+		{"", http.StatusOK, false, false, 1},
+		{"?learn=true", http.StatusOK, true, false, 1},
+		{"?learn=1&seed=9&replicas=2", http.StatusOK, true, false, 2},
+		{"?learn=false&default=true", http.StatusOK, false, true, 1},
+		{"?replicas=two", http.StatusBadRequest, false, false, 0},
+		{"?max_batch=1.5", http.StatusBadRequest, false, false, 0},
+		{"?seed=-1&learn=1", http.StatusBadRequest, false, false, 0},
+		{"?learn=yes", http.StatusBadRequest, false, false, 0},
+		{"?default=on", http.StatusBadRequest, false, false, 0},
+		{"?replicas=", http.StatusBadRequest, false, false, 0},
+	} {
+		id := fmt.Sprintf("q%d", i)
+		req := httptest.NewRequest("PUT", "/t/"+id+c.query, bytes.NewReader(snapshot.Bytes()))
+		req.Header.Set("Content-Type", "application/octet-stream")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != c.status {
+			t.Errorf("PUT /t/%s%s: status %d (%s), want %d", id, c.query, rec.Code, rec.Body, c.status)
+			continue
+		}
+		row, err := reg.TenantStats(id)
+		if c.status != http.StatusOK {
+			if !strings.Contains(rec.Body.String(), "install query") || err == nil {
+				t.Errorf("%s: refused with %s, registered %v; want the query named and nothing registered",
+					c.query, rec.Body, err == nil)
+			}
+			continue
+		}
+		if err != nil || row.Learning != c.learning || row.Replicas != c.replicas || c.def && reg.Default() != id {
+			t.Errorf("%s: row %+v (err %v), default %q; want learning %v, %d replicas, default %v",
+				c.query, row, err, reg.Default(), c.learning, c.replicas, c.def)
+		}
+	}
+}
+
 // TestInstallSpecLearnerSeedDefault pins InstallSpec.Seed's documented
 // default: a spec without "seed" trains and attaches its learner with 42.
 func TestInstallSpecLearnerSeedDefault(t *testing.T) {

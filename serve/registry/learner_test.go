@@ -102,11 +102,11 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 	if row.Resident {
 		t.Fatalf("tenant %q still resident; the test parked nothing", a.name)
 	}
-	if row.Learner == nil {
+	if row.Serve.Learner == nil {
 		t.Fatal("parked learning tenant reports no learner gauges")
 	}
-	if !reflect.DeepEqual(*row.Learner, want) {
-		t.Fatalf("parked learner gauges differ from a twin that never parked:\n got %+v\nwant %+v", *row.Learner, want)
+	if !reflect.DeepEqual(*row.Serve.Learner, want) {
+		t.Fatalf("parked learner gauges differ from a twin that never parked:\n got %+v\nwant %+v", *row.Serve.Learner, want)
 	}
 
 	// Wake a: the learner it parked with serves again.
@@ -117,10 +117,7 @@ func TestRegistryParkWakeLearnerContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Learner != nil {
-		t.Fatal("resident tenant still reports parked learner gauges")
-	}
-	if row.Serve == nil || row.Serve.Learner == nil || row.Serve.Learner.Feedback != 16 {
+	if row.Serve.Learner == nil || row.Serve.Learner.Feedback != 16 {
 		t.Fatalf("resident serve snapshot lost the learner gauges: %+v", row.Serve)
 	}
 	// Park it again, wake it with more feedback: it keeps counting.
@@ -166,8 +163,8 @@ func TestRegistryParkMidRetrainKeepsSuccessor(t *testing.T) {
 	if row.Resident {
 		t.Fatalf("tenant %q still resident; nothing was parked mid-retrain", a.name)
 	}
-	if row.Learner == nil || row.Learner.Retrains != 1 || row.Learner.GateAccepts != 1 || row.Learner.Retraining {
-		t.Fatalf("parked gauges after the retrain settled: %+v, want 1 retrain, 1 gate accept, none in flight", row.Learner)
+	if lr := row.Serve.Learner; lr == nil || lr.Retrains != 1 || lr.GateAccepts != 1 || lr.Retraining {
+		t.Fatalf("parked gauges after the retrain settled: %+v, want 1 retrain, 1 gate accept, none in flight", lr)
 	}
 	h, err := reg.Acquire(a.name)
 	if err != nil {
@@ -226,7 +223,7 @@ func TestRegistryEvictionNeverWaitsOnRetrain(t *testing.T) {
 	if row.Resident {
 		t.Fatalf("wake of %q did not park the least-recently-used tenant %q", c.name, a.name)
 	}
-	if row.Learner == nil || !row.Learner.Retraining {
+	if lr := row.Serve.Learner; lr == nil || !lr.Retraining {
 		t.Fatalf("the wake of %q waited for %q's retrain to finish", c.name, a.name)
 	}
 
@@ -346,13 +343,14 @@ func TestRegistryCloseSettlesLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Learner == nil {
+	lr := row.Serve.Learner
+	if lr == nil {
 		t.Fatal("closed registry lost the parked learner snapshot")
 	}
-	if row.Learner.Retraining {
+	if lr.Retraining {
 		t.Fatal("Close returned with the retrain goroutine still running")
 	}
-	if row.Learner.Retrains != 1 {
-		t.Fatalf("retrains after Close = %d, want 1 (successor dropped on shutdown)", row.Learner.Retrains)
+	if lr.Retrains != 1 {
+		t.Fatalf("retrains after Close = %d, want 1 (successor dropped on shutdown)", lr.Retrains)
 	}
 }

@@ -1,29 +1,28 @@
 // Package registry is the multi-tenant serving layer: one process, many
-// models. A Registry keys full serving units — a serve.Batcher with its
-// Swapper, optionally a serve.Learner, f32 or 1-bit quantized — by model
-// ID and exposes every per-model endpoint of the single-model server under
-// /t/{model}/..., with a default-tenant alias keeping the single-model
-// routes working unchanged.
+// models. A Registry keys full serving units — a serve.Server over a
+// Batcher and its Swapper, optionally with a serve.Learner, f32 or 1-bit
+// quantized — by model ID and exposes every per-model endpoint of the
+// single-model server under /t/{model}/..., with a default-tenant alias
+// keeping the single-model routes working unchanged.
 //
 // What makes it a platform rather than a demo is the shared replica
-// budget: every resident tenant's Batcher holds Replicas worker
-// goroutines, which lease scratch arenas sized for that tenant's shape
-// (features × D × classes — tenants are heterogeneous), and the Registry
-// caps the TOTAL resident replicas at a fixed pool capacity. A request
-// for a parked tenant wakes it, parking the least-recently-used idle
-// tenants to make room: a parked tenant's Batcher closes and its scratch
-// goes back to the process-wide idle set (bounded by a constant; see
-// disthd.Replica), where the next tenant of the same shape takes it. That
-// is all a park frees. Each tenant keeps one serve.Swapper, and one
-// serve.Learner when its spec asks for one, for its whole registration;
-// the next wake builds a fresh Batcher over that Swapper and attaches that
-// learner, so a parked tenant keeps its model, swap count, feedback
-// window, drift state and retrain gauges, and a retrain still running when
-// it parks publishes into its Swapper as it would while resident.
+// budget: every resident tenant's Batcher leases up to Replicas scratch
+// arenas sized for that tenant's shape (features × D × classes — tenants
+// are heterogeneous), and the Registry caps the TOTAL resident replicas
+// at a fixed pool capacity. A request for a parked tenant wakes it,
+// parking the least-recently-used idle tenants to make room. Install
+// builds a tenant's serving unit, which lasts until Remove, a replacing
+// Install or Close; a park frees only its replica scratch, to the
+// process-wide idle set (bounded by a constant; see disthd.Replica) where
+// the next tenant of the same shape takes it, and a wake only accounts
+// the pool. A parked tenant keeps its idle Batcher workers, request queue
+// and batch buffers (about 21 KB at the default spec), and its model,
+// counters and learner carry on; a retrain still running when it parks
+// publishes into its Swapper as it would while resident.
 // When no idle tenant can be parked — every resident replica is actively
 // serving — admission fails with ErrPoolExhausted and the HTTP layer
 // answers 429, so a process serving N tenants can never allocate
-// unboundedly, however many models are registered.
+// replica scratch unboundedly, however many models are registered.
 //
 // Concurrency contract: Acquire/Release bracket every request. Acquire
 // touches the LRU clock and pins the tenant resident (an in-flight request
@@ -66,10 +65,11 @@ type Spec struct {
 	// so the default must be the cheapest resident footprint.
 	Options serve.Options
 	// Learner, when non-nil, attaches online learning (/learn, /retrain,
-	// gated background retraining) to the tenant. The Install builds one
-	// learner that lasts the whole registration: a park does not touch it,
-	// so its window, drift state and gauges carry across every wake, and a
-	// background retrain may finish while the tenant is parked.
+	// gated background retraining) to the tenant. Install attaches one
+	// learner to the tenant's serving unit for the whole registration: a
+	// park does not touch it, so its window, drift state and gauges carry
+	// across every wake, and a background retrain may finish while the
+	// tenant is parked.
 	Learner *serve.LearnerOptions
 }
 
@@ -87,20 +87,12 @@ func (s Spec) withDefaults() Spec {
 type Tenant struct {
 	id   string
 	spec Spec
-
-	// sw publishes the tenant's model for the whole registration: every
-	// Batcher a wake builds serves it, and swaps, retrains and
-	// quantizations land in it whether the tenant is resident or parked.
-	sw *serve.Swapper
-	// learner is the tenant's online learner (nil when the spec attaches
-	// none). It publishes into sw and is attached to every serving unit.
-	learner *serve.Learner
+	srv  *serve.Server // for the whole registration, resident or parked
 
 	resident  bool
 	removing  bool
 	inflight  int
-	lastUse   uint64        // registry LRU clock value at the last Acquire
-	srv       *serve.Server // non-nil while resident
+	lastUse   uint64 // registry LRU clock value at the last Acquire
 	installed time.Time
 
 	wakes     uint64 // times this tenant was made resident (first install included)
@@ -111,9 +103,10 @@ type Tenant struct {
 // ID returns the tenant's model ID.
 func (t *Tenant) ID() string { return t.id }
 
-// Server returns the tenant's serving unit. It is only valid between the
-// Acquire that returned this tenant and the matching Release — outside
-// that window the tenant may be parked and the unit closed.
+// Server returns the tenant's serving unit, the same for the whole
+// registration. Serve through it only between the Acquire that returned
+// this tenant and the matching Release: outside that window the tenant
+// may be parked (out of the pool) or removed (its Batcher closed).
 func (t *Tenant) Server() *serve.Server { return t.srv }
 
 // Registry holds the tenants and the shared replica pool. Create one with
@@ -130,7 +123,7 @@ type Registry struct {
 	def      string    // default tenant ID ("" = none)
 	closed   bool
 	// settling counts drained tenants not yet settled, so Close also waits
-	// for the retrains Remove and Install wait on outside the lock.
+	// for what Remove and Install settle outside the lock.
 	settling sync.WaitGroup
 
 	evictions  atomic.Uint64
@@ -154,12 +147,13 @@ func New(capacity int) (*Registry, error) {
 // Capacity returns the replica pool capacity.
 func (r *Registry) Capacity() int { return r.capacity }
 
-// Install registers m as tenant id, replacing an existing tenant of the
-// same ID (the replacement drains first: in-flight requests complete on
-// the old unit, and a retrain of its learner is waited out once the
-// registry lock is released). The new tenant is installed resident when the pool has
-// room — parking colder tenants if needed — and parked otherwise, waking
-// on its first request. The first installed tenant becomes the default.
+// Install builds a serving unit for m and registers it as tenant id,
+// replacing an existing tenant of the same ID, which stays the default if
+// it was (the replacement drains first: in-flight requests complete on
+// the old unit, which is settled once the registry lock is released). The
+// new tenant is installed resident when the pool has room — parking
+// colder tenants if needed — and parked otherwise, waking on its first
+// request. The first installed tenant becomes the default.
 func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
 	if id == "" {
 		return fmt.Errorf("registry: empty tenant ID")
@@ -172,25 +166,30 @@ func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
 		return fmt.Errorf("registry: tenant %q wants %d replicas, pool capacity is %d",
 			id, sp.Options.Replicas, r.capacity)
 	}
-	sw, err := serve.NewSwapper(m)
+	srv, err := serve.New(m, sp.Options)
 	if err != nil {
-		return err
+		return fmt.Errorf("registry: tenant %q: %w", id, err)
 	}
-	t := &Tenant{id: id, spec: sp, sw: sw, installed: time.Now()}
 	if sp.Learner != nil {
-		if t.learner, err = serve.NewLearner(sw, *sp.Learner); err != nil {
+		l, err := serve.NewLearner(srv.Batcher().Swapper(), *sp.Learner)
+		if err != nil {
+			srv.Batcher().Close()
 			return fmt.Errorf("registry: tenant %q learner: %w", id, err)
 		}
+		srv.AttachLearner(l)
 	}
+	t := &Tenant{id: id, spec: sp, srv: srv, installed: time.Now()}
 	var old *Tenant
 	defer func() { r.settle(old) }() // after the Unlock deferred below
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
+		srv.Batcher().Close()
 		return ErrClosed
 	}
 	if cur := r.tenants[id]; cur != nil {
 		if err := r.drainLocked(cur); err != nil {
+			srv.Batcher().Close()
 			return err
 		}
 		r.dropLocked(cur)
@@ -204,16 +203,14 @@ func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
 	// Best-effort residency at install time: a tenant that fits serves its
 	// first request without paying the wake; one that doesn't stays parked
 	// rather than failing the install.
-	if err := r.wakeLocked(t); err != nil && !errors.Is(err, ErrPoolExhausted) {
-		r.dropLocked(t)
-		return err
-	}
+	_ = r.wakeLocked(t)
 	return nil
 }
 
 // Remove drains tenant id — new requests get ErrUnknownTenant, in-flight
-// ones complete — then parks it, deletes the registration, and, with the
-// registry lock released, waits out the retrain its learner may be running.
+// ones complete — then parks it, deletes the registration (re-electing a
+// default if it was one), and settles it once the registry lock is
+// released.
 func (r *Registry) Remove(id string) error {
 	var dropped *Tenant
 	defer func() { r.settle(dropped) }() // after the Unlock deferred below
@@ -230,21 +227,29 @@ func (r *Registry) Remove(id string) error {
 		return err
 	}
 	r.dropLocked(t)
+	if r.def == id {
+		r.def = ""
+		if len(r.order) > 0 {
+			r.def = r.order[0].id
+		}
+	}
 	dropped = t
 	return nil
 }
 
-// settle waits out the background retrain the learner of t, a drained
-// tenant (nil: none), may be running, and then lets Close return. It runs
-// with the registry lock released: a retrain takes tens of milliseconds,
-// and every Acquire would stall behind it. A drained tenant is idle and
-// hidden from Acquire, so nothing can start another retrain on it.
+// settle closes the Batcher of t, a drained tenant (nil: none), waits out
+// the background retrain its learner may be running, and then lets Close
+// return. It runs with the registry lock released: closing joins the
+// Batcher's workers, a retrain takes tens of milliseconds, and every
+// Acquire would stall behind them. A drained tenant is idle and hidden
+// from Acquire, so nothing can start another request or retrain on it.
 func (r *Registry) settle(t *Tenant) {
 	if t == nil {
 		return
 	}
-	if t.learner != nil {
-		t.learner.Wait()
+	t.srv.Batcher().Close()
+	if l := t.srv.Learner(); l != nil {
+		l.Wait()
 	}
 	r.settling.Done()
 }
@@ -275,12 +280,6 @@ func (r *Registry) dropLocked(t *Tenant) {
 		if o == t {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
-		}
-	}
-	if r.def == t.id {
-		r.def = ""
-		if len(r.order) > 0 {
-			r.def = r.order[0].id
 		}
 	}
 }
@@ -324,10 +323,8 @@ func (r *Registry) Acquire(id string) (*Tenant, error) {
 	}
 	if !t.resident {
 		if err := r.wakeLocked(t); err != nil {
-			if errors.Is(err, ErrPoolExhausted) {
-				t.rejected++
-				r.rejections.Add(1)
-			}
+			t.rejected++
+			r.rejections.Add(1)
 			return nil, err
 		}
 	}
@@ -347,12 +344,10 @@ func (r *Registry) Release(t *Tenant) {
 	r.mu.Unlock()
 }
 
-// wakeLocked makes t resident: reclaim pool capacity by parking the
-// least-recently-used idle tenants, then build the serving unit — a fresh
-// Batcher over the tenant's Swapper, wrapped in a serve.Server, with the
-// tenant's learner attached. Nothing here allocates scratch: the Batcher
-// leases replicas on its first request, from the idle set a parked tenant
-// of the same shape filled.
+// wakeLocked makes t resident by accounting its replicas in the pool,
+// parking the least-recently-used idle tenants to make room; it fails
+// only with ErrPoolExhausted. It builds nothing: the Batcher leases
+// replicas on its next request, from the idle set a park filled.
 func (r *Registry) wakeLocked(t *Tenant) error {
 	need := t.spec.Options.Replicas
 	for r.used+need > r.capacity {
@@ -362,14 +357,6 @@ func (r *Registry) wakeLocked(t *Tenant) error {
 				ErrPoolExhausted, t.id, need, r.used, r.capacity)
 		}
 		r.parkLocked(v, true)
-	}
-	bat, err := serve.NewBatcher(t.sw, t.spec.Options)
-	if err != nil {
-		return fmt.Errorf("registry: wake tenant %q: %w", t.id, err)
-	}
-	t.srv = serve.NewServer(bat)
-	if t.learner != nil {
-		t.srv.AttachLearner(t.learner)
 	}
 	t.resident = true
 	r.used += need
@@ -396,14 +383,11 @@ func (r *Registry) victimLocked(exempt *Tenant) *Tenant {
 	return victim
 }
 
-// parkLocked releases an idle resident tenant's serving unit: the Batcher
-// drains (its queue is empty — the tenant has no in-flight request — so
-// the close is prompt) and hands its replicas to the idle set. The
-// tenant's Swapper and learner stay as they are, so a park waits on
-// nothing, not even a retrain in flight.
+// parkLocked takes an idle resident tenant out of the pool: its Batcher
+// releases its replicas (all idle, since the tenant has no request in
+// flight) and keeps everything else, so a park waits on nothing.
 func (r *Registry) parkLocked(t *Tenant, evicted bool) {
-	t.srv.Batcher().Close()
-	t.srv = nil
+	t.srv.Batcher().ReleaseIdle()
 	t.resident = false
 	r.used -= t.spec.Options.Replicas
 	if evicted {
@@ -413,10 +397,10 @@ func (r *Registry) parkLocked(t *Tenant, evicted bool) {
 }
 
 // Close drains every tenant and shuts the registry down: in-flight
-// requests complete, every serving unit closes, and then, with the lock
-// released, every learner's background retrain is waited out, so no
-// retrain goroutine outlives Close. Parked state is kept only in memory,
-// and every later operation returns ErrClosed.
+// requests complete, and then, with the lock released, every tenant's
+// Batcher closes and every learner's background retrain is waited out, so
+// no worker or retrain goroutine outlives Close. Parked state is kept
+// only in memory, and every later operation returns ErrClosed.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -473,15 +457,9 @@ type TenantStats struct {
 	Rejections uint64 `json:"rejections"`
 	// InstalledUnix is the wall-clock second the tenant was installed.
 	InstalledUnix int64 `json:"installed_unix"`
-	// Serve is the tenant's serving snapshot while resident (batcher
-	// counters, learner and quantization gauges), nil while parked.
-	Serve *serve.Snapshot `json:"serve,omitempty"`
-	// Learner is the parked learner's live gauge snapshot, for learning
-	// tenants while parked — the feedback window length, drift state, and
-	// retrain/gate counters, reported without waking the tenant. Nil while
-	// resident (the gauges are in Serve.Learner) and for tenants without a
-	// learner.
-	Learner *serve.LearnerSnapshot `json:"learner,omitempty"`
+	// Serve is the tenant's serving snapshot (batcher and wire counters,
+	// learner and quantization gauges), parked or resident.
+	Serve *serve.Snapshot `json:"serve"`
 }
 
 // Stats is the aggregate registry snapshot (`GET /stats` in registry mode
@@ -533,8 +511,9 @@ func (r *Registry) Stats() Stats {
 
 // tenantStatsLocked builds one tenant's stats row.
 func (r *Registry) tenantStatsLocked(t *Tenant) TenantStats {
-	m := t.sw.Current()
-	ts := TenantStats{
+	snap := t.srv.Stats()
+	m := t.srv.Batcher().Model()
+	return TenantStats{
 		ID:            t.id,
 		Resident:      t.resident,
 		Replicas:      t.spec.Options.Replicas,
@@ -548,15 +527,8 @@ func (r *Registry) tenantStatsLocked(t *Tenant) TenantStats {
 		Evictions:     t.evictions,
 		Rejections:    t.rejected,
 		InstalledUnix: t.installed.Unix(),
+		Serve:         &snap,
 	}
-	if t.resident {
-		snap := t.srv.Stats()
-		ts.Serve = &snap
-	} else if t.learner != nil {
-		snap := t.learner.Snapshot()
-		ts.Learner = &snap
-	}
-	return ts
 }
 
 // TenantStats returns one tenant's stats row, for /t/{model}/stats-style

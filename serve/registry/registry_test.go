@@ -1,9 +1,14 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,6 +223,15 @@ func TestRegistryAdmissionControl(t *testing.T) {
 	if _, err := reg.Acquire(b.name); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("Acquire(%q) under a pinned pool: err = %v, want ErrPoolExhausted", b.name, err)
 	}
+	// Invalid options fail the install even when the tenant would park.
+	bad := quickOpts()
+	bad.MaxBatch = -1
+	if err := reg.Install("bad", a.m, Spec{Options: bad}); err == nil {
+		t.Error("Install with a negative MaxBatch into a pinned pool: no error")
+	}
+	if _, err := reg.TenantStats("bad"); !errors.Is(err, ErrUnknownTenant) {
+		t.Errorf("a refused install is registered: err = %v", err)
+	}
 	reg.Release(ha)
 	// With a idle again it is evictable, so b admits.
 	checkTenant(t, reg, b.name, b)
@@ -273,6 +287,128 @@ func TestRegistryRemoveDrains(t *testing.T) {
 	if got := reg.Default(); got != b.name {
 		t.Fatalf("default after removing it = %q, want re-elected %q", got, b.name)
 	}
+}
+
+// TestRegistryReplaceKeepsDefault pins that replacing the default tenant
+// keeps it the default, through the Go API and over PUT /t/{default}: the
+// root alias keeps answering from the tenant it named, never from another
+// model of another feature width.
+func TestRegistryReplaceKeepsDefault(t *testing.T) {
+	fx := fixtures(t)
+	a, b := fx[0], fx[1]
+	reg, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for _, f := range []*tenantFixture{a, b} {
+		if err := reg.Install(f.name, f.m, Spec{Options: quickOpts()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Install(a.name, a.m, Spec{Options: quickOpts()}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Default(); got != a.name {
+		t.Fatalf("default after replacing it = %q, want %q", got, a.name)
+	}
+
+	h := NewServer(reg).Handler()
+	var snapshot bytes.Buffer
+	if err := a.m.Save(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("PUT", "/t/"+a.name+"?max_batch=16", &snapshot)
+	req.Header.Set("Content-Type", "application/octet-stream")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("PUT /t/%s: %d (%s)", a.name, rec.Code, rec.Body)
+	}
+	body, _ := json.Marshal(map[string]any{"x": a.rows})
+	req = httptest.NewRequest("POST", "/predict_batch", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("root /predict_batch after PUT /t/%s: %d (%s)", a.name, rec.Code, rec.Body)
+	}
+	var pb struct {
+		Classes []int `json:"classes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &pb); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pb.Classes, a.want) {
+		t.Fatalf("root alias answered %v, the replaced default's model says %v", pb.Classes, a.want)
+	}
+}
+
+// TestRegistryServeStateSurvivesPark pins that a tenant's serving unit
+// lasts its registration: the serving counters and quantization gauges of
+// a parked tenant are in its stats row, and the wake serves from the same
+// Server, whose counters carry on.
+func TestRegistryServeStateSurvivesPark(t *testing.T) {
+	fx := fixtures(t)
+	a, b := fx[0], fx[1]
+	reg, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for _, f := range []*tenantFixture{a, b} {
+		if err := reg.Install(f.name, f.m, Spec{Options: quickOpts()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkTenant(t, reg, a.name, a)
+	h, err := reg.Acquire(a.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := h.Server()
+	reg.Release(h)
+	rec := httptest.NewRecorder()
+	NewServer(reg).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/t/"+a.name+"/quantize?force=1", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("forced /quantize: %d (%s)", rec.Code, rec.Body)
+	}
+
+	checkTenant(t, reg, b.name, b) // parks a through the one-slot pool
+	rows := uint64(len(a.rows))
+	check := func(when string, batchRows uint64) {
+		t.Helper()
+		row, err := reg.TenantStats(a.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Serve == nil {
+			t.Fatalf("%s: tenant %q reports no serving snapshot", when, a.name)
+		}
+		if q := row.Serve.Quantization; row.Serve.BatchRequests != batchRows || q == nil || !q.Active || q.Publishes != 1 {
+			t.Fatalf("%s: batch_requests %d, quantization %+v; want %d rows and 1 active publish",
+				when, row.Serve.BatchRequests, q, batchRows)
+		}
+	}
+	if row, err := reg.TenantStats(a.name); err != nil || row.Resident {
+		t.Fatalf("tenant %q resident=%v (err %v); the test parked nothing", a.name, row.Resident, err)
+	}
+	check("parked", rows)
+
+	h, err = reg.Acquire(a.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Server() != srv {
+		reg.Release(h)
+		t.Fatal("the wake serves another Server than the one the tenant parked with")
+	}
+	_, err = h.Server().Batcher().PredictBatch(a.rows)
+	reg.Release(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("woken", 2*rows)
 }
 
 // TestRegistrySwapSurvivesEviction proves park/wake keeps the latest

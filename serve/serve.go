@@ -14,9 +14,9 @@
 // leases from the same list for the whole call: the caller fills the
 // replica's input scratch chunk by chunk (the binary wire protocol decodes
 // straight into it), and PredictBatch is PredictStream with a fill that
-// copies the caller's rows. Close hands the idle replicas to the
-// process-wide idle set (disthd.Replica.Release), where the next Batcher
-// of the same shape finds them.
+// copies the caller's rows. ReleaseIdle hands the idle replicas to the
+// process-wide idle set (disthd.Replica.Release), where the next lease of
+// the same shape, this Batcher's or another's, finds them; Close does too.
 //
 // Around the Batcher sit the Swapper, which hot-swaps the served model
 // behind an atomic pointer so online retraining can publish new weights
@@ -130,18 +130,19 @@ type Batcher struct {
 
 	// free holds the idle replicas that workers lease per flush and
 	// PredictStream per call. It grows to the peak number of leases at
-	// once and is kept across GCs. After Close has released it, a lease
-	// still out goes to the process-wide idle set when it comes back.
+	// once and is kept across GCs until ReleaseIdle. After Close has
+	// released it, a lease still out goes to the process-wide idle set
+	// when it comes back.
 	freeMu   sync.Mutex
 	free     []*disthd.Replica
 	released bool
 }
 
 // NewBatcher starts opts.Replicas workers serving whatever model sw
-// publishes. The Swapper is not the Batcher's: it outlives Close, so a
-// caller may close one Batcher and serve the same Swapper (its model, swap
-// count and attached learner) from the next — serve/registry parks and
-// wakes a tenant this way. Hot-swap models through Swap or the Swapper.
+// publishes. The Swapper is not the Batcher's: it outlives Close. Hot-swap
+// models through Swap or the Swapper. ReleaseIdle gives the replica
+// scratch back (serve/registry parks a tenant this way); the workers,
+// request queue and their batch buffers stay until Close.
 func NewBatcher(sw *Swapper, opts Options) (*Batcher, error) {
 	if sw == nil {
 		return nil, fmt.Errorf("serve: NewBatcher needs a swapper")
@@ -312,6 +313,19 @@ func (b *Batcher) PredictStream(n int, out []int, fill func(dst []float64) error
 	return nil
 }
 
+// ReleaseIdle hands every idle replica to the process-wide idle set
+// (disthd.Replica.Release); the Batcher keeps serving, and a lease out at
+// the time rejoins the free list when it comes back.
+func (b *Batcher) ReleaseIdle() {
+	b.freeMu.Lock()
+	defer b.freeMu.Unlock()
+	for _, rep := range b.free {
+		rep.Release()
+	}
+	clear(b.free)
+	b.free = b.free[:0]
+}
+
 // Close stops accepting new requests, waits for every accepted request to
 // be answered, stops the workers, and releases every idle replica to the
 // process-wide idle set; a PredictStream still running releases its own
@@ -327,12 +341,9 @@ func (b *Batcher) Close() {
 	b.mu.Unlock()
 	b.wg.Wait()
 	b.freeMu.Lock()
-	free := b.free
-	b.free, b.released = nil, true
+	b.released = true
 	b.freeMu.Unlock()
-	for _, rep := range free {
-		rep.Release()
-	}
+	b.ReleaseIdle()
 }
 
 // worker is one batching loop: block for a first row, linger up to

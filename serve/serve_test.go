@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -423,6 +424,80 @@ func TestPredictStreamOutlivesClose(t *testing.T) {
 		close(closed)
 		wg.Wait()
 	}
+	seen := make(map[*disthd.Replica]bool)
+	for i := 0; i < 16; i++ {
+		r, err := s.a.NewReplica(maxBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[r] {
+			t.Fatal("the idle set handed one replica out twice")
+		}
+		seen[r] = true
+	}
+	for r := range seen {
+		r.Release()
+	}
+}
+
+// TestReleaseIdleUnderTraffic calls ReleaseIdle over and over while
+// coalesced and batch callers hold leases: every answer stays right, the
+// Batcher keeps serving, and no replica ends up with two owners — a
+// replica released twice panics, and the replicas of the shape that come
+// back from the idle set after Close are all distinct.
+func TestReleaseIdleUnderTraffic(t *testing.T) {
+	s := fixtures(t)
+	rows := s.test.X[:12]
+	want, err := s.a.PredictBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBatch = 7 // a replica shape no other test in the package uses
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: maxBatch, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.ReleaseIdle()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got, err := b.PredictBatch(rows)
+				if err != nil || !slices.Equal(got, want) {
+					t.Errorf("PredictBatch = %v, %v; want %v", got, err, want)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				j := (c + i) % len(rows)
+				if got, err := b.Predict(rows[j]); err != nil || got != want[j] {
+					t.Errorf("Predict row %d = %d, %v; want %d", j, got, err, want[j])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-released
+	b.Close()
 	seen := make(map[*disthd.Replica]bool)
 	for i := 0; i < 16; i++ {
 		r, err := s.a.NewReplica(maxBatch)

@@ -403,6 +403,25 @@ func (d *Decoder) Classes(dst []int) error {
 	return nil
 }
 
+// ReadClasses reads one TypeClasses frame from r and returns its class
+// IDs: a frame of another type, or one whose payload does not match its
+// count, is an error.
+func ReadClasses(r io.Reader) ([]int, error) {
+	d := NewDecoder(r)
+	if _, err := d.Next(); err != nil {
+		return nil, err
+	}
+	n, err := d.ClassCount() // refuses a frame of another type
+	if err != nil {
+		return nil, err
+	}
+	classes := make([]int, n)
+	if err := d.Classes(classes); err != nil {
+		return nil, err
+	}
+	return classes, nil
+}
+
 // LearnHeader reads the label and feature-count prefix of a TypeLearn
 // frame, verifying the declared payload length carries exactly that many
 // float64 values; read them with Floats.

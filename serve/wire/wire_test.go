@@ -154,6 +154,30 @@ func TestClassesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadClasses pins the one classes-frame reader: it returns a frame's
+// classes and refuses a frame of another type or one cut short.
+func TestReadClasses(t *testing.T) {
+	classes := []int{3, 0, -2}
+	frame := AppendClasses(nil, classes)
+	got, err := ReadClasses(bytes.NewReader(frame))
+	if err != nil || len(got) != len(classes) || got[0] != 3 || got[1] != 0 || got[2] != -2 {
+		t.Fatalf("ReadClasses = %v, %v; want %v", got, err, classes)
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"learn frame", AppendLearn(nil, []float64{1}, 0)},
+		{"truncated payload", frame[:len(frame)-2]},
+		{"truncated header", frame[:HeaderSize-1]},
+		{"empty body", nil},
+	} {
+		if got, err := ReadClasses(bytes.NewReader(c.frame)); err == nil {
+			t.Errorf("%s: ReadClasses = %v, want an error", c.name, got)
+		}
+	}
+}
+
 func TestLearnRoundTrip(t *testing.T) {
 	x := []float64{0.5, -1.5, 2.25}
 	buf := AppendLearn(nil, x, 3)
