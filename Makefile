@@ -127,9 +127,13 @@ registry-smoke:
 
 # perfbench/ is its own module (it replaces repro with ../), so the root
 # build, vet and race targets never compile it. Vet and test it here, so
-# a change to the serving surface it drives (serve.New, the registry,
-# Batcher.PredictStream, Replica.PredictBatch) cannot pass ci and break
-# the benchmark.
+# a change to the surface it builds on cannot pass ci and break the
+# benchmark: serve.New, serve.Options{}, serve.NewSwapper,
+# serve.NewLearner with serve.LearnerOptions{Seed} (Seed must stay a
+# direct field), Batcher.Predict and Batcher.PredictStream,
+# registry.New, registry.NewServer and registry.Spec{Learner},
+# Replica.PredictBatch, disthd.LoadCSVFile, and the core.Pipeline stage
+# methods (Encode, Adapt, Score, Regenerate, Finish).
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

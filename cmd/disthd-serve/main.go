@@ -30,24 +30,25 @@
 // on the feedback window in the background — budget scaled by the measured
 // drift severity — and hot-swaps it in only after it beats the serving
 // incumbent on a stratified holdout (the champion/challenger gate; disable
-// with -no-gate, tune with -holdout and -gate-margin, bypass one verdict
-// with /retrain?force=1). Requests never wait on training, and a rejected
+// with -no-gate, tune with -gate-margin, bypass one verdict with
+// /retrain?force=1). Requests never wait on training, and a rejected
 // challenger never serves.
 //
 // Endpoints: POST /predict, POST /predict_batch, GET /healthz, GET /stats,
-// GET /model, POST /swap, POST /learn, POST /retrain. /predict,
-// /predict_batch, and /learn speak JSON by default and the compact binary
-// frame protocol (repro/serve/wire) when the request's Content-Type is
-// application/x-disthd-frame — the response mirrors the request's format,
-// and /stats counts requests per format; try it with
+// GET /model, POST /swap, POST /learn, POST /retrain, POST /quantize.
+// /predict, /predict_batch, and /learn speak JSON by default and the
+// compact binary frame protocol (repro/serve/wire) when the request's
+// Content-Type is application/x-disthd-frame — the response mirrors the
+// request's format, and /stats counts requests per format; try it with
 // `hdbench -loadgen -http <addr> -wire binary`. /healthz tells the
 // truth: it reports "degraded" (503 with -strict-health) while the learner
-// is in post-rejection backoff or a retrain is wedged past -stall-deadline,
-// and GET /model exports the serving model in the /swap wire format — the
-// two hooks a cluster coordinator (cmd/disthd-cluster) builds on. See the
-// serve package for the wire formats, `hdbench -loadgen` for the
-// closed-loop load generator, `hdbench -driftgen` for the streaming drift
-// benchmark, and `hdbench -chaos` for the fault-injection load harness.
+// is in post-rejection backoff or a retrain has run past its 2-minute
+// stall deadline, and GET /model exports the serving model in the /swap
+// wire format — the two hooks a cluster coordinator (cmd/disthd-cluster)
+// builds on. See the serve package for the wire formats, `hdbench
+// -loadgen` for the closed-loop load generator, `hdbench -driftgen` for
+// the streaming drift benchmark, and `hdbench -chaos` for the
+// fault-injection load harness.
 // Registry mode serves MANY models from one process:
 //
 //	disthd-serve -registry -pool 8 \
@@ -93,8 +94,7 @@ func main() {
 		scale    = flag.Float64("scale", 0.2, "dataset scale for -demo")
 		seed     = flag.Uint64("seed", 42, "random seed for -demo and retraining")
 		maxBatch = flag.Int("max-batch", 64, "flush a micro-batch at this many rows")
-		minFill  = flag.Int("min-fill", 1, "linger up to -max-delay for this many rows before flushing")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "deadline for a lingering micro-batch")
+		minFill  = flag.Int("min-fill", 1, "linger up to 2ms for this many rows before flushing")
 		replicas = flag.Int("replicas", 0, "serving replicas (0 = GOMAXPROCS)")
 		quantize = flag.String("quantize", "", "deploy a quantized inference tier (\"1bit\" = packed sign bits on XOR+popcount kernels)")
 
@@ -105,11 +105,8 @@ func main() {
 		retrIters = flag.Int("retrain-iters", 5, "warm-retrain budget in pipeline iterations")
 		autoRetr  = flag.Bool("auto-retrain", false, "retrain in the background whenever drift is detected")
 		cooldown  = flag.Duration("retrain-cooldown", 10*time.Second, "minimum gap between drift-triggered retrains")
-		reservoir = flag.Bool("learn-reservoir", false, "reservoir-sample the feedback stream instead of a sliding window")
-		holdout   = flag.Float64("holdout", 0, "fraction of the feedback window held out for the champion/challenger gate (0 = default 0.20, negative = no holdout)")
 		gateMarg  = flag.Float64("gate-margin", 0, "holdout-accuracy lead a retrained challenger needs to publish (0 = a tie publishes)")
 		noGate    = flag.Bool("no-gate", false, "publish every retrain unconditionally instead of gating champion vs challenger on the holdout")
-		stallDl   = flag.Duration("stall-deadline", 2*time.Minute, "background retrain age past which /healthz reports the learner wedged")
 		strictHlz = flag.Bool("strict-health", false, "answer /healthz with 503 while degraded (learner backoff or wedged retrain) instead of 200 + status")
 
 		useRegistry = flag.Bool("registry", false, "multi-tenant mode: serve every -tenant/-manifest model from one registry (/t/{model}/... routes)")
@@ -144,7 +141,6 @@ func main() {
 	srv, err := serve.New(m, serve.Options{
 		MaxBatch: *maxBatch,
 		MinFill:  *minFill,
-		MaxDelay: *maxDelay,
 		Replicas: *replicas,
 	})
 	if err != nil {
@@ -153,18 +149,15 @@ func main() {
 
 	if *learn {
 		lr, err := serve.NewLearner(srv.Batcher().Swapper(), serve.LearnerOptions{
-			Window:          *learnWin,
-			Reservoir:       *reservoir,
-			RecentWindow:    *recentWin,
-			DriftThreshold:  *driftThr,
-			HoldoutFraction: *holdout,
-			GateMargin:      *gateMarg,
-			GateDisabled:    *noGate,
-			Iterations:      *retrIters,
-			Auto:            *autoRetr,
-			Cooldown:        *cooldown,
-			StallDeadline:   *stallDl,
-			Seed:            *seed,
+			Window:         *learnWin,
+			RecentWindow:   *recentWin,
+			DriftThreshold: *driftThr,
+			GateMargin:     *gateMarg,
+			GateDisabled:   *noGate,
+			Iterations:     *retrIters,
+			Auto:           *autoRetr,
+			Cooldown:       *cooldown,
+			Seed:           *seed,
 		})
 		if err != nil {
 			log.Fatalf("disthd-serve: %v", err)
@@ -192,8 +185,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("listening on %s (max-batch=%d min-fill=%d max-delay=%v)",
-		*addr, *maxBatch, *minFill, *maxDelay)
+	log.Printf("listening on %s (max-batch=%d min-fill=%d)", *addr, *maxBatch, *minFill)
 	if err := srv.ListenAndServe(*addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("disthd-serve: %v", err)
 	}

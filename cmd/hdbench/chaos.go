@@ -177,7 +177,7 @@ func startChaosCluster(o chaosOptions, train disthd.DataSplit, w io.Writer) (*ch
 	cc := &chaosCluster{}
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		srv, err := serve.New(m, serve.Options{MaxBatch: 32, MaxDelay: time.Millisecond, Replicas: 1})
+		srv, err := serve.New(m, serve.Options{MaxBatch: 32, Replicas: 1})
 		if err != nil {
 			cc.close()
 			return nil, err

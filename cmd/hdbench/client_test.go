@@ -36,7 +36,7 @@ var fixture = sync.OnceValues(func() (*disthd.Model, disthd.DataSplit) {
 // liveServer serves m over HTTP.
 func liveServer(t *testing.T, m *disthd.Model) string {
 	t.Helper()
-	srv, err := serve.New(m, serve.Options{MaxBatch: 32, MaxDelay: time.Millisecond, Replicas: 1})
+	srv, err := serve.New(m, serve.Options{MaxBatch: 32, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

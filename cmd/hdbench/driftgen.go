@@ -25,7 +25,6 @@ type driftgenOptions struct {
 	learnWindow  int
 	recentWindow int
 	driftThresh  float64
-	holdout      float64
 	gateMargin   float64
 	retrainIters int
 	trainIters   int
@@ -224,14 +223,13 @@ func adaptiveRun(o driftgenOptions, base *disthd.Model, samples []driftSample, b
 	}
 	defer bat.Close()
 	learner, err := serve.NewLearner(sw, serve.LearnerOptions{
-		Window:          o.learnWindow,
-		RecentWindow:    o.recentWindow,
-		DriftThreshold:  o.driftThresh,
-		HoldoutFraction: o.holdout,
-		GateMargin:      o.gateMargin,
-		GateDisabled:    !gated,
-		Iterations:      o.retrainIters,
-		Seed:            o.seed,
+		Window:         o.learnWindow,
+		RecentWindow:   o.recentWindow,
+		DriftThreshold: o.driftThresh,
+		GateMargin:     o.gateMargin,
+		GateDisabled:   !gated,
+		Iterations:     o.retrainIters,
+		Seed:           o.seed,
 	})
 	if err != nil {
 		return res, err

@@ -22,7 +22,6 @@ type loadgenOptions struct {
 	concurrency []int
 	duration    time.Duration
 	maxBatch    int
-	maxDelay    time.Duration
 	quantize    bool
 	httpTarget  string // non-empty: drive a live disthd-serve instead
 	wire        string // wire format for the live target: json, binary or f32
@@ -84,7 +83,6 @@ func runLoadgen(o loadgenOptions, w io.Writer) error {
 		bat, err := serve.NewBatcher(sw, serve.Options{
 			MaxBatch: o.maxBatch,
 			MinFill:  minFill,
-			MaxDelay: o.maxDelay,
 			Replicas: 1,
 		})
 		if err != nil {

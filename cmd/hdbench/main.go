@@ -87,7 +87,6 @@ func main() {
 		lgConc  = flag.String("concurrency", "1,8,32,64", "loadgen: comma-separated concurrency sweep")
 		lgDur   = flag.Duration("duration", 2*time.Second, "loadgen: measurement window per cell")
 		lgBatch = flag.Int("max-batch", 64, "loadgen: batcher MaxBatch")
-		lgDelay = flag.Duration("max-delay", 2*time.Millisecond, "loadgen: batcher MaxDelay of the in-process single-row cells (-tenants sends 16-row batches, which do not coalesce)")
 		lgScale = flag.Float64("loadgen-scale", 0.2, "loadgen: dataset scale")
 		quant   = flag.Bool("quantize", false, "loadgen: add a batched 1-bit packed-tier column with its speedup over batched f32; driftgen (in-process): add a frozen-1bit accuracy column")
 
@@ -107,7 +106,6 @@ func main() {
 		dgRetrain = flag.Int("drift-retrain-iters", 6, "driftgen: warm-retrain pipeline iterations")
 		dgTrain   = flag.Int("drift-train-iters", 12, "driftgen: cold-start training iterations")
 		dgNoise   = flag.Float64("drift-label-noise", 0, "driftgen: fraction of feedback labels flipped to a wrong class (bad-teacher scenario the gate must survive)")
-		dgHoldout = flag.Float64("drift-holdout", 0, "driftgen: holdout fraction for the gated run (0 = default 0.20)")
 		dgMargin  = flag.Float64("drift-gate-margin", -0.07, "driftgen: holdout-accuracy lead a challenger needs to publish; the default tolerates one standard error of the ~51-sample holdout estimate (sqrt(0.25/51)), so sampling noise never vetoes a challenger while garbage — which loses by far more — still rejects")
 		dgHTTP    = flag.String("http", "", "loadgen/driftgen/chaos: drive a LIVE server at this address (host:port or URL) instead of the in-process stack — a disthd-serve for -loadgen/-driftgen, a disthd-cluster coordinator for -chaos")
 		wireFmt   = flag.String("wire", "json", "loadgen/driftgen/chaos: wire format for live-HTTP predict/learn calls: json, binary, or f32 (binary frames carrying float32 request matrices — half the bytes, exact for the 1-bit tier)")
@@ -162,7 +160,6 @@ func main() {
 			learnWindow:  *dgWindow,
 			recentWindow: *dgRecent,
 			driftThresh:  *dgThresh,
-			holdout:      *dgHoldout,
 			gateMargin:   *dgMargin,
 			retrainIters: *dgRetrain,
 			trainIters:   *dgTrain,
@@ -192,7 +189,6 @@ func main() {
 			concurrency: conc,
 			duration:    *lgDur,
 			maxBatch:    *lgBatch,
-			maxDelay:    *lgDelay,
 			quantize:    *quant,
 			httpTarget:  *dgHTTP,
 			wire:        *wireFmt,

@@ -60,7 +60,7 @@
 // that wires OnlineLearner behind the endpoints (/learn, /retrain with a
 // ?force=1 gate bypass) with background drift-adaptive retraining routed
 // through the Gate — run it with cmd/disthd-serve (-learn -auto-retrain;
-// -no-gate, -holdout, -gate-margin tune the gate), load-test it with
+// -no-gate and -gate-margin tune the gate), load-test it with
 // `hdbench -loadgen` (against a live server: -http <addr>, and
 // -wire binary to measure the frame protocol end to end), and measure the
 // adaptation win (frozen vs ungated vs gated, in-process or against a

@@ -52,7 +52,7 @@ func main() {
 		servers []*http.Server
 	)
 	for i, m := range shards {
-		srv, err := serve.New(m, serve.Options{MaxBatch: 64, MaxDelay: time.Millisecond, Replicas: 1})
+		srv, err := serve.New(m, serve.Options{MaxBatch: 64, Replicas: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

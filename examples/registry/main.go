@@ -18,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	disthd "repro"
 	"repro/serve"
@@ -64,7 +63,7 @@ func main() {
 			log.Fatal(err)
 		}
 		spec := registry.Spec{
-			Options: serve.Options{MaxBatch: 64, MaxDelay: 2 * time.Millisecond, Replicas: 1},
+			Options: serve.Options{MaxBatch: 64, Replicas: 1},
 		}
 		if t.learn {
 			spec.Learner = &serve.LearnerOptions{Seed: 1}

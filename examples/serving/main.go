@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	disthd "repro"
 	"repro/serve"
@@ -48,7 +47,6 @@ func main() {
 	srv, err := serve.New(live, serve.Options{
 		MaxBatch: 64,
 		MinFill:  8,
-		MaxDelay: 2 * time.Millisecond,
 		Replicas: 1,
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mat"
-	"repro/internal/rng"
 )
 
 // RetrainConfig controls a warm-start retrain (Model.Retrain,
@@ -21,12 +20,11 @@ type RetrainConfig struct {
 	// Seed drives the retrain's shuffle and regeneration streams; retrains
 	// with different seeds explore different regeneration draws.
 	Seed uint64
-	// RegenBoost multiplies the model's regeneration rate R for this retrain
+	// regenBoost multiplies the model's regeneration rate R for this retrain
 	// when > 1 (capped so the boosted rate never exceeds 0.5): a severe drift
-	// warrants redrawing more of the encoder, not just more epochs. Values
-	// <= 1 leave the model's own rate untouched. ScaleForSeverity sets it
-	// alongside the iteration budget.
-	RegenBoost float64
+	// warrants redrawing more of the encoder, not just more epochs.
+	// ScaleForSeverity sets it alongside the iteration budget.
+	regenBoost float64
 }
 
 // withDefaults fills unset fields.
@@ -74,7 +72,7 @@ func (c RetrainConfig) ScaleForSeverity(severity, threshold float64) RetrainConf
 	}
 	c = c.withDefaults()
 	c.Iterations = int(math.Ceil(float64(c.Iterations) * scale))
-	c.RegenBoost = scale
+	c.regenBoost = scale
 	return c
 }
 
@@ -110,8 +108,8 @@ func (m *Model) Retrain(X [][]float64, y []int, cfg RetrainConfig) (*Model, erro
 	cc := m.clf.Cfg
 	cc.Iterations = cfg.Iterations
 	cc.Seed = cfg.Seed
-	if cfg.RegenBoost > 1 {
-		cc.RegenRate = math.Min(0.5, cc.RegenRate*cfg.RegenBoost)
+	if cfg.regenBoost > 1 {
+		cc.RegenRate = math.Min(0.5, cc.RegenRate*cfg.regenBoost)
 	}
 	// A short warm run has no room for the cold-start plateau heuristics.
 	cc.Patience = 0
@@ -145,15 +143,9 @@ func (m *Model) Retrain(X [][]float64, y []int, cfg RetrainConfig) (*Model, erro
 // OnlineConfig configures an OnlineLearner. The zero value picks the
 // documented defaults.
 type OnlineConfig struct {
-	// Window bounds the labeled-feedback buffer the learner retrains from
-	// (default 512 samples).
+	// Window bounds the labeled-feedback buffer the learner retrains from:
+	// the most recent Window samples (default 512).
 	Window int
-	// Reservoir, when true, keeps a uniform reservoir sample of the whole
-	// feedback stream instead of the most recent Window samples. A sliding
-	// window (the default) tracks drift fastest; a reservoir preserves
-	// memory of the pre-drift distribution, trading adaptation speed for
-	// resistance to catastrophic forgetting.
-	Reservoir bool
 	// RecentWindow is how many of the latest observations the windowed
 	// accuracy estimate covers (default 64).
 	RecentWindow int
@@ -173,8 +165,6 @@ type OnlineConfig struct {
 	HoldoutFraction float64
 	// Retrain configures the warm retrain the learner runs over its window.
 	Retrain RetrainConfig
-	// Seed drives the reservoir-sampling stream.
-	Seed uint64
 }
 
 // withDefaults fills unset fields and validates the rest.
@@ -187,9 +177,6 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	}
 	if c.DriftThreshold == 0 {
 		c.DriftThreshold = 0.15
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.HoldoutFraction == 0 {
 		c.HoldoutFraction = 0.20
@@ -226,13 +213,11 @@ type OnlineLearner struct {
 	m   *Model
 	cfg OnlineConfig
 
-	// Sliding/reservoir feedback window.
-	winX    []float64 // capacity Window × features, row-major
-	winY    []int
-	winLen  int
-	winPos  int    // next slot to overwrite (sliding mode)
-	seen    uint64 // stream length so far (reservoir mode)
-	sampler *rng.Rand
+	// Sliding feedback window.
+	winX   []float64 // capacity Window × features, row-major
+	winY   []int
+	winLen int
+	winPos int // next slot to overwrite
 
 	// Windowed accuracy over the last RecentWindow observations. The label
 	// ring mirrors the outcome ring so evicted observations can be removed
@@ -278,7 +263,6 @@ func NewOnlineLearner(m *Model, cfg OnlineConfig) (*OnlineLearner, error) {
 		cfg:         c,
 		winX:        make([]float64, c.Window*m.Features()),
 		winY:        make([]int, c.Window),
-		sampler:     rng.New(c.Seed ^ 0x0b5e7),
 		recent:      make([]bool, c.RecentWindow),
 		recentLabel: make([]int, c.RecentWindow),
 		clsRecentN:  make([]int, k),
@@ -340,23 +324,13 @@ func (l *OnlineLearner) Observe(x []float64, label int) (correct bool, err error
 	}
 	l.recentPos = (l.recentPos + 1) % l.cfg.RecentWindow
 
-	// Window admission: sliding ring, or uniform reservoir over the stream.
-	l.seen++
-	slot := -1
+	// Window admission: the sliding ring overwrites its oldest slot.
+	q := l.m.Features()
+	copy(l.winX[l.winPos*q:(l.winPos+1)*q], x)
+	l.winY[l.winPos] = label
+	l.winPos = (l.winPos + 1) % l.cfg.Window
 	if l.winLen < l.cfg.Window {
-		slot = l.winLen
 		l.winLen++
-	} else if l.cfg.Reservoir {
-		if j := l.sampler.Intn(int(l.seen)); j < l.cfg.Window {
-			slot = j
-		}
-	} else {
-		slot = l.winPos
-	}
-	if slot >= 0 {
-		copy(l.winX[slot*l.m.Features():(slot+1)*l.m.Features()], x)
-		l.winY[slot] = label
-		l.winPos = (slot + 1) % l.cfg.Window
 	}
 	return correct, nil
 }
@@ -495,16 +469,15 @@ func (l *OnlineLearner) DriftReport() DriftReport {
 	return rep
 }
 
-// Window returns a copy of the retrain window (oldest-first in sliding
-// mode; sample order is meaningless in reservoir mode).
+// Window returns a copy of the retrain window, oldest first.
 func (l *OnlineLearner) Window() (X [][]float64, y []int) {
 	X = make([][]float64, l.winLen)
 	y = make([]int, l.winLen)
 	for i := 0; i < l.winLen; i++ {
 		q := l.m.Features()
-		// In a full sliding ring, winPos is the oldest slot.
+		// In a full ring, winPos is the oldest slot.
 		slot := i
-		if !l.cfg.Reservoir && l.winLen == l.cfg.Window {
+		if l.winLen == l.cfg.Window {
 			slot = (l.winPos + i) % l.cfg.Window
 		}
 		row := make([]float64, q)
@@ -519,29 +492,25 @@ func (l *OnlineLearner) Window() (X [][]float64, y []int) {
 // stratified held-out slice: per class, a HoldoutFraction share of that
 // class's samples (at least one when the class has two or more, none when
 // it has exactly one — a lone sample is worth more as training data) goes
-// to the holdout. In sliding mode the NEWEST samples of each class are
-// held out, deliberately: the gate's decision target is the FUTURE stream,
-// and under drift the future resembles the newest feedback far more than
-// the window average — a holdout spread over the whole window would judge
-// the incumbent partly on the old regime it was trained on and hand it a
-// home-field advantage (false rejections, stalled adaptation). In
-// reservoir mode window order is NOT temporal (replacement overwrites
-// random slots), so "newest" is meaningless there; the holdout is instead
-// spread evenly through each class's samples, mirroring the uniform
-// stream sample the reservoir itself maintains. The judged challenger
-// forfeits nothing in the end: on a passing verdict RetrainGated refits
-// the published successor on the full window. The two slices are
-// disjoint, cover the whole window, and are fresh copies; the holdout is
-// empty when HoldoutFraction is disabled or the window is too small to
-// spare anything.
+// to the holdout. The NEWEST samples of each class are held out,
+// deliberately: the gate's decision target is the FUTURE stream, and under
+// drift the future resembles the newest feedback far more than the window
+// average — a holdout spread over the whole window would judge the
+// incumbent partly on the old regime it was trained on and hand it a
+// home-field advantage (false rejections, stalled adaptation). The judged
+// challenger forfeits nothing in the end: on a passing verdict
+// RetrainGated refits the published successor on the full window. The two
+// slices are disjoint, cover the whole window, and are fresh copies; the
+// holdout is empty when HoldoutFraction is disabled or the window is too
+// small to spare anything.
 func (l *OnlineLearner) SplitWindow() (trainX [][]float64, trainY []int, holdX [][]float64, holdY []int) {
 	X, y := l.Window()
 	if l.cfg.HoldoutFraction <= 0 || len(X) == 0 {
 		return X, y, nil, nil
 	}
-	// Per-class totals and holdout quotas over the snapshot (in sliding
-	// mode window order is oldest-first, so "the last quota[c] of class c"
-	// are its newest samples).
+	// Per-class totals and holdout quotas over the snapshot (window order
+	// is oldest-first, so "the last quota[c] of class c" are its newest
+	// samples).
 	total := make([]int, l.m.Classes())
 	for _, c := range y {
 		total[c]++
@@ -558,16 +527,7 @@ func (l *OnlineLearner) SplitWindow() (trainX [][]float64, trainY []int, holdX [
 	for i, c := range y {
 		j := seen[c]
 		seen[c]++
-		var hold bool
-		if l.cfg.Reservoir {
-			// Even spread: held out when the quota line q·(j+1)/n crosses
-			// an integer — exactly quota[c] picks, spaced through the
-			// class's samples.
-			hold = quota[c] > 0 && (j+1)*quota[c]/total[c] > j*quota[c]/total[c]
-		} else {
-			hold = j >= total[c]-quota[c]
-		}
-		if hold {
+		if j >= total[c]-quota[c] {
 			holdX = append(holdX, X[i])
 			holdY = append(holdY, c)
 		} else {

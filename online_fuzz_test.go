@@ -32,37 +32,33 @@ func fuzzFixture(f *testing.F) *Model {
 	return fuzzModel.m
 }
 
-// FuzzFeedbackWindow drives the OnlineLearner's feedback window (sliding
-// and reservoir) with an arbitrary labeled stream and checks the
-// structural invariants every retrain depends on: the window never exceeds
-// its capacity, the holdout and training slices are disjoint and cover the
-// window exactly, per-class counts agree between the window snapshot and
-// the split, and (sliding mode) the window holds exactly the newest
-// insertions.
+// FuzzFeedbackWindow drives the OnlineLearner's sliding feedback window
+// with an arbitrary labeled stream and checks the structural invariants
+// every retrain depends on: the window never exceeds its capacity, holds
+// exactly the newest insertions in order, the holdout and training slices
+// are disjoint and cover the window exactly, and per-class counts agree
+// between the window snapshot and the split.
 func FuzzFeedbackWindow(f *testing.F) {
 	m := fuzzFixture(f)
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 7, 8, 9}, uint8(4), false, uint8(20))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, uint8(3), true, uint8(0))
-	f.Add([]byte{9, 200, 3, 77, 0, 0, 255, 255, 13, 13, 40, 41}, uint8(7), true, uint8(55))
-	f.Add([]byte{42}, uint8(1), false, uint8(99))
-	f.Fuzz(func(t *testing.T, data []byte, window uint8, reservoir bool, holdoutPct uint8) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 7, 8, 9}, uint8(4), uint8(20))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, uint8(3), uint8(0))
+	f.Add([]byte{9, 200, 3, 77, 0, 0, 255, 255, 13, 13, 40, 41}, uint8(7), uint8(55))
+	f.Add([]byte{42}, uint8(1), uint8(99))
+	f.Fuzz(func(t *testing.T, data []byte, window uint8, holdoutPct uint8) {
 		w := int(window)%32 + 1
 		// 0..0.59; 0 selects the default 0.20 (the config's documented
 		// sentinel), which is itself worth fuzzing through.
 		hf := float64(holdoutPct%60) / 100
 		l, err := NewOnlineLearner(m, OnlineConfig{
 			Window:          w,
-			Reservoir:       reservoir,
 			RecentWindow:    8,
 			HoldoutFraction: hf,
-			Seed:            uint64(w)*131 + 7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := m.Classes()
 		q := m.Features()
-		inserted := make([]int, k)
 		var streamLabels []int
 		ops := len(data) / 2
 		if ops > 300 {
@@ -79,7 +75,6 @@ func FuzzFeedbackWindow(f *testing.F) {
 			if _, err := l.Observe(x, label); err != nil {
 				t.Fatal(err)
 			}
-			inserted[label]++
 			streamLabels = append(streamLabels, label)
 		}
 
@@ -96,24 +91,17 @@ func FuzzFeedbackWindow(f *testing.F) {
 			t.Fatalf("snapshot sized %d/%d, want %d", len(X), len(y), want)
 		}
 
-		// Per-class counts: never more of a class than was inserted, and in
-		// sliding mode exactly the counts of the newest `want` insertions.
+		// Contents: exactly the newest `want` insertions, oldest first.
+		for i, row := range X {
+			if id := len(streamLabels) - want + i; row[0] != float64(id) || y[i] != streamLabels[id] {
+				t.Fatalf("window slot %d holds sample %v labeled %d, want sample %d labeled %d",
+					i, row[0], y[i], id, streamLabels[id])
+			}
+		}
+
 		winCount := make([]int, k)
 		for _, c := range y {
 			winCount[c]++
-		}
-		tail := streamLabels[len(streamLabels)-want:]
-		tailCount := make([]int, k)
-		for _, c := range tail {
-			tailCount[c]++
-		}
-		for c := 0; c < k; c++ {
-			if winCount[c] > inserted[c] {
-				t.Fatalf("class %d: window holds %d, only %d inserted", c, winCount[c], inserted[c])
-			}
-			if !reservoir && winCount[c] != tailCount[c] {
-				t.Fatalf("sliding window class %d count %d, newest-%d stream has %d", c, winCount[c], want, tailCount[c])
-			}
 		}
 
 		// Split: disjoint, covering, label-preserving, count-consistent.

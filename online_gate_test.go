@@ -27,8 +27,8 @@ func TestScaleForSeverity(t *testing.T) {
 			if got.Iterations != tc.wantIters {
 				t.Fatalf("iterations %d, want %d", got.Iterations, tc.wantIters)
 			}
-			if got.RegenBoost != tc.wantBoost {
-				t.Fatalf("regen boost %v, want %v", got.RegenBoost, tc.wantBoost)
+			if got.regenBoost != tc.wantBoost {
+				t.Fatalf("regen boost %v, want %v", got.regenBoost, tc.wantBoost)
 			}
 			if got.Seed != base.Seed {
 				t.Fatalf("scaling changed the seed: %d", got.Seed)
@@ -46,7 +46,7 @@ func TestRegenBoostWidensRetrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RegenBoost = 3
+	cfg.regenBoost = 3
 	boosted, err := m.Retrain(test.X, test.Y, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -200,40 +200,6 @@ func TestOnlineLearnerRetrainAdapts(t *testing.T) {
 	}
 }
 
-func TestOnlineLearnerReservoirBounds(t *testing.T) {
-	m, _, test := onlineFixture(t, 5)
-	l, err := NewOnlineLearner(m, OnlineConfig{Window: 16, Reservoir: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range test.X {
-		if _, err := l.Observe(x, test.Y[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.WindowLen() != 16 {
-		t.Fatalf("reservoir holds %d, capacity 16", l.WindowLen())
-	}
-	X, y := l.Window()
-	// Every reservoir entry must be a genuine stream sample with its label.
-	for i := range X {
-		found := false
-		for j := range test.X {
-			same := y[i] == test.Y[j]
-			for k := 0; same && k < len(X[i]); k++ {
-				same = X[i][k] == test.X[j][k]
-			}
-			if same {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("reservoir slot %d holds a sample not from the stream", i)
-		}
-	}
-}
-
 func TestRetrainValidatesWindow(t *testing.T) {
 	m, _, test := onlineFixture(t, 6)
 	if _, err := m.Retrain(nil, nil, RetrainConfig{}); err == nil {

@@ -104,10 +104,11 @@ func TestBatcherPredictAllocs(t *testing.T) {
 	s := fixtures(t)
 	x := s.test.X[0]
 	for _, minFill := range []int{1, 4} {
-		b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, MinFill: minFill, MaxDelay: 50 * time.Microsecond, Replicas: 1})
+		b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, MinFill: minFill, Replicas: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		b.linger = 50 * time.Microsecond
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := b.Predict(x); err != nil {
 				t.Fatal(err)

@@ -91,7 +91,6 @@ func BenchmarkServeBatched(b *testing.B) {
 			bat, err := NewBatcher(swapperFor(b, s.m), Options{
 				MaxBatch: 64,
 				MinFill:  minFill(g.conc),
-				MaxDelay: 2 * time.Millisecond,
 				Replicas: 1,
 			})
 			if err != nil {
@@ -182,7 +181,6 @@ func BenchmarkServeBatchedWithLearner(b *testing.B) {
 	bat, err := NewBatcher(swapperFor(b, s.m), Options{
 		MaxBatch: 64,
 		MinFill:  minFill(conc),
-		MaxDelay: 2 * time.Millisecond,
 		Replicas: 1,
 	})
 	if err != nil {
@@ -190,7 +188,7 @@ func BenchmarkServeBatchedWithLearner(b *testing.B) {
 	}
 	defer bat.Close()
 	learner, err := NewLearner(bat.Swapper(), LearnerOptions{
-		RecentWindow: 32, MinRetrain: 64, Iterations: 1,
+		RecentWindow: 64, Iterations: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // returns its address.
 func benchWorker(b *testing.B, m *disthd.Model) string {
 	b.Helper()
-	srv, err := serve.New(m, serve.Options{MaxBatch: 32, MaxDelay: time.Millisecond, Replicas: 1})
+	srv, err := serve.New(m, serve.Options{MaxBatch: 32, Replicas: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 // BreakerState is one of the three circuit-breaker states a worker shard
 // moves through: Closed (traffic flows, consecutive failures are counted),
 // Open (the shard is presumed dead; calls are refused without touching the
-// network), and HalfOpen (the cooldown expired; a bounded number of trial
-// calls probe whether the shard recovered).
+// network), and HalfOpen (the cooldown expired; one trial call at a time
+// probes whether the shard recovered).
 type BreakerState int32
 
 // The three breaker states. The zero value is BreakerClosed, so a freshly
@@ -20,8 +20,8 @@ const (
 	// BreakerOpen refuses every call until the cooldown expires — a dead
 	// shard costs one probe per cooldown instead of a timeout per request.
 	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of trial calls; one success
-	// closes the breaker, one failure reopens it.
+	// BreakerHalfOpen admits one trial call at a time; its success closes
+	// the breaker, its failure reopens it.
 	BreakerHalfOpen
 )
 
@@ -45,12 +45,9 @@ type BreakerConfig struct {
 	// failures and active probe failures both count) open the breaker.
 	// Default 5.
 	FailureThreshold int
-	// OpenFor is the cooldown an open breaker waits before admitting
-	// half-open trial calls. Default 2s.
+	// OpenFor is the cooldown an open breaker waits before admitting a
+	// half-open trial call. Default 2s.
 	OpenFor time.Duration
-	// HalfOpenProbes bounds how many trial calls may be in flight while
-	// half-open. Default 1.
-	HalfOpenProbes int
 }
 
 // withDefaults fills unset fields.
@@ -60,9 +57,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenFor == 0 {
 		c.OpenFor = 2 * time.Second
-	}
-	if c.HalfOpenProbes == 0 {
-		c.HalfOpenProbes = 1
 	}
 	return c
 }
@@ -78,7 +72,7 @@ type breaker struct {
 	state    BreakerState
 	fails    int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last opened
-	probes   int       // in-flight half-open trial calls
+	trial    bool      // a half-open trial call is in flight
 }
 
 // newBreaker builds a closed breaker on the given clock.
@@ -87,7 +81,7 @@ func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
 }
 
 // Allow reports whether a call may proceed, transitioning Open to HalfOpen
-// once the cooldown has expired. A true return while half-open claims one
+// once the cooldown has expired. A true return while half-open claims the
 // trial slot; the caller must settle it with Success, Failure, or Cancel.
 func (b *breaker) Allow() bool {
 	b.mu.Lock()
@@ -100,20 +94,20 @@ func (b *breaker) Allow() bool {
 			return false
 		}
 		b.state = BreakerHalfOpen
-		b.probes = 0
+		b.trial = false
 		fallthrough
 	case BreakerHalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.trial {
 			return false
 		}
-		b.probes++
+		b.trial = true
 		return true
 	}
 	return false
 }
 
 // available reports whether a call would currently be admitted, without
-// claiming a half-open trial slot — what quorum counting and retry-target
+// claiming the half-open trial slot — what quorum counting and retry-target
 // selection use.
 func (b *breaker) available() bool {
 	b.mu.Lock()
@@ -124,7 +118,7 @@ func (b *breaker) available() bool {
 	case BreakerOpen:
 		return b.now().Sub(b.openedAt) >= b.cfg.OpenFor
 	case BreakerHalfOpen:
-		return b.probes < b.cfg.HalfOpenProbes
+		return !b.trial
 	}
 	return false
 }
@@ -140,7 +134,7 @@ func (b *breaker) Success() {
 	case BreakerHalfOpen:
 		b.state = BreakerClosed
 		b.fails = 0
-		b.probes = 0
+		b.trial = false
 	case BreakerOpen:
 		// A stale success from before the breaker opened; ignore it.
 	}
@@ -162,20 +156,20 @@ func (b *breaker) Failure() {
 	case BreakerHalfOpen:
 		b.state = BreakerOpen
 		b.openedAt = b.now()
-		b.probes = 0
+		b.trial = false
 	case BreakerOpen:
 		// Already open; the cooldown keeps its original start.
 	}
 }
 
-// Cancel releases a half-open trial slot claimed by Allow when the call
+// Cancel releases the half-open trial slot claimed by Allow when the call
 // was abandoned without a verdict — the hedge loser's path. A no-op in the
 // other states.
 func (b *breaker) Cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen && b.probes > 0 {
-		b.probes--
+	if b.state == BreakerHalfOpen {
+		b.trial = false
 	}
 }
 

@@ -20,7 +20,7 @@ type breakerOp struct {
 }
 
 func TestBreakerTransitions(t *testing.T) {
-	cfg := BreakerConfig{FailureThreshold: 3, OpenFor: time.Second, HalfOpenProbes: 1}
+	cfg := BreakerConfig{FailureThreshold: 3, OpenFor: time.Second}
 	cases := []struct {
 		name string
 		ops  []breakerOp
@@ -159,7 +159,7 @@ func TestBreakerTransitions(t *testing.T) {
 
 func TestBreakerDefaults(t *testing.T) {
 	cfg := BreakerConfig{}.withDefaults()
-	if cfg.FailureThreshold != 5 || cfg.OpenFor != 2*time.Second || cfg.HalfOpenProbes != 1 {
+	if cfg.FailureThreshold != 5 || cfg.OpenFor != 2*time.Second {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	disthd "repro"
+	"repro/internal/rng"
 )
 
 // ErrClosed is returned by Predict and PredictBatch after Close.
@@ -154,7 +155,7 @@ type Coordinator struct {
 	now   func() time.Time
 	rr    atomic.Uint64 // round-robin cursor for retry/hedge targets
 	rngMu sync.Mutex
-	rng   prng
+	rng   *rng.Rand // backoff jitter; guarded by rngMu
 
 	requests     atomic.Uint64
 	rows         atomic.Uint64
@@ -187,7 +188,7 @@ func New(cfg Config) (*Coordinator, error) {
 		tr:   c.Transport,
 		gate: disthd.NewGate(disthd.GateConfig{MinMargin: c.Merge.GateMargin}),
 		now:  time.Now,
-		rng:  prng{s: c.Seed},
+		rng:  rng.New(c.Seed),
 		stop: make(chan struct{}),
 	}
 	for _, addr := range c.Workers {
@@ -397,7 +398,7 @@ func (c *Coordinator) callChunk(ctx context.Context, w *worker, rows [][]float64
 func (c *Coordinator) backoff(retry int) time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
-	return c.cfg.Retry.backoff(retry, &c.rng)
+	return c.cfg.Retry.backoff(retry, c.rng)
 }
 
 // pickWorker rotates over the available workers, preferring one that is

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	disthd "repro"
+	"repro/internal/rng"
 )
 
 // fault_test.go holds the deterministic fault-injection harness the
@@ -42,13 +43,13 @@ type simWorker struct {
 type faultTransport struct {
 	mu       sync.Mutex
 	workers  map[string]*simWorker
-	rng      prng    // drop schedule; deterministic per seed
-	dropProb float64 // per-call probability that a predict call 5xxes
+	rng      *rng.Rand // drop schedule; deterministic per seed
+	dropProb float64   // per-call probability that a predict call 5xxes
 }
 
 // newFaultTransport builds a transport over named sim workers.
 func newFaultTransport(seed uint64, workers map[string]*simWorker) *faultTransport {
-	return &faultTransport{workers: workers, rng: prng{s: seed}}
+	return &faultTransport{workers: workers, rng: rng.New(seed)}
 }
 
 // worker looks a shard up; unknown addresses fail like a refused dial.
@@ -69,7 +70,7 @@ func (t *faultTransport) drop() bool {
 	if t.dropProb <= 0 {
 		return false
 	}
-	return float64(t.rng.next()%1_000_000)/1_000_000 < t.dropProb
+	return float64(t.rng.Uint64()%1_000_000)/1_000_000 < t.dropProb
 }
 
 // simBatch is faultTransport's PreparedBatch: a copy of the chunk's rows,

@@ -1,6 +1,10 @@
 package cluster
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/rng"
+)
 
 // RetryConfig shapes the coordinator's per-chunk retry policy: how many
 // workers a failing chunk may visit, how the pre-retry backoff grows, and
@@ -38,10 +42,10 @@ func (c RetryConfig) withDefaults() RetryConfig {
 
 // backoff returns the pre-sleep before retry number retry (1-based):
 // exponential growth BaseBackoff·2^(retry-1) capped at MaxBackoff, with
-// equal-jitter drawn from rng so synchronized retries de-correlate. The
+// equal-jitter drawn from r so synchronized retries de-correlate. The
 // result is always within [d/2, d] for the capped exponential d — the
 // bound the retry tests pin.
-func (c RetryConfig) backoff(retry int, rng *prng) time.Duration {
+func (c RetryConfig) backoff(retry int, r *rng.Rand) time.Duration {
 	d := c.BaseBackoff
 	for i := 1; i < retry; i++ {
 		d <<= 1
@@ -57,19 +61,5 @@ func (c RetryConfig) backoff(retry int, rng *prng) time.Duration {
 		return 0
 	}
 	half := d / 2
-	return half + time.Duration(rng.next()%uint64(d-half+1))
-}
-
-// prng is a splitmix64 generator: deterministic for a fixed seed, cheap,
-// and good enough to de-correlate backoff jitter. It is not safe for
-// concurrent use; the coordinator guards it with a mutex.
-type prng struct{ s uint64 }
-
-// next advances the generator one step.
-func (p *prng) next() uint64 {
-	p.s += 0x9e3779b97f4a7c15
-	z := p.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return half + time.Duration(r.Uint64()%uint64(d-half+1))
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // expBackoff is the un-jittered capped exponential the jitter is drawn
@@ -23,11 +25,11 @@ func expBackoff(c RetryConfig, retry int) time.Duration {
 
 func TestBackoffJitterBounds(t *testing.T) {
 	cfg := RetryConfig{BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}.withDefaults()
-	rng := prng{s: 1}
+	r := rng.New(1)
 	for retry := 1; retry <= 12; retry++ {
 		d := expBackoff(cfg, retry)
 		for trial := 0; trial < 64; trial++ {
-			got := cfg.backoff(retry, &rng)
+			got := cfg.backoff(retry, r)
 			if got < d/2 || got > d {
 				t.Fatalf("retry %d: backoff %v outside equal-jitter bounds [%v, %v]", retry, got, d/2, d)
 			}
@@ -45,9 +47,9 @@ func TestBackoffCapsAtMax(t *testing.T) {
 	}
 	// A huge base must not overflow into a negative sleep.
 	big := RetryConfig{BaseBackoff: time.Duration(1) << 62, MaxBackoff: time.Duration(1)<<62 + 1}.withDefaults()
-	rng := prng{s: 3}
+	r := rng.New(3)
 	for retry := 1; retry <= 4; retry++ {
-		if got := big.backoff(retry, &rng); got < 0 {
+		if got := big.backoff(retry, r); got < 0 {
 			t.Fatalf("retry %d: negative backoff %v after shift overflow", retry, got)
 		}
 	}
@@ -56,10 +58,10 @@ func TestBackoffCapsAtMax(t *testing.T) {
 func TestBackoffDeterministicPerSeed(t *testing.T) {
 	cfg := RetryConfig{}.withDefaults()
 	draw := func(seed uint64) []time.Duration {
-		rng := prng{s: seed}
+		r := rng.New(seed)
 		out := make([]time.Duration, 32)
 		for i := range out {
-			out[i] = cfg.backoff(1+i%4, &rng)
+			out[i] = cfg.backoff(1+i%4, r)
 		}
 		return out
 	}
@@ -91,8 +93,8 @@ func TestRetryDefaults(t *testing.T) {
 
 func TestBackoffZeroBase(t *testing.T) {
 	cfg := RetryConfig{BaseBackoff: -1, MaxBackoff: time.Millisecond}
-	rng := prng{s: 9}
-	if got := cfg.backoff(1, &rng); got != 0 {
+	r := rng.New(9)
+	if got := cfg.backoff(1, r); got != 0 {
 		t.Fatalf("non-positive base: backoff = %v, want 0", got)
 	}
 }

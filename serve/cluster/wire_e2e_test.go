@@ -20,7 +20,7 @@ import (
 // interop tests (the test-sized sibling of bench_test.go's benchWorker).
 func liveWorker(t testing.TB, m *disthd.Model) string {
 	t.Helper()
-	srv, err := serve.New(m, serve.Options{MaxBatch: 32, MaxDelay: time.Millisecond, Replicas: 1})
+	srv, err := serve.New(m, serve.Options{MaxBatch: 32, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

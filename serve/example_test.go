@@ -3,7 +3,6 @@ package serve_test
 import (
 	"fmt"
 	"log"
-	"time"
 
 	disthd "repro"
 	"repro/serve"
@@ -32,15 +31,14 @@ func ExampleBatcher() {
 		log.Fatal(err)
 	}
 
-	// Serve. Every concurrent Predict call rides a micro-batch: flushed at
-	// 64 rows, or 2ms after the first row arrives, whichever comes first.
+	// Serve. Every concurrent Predict call rides a micro-batch: a worker
+	// flushes whatever is queued, up to 64 rows, as soon as it is free.
 	sw, err := serve.NewSwapper(live)
 	if err != nil {
 		log.Fatal(err)
 	}
 	b, err := serve.NewBatcher(sw, serve.Options{
 		MaxBatch: 64,
-		MaxDelay: 2 * time.Millisecond,
 		Replicas: 1,
 	})
 	if err != nil {

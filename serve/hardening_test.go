@@ -256,11 +256,12 @@ func TestHealthzDegradedOnRejectionBackoff(t *testing.T) {
 }
 
 // TestLearnerHealthWedgedRetrain pins the stall detector: a retrain
-// running past StallDeadline flags the learner wedged, and Health never
-// blocks on the learner mutex to say so.
+// running past its stall deadline flags the learner wedged, and Health
+// never blocks on the learner mutex to say so.
 func TestLearnerHealthWedgedRetrain(t *testing.T) {
-	srv, url := newLearnerServer(t, LearnerOptions{StallDeadline: 50 * time.Millisecond})
+	srv, url := newLearnerServer(t, LearnerOptions{})
 	lr := srv.Learner()
+	lr.stallDeadline = 50 * time.Millisecond
 
 	// Simulate a wedged in-flight retrain: slot claimed, started in the
 	// past. (A real wedge needs a pathological dataset; the detector only

@@ -20,8 +20,7 @@ func TestHTTPGateRejectsBadChallenger(t *testing.T) {
 	st := fixtures(t)
 	srv, ts := newTestServer(t, st.a)
 	l, err := NewLearner(srv.Batcher().Swapper(), LearnerOptions{
-		RecentWindow: 8,
-		MinRetrain:   16,
+		RecentWindow: 16,
 		Iterations:   2,
 		GateMargin:   0.10,
 		Seed:         31,

@@ -37,7 +37,7 @@ func TestHTTPLearnWithoutLearner(t *testing.T) {
 
 func TestHTTPLearnFlow(t *testing.T) {
 	st := fixtures(t)
-	srv, url := newLearnerServer(t, LearnerOptions{RecentWindow: 8, MinRetrain: 8, Iterations: 1})
+	srv, url := newLearnerServer(t, LearnerOptions{RecentWindow: 8, Iterations: 1})
 
 	var res FeedResult
 	code := postJSON(t, url+"/learn", map[string]any{"x": st.test.X[0], "label": st.test.Y[0]}, &res)
@@ -52,9 +52,9 @@ func TestHTTPLearnFlow(t *testing.T) {
 		t.Fatalf("malformed /learn returned %d, want 400", code)
 	}
 
-	// Below MinRetrain: /retrain must refuse.
+	// Below the RecentWindow floor: /retrain must refuse.
 	if code := postJSON(t, url+"/retrain", struct{}{}, nil); code != http.StatusConflict {
-		t.Fatalf("/retrain below MinRetrain returned %d, want 409", code)
+		t.Fatalf("/retrain below the retrain floor returned %d, want 409", code)
 	}
 	for i := 1; i < 16; i++ {
 		if code := postJSON(t, url+"/learn", map[string]any{"x": st.test.X[i], "label": st.test.Y[i]}, nil); code != http.StatusOK {

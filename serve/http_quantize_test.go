@@ -31,8 +31,7 @@ func TestHTTPQuantizeGateRejectsAtLowDim(t *testing.T) {
 	st := fixtures(t)
 	srv, ts := newTestServer(t, st.a)
 	l, err := NewLearner(srv.Batcher().Swapper(), LearnerOptions{
-		RecentWindow: 8,
-		MinRetrain:   16,
+		RecentWindow: 16,
 		Iterations:   2,
 		Seed:         31,
 	})

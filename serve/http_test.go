@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	disthd "repro"
 )
@@ -14,7 +13,7 @@ import (
 // newTestServer spins a Server over an httptest listener.
 func newTestServer(t *testing.T, m *disthd.Model) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(m, Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+	srv, err := New(m, Options{MaxBatch: 8, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

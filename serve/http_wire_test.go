@@ -124,7 +124,7 @@ func TestWirePredictSingleEquivalence(t *testing.T) {
 
 func TestWireLearnRoundTrip(t *testing.T) {
 	st := fixtures(t)
-	_, url := newLearnerServer(t, LearnerOptions{RecentWindow: 8, MinRetrain: 8, Iterations: 1})
+	_, url := newLearnerServer(t, LearnerOptions{RecentWindow: 8, Iterations: 1})
 	frame := wire.AppendLearn(nil, st.test.X[0], st.test.Y[0])
 	code, body, ct := postFrame(t, url+"/learn", frame)
 	if code != http.StatusOK {

@@ -13,54 +13,41 @@ import (
 // documented on each field (window sizes default through
 // disthd.OnlineConfig).
 type LearnerOptions struct {
-	// Window bounds the labeled-feedback buffer retrains draw from
-	// (default 512).
+	// Window bounds the labeled-feedback buffer retrains draw from: a
+	// sliding window of the most recent samples (default 512).
 	Window int
-	// Reservoir keeps a uniform sample of the whole feedback stream instead
-	// of a sliding window of the most recent samples.
-	Reservoir bool
-	// RecentWindow is the span of the windowed accuracy estimate
-	// (default 64).
+	// RecentWindow is the span of the windowed accuracy estimate (default
+	// 64). It is also the retrain floor: a retrain, automatic or through
+	// Retrain (/retrain answers 409), needs at least this many samples in
+	// the window, because retraining on a handful of samples would overfit
+	// the class hypervectors to them.
 	RecentWindow int
 	// DriftThreshold flags drift when windowed accuracy falls this far
 	// below the post-(re)bind baseline. The zero value selects the default
 	// 0.15; a literal 0 cannot be expressed — use a small positive value
 	// (e.g. 0.001) for a hair-trigger detector.
 	DriftThreshold float64
-	// MinRetrain is the smallest window a retrain may run on (default
-	// RecentWindow): retraining on a handful of samples would overfit the
-	// class hypervectors to them.
-	MinRetrain int
 	// Iterations is the warm-retrain budget in pipeline rounds (default 5).
 	Iterations int
-	// HoldoutFraction is the fraction of the feedback window held out from
-	// retrain data for the champion/challenger gate (default 0.20 via
-	// disthd.OnlineConfig; negative disables the holdout — the gate then
-	// has no evidence and publishes unconditionally).
-	HoldoutFraction float64
 	// GateMargin is the holdout-accuracy lead a challenger needs to publish
 	// (disthd.GateConfig.MinMargin; default 0 — a tie publishes).
 	GateMargin float64
 	// GateDisabled publishes every completed retrain unconditionally, the
 	// pre-gate behavior — the control arm `hdbench -driftgen` measures the
 	// gate against. The window is then not split: retrains train on every
-	// sample.
+	// sample. Otherwise the gate judges on the stratified holdout of the
+	// newest samples (disthd.OnlineConfig's default HoldoutFraction, 0.20).
 	GateDisabled bool
 	// Auto starts a background retrain whenever feedback ingestion detects
-	// drift (subject to MinRetrain and Cooldown). Without it, retrains run
-	// only on explicit Retrain calls (the /retrain endpoint).
+	// drift (subject to the RecentWindow floor and Cooldown). Without it,
+	// retrains run only on explicit Retrain calls (the /retrain endpoint).
 	Auto bool
 	// Cooldown is the minimum gap between drift-triggered retrains
 	// (default 10s), bounding retrain churn when accuracy stays depressed —
 	// e.g. while drift outpaces what the window can recover.
 	Cooldown time.Duration
-	// StallDeadline is how long a background retrain may run before
-	// Health reports it wedged (default 2m). A wedged retrain holds the
-	// single retrain slot forever, so the learner can no longer adapt —
-	// exactly what a cluster coordinator's health probes need to see.
-	StallDeadline time.Duration
-	// Seed drives the retrain and reservoir streams (0 selects
-	// disthd.OnlineConfig's default of 1).
+	// Seed drives the retrain's shuffle and regeneration streams (0 selects
+	// disthd.RetrainConfig's default of 1).
 	Seed uint64
 }
 
@@ -69,14 +56,8 @@ func (o LearnerOptions) withDefaults() LearnerOptions {
 	if o.RecentWindow == 0 {
 		o.RecentWindow = 64
 	}
-	if o.MinRetrain == 0 {
-		o.MinRetrain = o.RecentWindow
-	}
 	if o.Cooldown == 0 {
 		o.Cooldown = 10 * time.Second
-	}
-	if o.StallDeadline == 0 {
-		o.StallDeadline = 2 * time.Minute
 	}
 	return o
 }
@@ -124,6 +105,12 @@ type Learner struct {
 	sw   *Swapper
 	opts LearnerOptions
 	gate *disthd.Gate // nil when GateDisabled
+	// stallDeadline is how long a background retrain may run before Health
+	// reports it wedged: 2 minutes, which only this package's tests
+	// shorten. A wedged retrain holds the single retrain slot forever, so
+	// the learner can no longer adapt — exactly what a cluster
+	// coordinator's health probes need to see.
+	stallDeadline time.Duration
 
 	mu sync.Mutex // guards ol
 	ol *disthd.OnlineLearner
@@ -145,19 +132,17 @@ type Learner struct {
 // onlineConfig maps resolved options onto the disthd.OnlineConfig the
 // wrapped OnlineLearner runs under.
 func (o LearnerOptions) onlineConfig() disthd.OnlineConfig {
-	holdout := o.HoldoutFraction
+	var holdout float64 // 0 selects disthd's default of 0.20
 	if o.GateDisabled {
 		// No gate, no reason to starve the retrain of holdout samples.
 		holdout = -1
 	}
 	return disthd.OnlineConfig{
 		Window:          o.Window,
-		Reservoir:       o.Reservoir,
 		RecentWindow:    o.RecentWindow,
 		DriftThreshold:  o.DriftThreshold,
 		HoldoutFraction: holdout,
 		Retrain:         disthd.RetrainConfig{Iterations: o.Iterations, Seed: o.Seed},
-		Seed:            o.Seed,
 	}
 }
 
@@ -172,7 +157,7 @@ func NewLearner(sw *Swapper, opts LearnerOptions) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Learner{sw: sw, opts: o, ol: ol}
+	l := &Learner{sw: sw, opts: o, ol: ol, stallDeadline: 2 * time.Minute}
 	if !o.GateDisabled {
 		l.gate = disthd.NewGate(disthd.GateConfig{MinMargin: o.GateMargin})
 	}
@@ -206,7 +191,7 @@ func (l *Learner) Feed(x []float64, label int) (FeedResult, error) {
 	l.feedback.Add(1)
 	if res.Drift {
 		l.drifts.Add(1)
-		if l.opts.Auto && windowLen >= l.opts.MinRetrain {
+		if l.opts.Auto && windowLen >= l.opts.RecentWindow {
 			res.RetrainStarted = l.startAutoRetrain()
 		}
 	}
@@ -259,10 +244,11 @@ func (l *Learner) startAutoRetrain() bool {
 }
 
 // Retrain starts a background retrain over the current window. It returns
-// false without starting one when a retrain is already in flight or the
-// window holds fewer than MinRetrain samples. force publishes the
-// challenger even when the gate's verdict is reject — the operator's
-// escape hatch (/retrain?force=1) for when the holdout itself is suspect.
+// false without starting one when a retrain is already in flight, and an
+// error when the window holds fewer than RecentWindow samples. force
+// publishes the challenger even when the gate's verdict is reject — the
+// operator's escape hatch (/retrain?force=1) for when the holdout itself
+// is suspect.
 func (l *Learner) Retrain(force bool) (started bool, err error) {
 	if l.sw.Current().Quantized() {
 		return false, fmt.Errorf("serve: the serving model is 1-bit quantized and frozen; swap the f32 champion back in to retrain")
@@ -270,8 +256,8 @@ func (l *Learner) Retrain(force bool) (started bool, err error) {
 	l.mu.Lock()
 	n := l.ol.WindowLen()
 	l.mu.Unlock()
-	if n < l.opts.MinRetrain {
-		return false, fmt.Errorf("serve: retrain window holds %d samples, need %d", n, l.opts.MinRetrain)
+	if n < l.opts.RecentWindow {
+		return false, fmt.Errorf("serve: retrain window holds %d samples, need %d", n, l.opts.RecentWindow)
 	}
 	return l.startRetrain(force), nil
 }
@@ -323,16 +309,17 @@ func (l *Learner) inRejectionBackoff() bool {
 
 // LearnerHealth is the learner-side health verdict /healthz folds in: the
 // learner is Degraded while it cannot adapt — sitting out the
-// post-rejection backoff, or with a background retrain wedged past
-// StallDeadline (the single retrain slot is then held forever).
+// post-rejection backoff, or with a background retrain wedged past its
+// stall deadline of 2 minutes (the single retrain slot is then held
+// forever).
 type LearnerHealth struct {
 	// Degraded is the overall verdict: any reason below.
 	Degraded bool `json:"degraded"`
 	// RejectionBackoff is whether a rejected challenger has the auto
 	// retrain sitting out fresh feedback.
 	RejectionBackoff bool `json:"rejection_backoff"`
-	// RetrainWedged is whether the in-flight retrain has exceeded
-	// StallDeadline.
+	// RetrainWedged is whether the in-flight retrain has exceeded the stall
+	// deadline.
 	RetrainWedged bool `json:"retrain_wedged"`
 	// Reasons names each active degradation for the /healthz payload.
 	Reasons []string `json:"reasons,omitempty"`
@@ -348,10 +335,10 @@ func (l *Learner) Health() LearnerHealth {
 		h.Reasons = append(h.Reasons, "learner in post-rejection backoff")
 	}
 	if start := l.retrainStart.Load(); start > 0 && l.retraining.Load() {
-		if age := time.Since(time.Unix(0, start)); age > l.opts.StallDeadline {
+		if age := time.Since(time.Unix(0, start)); age > l.stallDeadline {
 			h.RetrainWedged = true
 			h.Reasons = append(h.Reasons,
-				fmt.Sprintf("retrain wedged: running %s, stall deadline %s", age.Round(time.Second), l.opts.StallDeadline))
+				fmt.Sprintf("retrain wedged: running %s, stall deadline %s", age.Round(time.Second), l.stallDeadline))
 		}
 	}
 	h.Degraded = h.RejectionBackoff || h.RetrainWedged

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	disthd "repro"
 )
@@ -37,15 +36,15 @@ func TestLearnerRunsOnlineLearnerRound(t *testing.T) {
 	}{
 		{"gated",
 			LearnerOptions{Window: window, RecentWindow: recent, Iterations: 2, GateMargin: 0.05, Seed: seed},
-			disthd.OnlineConfig{Window: window, RecentWindow: recent, Retrain: retrain, Seed: seed},
+			disthd.OnlineConfig{Window: window, RecentWindow: recent, Retrain: retrain},
 			disthd.NewGate(disthd.GateConfig{MinMargin: 0.05})},
 		{"ungated",
 			LearnerOptions{Window: window, RecentWindow: recent, Iterations: 2, GateDisabled: true, Seed: seed},
-			disthd.OnlineConfig{Window: window, RecentWindow: recent, HoldoutFraction: -1, Retrain: retrain, Seed: seed},
+			disthd.OnlineConfig{Window: window, RecentWindow: recent, HoldoutFraction: -1, Retrain: retrain},
 			nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+			b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, Replicas: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +127,7 @@ func TestLearnerRetrainsTheServingModel(t *testing.T) {
 		{"quantize then swap back", q, st.a},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+			b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, Replicas: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +137,7 @@ func TestLearnerRetrainsTheServingModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			ol, err := disthd.NewOnlineLearner(st.a, disthd.OnlineConfig{Window: window, RecentWindow: recent,
-				Retrain: disthd.RetrainConfig{Iterations: 2, Seed: seed}, Seed: seed})
+				Retrain: disthd.RetrainConfig{Iterations: 2, Seed: seed}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 func learnerFixture(t *testing.T, opts LearnerOptions) (*Batcher, *Learner, *testState) {
 	t.Helper()
 	st := fixtures(t)
-	b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestLearnerFeedValidates(t *testing.T) {
 
 func TestLearnerRetrainPublishes(t *testing.T) {
 	b, l, st := learnerFixture(t, LearnerOptions{
-		MinRetrain: 16, RecentWindow: 16, Iterations: 2,
+		RecentWindow: 16, Iterations: 2,
 	})
 	before := b.Model()
 	for i := 0; i < 64; i++ {
@@ -112,7 +112,7 @@ func TestLearnerRetrainPublishes(t *testing.T) {
 }
 
 func TestLearnerRetrainGates(t *testing.T) {
-	_, l, st := learnerFixture(t, LearnerOptions{MinRetrain: 32})
+	_, l, st := learnerFixture(t, LearnerOptions{RecentWindow: 32})
 	if started, err := l.Retrain(false); err == nil || started {
 		t.Fatal("retrain allowed on an empty window")
 	}
@@ -122,7 +122,7 @@ func TestLearnerRetrainGates(t *testing.T) {
 		}
 	}
 	if started, err := l.Retrain(false); err == nil || started {
-		t.Fatal("retrain allowed below MinRetrain")
+		t.Fatal("retrain allowed below the RecentWindow floor")
 	}
 }
 
@@ -132,8 +132,7 @@ func TestLearnerAutoRetrainsOnDrift(t *testing.T) {
 	// may (correctly) reject; the gated paths are covered by
 	// TestLearnerGate* and the HTTP gate tests.
 	b, l, st := learnerFixture(t, LearnerOptions{
-		RecentWindow:   16,
-		MinRetrain:     32,
+		RecentWindow:   32,
 		DriftThreshold: 0.2,
 		Iterations:     2,
 		Auto:           true,
@@ -204,7 +203,7 @@ func TestLearnerRebindsAfterExternalSwap(t *testing.T) {
 // while retrains run — the -race gate for the learner's locking scheme.
 func TestLearnerConcurrentFeedAndRetrain(t *testing.T) {
 	b, l, st := learnerFixture(t, LearnerOptions{
-		RecentWindow: 8, MinRetrain: 8, Iterations: 1,
+		RecentWindow: 8, Iterations: 1,
 		Auto: true, Cooldown: time.Millisecond, DriftThreshold: 0.05,
 	})
 	var wg sync.WaitGroup
@@ -248,7 +247,7 @@ func TestLearnerConcurrentFeedAndRetrain(t *testing.T) {
 // batch may mix weights.
 func TestSwapStorm(t *testing.T) {
 	st := fixtures(t)
-	b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Replicas: 2})
+	b, err := NewBatcher(swapperFor(t, st.a), Options{MaxBatch: 8, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

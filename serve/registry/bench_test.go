@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	disthd "repro"
 	"repro/serve"
@@ -48,7 +47,7 @@ func benchFixtures(b testing.TB, dim int) *tenantFixture {
 
 // benchOpts sizes a tenant's batcher for the 64-row benchmark batch.
 func benchOpts() serve.Options {
-	return serve.Options{MaxBatch: 64, MaxDelay: 2 * time.Millisecond, Replicas: 1}
+	return serve.Options{MaxBatch: 64, Replicas: 1}
 }
 
 // BenchmarkRegistryPredictBatch is the acceptance benchmark: the

@@ -187,13 +187,17 @@ func (r *Registry) Install(id string, m *disthd.Model, spec Spec) error {
 		srv.Batcher().Close()
 		return ErrClosed
 	}
-	if cur := r.tenants[id]; cur != nil {
+	// Draining releases the lock, so another Install or a Remove may drop
+	// cur first: replace whatever holds the ID once the drain is done.
+	for cur := r.tenants[id]; cur != nil; cur = r.tenants[id] {
 		if err := r.drainLocked(cur); err != nil {
 			srv.Batcher().Close()
 			return err
 		}
-		r.dropLocked(cur)
-		old = cur
+		if r.dropLocked(cur) {
+			old = cur
+			break
+		}
 	}
 	r.tenants[id] = t
 	r.order = append(r.order, t)
@@ -226,7 +230,9 @@ func (r *Registry) Remove(id string) error {
 	if err := r.drainLocked(t); err != nil {
 		return err
 	}
-	r.dropLocked(t)
+	if !r.dropLocked(t) {
+		return nil // a replacing Install dropped and settles it
+	}
 	if r.def == id {
 		r.def = ""
 		if len(r.order) > 0 {
@@ -269,12 +275,17 @@ func (r *Registry) drainLocked(t *Tenant) error {
 	if t.resident {
 		r.parkLocked(t, false)
 	}
-	r.settling.Add(1)
 	return nil
 }
 
-// dropLocked deletes a drained tenant's registration.
-func (r *Registry) dropLocked(t *Tenant) {
+// dropLocked deletes a drained tenant's registration and reports whether
+// it did; false means another Install or Remove dropped it while this
+// caller drained. The dropper settles t once it has released the lock.
+func (r *Registry) dropLocked(t *Tenant) bool {
+	if r.tenants[t.id] != t {
+		return false
+	}
+	r.settling.Add(1)
 	delete(r.tenants, t.id)
 	for i, o := range r.order {
 		if o == t {
@@ -282,6 +293,7 @@ func (r *Registry) dropLocked(t *Tenant) {
 			break
 		}
 	}
+	return true
 }
 
 // SetDefault names the tenant the single-model alias routes (/predict,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -83,7 +84,7 @@ func fixtures(t testing.TB) []*tenantFixture {
 
 // quickOpts keeps test batchers tiny and prompt.
 func quickOpts() serve.Options {
-	return serve.Options{MaxBatch: 16, MaxDelay: 100 * time.Microsecond, Replicas: 1}
+	return serve.Options{MaxBatch: 16, Replicas: 1}
 }
 
 // checkTenant acquires id and verifies the fixture's predictions route to
@@ -286,6 +287,63 @@ func TestRegistryRemoveDrains(t *testing.T) {
 	}
 	if got := reg.Default(); got != b.name {
 		t.Fatalf("default after removing it = %q, want re-elected %q", got, b.name)
+	}
+}
+
+// TestRegistryConcurrentReplaceKeepsOneTenant pins that two replacing
+// Installs of one ID, both draining the same busy tenant, leave one
+// registration: one row, one tenant's replicas in the pool, and nothing
+// once it is removed.
+func TestRegistryConcurrentReplaceKeepsOneTenant(t *testing.T) {
+	a := fixtures(t)[0]
+	reg, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if err := reg.Install("x", a.m, Spec{Options: quickOpts()}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := reg.Acquire("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { installed <- reg.Install("x", a.m, Spec{Options: quickOpts()}) }()
+	}
+	waitDraining(t, 2)
+	reg.Release(h)
+	for i := 0; i < 2; i++ {
+		if err := <-installed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := reg.Stats(); st.TenantCount != 1 || st.UsedReplicas != 1 {
+		t.Fatalf("after two replacing Installs: %d tenants, %d replicas in use, want 1 and 1", st.TenantCount, st.UsedReplicas)
+	}
+	checkTenant(t, reg, "x", a)
+	if err := reg.Remove("x"); err != nil {
+		t.Fatal(err)
+	}
+	if st := reg.Stats(); st.TenantCount != 0 || st.UsedReplicas != 0 {
+		t.Fatalf("after Remove: %d tenants, %d replicas in use, want none", st.TenantCount, st.UsedReplicas)
+	}
+}
+
+// waitDraining blocks until n goroutines wait in drainLocked for a busy
+// tenant to go idle.
+func waitDraining(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		k := runtime.Stack(buf, true)
+		if bytes.Count(buf[:k], []byte("(*Registry).drainLocked")) >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines never waited in drainLocked", n)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // The core is the Batcher, which coalesces concurrent single-sample
 // requests into micro-batches — size-bounded by Options.MaxBatch,
-// latency-bounded by Options.MaxDelay (a forming batch lingers at most
-// that long waiting to reach Options.MinFill rows, then greedily drains
-// whatever is queued) — and runs each flush through the zero-allocation
+// latency-bounded by a 2ms linger (a batch below Options.MinFill rows
+// waits at most that long for more, then greedily drains whatever is
+// queued) — and runs each flush through the zero-allocation
 // EncodeBatchInto → PredictBatchInto kernel path on a replica's scratch
 // (disthd.Replica). N workers pull from one queue and lease a replica
 // per flush from the Batcher's free list. A caller
@@ -28,7 +28,8 @@
 // through the Swapper only after it beats the serving incumbent on a
 // stratified holdout — without ever touching the flush path; and the
 // Server, which exposes the whole thing over HTTP/JSON (/predict,
-// /predict_batch, /healthz, /stats, /swap, /learn, /retrain?force=1).
+// /predict_batch, /healthz, /stats, /model, /swap, /learn,
+// /retrain?force=1, /quantize).
 // cmd/disthd-serve is the runnable binary; `hdbench -loadgen` measures the
 // throughput-vs-concurrency curve and `hdbench -driftgen` the
 // frozen-vs-ungated-vs-gated accuracy under a drifting stream, in-process
@@ -56,16 +57,13 @@ type Options struct {
 	// Default 64 — large enough that the blocked GEMM kernels dominate,
 	// small enough to bound queueing delay.
 	MaxBatch int
-	// MaxDelay bounds how long a forming micro-batch may wait for MinFill
-	// rows after its first row arrived — the worst-case latency a request
-	// can pay for batching. Default 2ms.
-	MaxDelay time.Duration
 	// MinFill is the batch size worth waiting for: the worker blocks up to
-	// MaxDelay while the batch is below MinFill, then flushes after
-	// greedily draining whatever else is already queued. Default 1 — a
-	// lone request on an idle server never pays the delay, while
-	// concurrent load still coalesces through the greedy drain. Raise it
-	// to trade tail latency for guaranteed occupancy. Clamped to MaxBatch.
+	// 2ms after a batch's first row while the batch is below MinFill, then
+	// flushes after greedily draining whatever else is already queued.
+	// Default 1 — the worker never waits, so a lone request on an idle
+	// server flushes at once, while concurrent load still coalesces through
+	// the greedy drain. Raise it to trade tail latency for guaranteed
+	// occupancy. Clamped to MaxBatch.
 	MinFill int
 	// Replicas is the number of worker goroutines; each leases a replica
 	// (a scratch arena) per flush. Default GOMAXPROCS. The request queue
@@ -79,9 +77,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 64
 	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
 	if o.Replicas == 0 {
 		o.Replicas = runtime.GOMAXPROCS(0)
 	}
@@ -91,7 +86,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MinFill > o.MaxBatch {
 		o.MinFill = o.MaxBatch
 	}
-	if o.MaxBatch < 1 || o.MaxDelay < 0 || o.Replicas < 1 || o.MinFill < 1 {
+	if o.MaxBatch < 1 || o.Replicas < 1 || o.MinFill < 1 {
 		return o, fmt.Errorf("serve: invalid options %+v", o)
 	}
 	return o, nil
@@ -123,6 +118,11 @@ type Batcher struct {
 	stats    *Stats
 	features int
 	queue    chan request
+	// linger bounds how long a forming micro-batch below MinFill rows
+	// waits for more after its first row arrived — the worst-case latency
+	// a request can pay for batching: 2ms, which only this package's tests
+	// change (before the first request).
+	linger time.Duration
 
 	mu     sync.RWMutex // guards closed + the right to send on queue
 	closed bool
@@ -157,6 +157,7 @@ func NewBatcher(sw *Swapper, opts Options) (*Batcher, error) {
 		stats:    newStats(),
 		features: sw.Current().Features(),
 		queue:    make(chan request, 2*o.Replicas*o.MaxBatch),
+		linger:   2 * time.Millisecond,
 	}
 	b.wg.Add(o.Replicas)
 	for i := 0; i < o.Replicas; i++ {
@@ -213,8 +214,8 @@ func (b *Batcher) Stats() Snapshot {
 }
 
 // Predict classifies one feature vector, riding whatever micro-batch is
-// forming. It blocks until the answer is computed — at most roughly
-// MaxDelay plus one batch's compute time — and is safe to call from any
+// forming. It blocks until the answer is computed — at most roughly the
+// 2ms linger plus one batch's compute time — and is safe to call from any
 // number of goroutines.
 func (b *Batcher) Predict(x []float64) (int, error) {
 	if len(x) != b.features {
@@ -346,11 +347,11 @@ func (b *Batcher) Close() {
 	b.ReleaseIdle()
 }
 
-// worker is one batching loop: block for a first row, linger up to
-// MaxDelay while the batch is below MinFill, greedily drain whatever else
-// is queued, then flush through a leased replica's scratch. The model
-// pointer is loaded exactly once per flush, so a concurrent Swap lands
-// cleanly between batches.
+// worker is one batching loop: block for a first row, linger while the
+// batch is below MinFill, greedily drain whatever else is queued, then
+// flush through a leased replica's scratch. The model pointer is loaded
+// exactly once per flush, so a concurrent Swap lands cleanly between
+// batches.
 func (b *Batcher) worker() {
 	defer b.wg.Done()
 	maxBatch, minFill := b.opts.MaxBatch, b.opts.MinFill
@@ -370,7 +371,7 @@ func (b *Batcher) worker() {
 		// Linger phase: block for more rows, bounded by the deadline,
 		// while the batch is not yet worth flushing.
 		if minFill > 1 {
-			timer.Reset(b.opts.MaxDelay)
+			timer.Reset(b.linger)
 			fired := false
 		linger:
 			for len(batch) < minFill {

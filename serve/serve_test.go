@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -62,13 +63,14 @@ func swapperFor(tb testing.TB, m *disthd.Model) *Swapper {
 func TestBatcherFlushOnSize(t *testing.T) {
 	s := fixtures(t)
 	const batch = 8
-	// MaxDelay is effectively infinite: the only way the requests below can
-	// complete is a size-triggered flush.
-	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
+	// The linger is effectively infinite: the only way the requests below
+	// can complete is a size-triggered flush.
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: batch, MinFill: batch, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	b.linger = time.Hour
 
 	var wg sync.WaitGroup
 	errs := make([]error, batch)
@@ -105,11 +107,12 @@ func TestBatcherFlushOnSize(t *testing.T) {
 func TestBatcherFlushOnSizeExact(t *testing.T) {
 	s := fixtures(t)
 	const batch = 4
-	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: batch, MinFill: batch, MaxDelay: time.Hour, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: batch, MinFill: batch, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	b.linger = time.Hour
 
 	// Pre-fill the queue before the worker can drain it: park the worker on
 	// a first wave, so the second wave is fully enqueued by the time the
@@ -140,15 +143,14 @@ func TestBatcherFlushOnSizeExact(t *testing.T) {
 
 func TestBatcherFlushOnDeadline(t *testing.T) {
 	s := fixtures(t)
-	const delay = 2 * time.Millisecond
-	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 64, MinFill: 64, MaxDelay: delay, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 64, MinFill: 64, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
 	// With MinFill == MaxBatch a single request can never fill the batch;
-	// only the deadline flush returns it — no earlier than MaxDelay.
+	// only the deadline flush returns it — no earlier than the linger.
 	start := time.Now()
 	class, err := b.Predict(s.test.X[0])
 	if err != nil {
@@ -158,8 +160,8 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 		t.Fatalf("class %d out of range", class)
 	}
 	elapsed := time.Since(start)
-	if elapsed < delay {
-		t.Fatalf("flushed after %v, before the %v deadline", elapsed, delay)
+	if elapsed < b.linger {
+		t.Fatalf("flushed after %v, before the %v deadline", elapsed, b.linger)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("deadline flush took %v", elapsed)
@@ -180,7 +182,7 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 // publishes safely.
 func TestSwapUnderLoad(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 16, MaxDelay: 200 * time.Microsecond, Replicas: 2})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 16, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestSwapShapeMismatch(t *testing.T) {
 
 func TestBatcherValidation(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 4, MaxDelay: time.Millisecond, Replicas: 1})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 4, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +325,43 @@ func TestBatcherValidation(t *testing.T) {
 	b.Close() // idempotent
 }
 
+// TestOptionDefaults pins what zero options resolve to: the Batcher's
+// batch bound, MinFill, replicas and 2ms linger, MinFill's clamp to
+// MaxBatch, the refusal of negative sizes, and the learner's retrain floor
+// (RecentWindow), cooldown and stall deadline.
+func TestOptionDefaults(t *testing.T) {
+	s := fixtures(t)
+	b, err := NewBatcher(swapperFor(t, s.a), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if o := b.opts; o.MaxBatch != 64 || o.MinFill != 1 || o.Replicas != runtime.GOMAXPROCS(0) || b.linger != 2*time.Millisecond {
+		t.Fatalf("zero Options resolved to %+v with a %v linger", o, b.linger)
+	}
+	if o, err := (Options{MaxBatch: 8, MinFill: 100}).withDefaults(); err != nil || o.MinFill != 8 {
+		t.Fatalf("MinFill 100 at MaxBatch 8 resolved to %+v (err %v), want it clamped to 8", o, err)
+	}
+	for _, o := range []Options{{MaxBatch: -1}, {Replicas: -1}, {MinFill: -1}} {
+		if _, err := o.withDefaults(); err == nil {
+			t.Fatalf("%+v accepted", o)
+		}
+	}
+	l, err := NewLearner(b.Swapper(), LearnerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := l.opts; o.RecentWindow != 64 || o.Cooldown != 10*time.Second || l.stallDeadline != 2*time.Minute {
+		t.Fatalf("zero LearnerOptions resolved to %+v with a %v stall deadline", o, l.stallDeadline)
+	}
+}
+
 // TestBatcherAgreesWithModel checks the coalesced path classifies exactly
 // like the underlying model: batching is a throughput optimization, never
 // an accuracy change.
 func TestBatcherAgreesWithModel(t *testing.T) {
 	s := fixtures(t)
-	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, MaxDelay: 100 * time.Microsecond, Replicas: 2})
+	b, err := NewBatcher(swapperFor(t, s.a), Options{MaxBatch: 8, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
